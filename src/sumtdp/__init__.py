@@ -32,7 +32,6 @@ from .combiners import (
 from .generators import (
     TransformationScheme,
     one_sample_t,
-    p_to_statistic,
     row_permutation_matrix,
     sign_flip_matrix,
 )
@@ -94,7 +93,7 @@ __all__ = [
     "TruncationRule", "truncate", "threshold_from_rank",
     # transformation schemes
     "TransformationScheme", "sign_flip_matrix", "row_permutation_matrix",
-    "one_sample_t", "p_to_statistic",
+    "one_sample_t",
     # scan and branch and bound
     "SumTestProblem", "Workspace", "single_step", "Verdict", "Evaluation",
     "SubspaceConstraint", "FREE", "TraceLog",

@@ -39,10 +39,9 @@ from .combiners import (
     threshold_from_rank,
     truncate,
 )
-from .generators import TransformationScheme, row_permutation_matrix, sign_flip_matrix
-from .inference import discoveries, largest_subset
+from .generators import TransformationScheme, one_sample_t, sign_flip_matrix
+from .inference import discoveries, discoveries_matrix, largest_subset
 from .oracle import RejectionTable
-from .reduction import reduce_columns
 from .shortcut import SumTestProblem, TraceLog
 from .statmatrix import (
     StatisticMatrix,
@@ -54,8 +53,6 @@ from .statmatrix import (
     subset_quantile,
     validate_subset,
 )
-
-_SCHEMES = {"sign-flip": "sign_flip", "permute": "row_permutation"}
 
 
 class InputError(ValueError):
@@ -78,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="significance level (default 0.05)")
         p.add_argument("--seed", type=int, default=None,
                        help="generator seed (used when --data is given)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent queries (default 1)")
         p.add_argument("--out", default=None,
                        help="write results here (default stdout); the manifest "
                             "goes to <out>.manifest.json")
@@ -93,12 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
             src.add_argument("--stats", default=None,
                              help="statistic matrix CSV (header; first data row observed)")
             src.add_argument("--data", default=None,
-                             help="raw data CSV (observations x variables, header)")
+                             help="raw data CSV (observations x variables, header); "
+                                  "the matrix holds t statistics under sign flips")
             p.add_argument("--b", type=int, default=200,
                            help="transformations to generate from --data, "
                                 "identity included (default 200)")
-            p.add_argument("--scheme", choices=sorted(_SCHEMES), default="sign-flip",
-                           help="transformation scheme for --data (default sign-flip)")
             p.add_argument("--one-sided", action="store_true",
                            help="signed t statistics instead of absolute values")
             p.add_argument("--combiner", default=None, metavar="KIND",
@@ -184,16 +178,12 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
     else:
         inputs[args.data] = _sha256(args.data)
         names, data = read_data_csv(args.data)
-        scheme = TransformationScheme(
-            kind=_SCHEMES[args.scheme], n_transforms=args.b, seed=args.seed
-        )
-        build = sign_flip_matrix if scheme.kind == "sign_flip" else row_permutation_matrix
-        from .generators import one_sample_t
+        scheme = TransformationScheme(kind="sign_flip", n_transforms=args.b, seed=args.seed)
 
         def statistic(arr):
             return one_sample_t(arr, two_sided=not args.one_sided)
 
-        stats = build(data, scheme, statistic=statistic)
+        stats = sign_flip_matrix(data, scheme, statistic=statistic)
         stats = StatisticMatrix(stats.values, names=names)
         n_obs = data.shape[0]
 
@@ -222,8 +212,12 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
     return stats
 
 
-def _parse_tokens(tokens, stats: StatisticMatrix):
-    """1-based indices or header names -> sorted validated 0-based tuple."""
+def _column_indices(tokens, stats: StatisticMatrix) -> list:
+    """1-based indices or header names -> 0-based indices, in token order.
+
+    Only strings, integers and integral floats are columns; anything else
+    JSON can hold (null, booleans, nested lists, objects) is an input error.
+    """
     names = list(stats.column_names())
     out = []
     for tok in tokens:
@@ -238,16 +232,23 @@ def _parse_tokens(tokens, stats: StatisticMatrix):
                 tok = int(tok)
             except ValueError:
                 raise InputError(f"unknown column {tok!r}") from None
-        if isinstance(tok, float):
+        elif isinstance(tok, float):
             if not tok.is_integer():
                 raise InputError(f"column index {tok} is not an integer")
             tok = int(tok)
+        elif isinstance(tok, bool) or not isinstance(tok, int):
+            raise InputError(f"bad column token {tok!r}")
         if not 1 <= tok <= stats.n_hyps:
             raise InputError(
                 f"column index {tok} out of range 1..{stats.n_hyps} (indices are 1-based)"
             )
         out.append(tok - 1)
-    return validate_subset(out, stats.n_hyps)
+    return out
+
+
+def _parse_tokens(tokens, stats: StatisticMatrix):
+    """1-based indices or header names -> sorted validated 0-based tuple."""
+    return validate_subset(_column_indices(tokens, stats), stats.n_hyps)
 
 
 def _read_spec_text(spec: str) -> str:
@@ -287,20 +288,10 @@ def _parse_order(spec, stats: StatisticMatrix, inputs: dict):
     try:
         tokens = json.loads(text)
     except json.JSONDecodeError:
-        tokens = [tok for tok in text.replace(",", " ").split()]
-    order = []
-    names = list(stats.column_names())
-    for tok in tokens:
-        if isinstance(tok, str) and tok in names:
-            order.append(names.index(tok))
-        else:
-            try:
-                idx = int(tok)
-            except (TypeError, ValueError):
-                raise InputError(f"bad order token {tok!r}") from None
-            if not 1 <= idx <= stats.n_hyps:
-                raise InputError(f"order index {idx} out of range 1..{stats.n_hyps}")
-            order.append(idx - 1)
+        tokens = text.replace(",", " ").split()
+    if not isinstance(tokens, list):
+        tokens = [tokens]  # a lone JSON scalar, as in a one-column order file
+    order = _column_indices(tokens, stats)
     if sorted(order) != list(range(stats.n_hyps)):
         raise InputError("--order must list every column exactly once")
     return tuple(order)
@@ -418,41 +409,6 @@ def _cmd_test(args) -> int:
     return 0
 
 
-def _run_tdp_entry(stats, cfg, subset, args, reduction_ground, want_trace):
-    trace = TraceLog() if want_trace else None
-    extra = {}
-    if reduction_ground is not None:
-        red = reduce_columns(stats, subset, ground=reduction_ground)
-        prob = SumTestProblem.from_matrix(red.stats, cfg)
-        res = discoveries(
-            prob, red.subset,
-            total_budget=args.total_budget, step_budget=args.max_iter,
-            trace=trace,
-        )
-        extra = {
-            "m_reduced": red.stats.n_hyps,
-            "removed": len(red.removed),
-            "collapsed": len(red.collapsed),
-        }
-    else:
-        prob = SumTestProblem.from_matrix(stats, cfg)
-        res = discoveries(
-            prob, subset,
-            total_budget=args.total_budget, step_budget=args.max_iter,
-            trace=trace,
-        )
-    entry = {
-        "set_id": None,  # filled by the caller
-        "size": len(subset),
-        "d": res.discoveries,
-        "tdp": res.tdp,
-        "converged": res.converged,
-        "iterations": res.evals,
-    }
-    entry.update(extra)
-    return entry, (trace.rows if trace else [])
-
-
 def _cmd_tdp(args) -> int:
     started = time.perf_counter()
     inputs = {}
@@ -466,43 +422,34 @@ def _cmd_tdp(args) -> int:
     reduce_on = truncation_active and args.reduce != "off"
     reduction_ground = args.ground if reduce_on else None
 
-    raw_sets = _parse_set_lists(args.sets, inputs)
-    jobs = []
-    for idx, tokens in enumerate(raw_sets, start=1):
+    entries, trace_rows = [], []
+    for set_id, tokens in enumerate(_parse_set_lists(args.sets, inputs), start=1):
+        trace = TraceLog() if args.trace is not None else None
         try:
-            jobs.append((idx, _parse_tokens(tokens, stats), None))
-        except (InputError, ValueError) as exc:
-            jobs.append((idx, None, str(exc)))
-
-    want_trace = args.trace is not None
-
-    def run(job):
-        idx, subset, error = job
-        if error is not None:
-            return {"set_id": idx, "error": error}, []
-        try:
-            entry, trace_rows = _run_tdp_entry(
-                stats, cfg, subset, args, reduction_ground, want_trace
+            res = discoveries_matrix(
+                stats, cfg, _parse_tokens(tokens, stats),
+                reduction_ground=reduction_ground,
+                total_budget=args.total_budget, step_budget=args.max_iter,
+                trace=trace,
             )
         except ValueError as exc:
-            return {"set_id": idx, "error": str(exc)}, []
-        entry["set_id"] = idx
-        for row in trace_rows:
-            row["set_id"] = idx
-        return entry, trace_rows
-
-    if args.threads > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-
-    entries = [entry for entry, _ in outcomes]
-    if want_trace:
-        all_rows = [row for _, rows in outcomes for row in rows]
-        _write_trace(all_rows, args.trace)
+            entries.append({"set_id": set_id, "error": str(exc)})
+            continue
+        entry = {
+            "set_id": set_id,
+            "size": res.n_queried,
+            "d": res.discoveries,
+            "tdp": res.tdp,
+            "converged": res.converged,
+            "iterations": res.evals,
+        }
+        if res.reduction is not None:
+            entry.update(res.reduction)
+        entries.append(entry)
+        if trace is not None:
+            trace_rows += [{**row, "set_id": set_id} for row in trace.rows]
+    if args.trace is not None:
+        _write_trace(trace_rows, args.trace)
 
     columns = ["set_id", "size", "d", "tdp", "converged", "iterations",
                "m_reduced", "removed", "collapsed", "error"]
@@ -543,28 +490,13 @@ def _cmd_verify(args) -> int:
     table = RejectionTable(centered, cfg)
     prob = SumTestProblem.from_matrix(stats, cfg)
     m = stats.n_hyps
-    subsets = []
-    for mask in range(1, 1 << m):
-        subsets.append(tuple(i for i in range(m) if mask >> i & 1))
-
-    def check(subset):
+    subsets = [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
+    mismatches = []
+    for subset in subsets:
         expected = len(subset) - table.max_nonrejected_overlap(subset)
         got = discoveries(prob, subset).discoveries
-        return subset, expected, got
-
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            checks = list(pool.map(check, subsets))
-    else:
-        checks = [check(subset) for subset in subsets]
-
-    mismatches = [
-        {"set": _one_based(subset), "expected": expected, "got": got}
-        for subset, expected, got in checks
-        if expected != got
-    ]
+        if expected != got:
+            mismatches.append({"set": _one_based(subset), "expected": expected, "got": got})
     payload = {
         "subsets_checked": len(subsets),
         "mismatches": len(mismatches),
@@ -609,11 +541,6 @@ def _cmd_simulate(args) -> int:
 
     started = time.perf_counter()
     inputs = {}
-    if args.config.endswith(".toml"):
-        raise InputError(
-            "TOML configs are not supported on this Python version; "
-            "please provide the same keys as JSON"
-        )
     inputs[args.config] = _sha256(args.config)
     with open(args.config) as fh:
         try:
@@ -623,7 +550,7 @@ def _cmd_simulate(args) -> int:
     if not isinstance(config, dict):
         raise InputError(f"{args.config}: top level must be an object")
     cells = _build_cells(config, args.full_scale, args)
-    rows = run_grid(cells, threads=args.threads)
+    rows = run_grid(cells)
     payload = [
         {key: (None if value == "" else value) for key, value in row.items()}
         for row in rows
@@ -646,10 +573,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except (InputError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"sumtdp: error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # InputError and JSONDecodeError included
         sys.stderr.write(f"sumtdp: error: {exc}\n")
         return 2
     except Exception as exc:  # pragma: no cover - defensive

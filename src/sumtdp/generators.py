@@ -18,7 +18,6 @@ __all__ = [
     "one_sample_t",
     "sign_flip_matrix",
     "row_permutation_matrix",
-    "p_to_statistic",
 ]
 
 _KINDS = ("sign_flip", "row_permutation")
@@ -111,11 +110,3 @@ def row_permutation_matrix(data, scheme: TransformationScheme, statistic) -> Sta
         return arr[rng.permutation(arr.shape[0])]
 
     return _build(data, scheme, statistic, permute)
-
-
-def p_to_statistic(p) -> np.ndarray:
-    """Validate p-values (in ``(0, 1]``) and pass them through as floats."""
-    arr = np.asarray(p, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr > 1.0) or not np.isfinite(arr).all()):
-        raise ValueError("p-values must lie in (0, 1]")
-    return arr.copy()

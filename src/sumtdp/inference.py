@@ -22,7 +22,7 @@ whatever a level leaves unspent rolling over to the next.  Raising either
 budget never lowers the discovery count.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from .branchbound import evaluate_iterative
 from .reduction import reduce_columns
@@ -47,7 +47,10 @@ class DiscoveryResult:
     ``overlap_cap`` is the certified bound on the overlap maximum above
     (equal to it when ``converged``).  ``levels`` records each bisection
     step as (overlap level, verdict, scans spent there).  ``evals`` is the
-    total number of single-step scans, root scans included.
+    total number of single-step scans, root scans included.  ``reduction``
+    holds the column-reduction counts (``m_reduced``, ``removed``,
+    ``collapsed``) when :func:`discoveries_matrix` reduced the matrix first,
+    and is None otherwise.
     """
 
     subset: tuple
@@ -57,6 +60,7 @@ class DiscoveryResult:
     converged: bool
     evals: int
     levels: tuple
+    reduction: dict = field(default=None, hash=False)
 
     @property
     def n_queried(self) -> int:
@@ -157,8 +161,9 @@ def discoveries_matrix(
 
     When ``reduction_ground`` is given, inert columns outside the subset are
     dropped or merged first (see :mod:`.reduction`); the result is reported
-    in terms of the original subset.  Discovery counts are unchanged by the
-    reduction, only the work to reach them shrinks.
+    in terms of the original subset, with the reduction's counts in
+    ``reduction``.  Discovery counts are unchanged by the reduction, only the
+    work to reach them shrinks.
     """
     subset = validate_subset(subset, stats.n_hyps)
     if reduction_ground is not None:
@@ -168,15 +173,12 @@ def discoveries_matrix(
             prob, red.subset,
             total_budget=total_budget, step_budget=step_budget, trace=trace,
         )
-        return DiscoveryResult(
-            subset=subset,
-            discoveries=inner.discoveries,
-            overlap_cap=inner.overlap_cap,
-            tdp=inner.tdp,
-            converged=inner.converged,
-            evals=inner.evals,
-            levels=inner.levels,
-        )
+        counts = {
+            "m_reduced": red.stats.n_hyps,
+            "removed": len(red.removed),
+            "collapsed": len(red.collapsed),
+        }
+        return replace(inner, subset=subset, reduction=counts)
     prob = SumTestProblem.from_matrix(stats, cfg)
     return discoveries(
         prob, subset,
@@ -255,31 +257,22 @@ def simultaneous_report(
     subsets,
     total_budget=None,
     step_budget=None,
-    threads: int = 1,
 ) -> list:
     """Discovery bounds for many subsets of one matrix.
 
     All bounds hold jointly at the configured confidence level, however many
     subsets are queried, so no adjustment across queries is applied.  A
     subset that fails validation yields an error entry; the rest still run.
-    Queries are independent and read-only, so ``threads > 1`` fans them out
-    over a thread pool; results come back in input order either way.
+    Entries come back in input order.
     """
-    subsets = list(subsets)
-
-    def run(idx):
+    report = []
+    for idx, subset in enumerate(subsets):
         try:
             res = discoveries(
-                prob, subsets[idx],
+                prob, subset,
                 total_budget=total_budget, step_budget=step_budget,
             )
-            return ReportEntry(set_id=idx, result=res)
+            report.append(ReportEntry(set_id=idx, result=res))
         except ValueError as exc:
-            return ReportEntry(set_id=idx, error=str(exc))
-
-    if threads > 1 and len(subsets) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(len(subsets))))
-    return [run(i) for i in range(len(subsets))]
+            report.append(ReportEntry(set_id=idx, error=str(exc)))
+    return report

@@ -32,7 +32,6 @@ from enum import Enum
 import numpy as np
 
 from .statmatrix import (
-    CenteredMatrix,
     StatisticMatrix,
     TestConfig,
     center,
@@ -142,14 +141,6 @@ class SumTestProblem:
         if cfg.n_transforms != stats.n_transforms:
             raise ValueError("config and matrix disagree on the number of rows")
         return cls(center(stats).values, stats.observed, cfg.crit_rank)
-
-    @classmethod
-    def from_centered(
-        cls, centered: CenteredMatrix, observed, cfg: TestConfig
-    ) -> "SumTestProblem":
-        if cfg.n_transforms != centered.n_transforms:
-            raise ValueError("config and matrix disagree on the number of rows")
-        return cls(centered.values, observed, cfg.crit_rank)
 
 
 class TraceLog:

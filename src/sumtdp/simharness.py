@@ -239,33 +239,17 @@ class StudyResult:
 def run_study(
     cfg: SimulationConfig,
     queries=("active", "inactive"),
-    threads: int = 1,
 ) -> StudyResult:
-    """Run every replication of one cell and collect the outcomes.
-
-    Replications are independent; ``threads > 1`` runs them on a thread
-    pool.  Outcomes are returned in replication order regardless.
-    """
+    """Run every replication of one cell, in order, and collect the outcomes."""
     effect = (
         effect_size(cfg.n_obs, cfg.alpha, cfg.power_target)
         if cfg.n_active
         else 0.0
     )
     start = time.perf_counter()
-    if threads > 1 and cfg.n_reps > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda rep: run_replication(cfg, rep, effect, queries),
-                    range(cfg.n_reps),
-                )
-            )
-    else:
-        outcomes = [
-            run_replication(cfg, rep, effect, queries) for rep in range(cfg.n_reps)
-        ]
+    outcomes = [
+        run_replication(cfg, rep, effect, queries) for rep in range(cfg.n_reps)
+    ]
     wall = time.perf_counter() - start
     return StudyResult(config=cfg, effect=effect, outcomes=tuple(outcomes), wall_time=wall)
 
@@ -278,7 +262,7 @@ GRID_COLUMNS = (
 )
 
 
-def run_grid(cells, threads: int = 1) -> list:
+def run_grid(cells) -> list:
     """Run many cells, one row of aggregates each; failures become rows too.
 
     A cell that raises is recorded with its error message and the grid keeps
@@ -289,7 +273,7 @@ def run_grid(cells, threads: int = 1) -> list:
         row = {key: "" for key in GRID_COLUMNS}
         row.update(cfg.to_dict())
         try:
-            study = run_study(cfg, threads=threads)
+            study = run_study(cfg)
             mean_tdp = study.mean_tdp("active")
             fwer = study.family_error_rate()
             row["mean_tdp_active"] = "" if math.isnan(mean_tdp) else mean_tdp

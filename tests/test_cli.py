@@ -2,12 +2,15 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from sumtdp.cli import main
+import sumtdp
+from sumtdp.cli import build_parser, main
 
 TOY_CSV = """\
 H1,H2,H3,H4,H5
@@ -109,6 +112,24 @@ class TestTdp:
         schema = json.load(open(SCHEMA_PATH))
         jsonschema.validate(payload, schema)
 
+    @pytest.mark.parametrize("spec", ['[[null],[1,2]]', '[[[1],2],[1,2]]'])
+    def test_malformed_token_becomes_error_entry(self, toy_csv, capsys, spec):
+        code, out, _ = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4", "--sets", spec)
+        assert code == 0
+        payload = json.loads(out)
+        assert "bad column token" in payload[0]["error"]
+        assert payload[1]["d"] == 1
+        jsonschema.validate(payload, json.load(open(SCHEMA_PATH)))
+
+    def test_boolean_is_not_a_column(self, toy_csv, capsys):
+        code, out, _ = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+            "--sets", "[[true,2]]")
+        assert code == 0
+        assert json.loads(out) == [
+            {"set_id": 1, "error": "bad column token True"}]
+
     def test_csv_format(self, toy_csv, capsys):
         code, out, _ = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
@@ -186,13 +207,6 @@ class TestTdp:
         assert code_a == code_b == 0
         assert json.loads(out_a) == json.loads(out_b)
 
-    def test_threads_match_serial(self, toy_csv, capsys):
-        args = ("tdp", "--stats", toy_csv, "--alpha", "0.4",
-                "--sets", '[[1,2],[3,4],[1,2,3,4,5]]')
-        _, serial, _ = run(capsys, *args)
-        _, pooled, _ = run(capsys, *args, "--threads", "4")
-        assert json.loads(serial) == json.loads(pooled)
-
     def test_exclusive_truncation_flags(self, toy_csv, capsys):
         code, _, err = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
@@ -260,6 +274,27 @@ class TestLargest:
             "--gamma", "0.5", "--order", str(order))
         assert code == 2
         assert "every column exactly once" in err
+
+    @pytest.mark.parametrize("text", ["[1,2,3,4,null]", "[true,2,3,4,5]"])
+    def test_malformed_order_token(self, toy_csv, tmp_path, capsys, text):
+        order = tmp_path / "order.json"
+        order.write_text(text)
+        code, _, err = run(
+            capsys, "largest", "--stats", toy_csv, "--alpha", "0.4",
+            "--gamma", "0.5", "--order", str(order))
+        assert code == 2
+        assert "bad column token" in err
+
+    def test_one_column_order(self, tmp_path, capsys):
+        stats = tmp_path / "one.csv"
+        stats.write_text("H1\n6\n1\n8\n8\n0\n7\n")
+        order = tmp_path / "order.txt"
+        order.write_text("1\n")
+        code, out, _ = run(
+            capsys, "largest", "--stats", str(stats), "--alpha", "0.4",
+            "--gamma", "0", "--order", str(order))
+        assert code == 0
+        assert json.loads(out)["members"] == ["H1"]
 
 
 class TestVerify:
@@ -394,3 +429,35 @@ class TestErrors:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "sumtdp" in out
+
+
+class TestReadme:
+    """The README documents only options and names that exist."""
+
+    README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+
+    def section(self, start):
+        begin = self.README.index(start)
+        end = self.README.find("\n## ", begin + len(start))
+        return self.README[begin:end if end != -1 else None]
+
+    def test_command_line_flags_exist(self):
+        parser = build_parser()
+        known = set(parser._option_string_actions)
+        for action in parser._subparsers._group_actions:
+            for sub in action.choices.values():
+                known |= set(sub._option_string_actions)
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
+                               self.section("## Command line")))
+        assert flags, "no flags found in the Command line section"
+        assert sorted(flags - known) == []
+
+    def test_entry_points_exported(self):
+        items = self.section("Useful entry points").split("\n- ")[1:]
+        names = {
+            name
+            for item in items
+            for name in re.findall(r"`(\w+)`", item.split(":", 1)[0])
+        }
+        assert "discoveries_matrix" in names
+        assert sorted(names - set(sumtdp.__all__)) == []

@@ -7,7 +7,6 @@ from scipy import stats as sps
 from sumtdp import (
     TransformationScheme,
     one_sample_t,
-    p_to_statistic,
     row_permutation_matrix,
     sign_flip_matrix,
 )
@@ -128,20 +127,3 @@ class TestScheme:
         with pytest.raises(ValueError, match="statistic must map"):
             sign_flip_matrix(data, scheme, statistic=lambda d: d.sum())
 
-
-class TestPToStatistic:
-    def test_passthrough(self):
-        p = np.array([0.01, 0.5, 1.0])
-        assert np.array_equal(p_to_statistic(p), p)
-
-    def test_rejects_zero_and_above_one(self):
-        with pytest.raises(ValueError):
-            p_to_statistic([0.0, 0.5])
-        with pytest.raises(ValueError):
-            p_to_statistic([0.5, 1.0001])
-
-    def test_copy_not_view(self):
-        p = np.array([0.3])
-        out = p_to_statistic(p)
-        p[0] = 0.9
-        assert out[0] == 0.3

@@ -14,6 +14,7 @@ from sumtdp import (
     discoveries,
     discoveries_matrix,
     largest_subset,
+    reduce_columns,
     reject,
     simultaneous_report,
     truncate,
@@ -162,6 +163,8 @@ class TestReductionEquivalence:
         reduced = discoveries_matrix(trunc, toy_cfg, TOY_SUBSET, reduction_ground=0.0)
         assert plain.discoveries == reduced.discoveries
         assert reduced.subset == TOY_SUBSET
+        assert plain.reduction is None
+        assert reduced.reduction == {"m_reduced": 3, "removed": 1, "collapsed": 2}
 
     def test_random_truncated(self):
         rng = np.random.default_rng(56)
@@ -175,6 +178,13 @@ class TestReductionEquivalence:
             reduced = discoveries_matrix(trunc, cfg, sub, reduction_ground=ground)
             assert plain.discoveries == reduced.discoveries
             assert plain.overlap_cap == reduced.overlap_cap
+            red = reduce_columns(trunc, sub, ground=ground)
+            assert plain.reduction is None
+            assert reduced.reduction == {
+                "m_reduced": red.stats.n_hyps,
+                "removed": len(red.removed),
+                "collapsed": len(red.collapsed),
+            }
 
 
 class TestLargestSubset:
@@ -247,9 +257,3 @@ class TestSimultaneousReport:
         assert report[0].result is None
         assert "out of range" in report[0].error
         assert report[1].result.discoveries == 1
-
-    def test_threads_match_serial(self, toy_problem):
-        subs = [(0, 1), (1, 2, 3), (0, 4), (2,), (0, 1, 2, 3, 4)]
-        serial = simultaneous_report(toy_problem, subs, threads=1)
-        pooled = simultaneous_report(toy_problem, subs, threads=4)
-        assert serial == pooled

@@ -34,11 +34,6 @@ class TestProblem:
         assert toy_problem.n_hyps == 5
         assert np.array_equal(toy_problem.observed, toy_stats.observed)
 
-    def test_from_centered(self, toy_stats, toy_cfg, toy_centered):
-        prob = SumTestProblem.from_centered(
-            toy_centered, toy_stats.observed, toy_cfg)
-        assert np.array_equal(prob.centered, toy_centered.values)
-
     def test_row_count_mismatch(self, toy_stats):
         with pytest.raises(ValueError, match="disagree"):
             SumTestProblem.from_matrix(toy_stats, TestConfig(0.4, 7))

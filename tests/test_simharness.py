@@ -188,14 +188,6 @@ class TestStudy:
         assert np.array_equal(a.tdp_values("active"), b.tdp_values("active"))
         assert a.family_error_rate() == b.family_error_rate()
 
-    def test_threads_match_serial(self):
-        cfg = SimulationConfig(**FAST)
-        serial = run_study(cfg, threads=1)
-        pooled = run_study(cfg, threads=3)
-        assert np.array_equal(
-            serial.tdp_values("active"), pooled.tdp_values("active"))
-        assert serial.family_error_rate() == pooled.family_error_rate()
-
 
 class TestGrid:
     def test_rows_have_all_columns(self):
