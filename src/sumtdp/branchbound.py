@@ -18,6 +18,15 @@ evaluation counts one unit of budget.  Still-undecided children go on a
 stack, exclude side on top, giving a depth-first run through the exclude
 spine first.  The root evaluation is free of charge; callers that meter whole
 queries account for it separately.
+
+A run builds one :class:`~.shortcut.QueryContext` for its subset (or uses
+the one its caller passes in) and hands it to every scan and every pivot
+choice, so the subset is validated and the columns are ordered once.  The
+pivot reads the subspace's masks and reserved columns from the context,
+the same rule the scan's greedy path uses.  A subspace that is still
+undecided but has no column left to split on breaks an engine invariant
+and raises :class:`RuntimeError`, never :class:`ValueError`, which callers
+read as bad input.
 """
 
 import math
@@ -26,10 +35,10 @@ from dataclasses import dataclass
 from .shortcut import (
     FREE,
     Evaluation,
-    SubspaceConstraint,
     SumTestProblem,
     TraceLog,
     Verdict,
+    query_context,
     single_step,
 )
 
@@ -57,19 +66,19 @@ def pick_pivot(prob: SumTestProblem, subset, overlap: int, constraint=FREE) -> i
     statistic wins, ties going to the highest index.  That makes the pivot
     exactly the last column the greedy path would add, so excluding it
     leaves every shorter path prefix, and hence the parent's path values,
-    untouched.
+    untouched.  ``subset`` is column indices or a
+    :class:`~.shortcut.QueryContext` for ``prob``.
     """
-    sset = set(subset)
-    blocked = constraint.forced | constraint.excluded
-    free = [i for i in range(prob.n_hyps) if i not in blocked]
-    s_free = [i for i in free if i in sset]
-    needed = max(overlap - len(constraint.forced & sset), 0)
-    obs = prob.observed
-    reserved = set(sorted(s_free, key=lambda i: (obs[i], i))[:needed])
-    candidates = [i for i in free if i not in reserved]
-    if not candidates:
-        raise ValueError("no free column to branch on; the scan should have settled this subspace")
-    return max(candidates, key=lambda i: (obs[i], i))
+    ctx = query_context(prob, subset)
+    _, free, _, reserved = ctx.subspace(overlap, constraint)
+    candidates = free.copy()
+    candidates[reserved] = False
+    by_obs = ctx.order[candidates[ctx.order]]
+    if not by_obs.size:
+        raise RuntimeError(
+            "no free column to branch on; the scan should have settled this subspace"
+        )
+    return int(by_obs[-1])
 
 
 def evaluate_iterative(
@@ -87,13 +96,16 @@ def evaluate_iterative(
     root scan is free).  ``budget=None`` means unlimited, which always
     terminates: subspaces shrink by one free column per split.
 
-    Returns the final evaluation and the number of budgeted scans performed.
-    An UNDECIDED result means the budget ran out; spending more can only
-    refine it (the explored tree is a prefix of the unlimited run's tree).
+    ``subset`` is column indices or a :class:`~.shortcut.QueryContext` for
+    ``prob``.  Returns the final evaluation and the number of budgeted scans
+    performed.  An UNDECIDED result means the budget ran out; spending more
+    can only refine it (the explored tree is a prefix of the unlimited run's
+    tree).
     """
     limit = math.inf if budget is None else int(budget)
     if limit < 0:
         raise ValueError("budget must be nonnegative")
+    ctx = query_context(prob, subset)
 
     def log(ev, cons, index):
         if trace is not None:
@@ -104,7 +116,7 @@ def evaluate_iterative(
                 verdict=ev.verdict, window=ev.window, witness=ev.witness,
             )
 
-    root = single_step(prob, subset, overlap, constraint, want_path=True, trace=trace)
+    root = single_step(prob, ctx, overlap, constraint, want_path=True, trace=trace)
     log(root, constraint, 0)
     if root.verdict is not Verdict.UNDECIDED:
         return IterationResult(root, 0)
@@ -113,7 +125,7 @@ def evaluate_iterative(
     stack = [(constraint, root.window)]
     while stack:
         cons, window = stack.pop()
-        pivot = pick_pivot(prob, subset, overlap, cons)
+        pivot = pick_pivot(prob, ctx, overlap, cons)
         if trace is not None:
             trace.add(
                 kind="branch", pivot=pivot, overlap=overlap,
@@ -131,7 +143,7 @@ def evaluate_iterative(
                 return IterationResult(Evaluation(Verdict.UNDECIDED, window=window), spent)
             spent += 1
             ev = single_step(
-                prob, subset, overlap, cons_child,
+                prob, ctx, overlap, cons_child,
                 window=window, want_path=want_path, trace=trace,
             )
             log(ev, cons_child, spent)

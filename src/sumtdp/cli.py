@@ -576,7 +576,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:  # InputError and JSONDecodeError included
         sys.stderr.write(f"sumtdp: error: {exc}\n")
         return 2
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         sys.stderr.write(f"sumtdp: internal error: {exc}\n")
         return 1
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 from .branchbound import evaluate_iterative
 from .reduction import reduce_columns
-from .shortcut import SumTestProblem, TraceLog, Verdict
+from .shortcut import QueryContext, SumTestProblem, TraceLog, Verdict
 from .statmatrix import StatisticMatrix, TestConfig, validate_subset
 
 __all__ = [
@@ -79,9 +79,11 @@ def discoveries(
     ``total_budget=None`` and ``step_budget=None`` run to completion, which
     makes the bound exact (``converged`` is then always True).  With a
     finite budget the bound stays valid but may undercount; ``converged``
-    tells the difference.
+    tells the difference.  One :class:`~.shortcut.QueryContext` serves
+    every scan of the query.
     """
-    subset = validate_subset(subset, prob.n_hyps)
+    ctx = QueryContext(prob, subset)
+    subset = ctx.subset
     s = len(subset)
     if total_budget is not None and total_budget < 0:
         raise ValueError("total_budget must be nonnegative")
@@ -116,7 +118,7 @@ def discoveries(
             caps.append(min(share, remaining) - 1)
         budget = min(caps) if caps else None
         res = evaluate_iterative(
-            prob, subset, mid, budget=budget, trace=trace,
+            prob, ctx, mid, budget=budget, trace=trace,
         )
         cost = 1 + res.iterations
         spent_total += cost

@@ -22,6 +22,17 @@ downward from ``drop_end`` and then upward, stopping early once the bound
 turns positive on a monotone stretch.  Sizes that remain in doubt form the
 returned window.
 
+Everything a scan needs about the query subset itself lives in one
+:class:`QueryContext`, built once per query: the validated subset, its
+boolean mask over the columns, one stable argsort of the observed row (ties
+in index order) and the reserved-column rule, which picks the subset columns
+the greedy path spends on the overlap requirement.  A subspace constraint is
+turned into boolean masks of forced and free columns, and the workspace, the
+greedy path and the branching pivot all read those masks and that one
+ordering.  Functions that take a ``subset`` accept either column indices, for
+which they build the context themselves, or a context built for the same
+problem; both run the same code.
+
 All functions here are pure; matrices are never mutated, so evaluations may
 run concurrently over a shared problem.
 """
@@ -44,6 +55,8 @@ __all__ = [
     "SubspaceConstraint",
     "FREE",
     "SumTestProblem",
+    "QueryContext",
+    "query_context",
     "Workspace",
     "single_step",
     "TraceLog",
@@ -157,8 +170,67 @@ def _rank_stat(column: np.ndarray, rank: int) -> float:
     return float(np.partition(column, rank - 1)[rank - 1])
 
 
+class QueryContext:
+    """Per-query invariants shared by every scan and pivot of one subset.
+
+    Attributes
+    ----------
+    subset : tuple
+        The validated subset, sorted.
+    in_subset : ndarray of bool
+        Mask of the subset's columns.
+    order : ndarray of int
+        All columns by observed statistic, ties by index: the order of
+        ``sorted(range(m), key=lambda i: (observed[i], i))``.
+    subset_order : ndarray of int
+        The subset's columns in that order.
+    """
+
+    def __init__(self, prob: SumTestProblem, subset):
+        self.prob = prob
+        self.subset = validate_subset(subset, prob.n_hyps)
+        self.in_subset = np.zeros(prob.n_hyps, dtype=bool)
+        self.in_subset[list(self.subset)] = True
+        self.order = np.argsort(prob.observed, kind="stable")
+        self.subset_order = self.order[self.in_subset[self.order]]
+
+    def subspace(self, overlap: int, constraint=FREE):
+        """Masks and reserved columns of one constrained subspace.
+
+        Returns ``(forced, free, needed, reserved)``: boolean masks of the
+        forced and of the unconstrained columns, the number of overlap picks
+        the forced columns leave to be made, and the reserved columns.  Those
+        are the free subset columns with the smallest observed statistics,
+        as many as are needed, in observed order.  The greedy path starts
+        with them and the pivot never splits on them; the path-inheritance
+        lemma rests on both reading this one rule.
+        """
+        m = self.prob.n_hyps
+        for i in constraint.forced | constraint.excluded:
+            if not 0 <= i < m:
+                raise ValueError(f"constraint column {i} out of range")
+        forced = np.zeros(m, dtype=bool)
+        forced[list(constraint.forced)] = True
+        free = ~forced
+        free[list(constraint.excluded)] = False
+        needed = max(overlap - int(np.count_nonzero(forced & self.in_subset)), 0)
+        reserved = self.subset_order[free[self.subset_order]][:needed]
+        return forced, free, needed, reserved
+
+
+def query_context(prob: SumTestProblem, subset) -> QueryContext:
+    """``subset`` itself when it is a context for ``prob``, else a new one."""
+    if isinstance(subset, QueryContext):
+        if subset.prob is not prob:
+            raise ValueError("query context was built for another problem")
+        return subset
+    return QueryContext(prob, subset)
+
+
 class Workspace:
     """Prefix-sum tables for one (problem, subset, overlap, constraint) query.
+
+    ``subset`` is column indices or a :class:`QueryContext` for ``prob``.
 
     Attributes
     ----------
@@ -173,44 +245,41 @@ class Workspace:
     """
 
     def __init__(self, prob: SumTestProblem, subset, overlap: int, constraint=FREE):
-        m = prob.n_hyps
-        subset = validate_subset(subset, m)
-        if not 1 <= overlap <= len(subset):
-            raise ValueError(f"overlap must lie in 1..{len(subset)}, got {overlap}")
-        for i in constraint.forced | constraint.excluded:
-            if not 0 <= i < m:
-                raise ValueError(f"constraint column {i} out of range")
+        ctx = query_context(prob, subset)
+        if not 1 <= overlap <= len(ctx.subset):
+            raise ValueError(f"overlap must lie in 1..{len(ctx.subset)}, got {overlap}")
+        forced, free, needed, reserved = ctx.subspace(overlap, constraint)
         self.prob = prob
-        self.subset = subset
+        self.subset = ctx.subset
         self.overlap = overlap
         self.constraint = constraint
 
-        sset = set(subset)
-        forced = sorted(constraint.forced)
-        blocked = constraint.forced | constraint.excluded
-        free = [i for i in range(m) if i not in blocked]
-        self._s_free = [i for i in free if i in sset]
-        self._o_free = [i for i in free if i not in sset]
+        self._ctx = ctx
+        self._forced = forced
         self._free = free
-        self._needed = max(overlap - len(constraint.forced & sset), 0)
+        self._s_free = np.flatnonzero(free & ctx.in_subset)
+        self._needed = needed
+        self._reserved = reserved
 
-        self.infeasible = self._needed > len(self._s_free)
+        self.infeasible = needed > self._s_free.size
         if self.infeasible:
             return
 
-        self.size_min = len(forced) + self._needed
-        self.size_max = len(forced) + len(free)
+        forced_cols = np.flatnonzero(forced)
+        self.size_min = forced_cols.size + needed
+        self.size_max = forced_cols.size + int(np.count_nonzero(free))
 
         cen = prob.centered
-        offset = cen[:, forced].sum(axis=1) if forced else 0.0
-        if self._needed:
+        offset = cen[:, forced_cols].sum(axis=1) if forced_cols.size else 0.0
+        if needed:
             in_s = np.sort(cen[:, self._s_free], axis=1)
-            sel_sum = in_s[:, : self._needed].sum(axis=1)
-            leftovers = in_s[:, self._needed :]
+            sel_sum = in_s[:, :needed].sum(axis=1)
+            leftovers = in_s[:, needed:]
         else:
             sel_sum = 0.0
             leftovers = cen[:, self._s_free]
-        pool = np.concatenate([leftovers, cen[:, self._o_free]], axis=1)
+        o_free = np.flatnonzero(free & ~ctx.in_subset)
+        pool = np.concatenate([leftovers, cen[:, o_free]], axis=1)
         rem = np.sort(pool, axis=1)
         self._base = np.asarray(offset + sel_sum, dtype=float)
         if np.ndim(self._base) == 0:
@@ -235,38 +304,38 @@ class Workspace:
 
     def _paths(self):
         if self._path_tables is None:
-            obs = self.prob.observed
             cen = self.prob.centered
-            by_obs = sorted(self._s_free, key=lambda i: (obs[i], i))
-            reserved = by_obs[: self._needed]
-            rest = sorted(
-                (i for i in self._free if i not in set(reserved)),
-                key=lambda i: (obs[i], i),
-            )
+            order = self._ctx.order
+            reserved = self._reserved
+            rest_mask = self._free.copy()
+            rest_mask[reserved] = False
+            rest = order[rest_mask[order]]
+            forced_cols = np.flatnonzero(self._forced)
             base = np.zeros(self.prob.n_transforms)
-            forced = sorted(self.constraint.forced)
-            if forced:
-                base += cen[:, forced].sum(axis=1)
-            if reserved:
+            if forced_cols.size:
+                base += cen[:, forced_cols].sum(axis=1)
+            if reserved.size:
                 base += cen[:, reserved].sum(axis=1)
-            n = len(rest)
+            n = rest.size
             prefix = np.empty((self.prob.n_transforms, n + 1))
             prefix[:, 0] = 0.0
             if n:
                 np.cumsum(cen[:, rest], axis=1, out=prefix[:, 1:])
-            self._path_tables = (tuple(reserved), tuple(rest), base, prefix)
+            self._path_tables = (rest, base, prefix)
         return self._path_tables
 
     def path_value(self, v: int) -> float:
         """Exact quantile of the size-``v`` greedy path candidate."""
-        reserved, rest, base, prefix = self._paths()
+        _, base, prefix = self._paths()
         return _rank_stat(base + prefix[:, v - self.size_min], self.prob.crit_rank)
 
     def path_set(self, v: int) -> tuple:
         """The size-``v`` greedy path candidate itself."""
-        reserved, rest, _, _ = self._paths()
-        picks = v - self.size_min
-        return tuple(sorted(set(self.constraint.forced) | set(reserved) | set(rest[:picks])))
+        rest, _, _ = self._paths()
+        members = self._forced.copy()
+        members[self._reserved] = True
+        members[rest[: v - self.size_min]] = True
+        return tuple(np.flatnonzero(members).tolist())
 
     def singleton_at(self, v: int) -> bool:
         """Whether exactly one candidate set has size ``v``.
@@ -277,12 +346,11 @@ class Workspace:
         """
         if v == self.size_max:
             return True
-        return v == self.size_min and self._needed == len(self._s_free)
+        return v == self.size_min and self._needed == self._s_free.size
 
     def singleton_set(self, v: int) -> tuple:
-        if v == self.size_max:
-            return tuple(sorted(set(self.constraint.forced) | set(self._free)))
-        return tuple(sorted(set(self.constraint.forced) | set(self._s_free)))
+        taken = self._free if v == self.size_max else self._free & self._ctx.in_subset
+        return tuple(np.flatnonzero(self._forced | taken).tolist())
 
 
 def single_step(
@@ -298,6 +366,7 @@ def single_step(
 
     Parameters
     ----------
+    subset : column indices, or a :class:`QueryContext` for ``prob``
     window : (int, int), optional
         Inclusive range of candidate sizes still pending; defaults to the
         subspace's full size range.  Sizes outside the subspace's range are
@@ -307,8 +376,8 @@ def single_step(
         this off when the subspace inherits its parent's already-checked
         path (the exclude-child of a branch).
     """
-    subset = validate_subset(subset, prob.n_hyps)
-    s = len(subset)
+    ctx = query_context(prob, subset)
+    s = len(ctx.subset)
     if overlap <= 0:
         # The empty set overlaps everything by 0 and is never rejected, so
         # this answers in the unconstrained space; recursive subspace calls
@@ -317,7 +386,7 @@ def single_step(
     if overlap >= s + 1:
         return Evaluation(Verdict.ALL_REJECTED)
 
-    ws = Workspace(prob, subset, overlap, constraint)
+    ws = Workspace(prob, ctx, overlap, constraint)
     if ws.infeasible:
         return Evaluation(Verdict.ALL_REJECTED)
     v1, v2 = window if window is not None else (ws.size_min, ws.size_max)

@@ -9,7 +9,6 @@ numbers agree.
 import time
 
 import numpy as np
-import pytest
 
 from sumtdp import (
     FREE,
@@ -154,7 +153,7 @@ def test_criterion_4_bound_and_path_laws():
                 # excluding the pivot must not disturb the greedy path
                 try:
                     pivot = pick_pivot(prob, sub, z)
-                except ValueError:
+                except RuntimeError:
                     continue
                 child = Workspace(prob, sub, z, FREE.exclude(pivot))
                 if child.infeasible:

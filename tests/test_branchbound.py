@@ -6,16 +6,13 @@ import pytest
 from sumtdp import (
     FREE,
     RejectionTable,
-    StatisticMatrix,
     SumTestProblem,
-    TestConfig,
     TraceLog,
     Verdict,
     Workspace,
     center,
     evaluate_iterative,
     pick_pivot,
-    single_step,
 )
 from tests.util import random_instance, random_subset
 
@@ -41,7 +38,7 @@ class TestPivotToy:
 
     def test_no_candidate_raises(self):
         prob = SumTestProblem(np.zeros((2, 1)), np.zeros(1), 1)
-        with pytest.raises(ValueError, match="no free column"):
+        with pytest.raises(RuntimeError, match="no free column"):
             pick_pivot(prob, (0,), 1)
 
 
@@ -208,7 +205,7 @@ class TestPathInheritance:
                 continue
             try:
                 pivot = pick_pivot(prob, subset, z, cons)
-            except ValueError:
+            except RuntimeError:
                 continue
             child = Workspace(prob, subset, z, cons.exclude(pivot))
             if child.infeasible:

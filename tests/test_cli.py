@@ -423,6 +423,21 @@ class TestErrors:
         assert code == 2
         assert "nonempty" in err
 
+    def test_engine_fault_is_internal_error(self, toy_csv, capsys, monkeypatch):
+        # a scan that never settles leaves a subspace with no pivot: an
+        # engine fault, reported as such, not as a per-set input error
+        monkeypatch.setattr(
+            sumtdp.branchbound, "single_step",
+            lambda *args, **kwargs: sumtdp.Evaluation(sumtdp.Verdict.UNDECIDED, window=(1, 1)),
+        )
+        code, out, err = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+            "--sets", "[[1,2]]")
+        assert code == 1
+        assert "internal error" in err
+        assert "no free column" in err
+        assert out == ""
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

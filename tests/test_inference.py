@@ -156,6 +156,29 @@ class TestBudgets:
                         assert res.converged
 
 
+class TestSearchOrderGolden:
+    def test_budgeted_full_set_query(self):
+        # Recorded before the query context replaced the per-scan Python
+        # sorts: any change in pivot choice or scan order moves the levels.
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(100, 300))
+        values[0, :60] += 3.0
+        prob = SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.05, 100))
+        res = discoveries(prob, range(300), step_budget=20)
+        assert (res.discoveries, res.converged, res.evals) == (29, False, 85)
+        assert res.levels == (
+            (150, Verdict.SURVIVOR_FOUND, 1),
+            (225, Verdict.SURVIVOR_FOUND, 1),
+            (263, Verdict.SURVIVOR_FOUND, 1),
+            (282, Verdict.ALL_REJECTED, 1),
+            (272, Verdict.ALL_REJECTED, 17),
+            (267, Verdict.SURVIVOR_FOUND, 1),
+            (269, Verdict.UNDECIDED, 21),
+            (270, Verdict.UNDECIDED, 21),
+            (271, Verdict.UNDECIDED, 21),
+        )
+
+
 class TestReductionEquivalence:
     def test_toy_truncated(self, toy_stats, toy_cfg):
         trunc = truncate(toy_stats, TruncationRule(threshold=2.0, ground=0.0))

@@ -4,12 +4,9 @@ import numpy as np
 import pytest
 
 from sumtdp import (
-    RejectionTable,
     StatisticMatrix,
     SumTestProblem,
-    TestConfig,
     TruncationRule,
-    center,
     discoveries,
     reduce_columns,
     truncate,

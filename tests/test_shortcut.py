@@ -7,7 +7,6 @@ from sumtdp import (
     FREE,
     Evaluation,
     RejectionTable,
-    StatisticMatrix,
     SubspaceConstraint,
     SumTestProblem,
     TestConfig,
@@ -18,6 +17,7 @@ from sumtdp import (
     single_step,
     subset_quantile,
 )
+from sumtdp.shortcut import QueryContext
 from tests.util import random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
@@ -116,6 +116,13 @@ class TestWorkspaceToy:
     def test_infeasible_subspace(self, toy_problem):
         ws = Workspace(toy_problem, TOY_SUBSET, 2, FREE.exclude(0))
         assert ws.infeasible
+
+    def test_context_of_another_problem_rejected(self, toy_problem, toy_stats, toy_cfg):
+        other = SumTestProblem.from_matrix(toy_stats, toy_cfg)
+        ctx = QueryContext(other, TOY_SUBSET)
+        with pytest.raises(ValueError, match="another problem"):
+            Workspace(toy_problem, ctx, 1)
+        assert Workspace(other, ctx, 1).subset == TOY_SUBSET
 
 
 class TestSingleStepToy:

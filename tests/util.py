@@ -2,8 +2,6 @@
 
 import warnings
 
-import numpy as np
-
 from sumtdp import StatisticMatrix, TestConfig
 
 ALPHA_CHOICES = (0.05, 0.2, 0.4)
