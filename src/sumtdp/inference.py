@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from .branchbound import evaluate_iterative
 from .reduction import reduce_columns
 from .shortcut import QueryContext, SumTestProblem, TraceLog, Verdict
-from .statmatrix import StatisticMatrix, TestConfig, validate_subset
+from .statmatrix import StatisticMatrix, TestConfig, column_index, validate_subset
 
 __all__ = [
     "DiscoveryResult",
@@ -221,7 +221,7 @@ def largest_subset(
     if order is None:
         order = tuple(range(m))
     else:
-        order = tuple(int(i) for i in order)
+        order = tuple(column_index(i) for i in order)
         if sorted(order) != list(range(m)):
             raise ValueError("order must be a permutation of all column indices")
     if gamma == 0.0:

@@ -33,8 +33,21 @@ ordering.  Functions that take a ``subset`` accept either column indices, for
 which they build the context themselves, or a context built for the same
 problem; both run the same code.
 
-All functions here are pure; matrices are never mutated, so evaluations may
-run concurrently over a shared problem.
+Scan tables are row-major, so every row sort and prefix sum runs over
+contiguous memory.  Row sums are added left to right whatever the layout
+(numpy would sum a contiguous row pairwise and round differently).  The
+context also keeps one slot: the mask of the last scan's free subset
+columns and their centered values, sorted within each row.  A branch's two
+children share their free subset columns (the pivot leaves them on both
+sides), which differ from their parent's by at most the pivot, so a child
+scan reuses the block or deletes one value per row instead of sorting again.
+
+Matrices are never mutated.  The slot is the only state that changes: it
+is replaced as one tuple, read once into a local by each scan, and its
+arrays are read-only, so scans sharing a context (even concurrently) stay
+correct and at worst sort again.  A slot that does not hold what its mask
+says breaks an engine invariant and raises :class:`RuntimeError`, never
+:class:`ValueError`, which callers read as bad input.
 """
 
 from dataclasses import dataclass
@@ -170,6 +183,34 @@ def _rank_stat(column: np.ndarray, rank: int) -> float:
     return float(np.partition(column, rank - 1)[rank - 1])
 
 
+def _row_sums(block: np.ndarray) -> np.ndarray:
+    """Row sums of a B x k array, added left to right starting from 0.0.
+
+    numpy sums a contiguous row pairwise from eight entries on, so the
+    rounding of ``block.sum(axis=1)`` would depend on memory layout.  Laid
+    out column by column (Fortran order) with two or more rows, the sum
+    adds one column at a time into all rows, which is left to right; a
+    single row is contiguous either way and takes a running sum instead.
+    """
+    if block.shape[0] == 1:
+        return np.cumsum(block, axis=1)[:, -1] + 0.0
+    return np.asfortranarray(block).sum(axis=1)
+
+
+def _without_values(block: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``block`` (rows sorted) with one entry equal to ``values[r]`` cut from row r.
+
+    The entry cut is the first not below the value, which equals it when
+    the row holds it; a row that does not is an engine fault.
+    """
+    n_rows, n = block.shape
+    pos = np.count_nonzero(block < values[:, None], axis=1)
+    rows = np.arange(n_rows)
+    if not (block[rows, np.minimum(pos, n - 1)] == values).all():
+        raise RuntimeError("the query context's sorted block lacks a column it should hold")
+    return np.delete(block.ravel(), rows * n + pos).reshape(n_rows, n - 1)
+
+
 class QueryContext:
     """Per-query invariants shared by every scan and pivot of one subset.
 
@@ -184,6 +225,11 @@ class QueryContext:
         ``sorted(range(m), key=lambda i: (observed[i], i))``.
     subset_order : ndarray of int
         The subset's columns in that order.
+    sorted_block : tuple or None
+        ``(mask, block)`` of the last scan, or None before the first: the
+        mask of its free subset columns and the B x n block of their
+        centered values, each row sorted ascending.  Both are read-only, and
+        the pair is only ever replaced whole (see :meth:`sorted_rows`).
     """
 
     def __init__(self, prob: SumTestProblem, subset):
@@ -193,6 +239,32 @@ class QueryContext:
         self.in_subset[list(self.subset)] = True
         self.order = np.argsort(prob.observed, kind="stable")
         self.subset_order = self.order[self.in_subset[self.order]]
+        self.sorted_block = None
+
+    def sorted_rows(self, mask: np.ndarray) -> np.ndarray:
+        """Row-sorted, read-only block of the centered columns in ``mask``.
+
+        Reuses :attr:`sorted_block` when its mask equals ``mask``, deletes
+        one value per row when ``mask`` lacks exactly one of its columns,
+        and sorts afresh otherwise; the result then takes the slot.
+        """
+        slot = self.sorted_block
+        block = None
+        if slot is not None:
+            held, kept = slot
+            gone = np.flatnonzero(held != mask)
+            if not gone.size:
+                return kept
+            if gone.size == 1 and held[gone[0]]:
+                block = _without_values(kept, self.prob.centered[:, gone[0]])
+        if block is None:
+            block = np.take(self.prob.centered, np.flatnonzero(mask), axis=1)
+            block.sort(axis=1)
+        mask = mask.copy()
+        mask.setflags(write=False)
+        block.setflags(write=False)
+        self.sorted_block = (mask, block)
+        return block
 
     def subspace(self, overlap: int, constraint=FREE):
         """Masks and reserved columns of one constrained subspace.
@@ -257,11 +329,12 @@ class Workspace:
         self._ctx = ctx
         self._forced = forced
         self._free = free
-        self._s_free = np.flatnonzero(free & ctx.in_subset)
+        s_free = free & ctx.in_subset
+        self._n_s_free = int(np.count_nonzero(s_free))
         self._needed = needed
         self._reserved = reserved
 
-        self.infeasible = needed > self._s_free.size
+        self.infeasible = needed > self._n_s_free
         if self.infeasible:
             return
 
@@ -270,17 +343,15 @@ class Workspace:
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
 
         cen = prob.centered
-        offset = cen[:, forced_cols].sum(axis=1) if forced_cols.size else 0.0
-        if needed:
-            in_s = np.sort(cen[:, self._s_free], axis=1)
-            sel_sum = in_s[:, :needed].sum(axis=1)
-            leftovers = in_s[:, needed:]
-        else:
-            sel_sum = 0.0
-            leftovers = cen[:, self._s_free]
+        offset = _row_sums(cen[:, forced_cols]) if forced_cols.size else 0.0
+        in_s = ctx.sorted_rows(s_free)
+        sel_sum = _row_sums(in_s[:, :needed]) if needed else 0.0
         o_free = np.flatnonzero(free & ~ctx.in_subset)
-        pool = np.concatenate([leftovers, cen[:, o_free]], axis=1)
-        rem = np.sort(pool, axis=1)
+        if o_free.size:
+            rem = np.concatenate([in_s[:, needed:], np.take(cen, o_free, axis=1)], axis=1)
+            rem.sort(axis=1)
+        else:
+            rem = in_s[:, needed:]
         self._base = np.asarray(offset + sel_sum, dtype=float)
         if np.ndim(self._base) == 0:
             self._base = np.full(prob.n_transforms, float(self._base))
@@ -313,14 +384,14 @@ class Workspace:
             forced_cols = np.flatnonzero(self._forced)
             base = np.zeros(self.prob.n_transforms)
             if forced_cols.size:
-                base += cen[:, forced_cols].sum(axis=1)
+                base += _row_sums(cen[:, forced_cols])
             if reserved.size:
-                base += cen[:, reserved].sum(axis=1)
+                base += _row_sums(cen[:, reserved])
             n = rest.size
             prefix = np.empty((self.prob.n_transforms, n + 1))
             prefix[:, 0] = 0.0
             if n:
-                np.cumsum(cen[:, rest], axis=1, out=prefix[:, 1:])
+                np.cumsum(np.take(cen, rest, axis=1), axis=1, out=prefix[:, 1:])
             self._path_tables = (rest, base, prefix)
         return self._path_tables
 
@@ -346,7 +417,7 @@ class Workspace:
         """
         if v == self.size_max:
             return True
-        return v == self.size_min and self._needed == self._s_free.size
+        return v == self.size_min and self._needed == self._n_s_free
 
     def singleton_set(self, v: int) -> tuple:
         taken = self._free if v == self.size_max else self._free & self._ctx.in_subset

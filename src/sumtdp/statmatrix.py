@@ -13,6 +13,7 @@ read-only), so they can be shared freely across threads.
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -157,9 +158,25 @@ class TestConfig:
         )
 
 
+def column_index(i) -> int:
+    """``i`` as a column index.
+
+    Integers (numpy's included) and integral floats are indices; booleans,
+    fractional or non-finite numbers and anything else are a
+    :class:`ValueError`, never truncated to some other column.
+    """
+    if isinstance(i, (bool, np.bool_)) or not isinstance(i, numbers.Real):
+        raise ValueError(f"column index {i!r} is not a number")
+    if isinstance(i, numbers.Integral):
+        return int(i)
+    if not float(i).is_integer():
+        raise ValueError(f"column index {i!r} is not an integer")
+    return int(i)
+
+
 def validate_subset(subset, n_hyps) -> tuple:
     """Return ``subset`` as a sorted tuple of distinct in-range column indices."""
-    cols = tuple(int(i) for i in subset)
+    cols = tuple(column_index(i) for i in subset)
     if not cols:
         raise ValueError("hypothesis subset must be non-empty")
     if len(set(cols)) != len(cols):

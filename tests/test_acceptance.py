@@ -9,6 +9,7 @@ numbers agree.
 import time
 
 import numpy as np
+import pytest
 
 from sumtdp import (
     FREE,
@@ -197,6 +198,7 @@ def test_criterion_5_reduction_preserves_counts():
     _report(5, "reduction changes work, not answers", ok)
 
 
+@pytest.mark.slow
 def test_criterion_6_familywise_error_controlled():
     started = time.perf_counter()
     base = dict(n_obs=50, n_hyps=100, active_fraction=0.2, alpha=0.05,
@@ -216,6 +218,7 @@ def test_criterion_6_familywise_error_controlled():
     _report(6, "familywise error within tolerance", ok)
 
 
+@pytest.mark.slow
 def test_criterion_7_power_ordering():
     def study_tdp(combiner, **kw):
         cfg = SimulationConfig(n_obs=50, n_hyps=100, alpha=0.05,

@@ -61,6 +61,11 @@ class TestDiscoveriesToy:
         with pytest.raises(ValueError):
             discoveries(toy_problem, TOY_SUBSET, step_budget=-1)
 
+    def test_fractional_columns_rejected(self, toy_problem):
+        # not silently queried as columns (0, 1)
+        with pytest.raises(ValueError, match="not an integer"):
+            discoveries(toy_problem, [0.9, 1.2])
+
     def test_trace_collects_all_levels(self, toy_problem):
         trace = TraceLog()
         discoveries(toy_problem, TOY_SUBSET, trace=trace)
@@ -254,6 +259,12 @@ class TestLargestSubset:
     def test_order_validation(self, toy_problem):
         with pytest.raises(ValueError, match="permutation"):
             largest_subset(toy_problem, 0.5, order=(0, 1))
+        with pytest.raises(ValueError, match="not an integer"):
+            largest_subset(toy_problem, 0.5, order=(0.9, 1, 2, 3, 4.2))
+        with pytest.raises(ValueError, match="not a number"):
+            largest_subset(toy_problem, 0.5, order=(False, True, 2, 3, 4))
+        floats = largest_subset(toy_problem, 0.5, order=(4.0, 3.0, 2.0, 1.0, 0.0))
+        assert floats == largest_subset(toy_problem, 0.5, order=(4, 3, 2, 1, 0))
         with pytest.raises(ValueError, match="gamma"):
             largest_subset(toy_problem, 1.5)
 

@@ -1,12 +1,16 @@
 """Differential test: scan tables against the definitions spelled out in Python.
 
 The reference below orders columns with Python sets and ``sorted`` calls
-keyed on ``(observed, index)``, and does its arithmetic with the same numpy
-reductions in the same order as the engine.  So every bound and path value
-must agree exactly, not just within rounding: a change in summation order
-or in tie-breaking shows up as a failure.  Values come from a small
-tie-heavy pool that includes both signed zeros.
+keyed on ``(observed, index)``, and adds with plain Python loops, left to
+right, in the order the engine adds.  So every bound and path value must
+agree exactly, not just within rounding: a change in summation order or in
+tie-breaking shows up as a failure.  Values come from a small tie-heavy pool
+that includes both signed zeros.  Numpy switches to pairwise summation from
+eight contiguous summands on, so the long-sum cases (up to 24 columns, high
+overlaps) are the ones that catch a reduction in the wrong order.
 """
+
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -20,8 +24,19 @@ from sumtdp import (
     pick_pivot,
 )
 from sumtdp.shortcut import QueryContext
+from tests.util import POOL
 
-POOL = (0.0, -0.0, 0.1, 0.2, 0.3, -0.3, 0.7, 1.1, 1 / 3, 2.2 / 3, -1.0, 2.0)
+
+def running_sum(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+def prefix_sums(values):
+    """0.0, then the running sums of ``values``."""
+    return [0.0, *accumulate(values)]
 
 
 class ReferenceScan:
@@ -44,19 +59,18 @@ class ReferenceScan:
 
         # Bound: per row, the forced columns, the needed smallest subset
         # columns, then the smallest of whatever is left.
-        rows = []
-        for r in range(cen.shape[0]):
-            in_s = sorted(cen[r, self.s_free])
-            rows.append(in_s + [cen[r, i] for i in o_free])
-        rows = np.array(rows).reshape(cen.shape[0], -1)
-        selected = rows[:, : self.needed]
-        rem = np.array([sorted(row) for row in rows[:, self.needed:]]).reshape(len(rows), -1)
-        offset = cen[:, self.forced].sum(axis=1) if self.forced else 0.0
-        picked = selected.sum(axis=1) if self.needed else 0.0
-        self.bound_base = offset + picked
-        self.bound_prefix = np.hstack([np.zeros((len(rows), 1)), np.cumsum(rem, axis=1)])
-        nonpos = [j for j in range(rem.shape[1]) if (rem[:, j] <= 0.0).all()]
-        negsome = [j for j in range(rem.shape[1]) if (rem[:, j] < 0.0).any()]
+        self.bound_base, self.bound_prefix, rems = [], [], []
+        for row in cen.tolist():
+            in_s = sorted(row[i] for i in self.s_free)
+            rem = sorted(in_s[self.needed:] + [row[i] for i in o_free])
+            offset = running_sum([row[i] for i in self.forced]) if self.forced else 0.0
+            picked = running_sum(in_s[: self.needed]) if self.needed else 0.0
+            self.bound_base.append(offset + picked)
+            self.bound_prefix.append(prefix_sums(rem))
+            rems.append(rem)
+        n_rem = len(rems[0])
+        nonpos = [j for j in range(n_rem) if all(rem[j] <= 0.0 for rem in rems)]
+        negsome = [j for j in range(n_rem) if any(rem[j] < 0.0 for rem in rems)]
         self.drop_end = self.size_min + (nonpos[-1] + 1 if nonpos else 0)
         self.rise_start = self.size_min + (negsome[-1] + 1 if negsome else 0)
 
@@ -66,23 +80,25 @@ class ReferenceScan:
         self.rest = sorted(
             (i for i in self.free if i not in self.reserved), key=lambda i: (obs[i], i)
         )
-        self.path_base = np.zeros(cen.shape[0])
-        if self.forced:
-            self.path_base += cen[:, self.forced].sum(axis=1)
-        if self.reserved:
-            self.path_base += cen[:, self.reserved].sum(axis=1)
-        self.path_prefix = np.hstack(
-            [np.zeros((len(rows), 1)), np.cumsum(cen[:, self.rest], axis=1)]
-        )
+        self.path_base, self.path_prefix = [], []
+        for row in cen.tolist():
+            base = 0.0
+            if self.forced:
+                base += running_sum([row[i] for i in self.forced])
+            if self.reserved:
+                base += running_sum([row[i] for i in self.reserved])
+            self.path_base.append(base)
+            self.path_prefix.append(prefix_sums([row[i] for i in self.rest]))
 
-    def _rank_stat(self, column):
-        return sorted(column.tolist())[self.rank - 1]
+    def _rank_stat(self, base, prefix, v):
+        column = [b + p[v - self.size_min] for b, p in zip(base, prefix)]
+        return sorted(column)[self.rank - 1]
 
     def bound_value(self, v):
-        return self._rank_stat(self.bound_base + self.bound_prefix[:, v - self.size_min])
+        return self._rank_stat(self.bound_base, self.bound_prefix, v)
 
     def path_value(self, v):
-        return self._rank_stat(self.path_base + self.path_prefix[:, v - self.size_min])
+        return self._rank_stat(self.path_base, self.path_prefix, v)
 
     def path_set(self, v):
         return tuple(sorted(self.forced + self.reserved + self.rest[: v - self.size_min]))
@@ -95,29 +111,45 @@ class ReferenceScan:
         return tuple(sorted(self.forced + cols))
 
 
-@st.composite
-def scan_cases(draw):
-    m = draw(st.integers(1, 8))
-    b = draw(st.integers(1, 10))
+def draw_case(draw, m, b, subsets, overlaps, roles):
     value = st.sampled_from(POOL)
     row = st.lists(value, min_size=m, max_size=m)
     centered = np.array(draw(st.lists(row, min_size=b, max_size=b)))
     observed = np.array(draw(row))
     prob = SumTestProblem(centered, observed, draw(st.integers(1, b)))
-    subset = tuple(sorted(draw(st.sets(st.integers(0, m - 1), min_size=1))))
-    overlap = draw(st.integers(1, len(subset)))
-    roles = draw(st.lists(st.sampled_from("fx.."), min_size=m, max_size=m))
+    subset = tuple(sorted(draw(subsets)))
+    overlap = draw(overlaps(len(subset)))
+    role = draw(st.lists(st.sampled_from(roles), min_size=m, max_size=m))
     constraint = SubspaceConstraint(
-        {i for i, r in enumerate(roles) if r == "f"},
-        {i for i, r in enumerate(roles) if r == "x"},
+        {i for i, r in enumerate(role) if r == "f"},
+        {i for i, r in enumerate(role) if r == "x"},
     )
     return prob, subset, overlap, constraint
 
 
-@settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(scan_cases())
-def test_scan_tables_match_reference(case):
-    prob, subset, overlap, constraint = case
+@st.composite
+def scan_cases(draw):
+    m, b = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    subsets = st.sets(st.integers(0, m - 1), min_size=1)
+    return draw_case(draw, m, b, subsets, lambda s: st.integers(1, s), "fx..")
+
+
+@st.composite
+def long_sum_cases(draw):
+    # Overlaps near |S| and, in some draws, mostly forced columns, so the
+    # needed picks, the forced columns and the prefixes all run to eight
+    # summands and beyond.
+    m, b = draw(st.integers(9, 24)), draw(st.integers(1, 6))
+    subsets = st.just(range(m)) | st.sets(st.integers(0, m - 1), min_size=1)
+    roles = draw(st.sampled_from(("fx" + "." * 10, "fff.", "ffx..")))
+    return draw_case(draw, m, b, subsets, high_overlaps, roles)
+
+
+def high_overlaps(s):
+    return st.integers(max(1, s - 8), s) | st.integers(1, s)
+
+
+def check_against_reference(prob, subset, overlap, constraint):
     ref = ReferenceScan(prob, subset, overlap, constraint)
     ws = Workspace(prob, subset, overlap, constraint)
     assert ws.infeasible == ref.infeasible
@@ -141,3 +173,15 @@ def test_scan_tables_match_reference(case):
     else:
         with pytest.raises(RuntimeError, match="no free column"):
             pick_pivot(prob, ctx, overlap, constraint)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(scan_cases())
+def test_scan_tables_match_reference(case):
+    check_against_reference(*case)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(long_sum_cases())
+def test_long_sums_match_reference(case):
+    check_against_reference(*case)

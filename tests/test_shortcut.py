@@ -14,11 +14,12 @@ from sumtdp import (
     Verdict,
     Workspace,
     center,
+    pick_pivot,
     single_step,
     subset_quantile,
 )
 from sumtdp.shortcut import QueryContext
-from tests.util import random_instance, random_subset
+from tests.util import POOL, random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
 
@@ -123,6 +124,85 @@ class TestWorkspaceToy:
         with pytest.raises(ValueError, match="another problem"):
             Workspace(toy_problem, ctx, 1)
         assert Workspace(other, ctx, 1).subset == TOY_SUBSET
+
+
+class TestSortedBlockReuse:
+    """Scans sharing a context reuse or trim its sorted block, same tables."""
+
+    SUBSET = tuple(range(9))  # columns 9-11 lie outside
+
+    def _problem(self):
+        rng = np.random.default_rng(404)
+        cen = rng.choice(POOL, size=(15, 12))
+        obs = rng.choice(POOL, size=12)
+        # Pivots in observed order: 11 (outside S), then 8 and 7 (inside).
+        obs[[11, 8, 7]] = (5.0, 4.0, 3.0)
+        # Column 8 ties column 3 everywhere, and +0 meets -0 in some rows.
+        cen[:, 8] = cen[:, 3]
+        cen[:4, 8], cen[:4, 3] = 0.0, -0.0
+        return SumTestProblem(cen, obs, 4)
+
+    @staticmethod
+    def _tables(ws):
+        sizes = range(ws.size_min, ws.size_max + 1)
+        return (
+            (ws.size_min, ws.size_max, ws.drop_end, ws.rise_start),
+            [ws.bound_value(v) for v in sizes],
+            [ws.path_value(v) for v in sizes],
+        )
+
+    def test_branch_order_matches_fresh_contexts(self):
+        prob = self._problem()
+        for overlap in (1, 3, 5, 9):
+            ctx = QueryContext(prob, self.SUBSET)
+            # Root, then each level's exclude and force child down the
+            # exclude spine, then the deferred force children, deepest first.
+            order, deferred, cons = [FREE], [], FREE
+            for _ in range(3):
+                pivot = pick_pivot(prob, ctx, overlap, cons)
+                order += [cons.exclude(pivot), cons.force(pivot)]
+                deferred.append(cons.force(pivot))
+                cons = cons.exclude(pivot)
+            order += deferred[::-1]
+            for cons in order:
+                shared = Workspace(prob, ctx, overlap, cons)
+                fresh = Workspace(prob, self.SUBSET, overlap, cons)
+                assert shared.infeasible == fresh.infeasible
+                if not fresh.infeasible:
+                    assert self._tables(shared) == self._tables(fresh)
+
+    def test_siblings_share_and_children_trim(self):
+        prob = self._problem()
+        ctx = QueryContext(prob, self.SUBSET)
+        Workspace(prob, ctx, 3)
+        root = ctx.sorted_block[1]
+        assert root.shape == (15, 9) and not root.flags.writeable
+        # Pivot 11 lies outside S: both children keep the root's block.
+        Workspace(prob, ctx, 3, FREE.exclude(11))
+        Workspace(prob, ctx, 3, FREE.force(11))
+        assert ctx.sorted_block[1] is root
+        # Pivot 8 lies inside S: the exclude child trims one value per row
+        # (a tied one, +0 against -0 in some rows) and the force sibling
+        # reuses that block.
+        Workspace(prob, ctx, 3, FREE.exclude(11).exclude(8))
+        trimmed = ctx.sorted_block[1]
+        mask = np.ones(12, dtype=bool)
+        mask[[8, 9, 10, 11]] = False
+        assert np.array_equal(ctx.sorted_block[0], mask)
+        assert np.array_equal(trimmed, np.sort(prob.centered[:, :8], axis=1))
+        Workspace(prob, ctx, 3, FREE.exclude(11).force(8))
+        assert ctx.sorted_block[1] is trimmed
+
+    def test_inconsistent_slot_is_internal_error(self):
+        prob = self._problem()
+        ctx = QueryContext(prob, self.SUBSET)
+        held = ctx.in_subset.copy()
+        block = np.sort(prob.centered[:, :9], axis=1) + 10.0  # no column's values
+        ctx.sorted_block = (held, block)
+        smaller = held.copy()
+        smaller[8] = False
+        with pytest.raises(RuntimeError, match="sorted block"):
+            ctx.sorted_rows(smaller)
 
 
 class TestSingleStepToy:

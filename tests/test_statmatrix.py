@@ -190,6 +190,17 @@ class TestValidateSubset:
         with pytest.raises(ValueError, match="non-empty"):
             validate_subset((), 5)
 
+    def test_integral_numbers_pass(self):
+        assert validate_subset([2.0, np.int64(0), np.float64(1.0)], 5) == (0, 1, 2)
+
+    @pytest.mark.parametrize(
+        "bad", [0.9, 1.2, float("nan"), float("inf"), True, np.True_, "1", None]
+    )
+    def test_non_integral_or_boolean_rejected(self, bad):
+        # int() would truncate these to some other column (0.9 -> 0, True -> 1)
+        with pytest.raises(ValueError, match="column index"):
+            validate_subset([bad, 3], 5)
+
 
 class TestCsv:
     def test_round_trip(self, toy_stats, tmp_path):

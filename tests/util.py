@@ -6,6 +6,10 @@ from sumtdp import StatisticMatrix, TestConfig
 
 ALPHA_CHOICES = (0.05, 0.2, 0.4)
 
+# Tie-heavy centered values, both signed zeros included, for exact-equality
+# tests of the scan tables.
+POOL = (0.0, -0.0, 0.1, 0.2, 0.3, -0.3, 0.7, 1.1, 1 / 3, 2.2 / 3, -1.0, 2.0)
+
 
 def random_instance(rng, min_hyps=3, max_hyps=12, min_transforms=4,
                     max_transforms=64, alphas=ALPHA_CHOICES):
