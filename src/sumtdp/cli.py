@@ -47,6 +47,7 @@ from .statmatrix import (
     StatisticMatrix,
     TestConfig,
     center,
+    column_index,
     read_data_csv,
     read_statistic_csv,
     reject,
@@ -215,7 +216,8 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
 def _column_indices(tokens, stats: StatisticMatrix) -> list:
     """1-based indices or header names -> 0-based indices, in token order.
 
-    Only strings, integers and integral floats are columns; anything else
+    Strings are names or integers; any other token must pass
+    :func:`column_index` (integers and integral floats), so anything else
     JSON can hold (null, booleans, nested lists, objects) is an input error.
     """
     names = list(stats.column_names())
@@ -232,12 +234,13 @@ def _column_indices(tokens, stats: StatisticMatrix) -> list:
                 tok = int(tok)
             except ValueError:
                 raise InputError(f"unknown column {tok!r}") from None
-        elif isinstance(tok, float):
-            if not tok.is_integer():
-                raise InputError(f"column index {tok} is not an integer")
-            tok = int(tok)
-        elif isinstance(tok, bool) or not isinstance(tok, int):
-            raise InputError(f"bad column token {tok!r}")
+        else:
+            try:
+                tok = column_index(tok)
+            except ValueError as exc:
+                if isinstance(tok, float):
+                    raise InputError(str(exc)) from None
+                raise InputError(f"bad column token {tok!r}") from None
         if not 1 <= tok <= stats.n_hyps:
             raise InputError(
                 f"column index {tok} out of range 1..{stats.n_hyps} (indices are 1-based)"

@@ -34,8 +34,10 @@ which they build the context themselves, or a context built for the same
 problem; both run the same code.
 
 Scan tables are row-major, so every row sort and prefix sum runs over
-contiguous memory.  Row sums are added left to right whatever the layout
-(numpy would sum a contiguous row pairwise and round differently).  The
+contiguous memory.  Row sums are still taken in column-major order, which
+adds left to right (numpy would sum a contiguous row pairwise and round
+differently).  Centered values hold no negative zero, so equal entries are
+equal bit for bit and sorting or trimming a block cannot change a sum.  The
 context also keeps one slot: the mask of the last scan's free subset
 columns and their centered values, sorted within each row.  A branch's two
 children share their free subset columns (the pivot leaves them on both
@@ -130,6 +132,11 @@ class SumTestProblem:
     The observed row of the original statistic matrix is kept because the
     greedy path and the branching pivot order columns by observed statistic,
     which the centered matrix alone cannot recover.
+
+    The centered matrix is stored with every negative zero turned into 0.0.
+    numpy's vectorized sorts may swap or even merge the signs of tied zeros,
+    so only then do sums over sorted rows (and the sign of a zero bound)
+    not depend on the sort.
     """
 
     centered: np.ndarray
@@ -147,7 +154,7 @@ class SumTestProblem:
             raise ValueError(
                 f"crit_rank {self.crit_rank} out of range for {cen.shape[0]} rows"
             )
-        cen = cen.copy()
+        cen = cen + 0.0  # a copy, with -0.0 stored as 0.0
         cen.setflags(write=False)
         obs = obs.copy()
         obs.setflags(write=False)
@@ -184,16 +191,14 @@ def _rank_stat(column: np.ndarray, rank: int) -> float:
 
 
 def _row_sums(block: np.ndarray) -> np.ndarray:
-    """Row sums of a B x k array, added left to right starting from 0.0.
+    """Row sums of a B x k array, summed as numpy sums it in Fortran order.
 
     numpy sums a contiguous row pairwise from eight entries on, so the
     rounding of ``block.sum(axis=1)`` would depend on memory layout.  Laid
-    out column by column (Fortran order) with two or more rows, the sum
-    adds one column at a time into all rows, which is left to right; a
-    single row is contiguous either way and takes a running sum instead.
+    out column by column with two or more rows, the sum adds one column at
+    a time into all rows, which is left to right.  A single row is
+    contiguous in either layout and is summed pairwise.
     """
-    if block.shape[0] == 1:
-        return np.cumsum(block, axis=1)[:, -1] + 0.0
     return np.asfortranarray(block).sum(axis=1)
 
 
@@ -201,7 +206,9 @@ def _without_values(block: np.ndarray, values: np.ndarray) -> np.ndarray:
     """``block`` (rows sorted) with one entry equal to ``values[r]`` cut from row r.
 
     The entry cut is the first not below the value, which equals it when
-    the row holds it; a row that does not is an engine fault.
+    the row holds it; a row that does not is an engine fault.  Equal
+    centered values are equal bit for bit (no negative zeros), so the
+    result is the block a fresh sort of the remaining columns gives.
     """
     n_rows, n = block.shape
     pos = np.count_nonzero(block < values[:, None], axis=1)

@@ -130,6 +130,15 @@ class TestTdp:
         assert json.loads(out) == [
             {"set_id": 1, "error": "bad column token True"}]
 
+    def test_fractional_index_is_not_a_column(self, toy_csv, capsys):
+        code, out, _ = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+            "--sets", "[[1.5,2],[2.0,1]]")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[0] == {"set_id": 1, "error": "column index 1.5 is not an integer"}
+        assert payload[1]["size"] == 2
+
     def test_csv_format(self, toy_csv, capsys):
         code, out, _ = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
