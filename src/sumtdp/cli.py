@@ -193,13 +193,14 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
         values = stats.values
         if args.data is not None:
             # Generated t statistics become two-sided (or one-sided)
-            # p-values before combining.
-            from scipy import stats as scipy_stats
+            # p-values before combining.  stdtr(df, -t) is what
+            # scipy.stats.t.sf(t, df) computes, without importing scipy.stats.
+            from scipy.special import stdtr
 
             if args.one_sided:
-                values = scipy_stats.t.sf(values, n_obs - 1)
+                values = stdtr(n_obs - 1, -values)
             else:
-                values = 2.0 * scipy_stats.t.sf(values, n_obs - 1)
+                values = 2.0 * stdtr(n_obs - 1, -values)
             stats = StatisticMatrix(values, names=stats.names)
         stats = apply_combiner(stats, comb)
 

@@ -16,7 +16,6 @@ transforming.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .statmatrix import StatisticMatrix
 
@@ -108,7 +107,11 @@ class Combiner:
         if self.kind == "pearson":
             return np.log1p(-np.minimum(p, _P_HIGH))
         if self.kind == "liptak":
-            return _scipy_stats.norm.isf(np.minimum(p, _P_HIGH))
+            from scipy.special import ndtri
+
+            # scipy.stats.norm.isf, without importing scipy.stats: 0.0 - x
+            # negates exactly and turns the -0.0 at p = 0.5 into 0.0, as it does.
+            return 0.0 - ndtri(np.minimum(p, _P_HIGH))
         if self.kind == "edgington":
             return -p
         if self.kind == "cauchy":

@@ -20,7 +20,9 @@ Two shape indices confine the scan: the bound is nonincreasing in v up to
 ``drop_end`` and nondecreasing from ``rise_start`` on, so the scan walks
 downward from ``drop_end`` and then upward, stopping early once the bound
 turns positive on a monotone stretch.  Sizes that remain in doubt form the
-returned window.
+returned window.  Both indices come from a binary search over columns: each
+row of the remainder is sorted, so "every row is at most 0" and "some row is
+below 0" each hold on a leading run of columns.
 
 Everything a scan needs about the query subset itself lives in one
 :class:`QueryContext`, built once per query: the validated subset, its
@@ -34,24 +36,31 @@ which they build the context themselves, or a context built for the same
 problem; both run the same code.
 
 Scan tables are row-major, so every row sort and prefix sum runs over
-contiguous memory.  Row sums are still taken in column-major order, which
-adds left to right (numpy would sum a contiguous row pairwise and round
-differently).  Centered values hold no negative zero, so equal entries are
-equal bit for bit and sorting or trimming a block cannot change a sum.  The
-context also keeps one slot: the mask of the last scan's free subset
-columns and their centered values, sorted within each row.  A branch's two
-children share their free subset columns (the pivot leaves them on both
-sides), which differ from their parent's by at most the pivot, so a child
-scan reuses the block or deletes one value per row instead of sorting again.
+contiguous memory.  A scan reads a few sizes near ``drop_end``, so the
+prefix tables of the bound and of the greedy path are built only as far as
+the widest size read so far, at least doubling when they grow; each
+extension carries the last running sum on, so every entry equals that of
+one ``cumsum`` over all columns bit for bit.  Row sums are still taken in
+column-major order, which adds left to right (numpy would sum a contiguous
+row pairwise and round differently).  Centered values hold no negative
+zero, so equal entries are equal bit for bit and sorting or trimming a block
+cannot change a sum.  The context also keeps one slot: the mask of the last
+scan's free subset columns and their centered values, sorted within each
+row.  A branch's two children share their free subset columns (the pivot
+leaves them on both sides), which differ from their parent's by at most the
+pivot, so a child scan reuses the block or deletes one value per row
+instead of sorting again.
 
-Matrices are never mutated.  The slot is the only state that changes: it
-is replaced as one tuple, read once into a local by each scan, and its
-arrays are read-only, so scans sharing a context (even concurrently) stay
-correct and at worst sort again.  A slot that does not hold what its mask
-says breaks an engine invariant and raises :class:`RuntimeError`, never
-:class:`ValueError`, which callers read as bad input.
+Matrices are never mutated.  Besides each workspace's own growing tables,
+the slot is the only state that changes: it is replaced as one tuple, read
+once into a local by each scan, and its arrays are read-only, so scans
+sharing a context (even concurrently) stay correct and at worst sort again.
+A slot that does not hold what its mask says breaks an engine invariant
+and raises :class:`RuntimeError`, never :class:`ValueError`, which callers
+read as bad input.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -218,6 +227,39 @@ def _without_values(block: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.delete(block.ravel(), rows * n + pos).reshape(n_rows, n - 1)
 
 
+class _RunningSums:
+    """Row prefix sums of a B x n source, computed only as far as they are read.
+
+    ``columns(lo, hi)`` returns source columns ``lo`` to ``hi - 1`` as a
+    B x (hi - lo) array.  Column k of the table is the sum of the first k
+    source columns, 0 at k = 0.  An extension runs ``cumsum`` from the last
+    running sum, adding left to right as one ``cumsum`` over the whole
+    source does, so every entry equals that full table's bit for bit.  The
+    table at least doubles at each extension, so a scan reading sizes in
+    any order fills it in O(log n) extensions.  It is allocated only as
+    wide as it is filled: a scan often reads a single size, and allocating
+    the full width made scans slower through page faults on fresh memory.
+    """
+
+    def __init__(self, shape, columns):
+        n_rows, self._n = shape
+        self._table = np.zeros((n_rows, 1))
+        self._columns = columns
+
+    def through(self, k: int) -> np.ndarray:
+        """Column ``k`` of the table: the row sums of the first ``k`` source columns."""
+        width = self._table.shape[1]
+        if k >= width:
+            grown = min(max(k + 1, 2 * width), self._n + 1)
+            table = np.empty((self._table.shape[0], grown))
+            table[:, :width] = self._table
+            seg = table[:, width - 1:]
+            seg[:, 1:] = self._columns(width - 1, grown - 1)
+            np.cumsum(seg, axis=1, out=seg)
+            self._table = table
+        return self._table[:, k]
+
+
 class QueryContext:
     """Per-query invariants shared by every scan and pivot of one subset.
 
@@ -310,6 +352,10 @@ class Workspace:
     """Prefix-sum tables for one (problem, subset, overlap, constraint) query.
 
     ``subset`` is column indices or a :class:`QueryContext` for ``prob``.
+    The bound's remainder (each row's free columns left after the overlap
+    picks, sorted) is built whole; its prefix sums, and the greedy path's
+    columns and prefix sums, only as far as the widest size read.  Sizes
+    may be read in any order.
 
     Attributes
     ----------
@@ -320,7 +366,8 @@ class Workspace:
         Inclusive range of candidate set sizes in this subspace.
     drop_end, rise_start : int
         The bound is nonincreasing on sizes up to ``drop_end`` and
-        nondecreasing from ``rise_start`` on.
+        nondecreasing from ``rise_start`` on.  Both are found by binary
+        search, which rests on the remainder's rows being sorted.
     """
 
     def __init__(self, prob: SumTestProblem, subset, overlap: int, constraint=FREE):
@@ -362,22 +409,20 @@ class Workspace:
         self._base = np.asarray(offset + sel_sum, dtype=float)
         if np.ndim(self._base) == 0:
             self._base = np.full(prob.n_transforms, float(self._base))
-        n_rem = rem.shape[1]
-        prefix = np.empty((prob.n_transforms, n_rem + 1))
-        prefix[:, 0] = 0.0
-        np.cumsum(rem, axis=1, out=prefix[:, 1:])
-
-        self._rem_prefix = prefix
-        nonpos = np.flatnonzero((rem <= 0.0).all(axis=0))
-        self.drop_end = self.size_min + (int(nonpos[-1]) + 1 if nonpos.size else 0)
-        negsome = np.flatnonzero((rem < 0.0).any(axis=0))
-        self.rise_start = self.size_min + (int(negsome[-1]) + 1 if negsome.size else 0)
+        self._rem_prefix = _RunningSums(rem.shape, lambda lo, hi: rem[:, lo:hi])
+        # Every row is sorted, so "all rows <= 0" and "some row < 0" each hold
+        # on a leading run of columns; a binary search finds where each ends.
+        cols = range(rem.shape[1])
+        nonpos_run = bisect_left(cols, True, key=lambda j: (rem[:, j] > 0.0).any())
+        negsome_run = bisect_left(cols, True, key=lambda j: (rem[:, j] >= 0.0).all())
+        self.drop_end = self.size_min + nonpos_run
+        self.rise_start = self.size_min + negsome_run
 
         self._path_tables = None
 
     def bound_value(self, v: int) -> float:
         """Lower bound on every candidate quantile at size ``v``."""
-        col = self._base + self._rem_prefix[:, v - self.size_min]
+        col = self._base + self._rem_prefix.through(v - self.size_min)
         return _rank_stat(col, self.prob.crit_rank)
 
     def _paths(self):
@@ -394,18 +439,17 @@ class Workspace:
                 base += _row_sums(cen[:, forced_cols])
             if reserved.size:
                 base += _row_sums(cen[:, reserved])
-            n = rest.size
-            prefix = np.empty((self.prob.n_transforms, n + 1))
-            prefix[:, 0] = 0.0
-            if n:
-                np.cumsum(np.take(cen, rest, axis=1), axis=1, out=prefix[:, 1:])
+            prefix = _RunningSums(
+                (self.prob.n_transforms, rest.size),
+                lambda lo, hi: np.take(cen, rest[lo:hi], axis=1),
+            )
             self._path_tables = (rest, base, prefix)
         return self._path_tables
 
     def path_value(self, v: int) -> float:
         """Exact quantile of the size-``v`` greedy path candidate."""
         _, base, prefix = self._paths()
-        return _rank_stat(base + prefix[:, v - self.size_min], self.prob.crit_rank)
+        return _rank_stat(base + prefix.through(v - self.size_min), self.prob.crit_rank)
 
     def path_set(self, v: int) -> tuple:
         """The size-``v`` greedy path candidate itself."""

@@ -21,8 +21,6 @@ import time
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy import optimize
-from scipy import stats as scipy_stats
 
 from .combiners import Combiner, TruncationRule, apply_combiner, truncate
 from .generators import TransformationScheme, sign_flip_matrix
@@ -123,6 +121,9 @@ def effect_size(n_obs: int, alpha: float, power: float) -> float:
         raise ValueError("alpha must lie in (0, 1)")
     if not alpha < power < 1.0:
         raise ValueError("power must lie strictly between alpha and 1")
+    from scipy import optimize
+    from scipy import stats as scipy_stats
+
     df = n_obs - 1
     tcrit = scipy_stats.t.isf(alpha / 2.0, df)
 
@@ -182,7 +183,10 @@ def run_replication(
         kind="sign_flip", n_transforms=cfg.n_transforms, seed=(cfg.seed, rep, 1)
     )
     tstats = sign_flip_matrix(data, scheme)
-    pvals = 2.0 * scipy_stats.t.sf(tstats.values, cfg.n_obs - 1)
+    from scipy.special import stdtr
+
+    # scipy.stats.t.sf(t, df) is stdtr(df, -t); scipy.stats is not imported.
+    pvals = 2.0 * stdtr(cfg.n_obs - 1, -tstats.values)
     comb = Combiner.parse(cfg.combiner)
     evidence = apply_combiner(StatisticMatrix(pvals), comb)
     ground = None

@@ -1,14 +1,29 @@
-"""Every module uses every name it imports.
+"""What the package imports.
 
-No linter ships with the project, so this walks the syntax tree of each
-module in ``src/sumtdp`` and ``tests``: a name bound by an import must be
-read somewhere in the module, or be listed in its ``__all__``.
+No linter ships with the project, so the first tests walk the syntax tree
+of each module in ``src/sumtdp`` and ``tests``: a name bound by an import
+must be read somewhere in the module, or be listed in its ``__all__``.
+
+The package imports ``scipy.stats`` and ``scipy.optimize`` only inside the
+functions that need them (the simulation harness's effect size), because
+importing them takes about a second.  The Liptak combiner and the t to p
+conversions of ``tdp --data`` and the simulation harness use the
+``scipy.special`` functions behind ``norm.isf`` and ``t.sf`` instead, and
+must give the same bits.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import stdtr
+
+from sumtdp.combiners import _P_HIGH, Combiner
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "sumtdp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
@@ -47,3 +62,35 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_and_spares_exports():
     source = "import os\nimport sys as system\nfrom a import b, c\n__all__ = ['c']\nprint(b)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: system"]
+
+
+@pytest.mark.parametrize("module", ["sumtdp", "sumtdp.cli"])
+def test_import_leaves_scipy_stats_and_optimize_unloaded(module):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = (
+        f"import sys, {module}\n"
+        "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_liptak_equals_norm_isf_bit_for_bit():
+    p = np.concatenate([
+        [_P_HIGH, 1.0, 0.5, 5e-324, 1e-300, 1e-20, 1e-8, 0.25],
+        np.random.default_rng(0).uniform(size=500),
+    ])
+    got = Combiner.parse("liptak").transform(p)
+    assert got.tobytes() == stats.norm.isf(np.minimum(p, _P_HIGH)).tobytes()
+
+
+@pytest.mark.parametrize("df", [1, 2, 9, 49, 1000])
+def test_stdtr_form_equals_t_sf_bit_for_bit(df):
+    t = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 1e10, -1e10, np.inf, -np.inf],
+        5.0 * np.random.default_rng(df).standard_normal(500),
+    ]).reshape(-1, 10)
+    assert stdtr(df, -t).tobytes() == stats.t.sf(t, df).tobytes()

@@ -133,7 +133,7 @@ def draw_case(draw, m, b, subsets, overlaps, roles):
         {i for i, r in enumerate(role) if r == "f"},
         {i for i, r in enumerate(role) if r == "x"},
     )
-    return prob, subset, overlap, constraint
+    return prob, subset, overlap, constraint, draw(st.integers(0, m))
 
 
 @st.composite
@@ -158,7 +158,13 @@ def high_overlaps(s):
     return st.integers(max(1, s - 8), s) | st.integers(1, s)
 
 
-def check_against_reference(prob, subset, overlap, constraint):
+def check_against_reference(prob, subset, overlap, constraint, start):
+    """Compare every size read in ascending order, then in the scan's order.
+
+    The prefix tables grow as far as the widest size read, so a second
+    workspace reads sizes as a scan does: from a drawn size ``start``
+    steps above the smallest, down to the smallest, then up.
+    """
     ref = ReferenceScan(prob, subset, overlap, constraint)
     ws = Workspace(prob, subset, overlap, constraint)
     assert ws.infeasible == ref.infeasible
@@ -173,6 +179,12 @@ def check_against_reference(prob, subset, overlap, constraint):
         assert ws.singleton_at(v) == ref.singleton_at(v)
         if ref.singleton_at(v):
             assert ws.singleton_set(v) == ref.singleton_set(v)
+
+    ws = Workspace(prob, subset, overlap, constraint)
+    first = min(ref.size_min + start, ref.size_max)
+    for v in [*range(first, ref.size_min - 1, -1), *range(first + 1, ref.size_max + 1)]:
+        assert ws.bound_value(v) == ref.bound_value(v)
+        assert ws.path_value(v) == ref.path_value(v)
 
     # The pivot is the last column the greedy path adds.
     ctx = QueryContext(prob, subset)
