@@ -8,18 +8,26 @@ where a set counts as rejected when the centered sum test rejects it and, by
 closure, the maximum runs over all sets, the empty one included.  The maximum
 is found by bisection on the overlap level z: level z is settled by a
 branch-and-bound run answering whether every set sharing at least z members
-with S is rejected.  A run cut short by its budget is treated as if a
-survivor existed, which can only lower d(S), so reported discovery counts
-stay valid at the configured confidence level no matter the budget.  All
-subsets of one matrix are covered simultaneously: no correction for asking
-about many subsets is needed.
+with S is rejected.  Closed testing makes the answer monotone in z, so any
+probe strictly between the bracket's ends narrows it soundly.  The
+probe is top-biased: with k = ceil(log2(hi - lo)) it is lo + 2^(k-1), never
+below the midpoint.  A query whose answer is d = 0 (the overlap maximum at
+|S|) then climbs in fewer, larger steps than from the midpoint.  Both sides
+of every split span at most 2^(k-1) levels, so a query still needs at most
+ceil(log2(|S|+1)) levels, the same worst case as the midpoint.  A run cut
+short by its budget is treated as if a survivor existed, which can only
+lower d(S), so reported discovery counts stay valid at the configured
+confidence level no matter the budget.  All subsets of one matrix are
+covered simultaneously: no correction for asking about many subsets is
+needed.
 
 Budgets come in two layers.  ``step_budget`` caps the branch-and-bound
 splits within one overlap level.  ``total_budget`` meters the whole query in
 scan counts (each level costs one scan for its root plus one per split); it
-is spread evenly over the at most ceil(log2(|S|+2)) bisection levels, with
-whatever a level leaves unspent rolling over to the next.  Raising either
-budget never lowers the discovery count.
+is spread evenly over at most ceil(log2(|S|+2)) bisection levels, an upper
+bound on the levels a query needs, with whatever a level leaves unspent
+rolling over to the next.  Raising either budget never lowers the discovery
+count.
 """
 
 from dataclasses import dataclass, field, replace
@@ -45,12 +53,13 @@ class DiscoveryResult:
     """Discovery bound for one subset query.
 
     ``overlap_cap`` is the certified bound on the overlap maximum above
-    (equal to it when ``converged``).  ``levels`` records each bisection
-    step as (overlap level, verdict, scans spent there).  ``evals`` is the
-    total number of single-step scans, root scans included.  ``reduction``
-    holds the column-reduction counts (``m_reduced``, ``removed``,
-    ``collapsed``) when :func:`discoveries_matrix` reduced the matrix first,
-    and is None otherwise.
+    (equal to it when ``converged``); :attr:`d_upper` is the bound on the
+    discovery count above that the levels certify.  ``levels`` records each
+    bisection step as (overlap level, verdict, scans spent there).
+    ``evals`` is the total number of single-step scans, root scans included.
+    ``reduction`` holds the column-reduction counts (``m_reduced``,
+    ``removed``, ``collapsed``) when :func:`discoveries_matrix` reduced the
+    matrix first, and is None otherwise.
     """
 
     subset: tuple
@@ -65,6 +74,28 @@ class DiscoveryResult:
     @property
     def n_queried(self) -> int:
         return len(self.subset)
+
+    @property
+    def d_upper(self) -> int:
+        """Upper end of the bracket ``[discoveries, d_upper]``.
+
+        A survivor certified at overlap z shows that at most |S| - z members
+        of S are discoveries.  Equal to ``discoveries`` when ``converged``.
+        """
+        certified = [
+            z for z, verdict, _ in self.levels if verdict is Verdict.SURVIVOR_FOUND
+        ]
+        return len(self.subset) - max(certified, default=0)
+
+
+def _probe(lo: int, hi: int) -> int:
+    """Overlap level to settle next in the open bracket (lo, hi).
+
+    ``lo + 2^(k-1)`` with ``k = ceil(log2(hi - lo))``: strictly inside the
+    bracket, never below its midpoint, and leaving at most 2^(k-1) levels on
+    either side, so every query settles within ceil(log2(|S|+1)) levels.
+    """
+    return lo + (1 << ((hi - lo - 1).bit_length() - 1))
 
 
 def discoveries(
@@ -107,7 +138,7 @@ def discoveries(
         if remaining is not None and remaining < 1:
             completed = False
             break
-        mid = (lo + hi) // 2
+        z = _probe(lo, hi)
         caps = []
         if step_budget is not None:
             caps.append(int(step_budget))
@@ -118,22 +149,22 @@ def discoveries(
             caps.append(min(share, remaining) - 1)
         budget = min(caps) if caps else None
         res = evaluate_iterative(
-            prob, ctx, mid, budget=budget, trace=trace,
+            prob, ctx, z, budget=budget, trace=trace,
         )
         cost = 1 + res.iterations
         spent_total += cost
         if remaining is not None:
             remaining -= cost
         steps_left -= 1
-        levels.append((mid, res.verdict, cost))
+        levels.append((z, res.verdict, cost))
         if res.verdict is Verdict.ALL_REJECTED:
-            hi = mid
+            hi = z
         elif res.verdict is Verdict.SURVIVOR_FOUND:
-            lo = mid
+            lo = z
             lo_certified = True
         else:
             # Out of budget at this level: assume a survivor, staying valid.
-            lo = mid
+            lo = z
             lo_certified = False
 
     overlap_cap = hi - 1

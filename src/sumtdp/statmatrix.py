@@ -120,19 +120,16 @@ class CenteredMatrix:
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Level and critical ranks of the centered sum test.
+    """Level and critical rank of the centered sum test.
 
     ``crit_rank`` is the 1-based rank of the centered-sum order statistic
     that must be strictly positive for rejection, ``ceil(alpha * B)`` for
-    ``B`` transformations.  ``crit_rank_upper`` is the companion rank
-    ``ceil((1 - alpha) * B)`` on the uncentered scale; the two describe the
-    same test whenever ``alpha * B`` is not an integer.
+    ``B`` transformations.
     """
 
     alpha: float
     n_transforms: int
     crit_rank: int = field(init=False)
-    crit_rank_upper: int = field(init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
@@ -151,11 +148,6 @@ class TestConfig:
             )
             rank = 1
         object.__setattr__(self, "crit_rank", rank)
-        object.__setattr__(
-            self,
-            "crit_rank_upper",
-            math.ceil((1.0 - self.alpha) * self.n_transforms),
-        )
 
 
 def column_index(i) -> int:

@@ -13,6 +13,7 @@ from sumtdp import (
     center,
     discoveries,
     discoveries_matrix,
+    evaluate_iterative,
     largest_subset,
     reduce_columns,
     reject,
@@ -20,6 +21,7 @@ from sumtdp import (
     truncate,
     TruncationRule,
 )
+from sumtdp.inference import _probe
 from tests.util import random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
@@ -32,13 +34,14 @@ class TestDiscoveriesToy:
         assert res.overlap_cap == 1
         assert res.tdp == 0.5
         assert res.converged
+        assert res.d_upper == 1
         assert res.n_queried == 2
 
     def test_levels(self, toy_problem):
         res = discoveries(toy_problem, TOY_SUBSET)
         assert res.levels == (
-            (1, Verdict.SURVIVOR_FOUND, 3),
             (2, Verdict.ALL_REJECTED, 1),
+            (1, Verdict.SURVIVOR_FOUND, 3),
         )
         assert res.evals == 4
 
@@ -51,6 +54,7 @@ class TestDiscoveriesToy:
         res = discoveries(toy_problem, TOY_SUBSET, total_budget=0)
         assert res.discoveries == 0
         assert res.overlap_cap == 2
+        assert res.d_upper == 2
         assert not res.converged
         assert res.evals == 0
         assert res.levels == ()
@@ -161,27 +165,82 @@ class TestBudgets:
                         assert res.converged
 
 
+class TestProbeRule:
+    def test_probe_inside_bracket_and_level_cap(self):
+        # worst[w]: most levels any sequence of answers needs to close a
+        # bracket (lo, lo + w), following the probe into either side
+        widths = 4097 + 1
+        worst = [0] * widths
+        for w in range(2, widths):
+            for lo in (0, 5):
+                z = _probe(lo, lo + w)
+                assert lo < lo + w // 2 <= z < lo + w
+            z = _probe(0, w)
+            worst[w] = 1 + max(worst[z], worst[w - z])
+        for s in range(4097):
+            assert worst[s + 1] <= (s + 1).bit_length()
+
+    def test_same_answer_as_midpoint_bisection(self):
+        def midpoint_discoveries(prob, sub):
+            lo, hi = 0, len(sub) + 1
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                verdict = evaluate_iterative(prob, sub, mid).verdict
+                if verdict is Verdict.ALL_REJECTED:
+                    hi = mid
+                else:
+                    assert verdict is Verdict.SURVIVOR_FOUND
+                    lo = mid
+            return len(sub) - lo
+
+        rng = np.random.default_rng(59)
+        for _ in range(25):
+            stats, cfg = random_instance(rng)
+            prob = SumTestProblem.from_matrix(stats, cfg)
+            for _ in range(4):
+                sub = random_subset(rng, stats.n_hyps)
+                res = discoveries(prob, sub)
+                assert res.converged
+                assert res.discoveries == midpoint_discoveries(prob, sub)
+
+
+class TestBracket:
+    def test_bracket_holds_under_budgets(self):
+        rng = np.random.default_rng(60)
+        for _ in range(15):
+            stats, cfg = random_instance(rng, max_hyps=10, max_transforms=32)
+            prob = SumTestProblem.from_matrix(stats, cfg)
+            sub = random_subset(rng, stats.n_hyps)
+            exact = discoveries(prob, sub).discoveries
+            for tb in (0, 1, 3, 7, None):
+                for sb in (0, 1, 5, None):
+                    res = discoveries(prob, sub, total_budget=tb, step_budget=sb)
+                    assert res.discoveries <= exact <= res.d_upper <= len(sub)
+                    if res.converged:
+                        assert res.d_upper == res.discoveries
+
+
 class TestSearchOrderGolden:
     def test_budgeted_full_set_query(self):
-        # Recorded before the query context replaced the per-scan Python
-        # sorts: any change in pivot choice or scan order moves the levels.
+        # Recorded when the probe became top-biased: any change in probe
+        # rule, pivot choice or scan order moves the levels.
         rng = np.random.default_rng(7)
         values = rng.normal(size=(100, 300))
         values[0, :60] += 3.0
         prob = SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.05, 100))
         res = discoveries(prob, range(300), step_budget=20)
-        assert (res.discoveries, res.converged, res.evals) == (29, False, 85)
+        assert (res.discoveries, res.converged, res.evals) == (29, False, 63)
         assert res.levels == (
-            (150, Verdict.SURVIVOR_FOUND, 1),
-            (225, Verdict.SURVIVOR_FOUND, 1),
-            (263, Verdict.SURVIVOR_FOUND, 1),
-            (282, Verdict.ALL_REJECTED, 1),
+            (256, Verdict.SURVIVOR_FOUND, 1),
+            (288, Verdict.ALL_REJECTED, 1),
             (272, Verdict.ALL_REJECTED, 17),
-            (267, Verdict.SURVIVOR_FOUND, 1),
-            (269, Verdict.UNDECIDED, 21),
+            (264, Verdict.SURVIVOR_FOUND, 1),
+            (268, Verdict.SURVIVOR_FOUND, 1),
             (270, Verdict.UNDECIDED, 21),
             (271, Verdict.UNDECIDED, 21),
         )
+        # survivors certified up to overlap 268 of 300
+        assert res.d_upper == 32
 
 
 class TestReductionEquivalence:

@@ -76,7 +76,6 @@ class TestCentering:
 class TestTestConfig:
     def test_critical_ranks_toy(self, toy_cfg):
         assert toy_cfg.crit_rank == 3
-        assert toy_cfg.crit_rank_upper == 4
 
     def test_critical_rank_formula(self):
         for alpha in (0.05, 0.1, 0.25, 0.4):
@@ -85,7 +84,6 @@ class TestTestConfig:
                     warnings.simplefilter("ignore", UserWarning)
                     cfg = TestConfig(alpha, b)
                 assert cfg.crit_rank == max(1, math.ceil(alpha * b))
-                assert cfg.crit_rank_upper == math.ceil((1 - alpha) * b)
 
     def test_zero_power_warning(self):
         with pytest.warns(UserWarning, match="zero power"):
@@ -148,7 +146,7 @@ class TestSubsetQuantile:
             cen = center(stats)
             sub = random_subset(rng, stats.n_hyps)
             raw = stats.values[:, sub].sum(axis=1)
-            upper = np.sort(raw)[cfg.crit_rank_upper - 1]
+            upper = np.sort(raw)[math.ceil((1 - cfg.alpha) * cfg.n_transforms) - 1]
             assert reject(cen, sub, cfg) == (raw[0] > upper)
             checked += 1
         assert checked > 20
@@ -165,7 +163,7 @@ class TestSubsetQuantile:
         cfg = TestConfig(alpha=0.5, n_transforms=4)
         cen = center(StatisticMatrix(values))
         raw = values.sum(axis=1)
-        upper = np.sort(raw)[cfg.crit_rank_upper - 1]
+        upper = np.sort(raw)[math.ceil((1 - cfg.alpha) * cfg.n_transforms) - 1]
         assert not reject(cen, (0, 1), cfg)
         assert not raw[0] > upper  # both say keep here
         # the centered rule is the definition; spot check its quantile
