@@ -39,7 +39,7 @@ from .combiners import (
     threshold_from_rank,
     truncate,
 )
-from .generators import TransformationScheme, one_sample_t, sign_flip_matrix
+from .generators import TransformationScheme, sign_flip_matrix
 from .inference import discoveries, discoveries_matrix, largest_subset
 from .oracle import RejectionTable
 from .shortcut import SumTestProblem, TraceLog
@@ -180,11 +180,7 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
         inputs[args.data] = _sha256(args.data)
         names, data = read_data_csv(args.data)
         scheme = TransformationScheme(kind="sign_flip", n_transforms=args.b, seed=args.seed)
-
-        def statistic(arr):
-            return one_sample_t(arr, two_sided=not args.one_sided)
-
-        stats = sign_flip_matrix(data, scheme, statistic=statistic)
+        stats = sign_flip_matrix(data, scheme, two_sided=not args.one_sided)
         stats = StatisticMatrix(stats.values, names=names)
         n_obs = data.shape[0]
 

@@ -344,6 +344,18 @@ class TestDataRoute:
         assert entry["size"] == 4
         assert "m_reduced" in entry
 
+    def test_flip_made_column_constant(self, tmp_path, capsys):
+        # both columns vary, but a drawn sign flip makes column 0 constant
+        path = tmp_path / "flip.csv"
+        path.write_text("a,b\n1,0.3\n-1,1.2\n1,-0.4\n-1,2\n")
+        code, out, err = run(
+            capsys, "tdp", "--data", str(path), "--b", "100", "--seed", "0",
+            "--sets", "[[1,2]]")
+        assert code == 2
+        assert out == ""
+        assert "sign flip drawn for row" in err
+        assert "makes column 0 constant" in err
+
     def test_unknown_combiner(self, data_csv, capsys):
         code, _, err = run(
             capsys, "tdp", "--data", data_csv, "--combiner", "nope",

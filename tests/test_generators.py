@@ -1,7 +1,11 @@
 """Transformation schemes: identity row, reproducibility, statistics."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from sumtdp import (
@@ -10,6 +14,44 @@ from sumtdp import (
     row_permutation_matrix,
     sign_flip_matrix,
 )
+
+
+def reference_sign_flip(data, n_transforms, seed, two_sided=True):
+    """The per-row loop: one sign draw and one numpy t statistic per row.
+
+    Equal to ``sign_flip_matrix`` bit for bit on C-ordered data with at
+    least two columns, where numpy's axis-0 sums add in row order.
+    """
+    def t(arr):
+        sd = arr.std(axis=0, ddof=1)
+        stat = arr.mean(axis=0) / (sd / np.sqrt(arr.shape[0]))
+        return np.abs(stat) if two_sided else stat
+
+    arr = np.asarray(data, dtype=float)
+    rows = [t(arr)]
+    rng = np.random.default_rng(seed)
+    for _ in range(n_transforms - 1):
+        signs = rng.integers(0, 2, size=arr.shape[0]) * 2 - 1
+        rows.append(t(signs[:, None] * arr))
+    return np.vstack(rows)
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(
+        np.signbit(a), np.signbit(b))
+
+
+# Tie-heavy data values, both signed zeros included.
+DATA_POOL = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 0.1, 1 / 3, 7.25)
+
+
+@st.composite
+def flip_cases(draw):
+    n = draw(st.integers(2, 20))
+    m = draw(st.integers(2, 6))
+    value = st.sampled_from(DATA_POOL) | st.floats(-1e3, 1e3, allow_nan=False)
+    data = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m))).reshape(n, m)
+    return data, draw(st.integers(1, 40)), draw(st.integers(0, 2**32)), draw(st.booleans())
 
 
 @pytest.fixture
@@ -43,7 +85,7 @@ class TestSignFlip:
     def test_row_zero_is_identity(self, data):
         scheme = TransformationScheme("sign_flip", 20, seed=0)
         mat = sign_flip_matrix(data, scheme)
-        assert np.allclose(mat.values[0], one_sample_t(data))
+        assert bits_equal(mat.values[0], one_sample_t(data))
 
     def test_shape(self, data):
         scheme = TransformationScheme("sign_flip", 20, seed=0)
@@ -62,27 +104,89 @@ class TestSignFlip:
 
     def test_signed_statistic(self, data):
         scheme = TransformationScheme("sign_flip", 8, seed=1)
-        mat = sign_flip_matrix(
-            data, scheme, statistic=lambda d: one_sample_t(d, two_sided=False))
-        assert np.allclose(mat.values[0], one_sample_t(data, two_sided=False))
+        mat = sign_flip_matrix(data, scheme, two_sided=False)
+        assert bits_equal(mat.values[0], one_sample_t(data, two_sided=False))
+        assert (mat.values < 0).any()
+        assert bits_equal(np.abs(mat.values), sign_flip_matrix(data, scheme).values)
 
     def test_flips_share_rows_across_columns(self):
-        # a flip negates a whole observation, so column sums computed with a
-        # mean statistic keep the cross-column dependence; check via a
-        # statistic that exposes the raw signs
-        data = np.ones((6, 3))
-        data[:, 1] = 2.0
-        data[:, 2] = -1.0
+        # a flip negates a whole observation: the t statistics of c, 2c and
+        # -c then stay tied in every row (doubling and negation are exact)
+        c = np.array([1.0, 2.5, -0.5, 3.0, 0.25, 1.75])
+        data = np.column_stack([c, 2.0 * c, -c])
         scheme = TransformationScheme("sign_flip", 30, seed=2)
-        mat = sign_flip_matrix(data, scheme, statistic=lambda d: d.sum(axis=0))
-        # whatever signs were drawn, col1 = 2 * col0 and col2 = -col0
-        assert np.allclose(mat.values[:, 1], 2.0 * mat.values[:, 0])
-        assert np.allclose(mat.values[:, 2], -mat.values[:, 0])
+        mat = sign_flip_matrix(data, scheme, two_sided=False)
+        assert len(np.unique(mat.values[:, 0])) > 2
+        assert np.array_equal(mat.values[:, 1], mat.values[:, 0])
+        assert np.array_equal(mat.values[:, 2], -mat.values[:, 0])
+
+    def test_flip_made_column_constant(self):
+        # both observed columns vary, but flipping observations 2 and 4 (or
+        # 1 and 3) makes column 0 constant
+        data = np.array([[1, 0.3], [-1, 1.2], [1, -0.4], [-1, 2]])
+        one_sample_t(data)
+        signs = np.random.default_rng(0).integers(0, 2, size=(99, 4)) * 2 - 1
+        row = 1 + next(r for r, s in enumerate(signs) if np.ptp(s * data[:, 0]) == 0)
+        with pytest.raises(ValueError, match=(
+                f"sign flip drawn for row {row} makes column 0 constant")):
+            sign_flip_matrix(data, TransformationScheme("sign_flip", 100, 0))
+
+    def test_golden(self):
+        # the sha256 of the matrix the per-row loop returns for this input
+        data = np.random.default_rng(2026).normal(size=(50, 100))
+        data[:, :10] += 0.5
+        mat = sign_flip_matrix(data, TransformationScheme("sign_flip", 200, 7))
+        assert hashlib.sha256(mat.values.tobytes()).hexdigest() == (
+            "4ee08d36133eec74a5e95b2ed0cdb5854328d674cc148fa669cfa7b33311c26c")
+
+    def test_blocks_match_reference(self):
+        # a wide input spans several blocks of flipped rows
+        data = np.random.default_rng(3).normal(size=(12, 3000))
+        scheme = TransformationScheme("sign_flip", 40, seed=5)
+        assert bits_equal(sign_flip_matrix(data, scheme).values,
+                          reference_sign_flip(data, 40, 5))
+
+    def test_layout_independent(self):
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(50, 40)) + 0.2
+        scheme = TransformationScheme("sign_flip", 60, seed=9)
+        want = sign_flip_matrix(data, scheme).values
+        wide = np.zeros((50, 120))
+        wide[:, ::3] = data
+        for view in (np.asfortranarray(data), wide[:, ::3], np.repeat(data, 2, axis=0)[::2]):
+            assert bits_equal(sign_flip_matrix(view, scheme).values, want)
+        for j in (0, 17):
+            one = sign_flip_matrix(data[:, [j]], scheme).values
+            assert bits_equal(one[:, 0], want[:, j])
+
+    def test_row_zero_is_all_plus_flip(self):
+        data = np.asfortranarray(np.random.default_rng(6).normal(size=(9, 5)))
+        scheme = TransformationScheme("sign_flip", 2000, seed=1)
+        mat = sign_flip_matrix(data, scheme, two_sided=False)
+        signs = np.random.default_rng(1).integers(0, 2, size=(1999, 9))
+        plus = 1 + np.flatnonzero(signs.all(axis=1))
+        assert plus.size
+        for r in plus:
+            assert bits_equal(mat.values[r], mat.values[0])
 
     def test_kind_mismatch(self, data):
         scheme = TransformationScheme("row_permutation", 5, seed=0)
         with pytest.raises(ValueError, match="sign_flip"):
             sign_flip_matrix(data, scheme)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(flip_cases())
+def test_sign_flip_matches_per_row_loop(case):
+    data, n_transforms, seed, two_sided = case
+    scheme = TransformationScheme("sign_flip", n_transforms, seed)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ref = reference_sign_flip(data, n_transforms, seed, two_sided)
+    if not np.isfinite(ref).all():
+        with pytest.raises(ValueError):
+            sign_flip_matrix(data, scheme, two_sided)
+        return
+    assert bits_equal(sign_flip_matrix(data, scheme, two_sided).values, ref)
 
 
 class TestRowPermutation:
@@ -123,7 +227,7 @@ class TestScheme:
             TransformationScheme("sign_flip", 0)
 
     def test_statistic_shape_check(self, data):
-        scheme = TransformationScheme("sign_flip", 4, seed=0)
+        scheme = TransformationScheme("row_permutation", 4, seed=0)
         with pytest.raises(ValueError, match="statistic must map"):
-            sign_flip_matrix(data, scheme, statistic=lambda d: d.sum())
+            row_permutation_matrix(data, scheme, lambda d: d.sum())
 
