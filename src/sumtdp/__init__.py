@@ -26,6 +26,7 @@ from .combiners import (
     Combiner,
     TruncationRule,
     apply_combiner,
+    evidence_from_t,
     threshold_from_rank,
     truncate,
 )
@@ -90,7 +91,7 @@ __all__ = [
     "read_statistic_csv", "read_data_csv", "write_statistic_csv",
     # combiners and truncation
     "Combiner", "COMBINER_KINDS", "apply_combiner",
-    "TruncationRule", "truncate", "threshold_from_rank",
+    "TruncationRule", "truncate", "threshold_from_rank", "evidence_from_t",
     # transformation schemes
     "TransformationScheme", "sign_flip_matrix", "row_permutation_matrix",
     "one_sample_t",

@@ -36,6 +36,7 @@ from .combiners import (
     Combiner,
     TruncationRule,
     apply_combiner,
+    evidence_from_t,
     threshold_from_rank,
     truncate,
 )
@@ -172,36 +173,28 @@ def _sha256(path) -> str:
 
 def _load_matrix(args, inputs: dict) -> StatisticMatrix:
     """Load or generate the statistic matrix, then combine and truncate."""
+    if args.truncate is not None and args.truncate_rank is not None:
+        raise InputError("--truncate and --truncate-rank are mutually exclusive")
+    comb = Combiner.parse(args.combiner) if args.combiner is not None else None
     if args.stats is not None:
         inputs[args.stats] = _sha256(args.stats)
         stats = read_statistic_csv(args.stats)
-        n_obs = None
     else:
         inputs[args.data] = _sha256(args.data)
         names, data = read_data_csv(args.data)
         scheme = TransformationScheme(kind="sign_flip", n_transforms=args.b, seed=args.seed)
-        stats = sign_flip_matrix(data, scheme, two_sided=not args.one_sided)
-        stats = StatisticMatrix(stats.values, names=names)
-        n_obs = data.shape[0]
+        tstats = sign_flip_matrix(data, scheme, two_sided=not args.one_sided)
+        if comb is not None:
+            # generated t statistics become two-sided (or one-sided) p-values
+            return evidence_from_t(
+                tstats, data.shape[0] - 1, comb, two_sided=not args.one_sided,
+                names=names, threshold=args.truncate, rank=args.truncate_rank,
+                ground=args.ground,
+            )
+        stats = StatisticMatrix(tstats.values, names=names)
 
-    if args.combiner is not None:
-        comb = Combiner.parse(args.combiner)
-        values = stats.values
-        if args.data is not None:
-            # Generated t statistics become two-sided (or one-sided)
-            # p-values before combining.  stdtr(df, -t) is what
-            # scipy.stats.t.sf(t, df) computes, without importing scipy.stats.
-            from scipy.special import stdtr
-
-            if args.one_sided:
-                values = stdtr(n_obs - 1, -values)
-            else:
-                values = 2.0 * stdtr(n_obs - 1, -values)
-            stats = StatisticMatrix(values, names=stats.names)
+    if comb is not None:
         stats = apply_combiner(stats, comb)
-
-    if args.truncate is not None and args.truncate_rank is not None:
-        raise InputError("--truncate and --truncate-rank are mutually exclusive")
     threshold = args.truncate
     if args.truncate_rank is not None:
         threshold = threshold_from_rank(stats, args.truncate_rank)

@@ -10,7 +10,8 @@ Truncation maps every entry below a threshold to a common ground value,
 leaving the rest untouched.  On the evidence scale this keeps the strongest
 signals; composing a combiner with an evidence-scale truncation rule is the
 same as truncating the p-values first (large p to a ground p) and then
-transforming.
+transforming.  ``evidence_from_t`` takes t statistics through p-values, a
+combiner and truncation, and converts only the entries truncation keeps.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ __all__ = [
     "apply_combiner",
     "truncate",
     "threshold_from_rank",
+    "evidence_from_t",
     "COMBINER_KINDS",
 ]
 
@@ -162,3 +164,117 @@ def threshold_from_rank(stats: StatisticMatrix, rank: int) -> float:
     if not 1 <= rank <= flat.size:
         raise ValueError(f"rank must lie in 1..{flat.size}, got {rank}")
     return float(np.partition(flat, flat.size - rank)[flat.size - rank])
+
+
+# Relative step in t below a cut; the scale floor of 1 keeps the step
+# meaningful for statistics near zero.
+_T_MARGIN = 1e-6
+
+
+def _below(t: float) -> float:
+    return t - _T_MARGIN * max(abs(t), 1.0)
+
+
+def _last_below(evidence, lo: float, hi: float, threshold: float, rounds=3, points=32):
+    """Greatest probed t in ``[lo, hi]`` whose evidence is below ``threshold``.
+
+    Each round evaluates a grid of the bracket and narrows it to the step
+    where the evidence reaches the threshold.  None when it already does at
+    ``lo``.
+    """
+    found = None
+    for _ in range(rounds):
+        grid = np.linspace(lo, hi, points + 1)
+        below = np.flatnonzero(evidence(grid) < threshold)
+        if not below.size:
+            break
+        i = below[-1]
+        found = float(grid[i])
+        if i == points:
+            break
+        lo, hi = grid[i], grid[i + 1]
+    return found
+
+
+def evidence_from_t(
+    tstats: StatisticMatrix,
+    df: int,
+    combiner: Combiner,
+    two_sided: bool = True,
+    names=None,
+    threshold: float = None,
+    rank: int = None,
+    ground: float = 0.0,
+) -> StatisticMatrix:
+    """Evidence matrix of t statistics: p-values, ``combiner``, truncation.
+
+    The result is, bit for bit and error for error, ``truncate`` with
+    ``ground`` of ``apply_combiner`` on the p-values ``2 * t.sf(t, df)`` of
+    absolute statistics (``t.sf(t, df)`` of signed ones when not
+    ``two_sided``), at ``threshold`` or at ``threshold_from_rank(.., rank)``;
+    with neither, the untruncated evidence.  ``names`` replaces the column
+    names of ``tstats``.
+
+    Only the entries truncation can keep are converted.  Every combiner but
+    ``identity`` decreases in p, and p decreases in t, so those entries lie
+    above a cut in t.  For a rank the cut steps down from the rank-th
+    greatest t; for a threshold it steps down from the greatest t that a
+    few grid evaluations of the same transform find below the threshold.
+    Each step is ``1e-6`` relative in t (absolute below 1), which assumes
+    that the rounding errors of ``stdtr`` and the combiners move the
+    evidence far less than that.  The evidence where the step starts must
+    lie below the threshold; where it does not (p rounds to 1 or a clamp
+    makes the transform flat there), for ``identity`` and without
+    truncation, every entry is converted.  Elementwise functions give the
+    same bits on the kept entries alone as on the whole matrix.  A p-value
+    that underflows to 0 belongs to the greatest t, so it is always
+    converted and raises as before.
+    """
+    from scipy.special import stdtr
+
+    if threshold is not None and rank is not None:
+        raise ValueError("truncate at a threshold or at a rank, not both")
+    names = tstats.names if names is None else names
+    t = tstats.values
+
+    def evidence(values):
+        # scipy.stats.t.sf(t, df) is stdtr(df, -t); scipy.stats is not imported.
+        p = stdtr(df, -values)
+        if two_sided:
+            p *= 2.0
+        return combiner.transform(p)
+
+    def convert_all():
+        stats = StatisticMatrix(evidence(t), names=names)
+        cut = threshold if rank is None else threshold_from_rank(stats, rank)
+        if cut is None:
+            return stats
+        return truncate(stats, TruncationRule(threshold=cut, ground=ground))
+
+    if combiner.kind == "identity" or (threshold is None and rank is None):
+        return convert_all()
+    lo = float(t.min())
+    if two_sided and lo < 0.0:
+        return convert_all()  # which reports the p-values above 1
+    if rank is None:
+        top = _last_below(evidence, lo, float(t.max()), threshold)
+    elif 1 <= rank <= t.size:
+        top = _below(float(np.partition(t.ravel(), t.size - rank)[t.size - rank]))
+    else:
+        top = None  # the full conversion reports the rank
+    if top is None or _below(top) <= lo:
+        return convert_all()
+
+    keep = t >= _below(top)
+    kept = evidence(t[keep])
+    if not np.isfinite(kept).all():
+        return convert_all()  # which reports the first non-finite entry
+    cut = threshold
+    if rank is not None:
+        cut = float(np.partition(kept, kept.size - rank)[kept.size - rank])
+        if not evidence(np.array([top]))[0] < cut:
+            return convert_all()  # flat at the cut: entries below may tie it
+    rule = TruncationRule(threshold=cut, ground=ground)
+    values = np.full(t.shape, rule.ground)
+    values[keep] = np.where(kept >= rule.threshold, kept, rule.ground)
+    return StatisticMatrix(values, names=names)

@@ -3,9 +3,10 @@
 Each replication draws an n x m Gaussian sample whose columns share an
 equicorrelation (one common factor per observation), plants signal in the
 first ceil(a*m) columns, builds a sign-flip matrix of two-sided t statistics,
-converts every entry to a two-sided p-value, applies a combiner, optionally
-floor-truncates on the p scale, and queries discovery bounds for the active
-and inactive column sets.  The signal size is calibrated so that a single
+converts them to two-sided p-values and a combiner's evidence scale,
+optionally floor-truncated on the p scale (only the entries truncation keeps
+are converted), and queries discovery bounds for the active and inactive
+column sets.  The signal size is calibrated so that a single
 two-sided one-sample t-test at the study's level reaches a requested power.
 
 Aggregates of interest: the familywise error rate is the share of
@@ -22,10 +23,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .combiners import Combiner, TruncationRule, apply_combiner, truncate
+from .combiners import Combiner, evidence_from_t
 from .generators import TransformationScheme, sign_flip_matrix
 from .inference import discoveries_matrix
-from .statmatrix import StatisticMatrix, TestConfig
+from .statmatrix import TestConfig
 
 __all__ = [
     "SimulationConfig",
@@ -47,7 +48,8 @@ class SimulationConfig:
     ``truncate_p`` and ``ground_p`` are on the p scale; entries with p-value
     above ``truncate_p`` are floored at the combiner's value of ``ground_p``
     (truncation happens after combining, which is the same thing because
-    combiners are decreasing).  ``ground_p`` also feeds the column reduction.
+    combiners are decreasing; ``identity``, which is not, takes no
+    truncation).  ``ground_p`` also feeds the column reduction.
     ``power_target`` is the marginal two-sided t-test power that calibrates
     the planted effect size.
     """
@@ -89,7 +91,12 @@ class SimulationConfig:
                 raise ValueError("truncate_p must lie in (0, 1]")
             if not self.truncate_p <= self.ground_p <= 1.0:
                 raise ValueError("ground_p must lie in [truncate_p, 1]")
-        Combiner.parse(self.combiner)  # fail here, not mid-study
+        comb = Combiner.parse(self.combiner)  # fail here, not mid-study
+        if comb.kind == "identity" and self.truncate_p is not None:
+            raise ValueError(
+                "truncate_p needs a combiner that decreases in p; identity "
+                "keeps the p-values, so their ground would exceed the threshold"
+            )
 
     @property
     def n_active(self) -> int:
@@ -183,17 +190,12 @@ def run_replication(
         kind="sign_flip", n_transforms=cfg.n_transforms, seed=(cfg.seed, rep, 1)
     )
     tstats = sign_flip_matrix(data, scheme)
-    from scipy.special import stdtr
-
-    # scipy.stats.t.sf(t, df) is stdtr(df, -t); scipy.stats is not imported.
-    pvals = 2.0 * stdtr(cfg.n_obs - 1, -tstats.values)
     comb = Combiner.parse(cfg.combiner)
-    evidence = apply_combiner(StatisticMatrix(pvals), comb)
-    ground = None
+    threshold = ground = None
     if cfg.truncate_p is not None:
         threshold = float(comb.transform(np.array([cfg.truncate_p]))[0])
         ground = float(comb.transform(np.array([cfg.ground_p]))[0])
-        evidence = truncate(evidence, TruncationRule(threshold=threshold, ground=ground))
+    evidence = evidence_from_t(tstats, cfg.n_obs - 1, comb, threshold=threshold, ground=ground)
     test_cfg = TestConfig(cfg.alpha, cfg.n_transforms)
     results = {}
     for name in queries:

@@ -1,6 +1,7 @@
 """Command-line interface: golden runs, formats, manifests, exit codes."""
 
 import csv
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from scipy import stats as sps
 
 import sumtdp
 from sumtdp.cli import build_parser, main
@@ -364,6 +366,113 @@ class TestDataRoute:
         assert "unknown combiner" in err
 
 
+class TestDataConversion:
+    """``--data`` with a combiner and truncation gives what the library
+    gives on the matrix rebuilt from ``scipy.stats.t.sf``."""
+
+    B, SEED = 100, 3
+    SETS = [list(range(1, 7)), list(range(1, 31)), list(range(7, 13))]
+
+    @pytest.fixture
+    def signal_csv(self, tmp_path):
+        rng = np.random.default_rng(81)
+        data = rng.normal(size=(20, 30))
+        data[:, :6] += 0.8
+        lines = [",".join(f"V{j + 1}" for j in range(30))]
+        lines += [",".join(f"{v:.8f}" for v in row) for row in data]
+        path = tmp_path / "signal.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def library_entries(self, path, token, one_sided, threshold, rank, ground):
+        names, data = sumtdp.read_data_csv(path)
+        scheme = sumtdp.TransformationScheme("sign_flip", self.B, self.SEED)
+        tstats = sumtdp.sign_flip_matrix(data, scheme, two_sided=not one_sided)
+        pvals = sps.t.sf(tstats.values, data.shape[0] - 1)
+        if not one_sided:
+            pvals = 2.0 * pvals
+        evidence = sumtdp.apply_combiner(
+            sumtdp.StatisticMatrix(pvals, names=names), sumtdp.Combiner.parse(token))
+        if rank is not None:
+            threshold = sumtdp.threshold_from_rank(evidence, rank)
+        evidence = sumtdp.truncate(evidence, sumtdp.TruncationRule(threshold, ground))
+        cfg = sumtdp.TestConfig(0.05, self.B)
+        entries = []
+        for set_id, cols in enumerate(self.SETS, start=1):
+            res = sumtdp.discoveries_matrix(
+                evidence, cfg, [c - 1 for c in cols], reduction_ground=ground, step_budget=50)
+            entries.append({
+                "set_id": set_id, "size": res.n_queried, "d": res.discoveries,
+                "tdp": res.tdp, "converged": res.converged, "iterations": res.evals,
+                **res.reduction,
+            })
+        return entries
+
+    @pytest.mark.parametrize("token, one_sided, threshold, rank, ground", [
+        ("fisher", False, None, 150, 0.0),
+        ("fisher", True, 3.0, None, 0.0),
+        ("vw:-1", False, 20.0, None, 1.0),
+        ("vw:-1", True, None, 200, 1.0),
+        ("liptak", True, 1.645, None, 0.0),
+        ("liptak", False, None, 100, 0.0),
+        ("edgington", False, None, 300, -1.0),
+        ("edgington", True, -0.05, None, -1.0),
+    ])
+    def test_matches_library(self, signal_csv, capsys, token, one_sided, threshold, rank, ground):
+        argv = ["tdp", "--data", signal_csv, "--b", str(self.B), "--seed", str(self.SEED),
+                "--sets", json.dumps(self.SETS), "--combiner", token, "--ground", str(ground)]
+        argv += ["--truncate-rank", str(rank)] if rank is not None else ["--truncate", str(threshold)]
+        if one_sided:
+            argv.append("--one-sided")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        got = json.loads(out)
+        assert got == self.library_entries(signal_csv, token, one_sided, threshold, rank, ground)
+        assert got[0]["d"] > 0
+
+
+class TestDataGoldens:
+    """``--data`` output with a combiner and truncation, pinned by sha256.
+
+    Recorded before the t to evidence conversion learned to skip the
+    entries truncation drops; the ``test`` quantile is a sum of matrix
+    entries, so a change in any bit of the kept evidence shows up.
+    """
+
+    SETS = "[[1,2,3,4],[1,2,3,4,5,6,7,8,9,10,11,12],[5,6,7,8]]"
+
+    @pytest.fixture
+    def golden_csv(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        data = rng.normal(size=(18, 12))
+        data[:, :4] += 0.9
+        lines = [",".join(f"C{j + 1}" for j in range(12))]
+        lines += [",".join(f"{v:.6f}" for v in row) for row in data]
+        path = tmp_path / "golden.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["tdp", "--sets", SETS, "--combiner", "fisher", "--truncate-rank", "60"],
+         "615571948deb82424e3a5d3de9ee132a263ce7023fb4913303029a56bf2a9880"),
+        (["tdp", "--sets", SETS, "--combiner", "liptak", "--one-sided",
+          "--truncate", "1.6"],
+         "50b25e2d8a38909029194f7b535a22e8cee07a1e10ea7b28ac654d839377e611"),
+        (["test", "--set", "1,2,3,4,5", "--combiner", "vw:-1",
+          "--truncate-rank", "150"],
+         "aa70094292d305b079040b54b1147276783c50f3c2e6f302b3aa5a6a4cae57cf"),
+        (["test", "--set", "1,2,3,4,5", "--combiner", "edgington", "--one-sided",
+          "--truncate", "-0.2", "--ground", "-1"],
+         "8256e450b89599829c86698bf99df2082372b6d4b13316984d6fcf73f759bb71"),
+    ], ids=["tdp-fisher-rank", "tdp-liptak-one-sided", "test-vw-rank",
+            "test-edgington-one-sided"])
+    def test_output_digest(self, golden_csv, capsys, argv, digest):
+        code, out, _ = run(
+            capsys, *argv, "--data", golden_csv, "--b", "100", "--seed", "5")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestSimulate:
     def test_tiny_grid(self, tmp_path, capsys):
         cfg = {
@@ -409,6 +518,16 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", str(cfg_path))
         assert code == 2
         assert "unknown config keys" in err
+
+    def test_identity_with_truncation_rejected(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(
+            {"n_obs": 15, "n_hyps": 6, "n_transforms": 20, "n_reps": 1,
+             "combiner": "identity", "truncate_p": 0.05}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert "bad simulation config" in err and "identity" in err
 
     def test_seed_override(self, tmp_path, capsys):
         cfg = {"n_obs": 15, "n_hyps": 6, "n_transforms": 20, "n_reps": 1,

@@ -1,15 +1,22 @@
-"""P-value combining transforms, truncation, and rank-based thresholds."""
+"""P-value combining transforms, truncation, rank-based thresholds, and the
+t statistic to evidence conversion."""
 
 import numpy as np
 import pytest
+import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from sumtdp import (
     COMBINER_KINDS,
     Combiner,
     StatisticMatrix,
+    TransformationScheme,
     TruncationRule,
     apply_combiner,
+    evidence_from_t,
+    sign_flip_matrix,
     threshold_from_rank,
     truncate,
 )
@@ -198,3 +205,157 @@ class TestThresholdFromRank:
             threshold_from_rank(toy_stats, 0)
         with pytest.raises(ValueError):
             threshold_from_rank(toy_stats, toy_stats.values.size + 1)
+
+
+def full_conversion(tstats, df, comb, two_sided, names, threshold, rank, ground):
+    """Every entry through t.sf, the combiner and then truncation."""
+    pvals = sps.t.sf(tstats.values, df)
+    if two_sided:
+        pvals = 2.0 * pvals
+    evidence = apply_combiner(StatisticMatrix(pvals, names=names), comb)
+    if rank is not None:
+        threshold = threshold_from_rank(evidence, rank)
+    if threshold is None:
+        return evidence
+    return truncate(evidence, TruncationRule(threshold, ground))
+
+
+def outcome(fn, *args):
+    """Result bits and names, or the error raised."""
+    try:
+        res = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return res.values.tobytes(), res.values.shape, res.names
+
+
+@st.composite
+def conversion_cases(draw):
+    """A t matrix, a combiner and a truncation rule, with the edges drawn often:
+    ties, statistics near 0, p-values rounding to 1 or underflowing to 0,
+    thresholds on, above and below the entries, ground at or below them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    b, m = draw(st.integers(1, 16)), draw(st.integers(1, 8))
+    style = draw(st.sampled_from(["gauss", "ties", "wide", "near_zero", "far_negative", "huge"]))
+    if style == "gauss":
+        t = 2.0 * rng.standard_normal((b, m)) + rng.uniform(0, 4) * (rng.random((b, m)) < 0.2)
+    elif style == "ties":
+        t = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0, 3.5], size=(b, m))
+    elif style == "wide":
+        t = rng.standard_normal((b, m)) * 10.0 ** rng.uniform(-3, 1.5, size=(b, m))
+    elif style == "near_zero":
+        t = rng.choice([0.0, 1e-300, 1e-20, 1e-17, 3e-16, 1e-8], size=(b, m)) * rng.choice([-1, 1], size=(b, m))
+    elif style == "far_negative":
+        t = -(10.0 ** rng.uniform(0.5, 3.0, size=(b, m)))
+        t.flat[rng.integers(t.size)] = 3.0
+    else:
+        t = rng.standard_normal((b, m))
+        t.flat[rng.integers(t.size)] = draw(st.sampled_from([1e4, 1e10, 1e300, -1e300]))
+    two_sided = draw(st.booleans())
+    if two_sided:
+        t = np.abs(t)
+    df = draw(st.integers(1, 60))
+    power = draw(st.floats(-4, 4).map(lambda r: round(r, 2)))
+    comb = draw(st.sampled_from(
+        [Combiner.parse(k) for k in COMBINER_KINDS if k != "generalized_mean"]
+        + [Combiner("generalized_mean", power)]
+    ))
+    names = tuple(f"c{j}" for j in range(m)) if draw(st.booleans()) else None
+    tstats = StatisticMatrix(t)
+
+    try:
+        values = full_conversion(tstats, df, comb, two_sided, None, None, None, 0.0).values
+    except ValueError:
+        values = np.zeros(1)
+    rule = draw(st.sampled_from(
+        ["none", "rank_one", "rank_all", "rank", "rank_bad", "entry", "above", "below", "between"]
+    ))
+    threshold = rank = None
+    if rule == "rank_one":
+        rank = 1
+    elif rule == "rank_all":
+        rank = t.size
+    elif rule == "rank":
+        rank = int(rng.integers(1, t.size + 1))
+    elif rule == "rank_bad":
+        rank = draw(st.sampled_from([0, t.size + 1]))
+    elif rule == "entry":
+        threshold = float(values.flat[rng.integers(values.size)])
+    elif rule == "above":
+        threshold = float(values.max()) + 1.0
+    elif rule == "below":
+        threshold = float(values.min()) - 1.0
+    elif rule == "between":
+        threshold = float(rng.uniform(values.min(), values.max()))
+    cut = threshold
+    if rank is not None and 1 <= rank <= values.size:
+        cut = float(np.sort(values, axis=None)[values.size - rank])
+    ground = draw(st.sampled_from(["zero", "equal", "lower"]))
+    if ground == "zero" or cut is None:
+        ground = 0.0
+    elif ground == "equal":
+        ground = cut
+    else:
+        ground = cut - float(rng.uniform(0.0, 3.0))
+    return tstats, df, comb, two_sided, names, threshold, rank, ground
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(conversion_cases())
+def test_evidence_from_t_matches_full_conversion(case):
+    with np.errstate(all="ignore"):
+        want = outcome(full_conversion, *case)
+        got = outcome(evidence_from_t, *case)
+    assert got == want
+
+
+@pytest.mark.parametrize("t, df, token, two_sided, threshold, rank, ground", [
+    # p rounds to 1 from the rank-th greatest t down: the cut is flat
+    ([[3.0, -30.0, -40.0, -50.0]], 60, "fisher", False, None, 2, 0.0),
+    ([[3.0, -30.0, -40.0, -50.0]], 60, "pearson", False, None, 3, -50.0),
+    # a p-value so small that its evidence overflows, reported before the
+    # infinite threshold or the bad ground
+    ([[1e150, 1.0, 2.0]], 1, "vw:-3", False, None, 1, 0.0),
+    ([[1e5, 0.5, 1.0, 2.0]], 30, "vw:-3", True, 1e100, None, np.nan),
+    # signed statistics given as two-sided: p-values above 1
+    ([[-1.0, 2.0, 3.0]], 5, "fisher", True, None, 1, 0.0),
+    ([[-1.0, 2.0, 3.0]], 5, "fisher", True, 3.0, None, 0.0),
+    # ground above the threshold, and ranks out of range
+    ([[1.0, 2.0, 3.0]], 5, "liptak", False, None, 1, 9.0),
+    ([[1.0, 2.0, 3.0]], 5, "liptak", False, None, 4, 0.0),
+    ([[1.0, 2.0, 3.0]], 5, "liptak", False, None, 0, 0.0),
+])
+def test_edges_match_full_conversion(t, df, token, two_sided, threshold, rank, ground):
+    case = (StatisticMatrix(t), df, Combiner.parse(token), two_sided, None,
+            threshold, rank, ground)
+    with np.errstate(all="ignore"):
+        assert outcome(evidence_from_t, *case) == outcome(full_conversion, *case)
+
+
+class TestEvidenceFromT:
+    def test_underflow_raises_as_before(self):
+        t = np.abs(np.random.default_rng(3).standard_normal((20, 5)))
+        t[7, 2] = 1e300
+        for rank in (1, 30, 100):
+            with pytest.raises(ValueError, match=r"p-values must lie in \(0, 1\], got 0.0"):
+                evidence_from_t(StatisticMatrix(t), 9, Combiner.parse("fisher"), rank=rank)
+
+    def test_threshold_and_rank_exclusive(self):
+        with pytest.raises(ValueError, match="not both"):
+            evidence_from_t(StatisticMatrix([[1.0]]), 5, Combiner.parse("fisher"),
+                            threshold=1.0, rank=1)
+
+    @pytest.mark.parametrize("rule", [dict(rank=1000), dict(threshold=-np.log(0.05))])
+    def test_converts_only_what_truncation_keeps(self, monkeypatch, rule):
+        data = np.random.default_rng(4).standard_normal((30, 100))
+        tstats = sign_flip_matrix(data, TransformationScheme("sign_flip", 200, seed=5))
+        converted = []
+        stdtr = scipy.special.stdtr
+
+        def counting(df, t):
+            converted.append(np.size(t))
+            return stdtr(df, t)
+
+        monkeypatch.setattr(scipy.special, "stdtr", counting)
+        evidence_from_t(tstats, 29, Combiner.parse("fisher"), **rule)
+        assert sum(converted) < 0.1 * tstats.values.size

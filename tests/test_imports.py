@@ -6,9 +6,10 @@ must be read somewhere in the module, or be listed in its ``__all__``.
 
 The package imports ``scipy.stats`` and ``scipy.optimize`` only inside the
 functions that need them (the simulation harness's effect size), because
-importing them takes about a second.  The Liptak combiner and the t to p
-conversions of ``tdp --data`` and the simulation harness use the
-``scipy.special`` functions behind ``norm.isf`` and ``t.sf`` instead, and
+importing them takes about a second.  The Liptak combiner and
+``evidence_from_t``, the one t to p conversion that ``tdp --data`` and the
+simulation harness share, use the ``scipy.special`` functions behind
+``norm.isf`` and ``t.sf`` instead, imported where they are called, and
 must give the same bits.
 """
 

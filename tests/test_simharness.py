@@ -92,6 +92,12 @@ class TestConfigObject:
             SimulationConfig(truncate_p=0.0)
         SimulationConfig(truncate_p=0.05)  # fine
 
+    def test_identity_takes_no_truncation(self):
+        # identity increases in p: every replication would fail on ground > threshold
+        with pytest.raises(ValueError, match="identity"):
+            SimulationConfig(combiner="identity", truncate_p=0.05)
+        SimulationConfig(combiner="identity")  # fine untruncated
+
 
 class TestSimulateData:
     def test_shape_and_determinism(self):
@@ -166,6 +172,38 @@ class TestReplication:
         a = run_replication(cfg, rep=3, effect=1.5)
         b = run_replication(cfg, rep=3, effect=1.5)
         assert a.results["active"] == b.results["active"]
+
+
+# (discoveries, converged, evals) per query of run_replication at effect 0.8,
+# recorded before the t to evidence conversion learned to skip the entries
+# truncation drops; any change in the evidence matrix shows up here.
+REPLICATION_GOLDENS = [
+    (dict(n_obs=20, n_hyps=30, active_fraction=0.3, n_transforms=100, seed=11,
+          combiner="fisher", truncate_p=0.05),
+     [((6, True, 8), (0, True, 3)), ((4, True, 14), (0, True, 3)),
+      ((4, True, 8), (0, True, 3))]),
+    (dict(n_obs=15, n_hyps=20, active_fraction=0.25, correlation=0.3,
+          n_transforms=80, seed=12, combiner="vw:-1", truncate_p=0.1, ground_p=0.6),
+     [((3, True, 3), (0, True, 4)), ((3, True, 3), (0, True, 4)),
+      ((5, True, 3), (0, True, 4))]),
+    (dict(n_obs=25, n_hyps=25, active_fraction=0.2, n_transforms=60, seed=13,
+          combiner="liptak", truncate_p=0.02),
+     [((4, True, 3), (0, True, 2)), ((3, True, 3), (0, True, 2)),
+      ((3, True, 3), (0, True, 2))]),
+]
+
+
+@pytest.mark.parametrize("cell, want", REPLICATION_GOLDENS,
+                         ids=[c["combiner"] for c, _ in REPLICATION_GOLDENS])
+def test_truncated_replication_golden(cell, want):
+    cfg = SimulationConfig(**cell)
+    for rep, expected in enumerate(want):
+        out = run_replication(cfg, rep, effect=0.8)
+        got = tuple(
+            (r.discoveries, r.converged, r.evals)
+            for r in (out.results["active"], out.results["inactive"])
+        )
+        assert got == expected, f"rep {rep}"
 
 
 class TestStudy:
