@@ -39,13 +39,11 @@ from .generators import (
 from .inference import (
     DiscoveryResult,
     PrefixResult,
-    ReportEntry,
     discoveries,
     discoveries_matrix,
     largest_subset,
-    simultaneous_report,
 )
-from .oracle import RejectionTable, all_overlapping_rejected, max_nonrejected_overlap
+from .oracle import RejectionTable
 from .reduction import ReductionResult, reduce_columns
 from .shortcut import (
     FREE,
@@ -69,10 +67,8 @@ from .simharness import (
     simulate_data,
 )
 from .statmatrix import (
-    CenteredMatrix,
     StatisticMatrix,
     TestConfig,
-    center,
     read_data_csv,
     read_statistic_csv,
     reject,
@@ -86,7 +82,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # data model
-    "StatisticMatrix", "CenteredMatrix", "TestConfig", "center",
+    "StatisticMatrix", "TestConfig",
     "subset_quantile", "reject", "validate_subset",
     "read_statistic_csv", "read_data_csv", "write_statistic_csv",
     # combiners and truncation
@@ -101,11 +97,11 @@ __all__ = [
     "pick_pivot", "evaluate_iterative", "IterationResult",
     # inference
     "discoveries", "discoveries_matrix", "DiscoveryResult",
-    "largest_subset", "PrefixResult", "simultaneous_report", "ReportEntry",
+    "largest_subset", "PrefixResult",
     # reduction
     "reduce_columns", "ReductionResult",
     # exhaustive reference
-    "RejectionTable", "max_nonrejected_overlap", "all_overlapping_rejected",
+    "RejectionTable",
     # simulation harness
     "SimulationConfig", "effect_size", "simulate_data",
     "run_replication", "run_study", "run_grid",

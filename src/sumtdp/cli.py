@@ -47,7 +47,6 @@ from .shortcut import SumTestProblem, TraceLog
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
-    center,
     column_index,
     read_data_csv,
     read_statistic_csv,
@@ -389,13 +388,12 @@ def _cmd_test(args) -> int:
         tokens = json.loads(args.set) if args.set.lstrip().startswith("[") \
             else args.set.replace(",", " ").split()
         subset = _parse_tokens(tokens, stats)
-    centered = center(stats)
-    quantile = subset_quantile(centered, subset, cfg)
+    prob = SumTestProblem.from_matrix(stats, cfg)
     payload = {
         "size": len(subset),
-        "quantile": quantile,
+        "quantile": subset_quantile(prob, subset),
         "critical_rank": cfg.crit_rank,
-        "reject": reject(centered, subset, cfg),
+        "reject": reject(prob, subset),
     }
     _emit(args, payload, [payload], list(payload))
     _emit_manifest(args, inputs, started)
@@ -479,9 +477,8 @@ def _cmd_verify(args) -> int:
     inputs = {}
     stats = _load_matrix(args, inputs)
     cfg = TestConfig(_alpha(args), stats.n_transforms)
-    centered = center(stats)
-    table = RejectionTable(centered, cfg)
     prob = SumTestProblem.from_matrix(stats, cfg)
+    table = RejectionTable(prob)
     m = stats.n_hyps
     subsets = [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
     mismatches = []

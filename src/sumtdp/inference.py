@@ -40,11 +40,9 @@ from .statmatrix import StatisticMatrix, TestConfig, column_index, validate_subs
 __all__ = [
     "DiscoveryResult",
     "PrefixResult",
-    "ReportEntry",
     "discoveries",
     "discoveries_matrix",
     "largest_subset",
-    "simultaneous_report",
 ]
 
 
@@ -112,6 +110,10 @@ def discoveries(
     finite budget the bound stays valid but may undercount; ``converged``
     tells the difference.  One :class:`~.shortcut.QueryContext` serves
     every scan of the query.
+
+    Bounds from any number of calls on one problem hold jointly at the
+    configured confidence level, so a loop over many subsets needs no
+    adjustment across queries.
     """
     ctx = QueryContext(prob, subset)
     subset = ctx.subset
@@ -199,24 +201,22 @@ def discoveries_matrix(
     work to reach them shrinks.
     """
     subset = validate_subset(subset, stats.n_hyps)
+    query, counts = subset, None
     if reduction_ground is not None:
         red = reduce_columns(stats, subset, ground=reduction_ground)
-        prob = SumTestProblem.from_matrix(red.stats, cfg)
-        inner = discoveries(
-            prob, red.subset,
-            total_budget=total_budget, step_budget=step_budget, trace=trace,
-        )
+        stats, query = red.stats, red.subset
         counts = {
-            "m_reduced": red.stats.n_hyps,
+            "m_reduced": stats.n_hyps,
             "removed": len(red.removed),
             "collapsed": len(red.collapsed),
         }
-        return replace(inner, subset=subset, reduction=counts)
-    prob = SumTestProblem.from_matrix(stats, cfg)
-    return discoveries(
-        prob, subset,
+    res = discoveries(
+        SumTestProblem.from_matrix(stats, cfg), query,
         total_budget=total_budget, step_budget=step_budget, trace=trace,
     )
+    if counts is None:
+        return res
+    return replace(res, subset=subset, reduction=counts)
 
 
 @dataclass(frozen=True)
@@ -238,12 +238,12 @@ def largest_subset(
     """Largest k whose first-k-columns TDP bound is at least ``gamma``.
 
     ``order`` is a permutation of all column indices (default: natural
-    order) defining the nested family of prefixes.  ``gamma = 0`` is
-    satisfied by the full set at once.  Otherwise the prefix length starts
-    at m; a prefix of length k with discovery count d < gamma*k rules out
-    every length above floor(d/gamma) as well, because dropping columns
-    removes at most that many discoveries while the requirement scales with
-    k, so the search jumps straight there.  Returns size 0 with an empty
+    order) defining the nested family of prefixes.  The prefix length
+    starts at m, so ``gamma = 0`` is met by the full set at once.  A prefix
+    of length k with discovery count d < gamma*k rules out every length
+    above floor(d/gamma) as well, because dropping columns removes at most
+    that many discoveries while the requirement scales with k, so the
+    search jumps straight there.  Returns size 0 with an empty
     subset when no prefix qualifies.  Budgets apply per prefix query.
     """
     if not 0.0 <= gamma <= 1.0:
@@ -255,12 +255,6 @@ def largest_subset(
         order = tuple(column_index(i) for i in order)
         if sorted(order) != list(range(m)):
             raise ValueError("order must be a permutation of all column indices")
-    if gamma == 0.0:
-        res = discoveries(
-            prob, order,
-            total_budget=total_budget, step_budget=step_budget,
-        )
-        return PrefixResult(size=m, subset=res.subset, result=res)
     k = m
     while k >= 1:
         res = discoveries(
@@ -274,38 +268,3 @@ def largest_subset(
         # the boundary, at worst costing one extra query.
         k = min(int(res.discoveries / gamma) + 1, k - 1)
     return PrefixResult(size=0, subset=(), result=None)
-
-
-@dataclass(frozen=True)
-class ReportEntry:
-    """One row of a multi-subset report: a result or a per-query error."""
-
-    set_id: int
-    result: DiscoveryResult = None
-    error: str = None
-
-
-def simultaneous_report(
-    prob: SumTestProblem,
-    subsets,
-    total_budget=None,
-    step_budget=None,
-) -> list:
-    """Discovery bounds for many subsets of one matrix.
-
-    All bounds hold jointly at the configured confidence level, however many
-    subsets are queried, so no adjustment across queries is applied.  A
-    subset that fails validation yields an error entry; the rest still run.
-    Entries come back in input order.
-    """
-    report = []
-    for idx, subset in enumerate(subsets):
-        try:
-            res = discoveries(
-                prob, subset,
-                total_budget=total_budget, step_budget=step_budget,
-            )
-            report.append(ReportEntry(set_id=idx, result=res))
-        except ValueError as exc:
-            report.append(ReportEntry(set_id=idx, error=str(exc)))
-    return report

@@ -1,20 +1,21 @@
 """Exhaustive closed-testing reference, tractable up to a dozen hypotheses.
 
-Builds the rejection status of all 2^m hypothesis sets with incremental row
-sums (each set's sums extend the sums of the set without its lowest member),
-then answers overlap queries by scanning the surviving (non-rejected) masks.
-Used as the ground truth that the shortcut engine is checked against.
+Builds the rejection status of all 2^m hypothesis sets of one
+:class:`~.shortcut.SumTestProblem` with incremental row sums (each set's
+sums extend the sums of the set without its lowest member), then answers
+overlap queries by scanning the surviving (non-rejected) masks.  Build one
+table per problem and query it as often as needed.  Used as the ground truth
+that the shortcut engine is checked against: the two share the problem, not
+the search, since the enumeration reads only its centered values and
+critical rank.
 """
 
 import numpy as np
 
-from .statmatrix import CenteredMatrix, TestConfig, validate_subset
+from .shortcut import SumTestProblem
+from .statmatrix import validate_subset
 
-__all__ = [
-    "RejectionTable",
-    "max_nonrejected_overlap",
-    "all_overlapping_rejected",
-]
+__all__ = ["RejectionTable"]
 
 _MAX_HYPS = 12
 _MAX_TRANSFORMS = 64
@@ -33,28 +34,25 @@ def _popcount(masks: np.ndarray) -> np.ndarray:
 
 
 class RejectionTable:
-    """Rejection status of every hypothesis set of one centered matrix."""
+    """Rejection status of every hypothesis set of one problem."""
 
-    def __init__(self, centered: CenteredMatrix, cfg: TestConfig):
-        if cfg.n_transforms != centered.n_transforms:
-            raise ValueError("config and matrix disagree on the number of rows")
-        m = centered.n_hyps
+    def __init__(self, prob: SumTestProblem):
+        m = prob.n_hyps
         if m > _MAX_HYPS:
             raise ValueError(f"exhaustive table supports at most {_MAX_HYPS} columns, got {m}")
-        if centered.n_transforms > _MAX_TRANSFORMS:
+        if prob.n_transforms > _MAX_TRANSFORMS:
             raise ValueError(
                 f"exhaustive table supports at most {_MAX_TRANSFORMS} rows, "
-                f"got {centered.n_transforms}"
+                f"got {prob.n_transforms}"
             )
         self.n_hyps = m
-        self.cfg = cfg
         n_sets = 1 << m
-        values = centered.values
-        sums = np.zeros((n_sets, centered.n_transforms))
+        values = prob.centered
+        sums = np.zeros((n_sets, prob.n_transforms))
         for mask in range(1, n_sets):
             low = mask & -mask
             sums[mask] = sums[mask ^ low] + values[:, low.bit_length() - 1]
-        rank = cfg.crit_rank
+        rank = prob.crit_rank
         quantiles = np.partition(sums, rank - 1, axis=1)[:, rank - 1]
         self.quantiles = quantiles
         # The empty set is never rejected; its all-zero sums give quantile 0.
@@ -97,11 +95,3 @@ class RejectionTable:
         if not pick.any():
             return float("nan")
         return float(self.quantiles[pick].min())
-
-
-def max_nonrejected_overlap(centered: CenteredMatrix, subset, cfg: TestConfig) -> int:
-    return RejectionTable(centered, cfg).max_nonrejected_overlap(subset)
-
-
-def all_overlapping_rejected(centered: CenteredMatrix, subset, min_overlap: int, cfg: TestConfig) -> bool:
-    return RejectionTable(centered, cfg).all_overlapping_rejected(subset, min_overlap)

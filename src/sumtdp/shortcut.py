@@ -69,7 +69,6 @@ import numpy as np
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
-    center,
     validate_subset,
 )
 
@@ -180,9 +179,10 @@ class SumTestProblem:
 
     @classmethod
     def from_matrix(cls, stats: StatisticMatrix, cfg: TestConfig) -> "SumTestProblem":
+        """Subtract every row of ``stats`` from its observed row."""
         if cfg.n_transforms != stats.n_transforms:
             raise ValueError("config and matrix disagree on the number of rows")
-        return cls(center(stats).values, stats.observed, cfg.crit_rank)
+        return cls(stats.values[0] - stats.values, stats.observed, cfg.crit_rank)
 
 
 class TraceLog:

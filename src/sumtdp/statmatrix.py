@@ -4,8 +4,10 @@ A statistic matrix holds one row per data transformation and one column per
 hypothesis; row 0 is always the observed (identity) row.  Centering subtracts
 every row from the observed row, so the identity row becomes all zeros.  A
 subset of hypotheses is rejected when a low order statistic of its centered
-row sums is strictly positive.  Everything downstream consumes the centered
-form together with a :class:`TestConfig` fixing the critical rank.
+row sums is strictly positive.  One :class:`~sumtdp.shortcut.SumTestProblem`
+per matrix holds the centered form and the critical rank a
+:class:`TestConfig` fixes; :func:`subset_quantile` and :func:`reject` test
+one subset of it, and the engine and the exhaustive reference read it too.
 
 Matrices are immutable once constructed (the wrapped arrays are marked
 read-only), so they can be shared freely across threads.
@@ -21,9 +23,7 @@ import numpy as np
 
 __all__ = [
     "StatisticMatrix",
-    "CenteredMatrix",
     "TestConfig",
-    "center",
     "subset_quantile",
     "reject",
     "read_statistic_csv",
@@ -93,31 +93,6 @@ class StatisticMatrix:
         return tuple(f"H{j + 1}" for j in range(self.n_hyps))
 
 
-@dataclass(frozen=True, eq=False)
-class CenteredMatrix:
-    """Observed row minus every transformed row; row 0 is identically zero."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _freeze(self.values)
-        if arr.ndim != 2:
-            raise ValueError(f"centered matrix must be 2-D, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("centered matrix has non-finite entries")
-        if arr.shape[0] >= 1 and np.any(arr[0] != 0.0):
-            raise ValueError("row 0 of a centered matrix must be all zeros")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n_transforms(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_hyps(self) -> int:
-        return self.values.shape[1]
-
-
 @dataclass(frozen=True)
 class TestConfig:
     """Level and critical rank of the centered sum test.
@@ -179,30 +154,20 @@ def validate_subset(subset, n_hyps) -> tuple:
     return tuple(sorted(cols))
 
 
-def center(stats: StatisticMatrix) -> CenteredMatrix:
-    """Subtract every row from the observed row."""
-    return CenteredMatrix(stats.values[0] - stats.values)
+def subset_quantile(prob, subset) -> float:
+    """``crit_rank``-th smallest centered sum over the given columns.
+
+    ``prob`` is a :class:`~sumtdp.shortcut.SumTestProblem`, which holds the
+    centered matrix and the critical rank.
+    """
+    cols = validate_subset(subset, prob.n_hyps)
+    sums = prob.centered[:, cols].sum(axis=1)
+    return float(np.partition(sums, prob.crit_rank - 1)[prob.crit_rank - 1])
 
 
-def _check_cfg(centered, cfg: TestConfig):
-    if cfg.n_transforms != centered.n_transforms:
-        raise ValueError(
-            f"config expects {cfg.n_transforms} transformations, "
-            f"matrix has {centered.n_transforms}"
-        )
-
-
-def subset_quantile(centered: CenteredMatrix, subset, cfg: TestConfig) -> float:
-    """``crit_rank``-th smallest centered sum over the given columns."""
-    _check_cfg(centered, cfg)
-    cols = validate_subset(subset, centered.n_hyps)
-    sums = centered.values[:, cols].sum(axis=1)
-    return float(np.partition(sums, cfg.crit_rank - 1)[cfg.crit_rank - 1])
-
-
-def reject(centered: CenteredMatrix, subset, cfg: TestConfig) -> bool:
+def reject(prob, subset) -> bool:
     """True when the subset's critical centered sum is strictly positive."""
-    return subset_quantile(centered, subset, cfg) > 0.0
+    return subset_quantile(prob, subset) > 0.0
 
 
 def _read_table(path):

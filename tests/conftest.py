@@ -8,7 +8,7 @@ tests freeze below was verified by exhaustive enumeration.
 import numpy as np
 import pytest
 
-from sumtdp import StatisticMatrix, SumTestProblem, TestConfig, center
+from sumtdp import StatisticMatrix, SumTestProblem, TestConfig
 
 TOY_ROWS = [
     [6, 5, 4, 1, 1],
@@ -35,11 +35,6 @@ def toy_stats(toy_values):
 @pytest.fixture
 def toy_cfg():
     return TestConfig(alpha=TOY_ALPHA, n_transforms=len(TOY_ROWS))
-
-
-@pytest.fixture
-def toy_centered(toy_stats):
-    return center(toy_stats)
 
 
 @pytest.fixture

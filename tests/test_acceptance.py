@@ -20,7 +20,6 @@ from sumtdp import (
     TestConfig,
     Verdict,
     Workspace,
-    center,
     discoveries,
     discoveries_matrix,
     evaluate_iterative,
@@ -46,13 +45,12 @@ def test_criterion_1_worked_example_exact():
     started = time.perf_counter()
     stats = StatisticMatrix(np.array(TOY_ROWS, dtype=float))
     cfg = TestConfig(alpha=0.4, n_transforms=6)
-    cen = center(stats)
     prob = SumTestProblem.from_matrix(stats, cfg)
     sub = (0, 1)
 
     ok = cfg.crit_rank == 3
-    ok &= subset_quantile(cen, sub, cfg) == 2.0
-    ok &= reject(cen, sub, cfg)
+    ok &= subset_quantile(prob, sub) == 2.0
+    ok &= reject(prob, sub)
     ok &= single_step(prob, sub, 2).verdict is Verdict.ALL_REJECTED
     root = single_step(prob, sub, 1)
     ok &= root.verdict is Verdict.UNDECIDED
@@ -75,8 +73,8 @@ def test_criterion_2_matches_exhaustive_reference():
         stats, cfg = random_instance(
             rng, min_hyps=3, max_hyps=12, min_transforms=4, max_transforms=64,
             alphas=(0.05, 0.2, 0.4))
-        table = RejectionTable(center(stats), cfg)
         prob = SumTestProblem.from_matrix(stats, cfg)
+        table = RejectionTable(prob)
         for _ in range(50):
             sub = random_subset(rng, stats.n_hyps)
             res = discoveries(prob, sub)
@@ -100,8 +98,8 @@ def test_criterion_3_budget_monotone_and_safe():
     exercised = 0
     for _ in range(40):
         stats, cfg = random_instance(rng, max_hyps=11, max_transforms=48)
-        table = RejectionTable(center(stats), cfg)
         prob = SumTestProblem.from_matrix(stats, cfg)
+        table = RejectionTable(prob)
         sub = random_subset(rng, stats.n_hyps)
         d_oracle = len(sub) - table.max_nonrejected_overlap(sub)
         counts = [
@@ -123,9 +121,8 @@ def test_criterion_4_bound_and_path_laws():
     lemma_checked = 0
     for _ in range(30):
         stats, cfg = random_instance(rng, max_hyps=10, max_transforms=32)
-        cen = center(stats)
-        table = RejectionTable(cen, cfg)
         prob = SumTestProblem.from_matrix(stats, cfg)
+        table = RejectionTable(prob)
         for _ in range(5):
             sub = random_subset(rng, stats.n_hyps)
             for z in range(1, len(sub) + 1):
@@ -141,7 +138,7 @@ def test_criterion_4_bound_and_path_laws():
                     cand = ws.path_set(v)
                     if len(cand) != v or len(set(cand) & set(sub)) < z:
                         violations += 1
-                    if abs(ws.path_value(v) - subset_quantile(cen, cand, cfg)) > 1e-9:
+                    if abs(ws.path_value(v) - subset_quantile(prob, cand)) > 1e-9:
                         violations += 1
                     if bound > ws.path_value(v) + 1e-9:
                         violations += 1

@@ -10,7 +10,6 @@ from sumtdp import (
     TraceLog,
     Verdict,
     Workspace,
-    center,
     evaluate_iterative,
     pick_pivot,
 )
@@ -101,9 +100,8 @@ class TestAgainstOracle:
         seen = {True: 0, False: 0}
         for _ in range(30):
             stats, cfg = random_instance(rng, max_hyps=9, max_transforms=32)
-            cen = center(stats)
-            table = RejectionTable(cen, cfg)
             prob = SumTestProblem.from_matrix(stats, cfg)
+            table = RejectionTable(prob)
             subset = random_subset(rng, stats.n_hyps)
             for z in range(1, len(subset) + 1):
                 res = evaluate_iterative(prob, subset, z)
@@ -223,7 +221,6 @@ class TestWitnesses:
         found = 0
         for _ in range(30):
             stats, cfg = random_instance(rng, max_hyps=9, max_transforms=32)
-            cen = center(stats)
             prob = SumTestProblem.from_matrix(stats, cfg)
             subset = random_subset(rng, stats.n_hyps)
             z = int(rng.integers(1, len(subset) + 1))
@@ -233,5 +230,5 @@ class TestWitnesses:
             found += 1
             w = res.evaluation.witness
             assert len(set(w) & set(subset)) >= z
-            assert subset_quantile(cen, w, cfg) <= 0.0
+            assert subset_quantile(prob, w) <= 0.0
         assert found >= 5

@@ -3,6 +3,8 @@
 No linter ships with the project, so the first tests walk the syntax tree
 of each module in ``src/sumtdp`` and ``tests``: a name bound by an import
 must be read somewhere in the module, or be listed in its ``__all__``.
+Every name an ``__all__`` lists must exist, once: a stale string there
+still imports cleanly and breaks only ``from sumtdp import *``.
 
 The package imports ``scipy.stats`` and ``scipy.optimize`` only inside the
 functions that need them (the simulation harness's effect size), because
@@ -14,6 +16,7 @@ must give the same bits.
 """
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -28,6 +31,11 @@ from sumtdp.combiners import _P_HIGH, Combiner
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "sumtdp").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = ["sumtdp"] + [
+    f"sumtdp.{path.stem}"
+    for path in sorted((ROOT / "src" / "sumtdp").glob("*.py"))
+    if path.stem != "__init__"
+]
 
 
 def unused_imports(source: str) -> list:
@@ -63,6 +71,29 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_and_spares_exports():
     source = "import os\nimport sys as system\nfrom a import b, c\n__all__ = ['c']\nprint(b)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: system"]
+
+
+def export_faults(module) -> list:
+    names = list(getattr(module, "__all__", ()))
+    faults = [f"{name} listed twice" for name in sorted(set(names)) if names.count(name) > 1]
+    for name in names:
+        try:
+            getattr(module, name)
+        except AttributeError:
+            faults.append(f"{name} not defined")
+    return faults
+
+
+@pytest.mark.parametrize("name", PACKAGE)
+def test_all_names_resolve_once(name):
+    assert export_faults(importlib.import_module(name)) == []
+
+
+def test_export_checker_flags_stale_and_repeated_names():
+    module = type(sys)("fake")
+    module.__all__ = ["a", "gone", "a"]
+    module.a = 1
+    assert export_faults(module) == ["a listed twice", "gone not defined"]
 
 
 @pytest.mark.parametrize("module", ["sumtdp", "sumtdp.cli"])

@@ -1,4 +1,4 @@
-"""Discovery bounds: bisection, budgets, prefix search, multi-set reports."""
+"""Discovery bounds: bisection, budgets, prefix search."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,12 @@ from sumtdp import (
     TestConfig,
     TraceLog,
     Verdict,
-    center,
     discoveries,
     discoveries_matrix,
     evaluate_iterative,
     largest_subset,
     reduce_columns,
     reject,
-    simultaneous_report,
     truncate,
     TruncationRule,
 )
@@ -82,8 +80,8 @@ class TestAgainstOracle:
         rng = np.random.default_rng(50)
         for _ in range(25):
             stats, cfg = random_instance(rng, max_hyps=9, max_transforms=32)
-            table = RejectionTable(center(stats), cfg)
             prob = SumTestProblem.from_matrix(stats, cfg)
+            table = RejectionTable(prob)
             for _ in range(6):
                 sub = random_subset(rng, stats.n_hyps)
                 res = discoveries(prob, sub)
@@ -105,12 +103,11 @@ class TestAgainstOracle:
         seen = {True: 0, False: 0}
         for _ in range(30):
             stats, cfg = random_instance(rng)
-            cen = center(stats)
             prob = SumTestProblem.from_matrix(stats, cfg)
             full = tuple(range(stats.n_hyps))
             res = discoveries(prob, full)
             assert res.converged
-            rejected = reject(cen, full, cfg)
+            rejected = reject(prob, full)
             assert (res.discoveries > 0) == rejected
             seen[rejected] += 1
         assert min(seen.values()) > 3
@@ -331,22 +328,3 @@ class TestLargestSubset:
         order = (4, 3, 2, 1, 0)
         res = largest_subset(toy_problem, 0.2, order=order)
         assert res.subset == tuple(sorted(order[: res.size]))
-
-
-class TestSimultaneousReport:
-    def test_entries_in_input_order(self, toy_problem):
-        subs = [(0, 1), (2,), (0, 1, 2, 3, 4)]
-        report = simultaneous_report(toy_problem, subs)
-        assert [e.set_id for e in report] == [0, 1, 2]
-        assert report[0].result.discoveries == 1
-        assert report[2].result.discoveries == 2
-
-    def test_duplicates_allowed(self, toy_problem):
-        report = simultaneous_report(toy_problem, [(0, 1), (0, 1)])
-        assert report[0].result == report[1].result
-
-    def test_error_entry_keeps_going(self, toy_problem):
-        report = simultaneous_report(toy_problem, [(0, 9), (0, 1)])
-        assert report[0].result is None
-        assert "out of range" in report[0].error
-        assert report[1].result.discoveries == 1

@@ -8,10 +8,8 @@ import pytest
 from sumtdp import (
     RejectionTable,
     StatisticMatrix,
+    SumTestProblem,
     TestConfig,
-    all_overlapping_rejected,
-    center,
-    max_nonrejected_overlap,
     reject,
     subset_quantile,
 )
@@ -19,30 +17,26 @@ from tests.util import random_instance, random_subset
 
 
 class TestToyTable:
-    def test_max_overlap(self, toy_centered, toy_cfg):
-        table = RejectionTable(toy_centered, toy_cfg)
+    def test_max_overlap(self, toy_problem):
+        table = RejectionTable(toy_problem)
         assert table.max_nonrejected_overlap((0, 1)) == 1
 
-    def test_all_overlapping(self, toy_centered, toy_cfg):
-        table = RejectionTable(toy_centered, toy_cfg)
+    def test_all_overlapping(self, toy_problem):
+        table = RejectionTable(toy_problem)
         assert not table.all_overlapping_rejected((0, 1), 1)
         assert table.all_overlapping_rejected((0, 1), 2)
 
-    def test_module_wrappers(self, toy_centered, toy_cfg):
-        assert max_nonrejected_overlap(toy_centered, (0, 1), toy_cfg) == 1
-        assert all_overlapping_rejected(toy_centered, (0, 1), 2, toy_cfg)
-
-    def test_quantiles_match_direct(self, toy_centered, toy_cfg):
-        table = RejectionTable(toy_centered, toy_cfg)
-        m = toy_centered.n_hyps
+    def test_quantiles_match_direct(self, toy_problem):
+        table = RejectionTable(toy_problem)
+        m = toy_problem.n_hyps
         for mask in range(1, 1 << m):
             sub = tuple(i for i in range(m) if mask >> i & 1)
-            direct = subset_quantile(toy_centered, sub, toy_cfg)
+            direct = subset_quantile(toy_problem, sub)
             assert table.quantiles[mask] == pytest.approx(direct)
-            assert table.rejected[mask] == reject(toy_centered, sub, toy_cfg)
+            assert table.rejected[mask] == reject(toy_problem, sub)
 
-    def test_empty_set_never_rejected(self, toy_centered, toy_cfg):
-        table = RejectionTable(toy_centered, toy_cfg)
+    def test_empty_set_never_rejected(self, toy_problem):
+        table = RejectionTable(toy_problem)
         assert not table.rejected[0]
         assert table.quantiles[0] == 0.0
 
@@ -52,14 +46,14 @@ class TestAgainstEnumeration:
         rng = np.random.default_rng(20)
         for _ in range(15):
             stats, cfg = random_instance(rng, max_hyps=7, max_transforms=24)
-            cen = center(stats)
-            table = RejectionTable(cen, cfg)
+            prob = SumTestProblem.from_matrix(stats, cfg)
+            table = RejectionTable(prob)
             m = stats.n_hyps
             sub = random_subset(rng, m)
             best = 0
             for mask in range(1, 1 << m):
                 vset = frozenset(i for i in range(m) if mask >> i & 1)
-                if not reject(cen, tuple(sorted(vset)), cfg):
+                if not reject(prob, tuple(sorted(vset))):
                     best = max(best, len(vset & set(sub)))
             assert table.max_nonrejected_overlap(sub) == best
 
@@ -67,7 +61,7 @@ class TestAgainstEnumeration:
         rng = np.random.default_rng(21)
         for _ in range(15):
             stats, cfg = random_instance(rng, max_hyps=7, max_transforms=24)
-            table = RejectionTable(center(stats), cfg)
+            table = RejectionTable(SumTestProblem.from_matrix(stats, cfg))
             sub = random_subset(rng, stats.n_hyps)
             q = table.max_nonrejected_overlap(sub)
             for z in range(0, len(sub) + 2):
@@ -76,14 +70,14 @@ class TestAgainstEnumeration:
     def test_min_quantile_brute_force(self):
         rng = np.random.default_rng(22)
         stats, cfg = random_instance(rng, max_hyps=6, max_transforms=16)
-        cen = center(stats)
-        table = RejectionTable(cen, cfg)
+        prob = SumTestProblem.from_matrix(stats, cfg)
+        table = RejectionTable(prob)
         m = stats.n_hyps
         sub = random_subset(rng, m)
         for size in range(1, m + 1):
             for z in range(1, len(sub) + 1):
                 vals = [
-                    subset_quantile(cen, v, cfg)
+                    subset_quantile(prob, v)
                     for v in combinations(range(m), size)
                     if len(set(v) & set(sub)) >= z
                 ]
@@ -99,14 +93,15 @@ class TestLimits:
         stats = StatisticMatrix(np.zeros((4, 13)))
         cfg = TestConfig(0.4, 4)
         with pytest.raises(ValueError, match="12 columns"):
-            RejectionTable(center(stats), cfg)
+            RejectionTable(SumTestProblem.from_matrix(stats, cfg))
 
     def test_too_many_rows(self):
         stats = StatisticMatrix(np.zeros((65, 3)))
         cfg = TestConfig(0.4, 65)
         with pytest.raises(ValueError, match="64 rows"):
-            RejectionTable(center(stats), cfg)
+            RejectionTable(SumTestProblem.from_matrix(stats, cfg))
 
-    def test_row_count_mismatch(self, toy_centered):
+    def test_row_count_mismatch(self, toy_stats):
+        # the problem, which every table is built from, checks the row count
         with pytest.raises(ValueError, match="disagree"):
-            RejectionTable(toy_centered, TestConfig(0.4, 7))
+            RejectionTable(SumTestProblem.from_matrix(toy_stats, TestConfig(0.4, 7)))

@@ -13,7 +13,6 @@ from sumtdp import (
     TraceLog,
     Verdict,
     Workspace,
-    center,
     pick_pivot,
     single_step,
     subset_quantile,
@@ -267,20 +266,19 @@ class TestSingleStepToy:
 
 
 def _enumerate_checks(rng, n_instances):
-    """Yield (prob, cen, cfg, table, subset) tuples small enough to enumerate."""
+    """Yield (prob, table, subset) tuples small enough to enumerate."""
     for _ in range(n_instances):
         stats, cfg = random_instance(rng, max_hyps=8, max_transforms=24)
-        cen = center(stats)
-        table = RejectionTable(cen, cfg)
         prob = SumTestProblem.from_matrix(stats, cfg)
+        table = RejectionTable(prob)
         subset = random_subset(rng, stats.n_hyps)
-        yield prob, cen, cfg, table, subset
+        yield prob, table, subset
 
 
 class TestLawsAgainstOracle:
     def test_bound_never_exceeds_candidate_quantiles(self):
         rng = np.random.default_rng(30)
-        for prob, cen, cfg, table, subset in _enumerate_checks(rng, 25):
+        for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
                 ws = Workspace(prob, subset, z)
                 if ws.infeasible:
@@ -291,7 +289,7 @@ class TestLawsAgainstOracle:
 
     def test_path_candidates_are_feasible_and_exact(self):
         rng = np.random.default_rng(31)
-        for prob, cen, cfg, table, subset in _enumerate_checks(rng, 25):
+        for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
                 ws = Workspace(prob, subset, z)
                 if ws.infeasible:
@@ -300,12 +298,12 @@ class TestLawsAgainstOracle:
                     cand = ws.path_set(v)
                     assert len(cand) == v
                     assert len(set(cand) & set(subset)) >= z
-                    direct = subset_quantile(cen, cand, cfg)
+                    direct = subset_quantile(prob, cand)
                     assert ws.path_value(v) == pytest.approx(direct, abs=1e-9)
 
     def test_bound_below_path(self):
         rng = np.random.default_rng(32)
-        for prob, cen, cfg, table, subset in _enumerate_checks(rng, 15):
+        for prob, table, subset in _enumerate_checks(rng, 15):
             for z in range(1, len(subset) + 1):
                 ws = Workspace(prob, subset, z)
                 if ws.infeasible:
@@ -315,7 +313,7 @@ class TestLawsAgainstOracle:
 
     def test_shape_indices_hold(self):
         rng = np.random.default_rng(33)
-        for prob, cen, cfg, table, subset in _enumerate_checks(rng, 25):
+        for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
                 ws = Workspace(prob, subset, z)
                 if ws.infeasible:
@@ -331,7 +329,7 @@ class TestLawsAgainstOracle:
     def test_verdicts_sound(self):
         rng = np.random.default_rng(34)
         n_undecided = 0
-        for prob, cen, cfg, table, subset in _enumerate_checks(rng, 40):
+        for prob, table, subset in _enumerate_checks(rng, 40):
             for z in range(1, len(subset) + 1):
                 out = single_step(prob, subset, z)
                 truth = table.all_overlapping_rejected(subset, z)
@@ -341,7 +339,7 @@ class TestLawsAgainstOracle:
                     assert not truth
                     w = out.witness
                     assert len(set(w) & set(subset)) >= z
-                    assert subset_quantile(cen, w, cfg) <= 0.0
+                    assert subset_quantile(prob, w) <= 0.0
                 else:
                     n_undecided += 1
                     lo, hi = out.window
@@ -355,7 +353,7 @@ class TestLawsAgainstOracle:
 
     def test_window_endpoints_not_singletons(self):
         rng = np.random.default_rng(35)
-        for prob, cen, cfg, table, subset in _enumerate_checks(rng, 30):
+        for prob, table, subset in _enumerate_checks(rng, 30):
             for z in range(1, len(subset) + 1):
                 out = single_step(prob, subset, z)
                 if out.verdict is not Verdict.UNDECIDED:
@@ -368,7 +366,7 @@ class TestLawsAgainstOracle:
         # without path checks the verdict may stay UNDECIDED, but whenever it
         # is decided it must agree with the path-enabled run
         rng = np.random.default_rng(36)
-        for prob, cen, cfg, table, subset in _enumerate_checks(rng, 30):
+        for prob, table, subset in _enumerate_checks(rng, 30):
             for z in range(1, len(subset) + 1):
                 full = single_step(prob, subset, z, want_path=True)
                 lazy = single_step(prob, subset, z, want_path=False)
@@ -381,14 +379,14 @@ class TestLawsAgainstOracle:
         # force/exclude a random pair and compare against an oracle built on
         # the restricted candidate family
         rng = np.random.default_rng(37)
-        for prob, cen, cfg, table, subset in _enumerate_checks(rng, 25):
+        for prob, table, subset in _enumerate_checks(rng, 25):
             m = prob.n_hyps
             cols = rng.choice(m, size=2, replace=False)
             constraint = FREE.force(int(cols[0])).exclude(int(cols[1]))
             for z in range(1, len(subset) + 1):
                 out = single_step(prob, subset, z, constraint)
                 truth = _constrained_all_rejected(
-                    cen, cfg, subset, z, constraint)
+                    prob, subset, z, constraint)
                 if out.verdict is Verdict.ALL_REJECTED:
                     assert truth
                 elif out.verdict is Verdict.SURVIVOR_FOUND:
@@ -398,8 +396,8 @@ class TestLawsAgainstOracle:
                     assert not (constraint.excluded & w)
 
 
-def _constrained_all_rejected(cen, cfg, subset, z, constraint):
-    m = cen.n_hyps
+def _constrained_all_rejected(prob, subset, z, constraint):
+    m = prob.n_hyps
     sset = set(subset)
     for mask in range(1 << m):
         v = {i for i in range(m) if mask >> i & 1}
@@ -409,7 +407,7 @@ def _constrained_all_rejected(cen, cfg, subset, z, constraint):
             continue
         if not v:
             return False
-        if subset_quantile(cen, tuple(sorted(v)), cfg) <= 0.0:
+        if subset_quantile(prob, tuple(sorted(v))) <= 0.0:
             return False
     return True
 

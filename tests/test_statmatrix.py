@@ -8,8 +8,8 @@ import pytest
 
 from sumtdp import (
     StatisticMatrix,
+    SumTestProblem,
     TestConfig,
-    center,
     read_data_csv,
     read_statistic_csv,
     reject,
@@ -58,19 +58,19 @@ class TestStatisticMatrix:
 
 
 class TestCentering:
-    def test_first_row_zero(self, toy_centered):
-        assert np.array_equal(toy_centered.values[0], np.zeros(5))
+    def test_first_row_zero(self, toy_problem):
+        assert np.array_equal(toy_problem.centered[0], np.zeros(5))
 
-    def test_subtracts_from_observed(self, toy_stats, toy_centered):
+    def test_subtracts_from_observed(self, toy_stats, toy_problem):
         expect = toy_stats.values[0] - toy_stats.values
-        assert np.array_equal(toy_centered.values, expect)
+        assert np.array_equal(toy_problem.centered, expect)
 
     def test_centering_random(self):
         rng = np.random.default_rng(1)
-        stats, _ = random_instance(rng)
-        cen = center(stats)
-        assert np.allclose(cen.values, stats.values[0] - stats.values)
-        assert np.array_equal(cen.values[0], np.zeros(stats.n_hyps))
+        stats, cfg = random_instance(rng)
+        cen = SumTestProblem.from_matrix(stats, cfg).centered
+        assert np.array_equal(cen, stats.values[0] - stats.values)
+        assert np.array_equal(cen[0], np.zeros(stats.n_hyps))
 
 
 class TestTestConfig:
@@ -106,32 +106,32 @@ class TestTestConfig:
 
 
 class TestSubsetQuantile:
-    def test_toy_values(self, toy_centered, toy_cfg):
-        assert subset_quantile(toy_centered, (0, 1), toy_cfg) == 2.0
-        assert subset_quantile(toy_centered, (0,), toy_cfg) == -1.0
+    def test_toy_values(self, toy_problem):
+        assert subset_quantile(toy_problem, (0, 1)) == 2.0
+        assert subset_quantile(toy_problem, (0,)) == -1.0
 
-    def test_toy_rejections(self, toy_centered, toy_cfg):
-        assert reject(toy_centered, (0, 1), toy_cfg)
-        assert not reject(toy_centered, (3,), toy_cfg)
+    def test_toy_rejections(self, toy_problem):
+        assert reject(toy_problem, (0, 1))
+        assert not reject(toy_problem, (3,))
 
     def test_reject_iff_quantile_positive(self):
         rng = np.random.default_rng(2)
         for _ in range(40):
             stats, cfg = random_instance(rng)
-            cen = center(stats)
+            prob = SumTestProblem.from_matrix(stats, cfg)
             sub = random_subset(rng, stats.n_hyps)
-            q = subset_quantile(cen, sub, cfg)
-            assert reject(cen, sub, cfg) == (q > 0.0)
+            q = subset_quantile(prob, sub)
+            assert reject(prob, sub) == (q > 0.0)
 
     def test_quantile_is_rank_of_centered_sums(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
             stats, cfg = random_instance(rng)
-            cen = center(stats)
+            prob = SumTestProblem.from_matrix(stats, cfg)
             sub = random_subset(rng, stats.n_hyps)
-            sums = cen.values[:, sub].sum(axis=1)
+            sums = (stats.values[0] - stats.values)[:, sub].sum(axis=1)
             expect = np.sort(sums)[cfg.crit_rank - 1]
-            got = subset_quantile(cen, sub, cfg)
+            got = subset_quantile(prob, sub)
             assert got == pytest.approx(expect, abs=1e-12)
 
     def test_raw_scale_equivalence_noninteger_rank(self):
@@ -143,11 +143,11 @@ class TestSubsetQuantile:
             stats, cfg = random_instance(rng)
             if (cfg.alpha * cfg.n_transforms) == int(cfg.alpha * cfg.n_transforms):
                 continue
-            cen = center(stats)
+            prob = SumTestProblem.from_matrix(stats, cfg)
             sub = random_subset(rng, stats.n_hyps)
             raw = stats.values[:, sub].sum(axis=1)
             upper = np.sort(raw)[math.ceil((1 - cfg.alpha) * cfg.n_transforms) - 1]
-            assert reject(cen, sub, cfg) == (raw[0] > upper)
+            assert reject(prob, sub) == (raw[0] > upper)
             checked += 1
         assert checked > 20
 
@@ -161,13 +161,13 @@ class TestSubsetQuantile:
             [2.0, 0.0],
         ])
         cfg = TestConfig(alpha=0.5, n_transforms=4)
-        cen = center(StatisticMatrix(values))
+        prob = SumTestProblem.from_matrix(StatisticMatrix(values), cfg)
         raw = values.sum(axis=1)
         upper = np.sort(raw)[math.ceil((1 - cfg.alpha) * cfg.n_transforms) - 1]
-        assert not reject(cen, (0, 1), cfg)
+        assert not reject(prob, (0, 1))
         assert not raw[0] > upper  # both say keep here
         # the centered rule is the definition; spot check its quantile
-        assert subset_quantile(cen, (0, 1), cfg) == 0.0
+        assert subset_quantile(prob, (0, 1)) == 0.0
 
 
 class TestValidateSubset:
