@@ -20,6 +20,7 @@ input error.
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -411,18 +412,23 @@ def _cmd_tdp(args) -> int:
             "sumtdp: --reduce on has no effect without truncation; skipping reduction\n"
         )
     reduce_on = truncation_active and args.reduce != "off"
-    reduction_ground = args.ground if reduce_on else None
+    # Without reduction every set queries the same problem: build it at the
+    # first set that needs it (a failed build is retried, so each set still
+    # reports its own error).
+    problem = functools.cache(lambda: SumTestProblem.from_matrix(stats, cfg))
 
     entries, trace_rows = [], []
     for set_id, tokens in enumerate(_parse_set_lists(args.sets, inputs), start=1):
         trace = TraceLog() if args.trace is not None else None
+        opts = dict(total_budget=args.total_budget, step_budget=args.max_iter, trace=trace)
         try:
-            res = discoveries_matrix(
-                stats, cfg, _parse_tokens(tokens, stats),
-                reduction_ground=reduction_ground,
-                total_budget=args.total_budget, step_budget=args.max_iter,
-                trace=trace,
-            )
+            subset = _parse_tokens(tokens, stats)
+            if reduce_on:
+                res = discoveries_matrix(
+                    stats, cfg, subset, reduction_ground=args.ground, **opts,
+                )
+            else:
+                res = discoveries(problem(), subset, **opts)
         except ValueError as exc:
             entries.append({"set_id": set_id, "error": str(exc)})
             continue

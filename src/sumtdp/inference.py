@@ -14,12 +14,22 @@ probe is top-biased: with k = ceil(log2(hi - lo)) it is lo + 2^(k-1), never
 below the midpoint.  A query whose answer is d = 0 (the overlap maximum at
 |S|) then climbs in fewer, larger steps than from the midpoint.  Both sides
 of every split span at most 2^(k-1) levels, so a query still needs at most
-ceil(log2(|S|+1)) levels, the same worst case as the midpoint.  A run cut
-short by its budget is treated as if a survivor existed, which can only
-lower d(S), so reported discovery counts stay valid at the configured
-confidence level no matter the budget.  All subsets of one matrix are
-covered simultaneously: no correction for asking about many subsets is
-needed.
+ceil(log2(|S|+1)) levels, the same worst case as the midpoint.
+
+A survivor W found while no level has been refuted is lifted: the one set
+W ∪ S is tested exactly as :func:`~.statmatrix.reject` tests it.  If it
+survives it contains S, so the overlap maximum is |S| and d(S) = 0 at
+once; the step is recorded at |S|, the overlap it certifies.  When
+d(S) > 0 that set is always rejected, so levels, scans and trace are those
+of the plain bisection.  The check is not a scan: it spends no budget and
+adds no level.  A candidate rejected once is not summed again in the
+query (for an all-column query it is S itself every time).
+
+A run cut short by its budget is treated as if a survivor existed, which
+can only lower d(S), so reported discovery counts stay valid at the
+configured confidence level no matter the budget.  All subsets of one
+matrix are covered simultaneously: no correction for asking about many
+subsets is needed.
 
 Budgets come in two layers.  ``step_budget`` caps the branch-and-bound
 splits within one overlap level.  ``total_budget`` meters the whole query in
@@ -32,10 +42,18 @@ count.
 
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .branchbound import evaluate_iterative
 from .reduction import reduce_columns
 from .shortcut import QueryContext, SumTestProblem, TraceLog, Verdict
-from .statmatrix import StatisticMatrix, TestConfig, column_index, validate_subset
+from .statmatrix import (
+    StatisticMatrix,
+    TestConfig,
+    column_index,
+    columns_quantile,
+    validate_subset,
+)
 
 __all__ = [
     "DiscoveryResult",
@@ -53,7 +71,9 @@ class DiscoveryResult:
     ``overlap_cap`` is the certified bound on the overlap maximum above
     (equal to it when ``converged``); :attr:`d_upper` is the bound on the
     discovery count above that the levels certify.  ``levels`` records each
-    bisection step as (overlap level, verdict, scans spent there).
+    bisection step as (overlap level, verdict, scans spent there); a step
+    whose survivor was lifted to one containing the subset records the
+    overlap that survivor certifies, the subset's size, not the probed one.
     ``evals`` is the total number of single-step scans, root scans included.
     ``reduction`` holds the column-reduction counts (``m_reduced``,
     ``removed``, ``collapsed``) when :func:`discoveries_matrix` reduced the
@@ -96,6 +116,29 @@ def _probe(lo: int, hi: int) -> int:
     return lo + (1 << ((hi - lo - 1).bit_length() - 1))
 
 
+def _lifts(prob, ctx, witness, rejected, trace) -> bool:
+    """Whether the survivor ``witness`` joined with the query subset survives.
+
+    The set W ∪ S is tested exactly as :func:`~.statmatrix.reject` tests
+    it.  If it survives it contains S, so it certifies the overlap |S|
+    (d = 0) and the trace gets one ``lift`` row.  A rejected candidate is
+    remembered in ``rejected`` and never summed again in the query.
+    """
+    members = ctx.in_subset.copy()
+    members[list(witness)] = True
+    cols = np.flatnonzero(members)
+    key = tuple(cols.tolist())
+    if key in rejected:
+        return False
+    value = columns_quantile(prob, cols)
+    if value > 0.0:
+        rejected.add(key)
+        return False
+    if trace is not None:
+        trace.add(kind="lift", overlap=len(ctx.subset), witness=key, value=value)
+    return True
+
+
 def discoveries(
     prob: SumTestProblem,
     subset,
@@ -133,6 +176,7 @@ def discoveries(
     steps_left = est_steps
     levels = []
     spent_total = 0
+    rejected_lifts = set()
     lo_certified = True
     completed = True
 
@@ -158,16 +202,20 @@ def discoveries(
         if remaining is not None:
             remaining -= cost
         steps_left -= 1
-        levels.append((z, res.verdict, cost))
         if res.verdict is Verdict.ALL_REJECTED:
             hi = z
         elif res.verdict is Verdict.SURVIVOR_FOUND:
+            if hi == s + 1 and z < s and _lifts(
+                prob, ctx, res.evaluation.witness, rejected_lifts, trace,
+            ):
+                z = s  # a survivor containing S: the overlap maximum is |S|
             lo = z
             lo_certified = True
         else:
             # Out of budget at this level: assume a survivor, staying valid.
             lo = z
             lo_certified = False
+        levels.append((z, res.verdict, cost))
 
     overlap_cap = hi - 1
     converged = completed and lo_certified and lo == overlap_cap

@@ -154,15 +154,23 @@ def validate_subset(subset, n_hyps) -> tuple:
     return tuple(sorted(cols))
 
 
+def columns_quantile(prob, cols) -> float:
+    """:func:`subset_quantile` of the sorted, distinct, in-range columns ``cols``.
+
+    ``cols`` is not checked; callers that hold an already valid column
+    array (the discovery engine) skip :func:`validate_subset` this way.
+    """
+    sums = prob.centered[:, cols].sum(axis=1)
+    return float(np.partition(sums, prob.crit_rank - 1)[prob.crit_rank - 1])
+
+
 def subset_quantile(prob, subset) -> float:
     """``crit_rank``-th smallest centered sum over the given columns.
 
     ``prob`` is a :class:`~sumtdp.shortcut.SumTestProblem`, which holds the
     centered matrix and the critical rank.
     """
-    cols = validate_subset(subset, prob.n_hyps)
-    sums = prob.centered[:, cols].sum(axis=1)
-    return float(np.partition(sums, prob.crit_rank - 1)[prob.crit_rank - 1])
+    return columns_quantile(prob, np.array(validate_subset(subset, prob.n_hyps)))
 
 
 def reject(prob, subset) -> bool:

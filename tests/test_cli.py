@@ -181,6 +181,36 @@ class TestTdp:
         branch = next(r for r in rows if r["kind"] == "branch")
         assert branch["pivot"] == "1"
 
+    def test_trace_lift_row(self, toy_csv, tmp_path, capsys):
+        trace_path = tmp_path / "trace.csv"
+        code, out, _ = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+            "--sets", "[[1,4,5]]", "--trace", str(trace_path))
+        assert code == 0
+        assert json.loads(out)[0]["iterations"] == 1
+        rows = list(csv.DictReader(trace_path.read_text().splitlines()))
+        lift = rows[-1]
+        assert (lift["kind"], lift["overlap"], lift["witness"]) == ("lift", "3", "1;4;5")
+        assert float(lift["value"]) <= 0.0
+
+    @pytest.mark.parametrize("extra", [(), ("--truncate", "2.0", "--reduce", "off")],
+                             ids=["plain", "reduce-off"])
+    def test_one_problem_per_run(self, toy_csv, capsys, monkeypatch, extra):
+        built = []
+        real = sumtdp.SumTestProblem.from_matrix
+
+        def counting(stats, cfg):
+            built.append(stats)
+            return real(stats, cfg)
+
+        monkeypatch.setattr(sumtdp.SumTestProblem, "from_matrix", counting)
+        code, out, _ = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+            "--sets", "[[1,2],[1,4,5],[2,3,4]]", *extra)
+        assert code == 0
+        assert [e["set_id"] for e in json.loads(out)] == [1, 2, 3]
+        assert len(built) == 1
+
     def test_truncation_reduces_by_default(self, toy_csv, capsys):
         code, out, _ = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",

@@ -19,6 +19,7 @@ from sumtdp import (
     truncate,
     TruncationRule,
 )
+from sumtdp import inference
 from sumtdp.inference import _probe
 from tests.util import random_instance, random_subset
 
@@ -238,6 +239,120 @@ class TestSearchOrderGolden:
         )
         # survivors certified up to overlap 268 of 300
         assert res.d_upper == 32
+
+
+def _mixed_queries(seed, n_instances):
+    """Seeded (problem, subset, total budget, step budget) draws, d = 0 and d > 0 mixed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_instances):
+        stats, cfg = random_instance(rng, max_hyps=14, max_transforms=40)
+        prob = SumTestProblem.from_matrix(stats, cfg)
+        for _ in range(4):
+            yield (
+                prob, random_subset(rng, stats.n_hyps),
+                (None, 0, 1, 2, 3, 5, 8)[int(rng.integers(7))],
+                (None, 0, 1, 2, 4)[int(rng.integers(5))],
+            )
+
+
+class TestLift:
+    """A level's survivor W lifted to W ∪ S, which certifies d = 0 when it survives."""
+
+    def test_never_worse_than_without(self, monkeypatch):
+        real = inference._lifts
+        n_zero = n_positive = n_lifted = 0
+        for prob, sub, tb, sb in _mixed_queries(90, 60):
+            monkeypatch.setattr(inference, "_lifts", lambda *args: False)
+            ref = discoveries(prob, sub, total_budget=tb, step_budget=sb)
+            monkeypatch.setattr(inference, "_lifts", real)
+            res = discoveries(prob, sub, total_budget=tb, step_budget=sb)
+            assert res.discoveries == ref.discoveries
+            assert res.evals <= ref.evals
+            if tb is None and sb is None:
+                assert res.converged and ref.converged
+            else:
+                # A lift can certify d = 0 before the reference's budget
+                # runs out, never the other way round.
+                assert res.converged >= ref.converged
+            if ref.discoveries > 0:
+                assert res.levels == ref.levels
+                n_positive += 1
+            else:
+                n_zero += 1
+                n_lifted += res.levels != ref.levels
+        assert n_zero + n_positive >= 200
+        assert min(n_zero, n_positive, n_lifted) > 20
+
+    def test_decision_is_the_sum_test(self, monkeypatch):
+        real = inference._lifts
+        calls = []
+
+        def spy(prob, ctx, witness, rejected, trace):
+            lifted = real(prob, ctx, witness, rejected, trace)
+            calls.append((prob, set(ctx.subset) | set(witness), lifted))
+            return lifted
+
+        monkeypatch.setattr(inference, "_lifts", spy)
+        for prob, sub, tb, sb in _mixed_queries(91, 30):
+            discoveries(prob, sub, total_budget=tb, step_budget=sb)
+        assert {lifted for _, _, lifted in calls} == {True, False}
+        for prob, members, lifted in calls:
+            assert lifted == (not reject(prob, sorted(members)))
+
+    def test_exact_against_oracle(self):
+        rng = np.random.default_rng(92)
+        n_lifts = 0
+        for _ in range(30):
+            stats, cfg = random_instance(rng, max_hyps=8, max_transforms=32)
+            prob = SumTestProblem.from_matrix(stats, cfg)
+            table = RejectionTable(prob)
+            for _ in range(6):
+                sub = random_subset(rng, stats.n_hyps)
+                trace = TraceLog()
+                res = discoveries(prob, sub, trace=trace)
+                assert res.converged
+                assert res.discoveries == len(sub) - table.max_nonrejected_overlap(sub)
+                lifts = [r for r in trace.rows if r["kind"] == "lift"]
+                if lifts:
+                    n_lifts += 1
+                    assert res.discoveries == res.d_upper == 0
+                    assert set(sub) <= set(lifts[0]["witness"])
+                    assert not reject(prob, lifts[0]["witness"])
+        assert n_lifts > 10
+
+    def test_toy_zero_discovery_query(self, toy_problem):
+        trace = TraceLog()
+        res = discoveries(toy_problem, (0, 3, 4), trace=trace)
+        assert res.levels == ((3, Verdict.SURVIVOR_FOUND, 1),)
+        assert (res.discoveries, res.d_upper, res.evals) == (0, 0, 1)
+        assert res.converged
+        lifts = [r for r in trace.rows if r["kind"] == "lift"]
+        assert lifts == [{"kind": "lift", "overlap": 3, "witness": (0, 3, 4), "value": -1.0}]
+        assert trace.rows[-1] is lifts[0]
+
+    def test_no_check_after_all_rejected(self, monkeypatch):
+        events = []
+        real_lifts, real_eval = inference._lifts, inference.evaluate_iterative
+
+        def lifts(*args):
+            events.append("check")
+            return real_lifts(*args)
+
+        def evaluate(*args, **kwargs):
+            res = real_eval(*args, **kwargs)
+            events.append(res.verdict)
+            return res
+
+        monkeypatch.setattr(inference, "_lifts", lifts)
+        monkeypatch.setattr(inference, "evaluate_iterative", evaluate)
+        n_refuted = 0
+        for prob, sub, tb, sb in _mixed_queries(93, 30):
+            events.clear()
+            discoveries(prob, sub, total_budget=tb, step_budget=sb)
+            if Verdict.ALL_REJECTED in events:
+                n_refuted += 1
+                assert "check" not in events[events.index(Verdict.ALL_REJECTED):]
+        assert n_refuted > 20
 
 
 class TestReductionEquivalence:

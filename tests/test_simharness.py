@@ -180,16 +180,16 @@ class TestReplication:
 REPLICATION_GOLDENS = [
     (dict(n_obs=20, n_hyps=30, active_fraction=0.3, n_transforms=100, seed=11,
           combiner="fisher", truncate_p=0.05),
-     [((6, True, 8), (0, True, 3)), ((4, True, 14), (0, True, 3)),
-      ((4, True, 8), (0, True, 3))]),
+     [((6, True, 8), (0, True, 1)), ((4, True, 14), (0, True, 1)),
+      ((4, True, 8), (0, True, 1))]),
     (dict(n_obs=15, n_hyps=20, active_fraction=0.25, correlation=0.3,
           n_transforms=80, seed=12, combiner="vw:-1", truncate_p=0.1, ground_p=0.6),
-     [((3, True, 3), (0, True, 4)), ((3, True, 3), (0, True, 4)),
-      ((5, True, 3), (0, True, 4))]),
+     [((3, True, 3), (0, True, 1)), ((3, True, 3), (0, True, 1)),
+      ((5, True, 3), (0, True, 1))]),
     (dict(n_obs=25, n_hyps=25, active_fraction=0.2, n_transforms=60, seed=13,
           combiner="liptak", truncate_p=0.02),
-     [((4, True, 3), (0, True, 2)), ((3, True, 3), (0, True, 2)),
-      ((3, True, 3), (0, True, 2))]),
+     [((4, True, 3), (0, True, 1)), ((3, True, 3), (0, True, 1)),
+      ((3, True, 3), (0, True, 1))]),
 ]
 
 
