@@ -16,8 +16,8 @@ path intact, so its scan skips the path check.
 Both children of a node are evaluated as soon as the node is split, and each
 evaluation counts one unit of budget.  Still-undecided children go on a
 stack, exclude side on top, giving a depth-first run through the exclude
-spine first.  The root evaluation is free of charge; callers that meter whole
-queries account for it separately.
+spine first.  The root evaluation is free of charge; callers that count
+scans add it themselves.
 
 A run builds one :class:`~.shortcut.QueryContext` for its subset (or uses
 the one its caller passes in) and hands it to every scan and every pivot

@@ -61,6 +61,16 @@ class InputError(ValueError):
     """User-correctable problem: bad file, bad flag combination, bad spec."""
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sumtdp",
@@ -109,6 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--ground", type=float, default=0.0,
                            help="ground value for truncation (default 0)")
 
+    def add_budget(p):
+        p.add_argument("--max-iter", type=_nonnegative_int, default=50, metavar="H",
+                       help="branch-and-bound scans per overlap level (default 50)")
+
     p_test = sub.add_parser("test", help="sum test of one hypothesis set")
     add_common(p_test)
     p_test.add_argument("--set", default=None, metavar="SPEC",
@@ -121,10 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON list of lists (inline or file path), or a file "
                             "with one comma-separated set per line; 1-based "
                             "indices or header names")
-    p_tdp.add_argument("--max-iter", type=int, default=50, metavar="H",
-                       help="branch-and-bound scans per overlap level (default 50)")
-    p_tdp.add_argument("--total-budget", type=int, default=None, metavar="N",
-                       help="overall scan budget per query, roots included")
+    add_budget(p_tdp)
     p_tdp.add_argument("--reduce", choices=("on", "off"), default=None,
                        help="drop/merge inert columns outside each query set "
                             "(default on when truncation is active)")
@@ -137,8 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_largest.add_argument("--order", default=None, metavar="FILE",
                            help="permutation of all columns (JSON list or lines "
                                 "of 1-based indices/names; default natural order)")
-    p_largest.add_argument("--max-iter", type=int, default=50, metavar="H")
-    p_largest.add_argument("--total-budget", type=int, default=None, metavar="N")
+    add_budget(p_largest)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study grid")
     add_common(p_sim, with_input=False)
@@ -420,7 +430,7 @@ def _cmd_tdp(args) -> int:
     entries, trace_rows = [], []
     for set_id, tokens in enumerate(_parse_set_lists(args.sets, inputs), start=1):
         trace = TraceLog() if args.trace is not None else None
-        opts = dict(total_budget=args.total_budget, step_budget=args.max_iter, trace=trace)
+        opts = dict(step_budget=args.max_iter, trace=trace)
         try:
             subset = _parse_tokens(tokens, stats)
             if reduce_on:
@@ -462,10 +472,7 @@ def _cmd_largest(args) -> int:
     cfg = TestConfig(_alpha(args), stats.n_transforms)
     order = _parse_order(args.order, stats, inputs)
     prob = SumTestProblem.from_matrix(stats, cfg)
-    res = largest_subset(
-        prob, args.gamma, order=order,
-        total_budget=args.total_budget, step_budget=args.max_iter,
-    )
+    res = largest_subset(prob, args.gamma, order=order, step_budget=args.max_iter)
     names = stats.column_names()
     payload = {
         "size": res.size,

@@ -25,19 +25,13 @@ of the plain bisection.  The check is not a scan: it spends no budget and
 adds no level.  A candidate rejected once is not summed again in the
 query (for an all-column query it is S itself every time).
 
-A run cut short by its budget is treated as if a survivor existed, which
-can only lower d(S), so reported discovery counts stay valid at the
-configured confidence level no matter the budget.  All subsets of one
-matrix are covered simultaneously: no correction for asking about many
-subsets is needed.
-
-Budgets come in two layers.  ``step_budget`` caps the branch-and-bound
-splits within one overlap level.  ``total_budget`` meters the whole query in
-scan counts (each level costs one scan for its root plus one per split); it
-is spread evenly over at most ceil(log2(|S|+2)) bisection levels, an upper
-bound on the levels a query needs, with whatever a level leaves unspent
-rolling over to the next.  Raising either budget never lowers the discovery
-count.
+One budget, ``step_budget``, caps the branch-and-bound splits within each
+overlap level; each level costs one scan for its root plus one per split.
+A level cut short by it is treated as if a survivor existed, which can only
+lower d(S), so reported discovery counts stay valid at the configured
+confidence level no matter the budget, and raising it never lowers the
+discovery count.  All subsets of one matrix are covered simultaneously: no
+correction for asking about many subsets is needed.
 """
 
 from dataclasses import dataclass, field, replace
@@ -142,17 +136,16 @@ def _lifts(prob, ctx, witness, rejected, trace) -> bool:
 def discoveries(
     prob: SumTestProblem,
     subset,
-    total_budget=None,
     step_budget=None,
     trace: TraceLog = None,
 ) -> DiscoveryResult:
     """Lower confidence bound on true discoveries in ``subset``.
 
-    ``total_budget=None`` and ``step_budget=None`` run to completion, which
-    makes the bound exact (``converged`` is then always True).  With a
-    finite budget the bound stays valid but may undercount; ``converged``
-    tells the difference.  One :class:`~.shortcut.QueryContext` serves
-    every scan of the query.
+    ``step_budget`` caps the branch-and-bound splits per overlap level.
+    ``None`` runs to completion, which makes the bound exact (``converged``
+    is then always True).  With a finite budget the bound stays valid but
+    may undercount; ``converged`` tells the difference.  One
+    :class:`~.shortcut.QueryContext` serves every scan of the query.
 
     Bounds from any number of calls on one problem hold jointly at the
     configured confidence level, so a loop over many subsets needs no
@@ -161,8 +154,6 @@ def discoveries(
     ctx = QueryContext(prob, subset)
     subset = ctx.subset
     s = len(subset)
-    if total_budget is not None and total_budget < 0:
-        raise ValueError("total_budget must be nonnegative")
     if step_budget is not None and step_budget < 0:
         raise ValueError("step_budget must be nonnegative")
 
@@ -170,38 +161,16 @@ def discoveries(
     # (the empty set vouches for lo = 0), and every set overlapping S by at
     # least hi is rejected (vacuously true at hi = s + 1).
     lo, hi = 0, s + 1
-    # ceil(log2(s + 2)) without floating point, for the even budget split.
-    est_steps = (s + 1).bit_length()
-    remaining = None if total_budget is None else int(total_budget)
-    steps_left = est_steps
     levels = []
     spent_total = 0
     rejected_lifts = set()
     lo_certified = True
-    completed = True
 
     while hi - lo > 1:
-        if remaining is not None and remaining < 1:
-            completed = False
-            break
         z = _probe(lo, hi)
-        caps = []
-        if step_budget is not None:
-            caps.append(int(step_budget))
-        if remaining is not None:
-            # Even share of what is left, rolling unspent scans forward;
-            # minus one because the level's root scan is paid here too.
-            share = -(-remaining // max(steps_left, 1))
-            caps.append(min(share, remaining) - 1)
-        budget = min(caps) if caps else None
-        res = evaluate_iterative(
-            prob, ctx, z, budget=budget, trace=trace,
-        )
+        res = evaluate_iterative(prob, ctx, z, budget=step_budget, trace=trace)
         cost = 1 + res.iterations
         spent_total += cost
-        if remaining is not None:
-            remaining -= cost
-        steps_left -= 1
         if res.verdict is Verdict.ALL_REJECTED:
             hi = z
         elif res.verdict is Verdict.SURVIVOR_FOUND:
@@ -217,8 +186,10 @@ def discoveries(
             lo_certified = False
         levels.append((z, res.verdict, cost))
 
+    # The loop ends at lo == hi - 1, so the bracket is closed; it is exact
+    # unless its lower end rests on a level the budget left undecided.
     overlap_cap = hi - 1
-    converged = completed and lo_certified and lo == overlap_cap
+    converged = lo_certified
     d = s - overlap_cap
     return DiscoveryResult(
         subset=subset,
@@ -236,7 +207,6 @@ def discoveries_matrix(
     cfg: TestConfig,
     subset,
     reduction_ground=None,
-    total_budget=None,
     step_budget=None,
     trace: TraceLog = None,
 ) -> DiscoveryResult:
@@ -246,7 +216,8 @@ def discoveries_matrix(
     dropped or merged first (see :mod:`.reduction`); the result is reported
     in terms of the original subset, with the reduction's counts in
     ``reduction``.  Discovery counts are unchanged by the reduction, only the
-    work to reach them shrinks.
+    work to reach them shrinks.  ``step_budget`` and ``trace`` are those of
+    :func:`discoveries`.
     """
     subset = validate_subset(subset, stats.n_hyps)
     query, counts = subset, None
@@ -260,7 +231,7 @@ def discoveries_matrix(
         }
     res = discoveries(
         SumTestProblem.from_matrix(stats, cfg), query,
-        total_budget=total_budget, step_budget=step_budget, trace=trace,
+        step_budget=step_budget, trace=trace,
     )
     if counts is None:
         return res
@@ -280,7 +251,6 @@ def largest_subset(
     prob: SumTestProblem,
     gamma: float,
     order=None,
-    total_budget=None,
     step_budget=None,
 ) -> PrefixResult:
     """Largest k whose first-k-columns TDP bound is at least ``gamma``.
@@ -292,7 +262,8 @@ def largest_subset(
     above floor(d/gamma) as well, because dropping columns removes at most
     that many discoveries while the requirement scales with k, so the
     search jumps straight there.  Returns size 0 with an empty
-    subset when no prefix qualifies.  Budgets apply per prefix query.
+    subset when no prefix qualifies.  ``step_budget`` caps each prefix
+    query's levels as in :func:`discoveries`.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
@@ -305,10 +276,7 @@ def largest_subset(
             raise ValueError("order must be a permutation of all column indices")
     k = m
     while k >= 1:
-        res = discoveries(
-            prob, order[:k],
-            total_budget=total_budget, step_budget=step_budget,
-        )
+        res = discoveries(prob, order[:k], step_budget=step_budget)
         if res.tdp >= gamma:
             return PrefixResult(size=k, subset=res.subset, result=res)
         # No larger prefix can qualify than discoveries/gamma (discoveries

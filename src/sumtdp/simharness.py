@@ -43,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """One study cell: data model, test settings and budgets.
+    """One study cell: data model, test settings and the scan budget.
 
     ``truncate_p`` and ``ground_p`` are on the p scale; entries with p-value
     above ``truncate_p`` are floored at the combiner's value of ``ground_p``
@@ -67,7 +67,6 @@ class SimulationConfig:
     ground_p: float = 0.5
     power_target: float = 0.95
     step_budget: int = 50
-    total_budget: int = None
 
     def __post_init__(self):
         if self.n_obs < 2:
@@ -205,7 +204,6 @@ def run_replication(
         results[name] = discoveries_matrix(
             evidence, test_cfg, cols,
             reduction_ground=ground,
-            total_budget=cfg.total_budget,
             step_budget=cfg.step_budget,
         )
     return ReplicationOutcome(rep=rep, results=results)
@@ -260,10 +258,8 @@ def run_study(
     return StudyResult(config=cfg, effect=effect, outcomes=tuple(outcomes), wall_time=wall)
 
 
-GRID_COLUMNS = (
-    "n_obs", "n_hyps", "active_fraction", "correlation", "alpha",
-    "n_transforms", "n_reps", "seed", "combiner", "truncate_p", "ground_p",
-    "power_target", "step_budget", "total_budget",
+# One column per config field, in field order, then the cell's results.
+GRID_COLUMNS = tuple(f.name for f in fields(SimulationConfig)) + (
     "mean_tdp_active", "fwer", "mean_wall_time_s", "error",
 )
 

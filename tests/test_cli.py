@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -549,6 +550,14 @@ class TestSimulate:
         assert code == 2
         assert "unknown config keys" in err
 
+    def test_removed_total_budget_key(self, tmp_path, capsys):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({"n_reps": 1, "total_budget": 5}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert "unknown config keys: total_budget" in err
+
     def test_identity_with_truncation_rejected(self, tmp_path, capsys):
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(
@@ -608,6 +617,17 @@ class TestErrors:
         assert "no free column" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag, value", [("--max-iter", "-1"), ("--total-budget", "5")])
+    @pytest.mark.parametrize("command", [["tdp", "--sets", "[[1,2]]"], ["largest", "--gamma", "0.5"]],
+                             ids=["tdp", "largest"])
+    def test_bad_budget_flag_is_usage_error(self, toy_csv, capsys, command, flag, value):
+        # a negative budget is refused at parse time, naming the flag; the
+        # per-query scan cap --total-budget no longer exists
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--stats", toy_csv, "--alpha", "0.4", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -621,9 +641,11 @@ class TestReadme:
 
     README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
-    def section(self, start):
+    def section(self, start, last=None):
+        """Text from ``start`` to the end of the section holding ``last``."""
         begin = self.README.index(start)
-        end = self.README.find("\n## ", begin + len(start))
+        last_begin = self.README.index(last or start, begin)
+        end = self.README.find("\n## ", last_begin + 1)
         return self.README[begin:end if end != -1 else None]
 
     def test_command_line_flags_exist(self):
@@ -632,10 +654,16 @@ class TestReadme:
         for action in parser._subparsers._group_actions:
             for sub in action.choices.values():
                 known |= set(sub._option_string_actions)
+        # every section from the command line through the budgets; the
+        # installation section names pip's flags, not ours
         flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
-                               self.section("## Command line")))
-        assert flags, "no flags found in the Command line section"
+                               self.section("## Command line", "## Budgets")))
+        assert {"--max-iter", "--truncate", "--reduce"} <= flags
         assert sorted(flags - known) == []
+
+    def test_simulate_config_table_lists_every_field(self):
+        keys = re.findall(r"^\| `(\w+)` \|", self.section("### `simulate`"), re.M)
+        assert keys == [f.name for f in fields(sumtdp.SimulationConfig)]
 
     def test_entry_points_exported(self):
         items = self.section("Useful entry points").split("\n- ")[1:]

@@ -1,6 +1,7 @@
 """Monte Carlo harness: calibration, data model, study aggregates."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -233,6 +234,8 @@ class TestGrid:
                  SimulationConfig(**dict(FAST, correlation=0.5))]
         rows = run_grid(cells)
         assert len(rows) == 2
+        names = tuple(f.name for f in fields(SimulationConfig))
+        assert GRID_COLUMNS[:len(names)] == names
         for row in rows:
             assert set(row) == set(GRID_COLUMNS)
             assert row["error"] == ""
