@@ -10,9 +10,12 @@ Subcommands:
 
 User-facing column indices are 1-based everywhere (set specs, order files,
 trace output); the conversion to internal 0-based indices happens here and
-only here.  Every run writes a manifest (command, configuration, versions,
-input checksums, wall time) next to ``--out``, or to stderr when results go
-to stdout, so any result file can be traced back to its exact inputs.
+only here.  Each subcommand computes its result; :func:`main` alone times the
+run, writes the result and writes a manifest (command, configuration,
+versions, input checksums, wall time) next to ``--out``, or to stderr when
+results go to stdout, so any result file can be traced back to its exact
+inputs.  ``tdp`` reduces the matrix for each set whenever truncation is
+active (see :mod:`.reduction`), and is the only subcommand with ``--trace``.
 
 Exit codes: 0 success, 1 internal error or verification mismatch, 2 usage or
 input error.
@@ -27,6 +30,7 @@ import json
 import platform
 import sys
 import time
+from typing import NamedTuple
 
 import numpy as np
 import scipy
@@ -92,9 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "goes to <out>.manifest.json")
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="output format (default json; simulate defaults to csv)")
-        p.add_argument("--trace", default=None, metavar="PATH",
-                       help="write per-size bound/path audit rows as CSV "
-                            "(tdp subcommand)")
         if with_input:
             src = p.add_mutually_exclusive_group(required=True)
             src.add_argument("--stats", default=None,
@@ -136,9 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "with one comma-separated set per line; 1-based "
                             "indices or header names")
     add_budget(p_tdp)
-    p_tdp.add_argument("--reduce", choices=("on", "off"), default=None,
-                       help="drop/merge inert columns outside each query set "
-                            "(default on when truncation is active)")
+    p_tdp.add_argument("--trace", default=None, metavar="PATH",
+                       help="write per-size bound/path audit rows as CSV")
 
     p_largest = sub.add_parser("largest",
                                help="largest prefix with TDP bound >= gamma")
@@ -213,6 +213,13 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
     return stats
 
 
+def _problem(args, inputs: dict):
+    """The loaded matrix, its test configuration and its sum-test problem."""
+    stats = _load_matrix(args, inputs)
+    cfg = TestConfig(_alpha(args), stats.n_transforms)
+    return stats, cfg, SumTestProblem.from_matrix(stats, cfg)
+
+
 def _column_indices(tokens, stats: StatisticMatrix) -> list:
     """1-based indices or header names -> 0-based indices, in token order.
 
@@ -254,27 +261,30 @@ def _parse_tokens(tokens, stats: StatisticMatrix):
     return validate_subset(_column_indices(tokens, stats), stats.n_hyps)
 
 
-def _read_spec_text(spec: str) -> str:
-    """Inline JSON passes through; anything else is a file path."""
-    if spec.lstrip().startswith("["):
-        return spec
-    with open(spec) as fh:
-        return fh.read()
+def _read_list(spec: str, inputs: dict, inline=False):
+    """The JSON value of file ``spec``, else its lines split into tokens.
+
+    Tokens are separated by commas or blanks, one list per nonblank line.
+    Returns the value and whether it was JSON.  The file's hash goes to
+    ``inputs``; with ``inline``, a ``spec`` starting with ``[`` is the text
+    itself.
+    """
+    if inline and spec.lstrip().startswith("["):
+        text = spec
+    else:
+        inputs[spec] = _sha256(spec)
+        with open(spec) as fh:
+            text = fh.read()
+    try:
+        return json.loads(text), True
+    except json.JSONDecodeError:
+        lines = [line for line in text.splitlines() if line.strip()]
+        return [line.replace(",", " ").split() for line in lines], False
 
 
 def _parse_set_lists(spec: str, inputs: dict):
     """--sets: JSON list of lists, or one comma-separated set per line."""
-    if not spec.lstrip().startswith("[") :
-        inputs[spec] = _sha256(spec)
-    text = _read_spec_text(spec)
-    try:
-        loaded = json.loads(text)
-    except json.JSONDecodeError:
-        loaded = [
-            [tok for tok in line.replace(",", " ").split()]
-            for line in text.splitlines()
-            if line.strip()
-        ]
+    loaded, _ = _read_list(spec, inputs, inline=True)
     if not isinstance(loaded, list) or not loaded:
         raise InputError("--sets must supply a nonempty list of sets")
     if not all(isinstance(entry, list) for entry in loaded):
@@ -285,14 +295,10 @@ def _parse_set_lists(spec: str, inputs: dict):
 def _parse_order(spec, stats: StatisticMatrix, inputs: dict):
     if spec is None:
         return None
-    inputs[spec] = _sha256(spec)
-    with open(spec) as fh:
-        text = fh.read()
-    try:
-        tokens = json.loads(text)
-    except json.JSONDecodeError:
-        tokens = text.replace(",", " ").split()
-    if not isinstance(tokens, list):
+    tokens, is_json = _read_list(spec, inputs)
+    if not is_json:
+        tokens = [tok for line in tokens for tok in line]
+    elif not isinstance(tokens, list):
         tokens = [tokens]  # a lone JSON scalar, as in a one-column order file
     order = _column_indices(tokens, stats)
     if sorted(order) != list(range(stats.n_hyps)):
@@ -336,16 +342,27 @@ def _write_trace(rows, path):
             writer.writerow(out)
 
 
-def _emit(args, payload, csv_rows, csv_columns, default_format="json"):
-    fmt = args.format or default_format
+class _Result(NamedTuple):
+    """A subcommand's outcome, written and turned into the exit code by :func:`main`."""
+
+    payload: object  # the JSON output
+    rows: list  # the CSV output, one dict per row
+    columns: list
+    default_format: str = "json"
+    extra: dict = None  # more manifest keys
+    code: int = 0
+
+
+def _emit(args, result: _Result):
+    fmt = args.format or result.default_format
     if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(result.payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=csv_columns)
+        writer = csv.DictWriter(buf, fieldnames=result.columns)
         writer.writeheader()
-        for row in csv_rows:
-            writer.writerow({key: row.get(key, "") for key in csv_columns})
+        for row in result.rows:
+            writer.writerow({key: row.get(key, "") for key in result.columns})
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -385,43 +402,31 @@ def _emit_manifest(args, inputs: dict, started: float, extra=None):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads its inputs, recording their hashes in ``inputs``
 
 
-def _cmd_test(args) -> int:
-    started = time.perf_counter()
-    inputs = {}
-    stats = _load_matrix(args, inputs)
-    cfg = TestConfig(_alpha(args), stats.n_transforms)
+def _cmd_test(args, inputs: dict) -> _Result:
+    stats, cfg, prob = _problem(args, inputs)
     if args.set is None:
         subset = tuple(range(stats.n_hyps))
     else:
         tokens = json.loads(args.set) if args.set.lstrip().startswith("[") \
             else args.set.replace(",", " ").split()
         subset = _parse_tokens(tokens, stats)
-    prob = SumTestProblem.from_matrix(stats, cfg)
     payload = {
         "size": len(subset),
         "quantile": subset_quantile(prob, subset),
         "critical_rank": cfg.crit_rank,
         "reject": reject(prob, subset),
     }
-    _emit(args, payload, [payload], list(payload))
-    _emit_manifest(args, inputs, started)
-    return 0
+    return _Result(payload, [payload], list(payload))
 
 
-def _cmd_tdp(args) -> int:
-    started = time.perf_counter()
-    inputs = {}
+def _cmd_tdp(args, inputs: dict) -> _Result:
     stats = _load_matrix(args, inputs)
     cfg = TestConfig(_alpha(args), stats.n_transforms)
-    truncation_active = args.truncate is not None or args.truncate_rank is not None
-    if args.reduce == "on" and not truncation_active:
-        sys.stderr.write(
-            "sumtdp: --reduce on has no effect without truncation; skipping reduction\n"
-        )
-    reduce_on = truncation_active and args.reduce != "off"
+    # Reduction rests on the floor truncation leaves (see .reduction).
+    truncated = args.truncate is not None or args.truncate_rank is not None
     # Without reduction every set queries the same problem: build it at the
     # first set that needs it (a failed build is retried, so each set still
     # reports its own error).
@@ -433,7 +438,7 @@ def _cmd_tdp(args) -> int:
         opts = dict(step_budget=args.max_iter, trace=trace)
         try:
             subset = _parse_tokens(tokens, stats)
-            if reduce_on:
+            if truncated:
                 res = discoveries_matrix(
                     stats, cfg, subset, reduction_ground=args.ground, **opts,
                 )
@@ -460,18 +465,12 @@ def _cmd_tdp(args) -> int:
 
     columns = ["set_id", "size", "d", "tdp", "converged", "iterations",
                "m_reduced", "removed", "collapsed", "error"]
-    _emit(args, entries, entries, columns)
-    _emit_manifest(args, inputs, started)
-    return 0
+    return _Result(entries, entries, columns)
 
 
-def _cmd_largest(args) -> int:
-    started = time.perf_counter()
-    inputs = {}
-    stats = _load_matrix(args, inputs)
-    cfg = TestConfig(_alpha(args), stats.n_transforms)
+def _cmd_largest(args, inputs: dict) -> _Result:
+    stats, _, prob = _problem(args, inputs)
     order = _parse_order(args.order, stats, inputs)
-    prob = SumTestProblem.from_matrix(stats, cfg)
     res = largest_subset(prob, args.gamma, order=order, step_budget=args.max_iter)
     names = stats.column_names()
     payload = {
@@ -480,17 +479,11 @@ def _cmd_largest(args) -> int:
         "members": [names[i] for i in res.subset],
     }
     csv_row = {**payload, "members": ";".join(payload["members"])}
-    _emit(args, payload, [csv_row], list(payload))
-    _emit_manifest(args, inputs, started)
-    return 0
+    return _Result(payload, [csv_row], list(payload))
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    inputs = {}
-    stats = _load_matrix(args, inputs)
-    cfg = TestConfig(_alpha(args), stats.n_transforms)
-    prob = SumTestProblem.from_matrix(stats, cfg)
+def _cmd_verify(args, inputs: dict) -> _Result:
+    stats, _, prob = _problem(args, inputs)
     table = RejectionTable(prob)
     m = stats.n_hyps
     subsets = [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
@@ -506,9 +499,8 @@ def _cmd_verify(args) -> int:
         "details": mismatches[:20],
     }
     rows = [{"subsets_checked": len(subsets), "mismatches": len(mismatches)}]
-    _emit(args, payload, rows, ["subsets_checked", "mismatches"])
-    _emit_manifest(args, inputs, started)
-    return 0 if not mismatches else 1
+    return _Result(payload, rows, ["subsets_checked", "mismatches"],
+                   code=1 if mismatches else 0)
 
 
 _GRID_ONLY_KEYS = {"cells", "combiners"}
@@ -539,11 +531,9 @@ def _build_cells(config: dict, full_scale: bool, args):
     return cells
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, inputs: dict) -> _Result:
     from .simharness import GRID_COLUMNS, run_grid
 
-    started = time.perf_counter()
-    inputs = {}
     inputs[args.config] = _sha256(args.config)
     with open(args.config) as fh:
         try:
@@ -558,12 +548,12 @@ def _cmd_simulate(args) -> int:
         {key: (None if value == "" else value) for key, value in row.items()}
         for row in rows
     ]
-    _emit(args, payload, rows, list(GRID_COLUMNS), default_format="csv")
-    _emit_manifest(args, inputs, started, extra={"cells": len(cells)})
-    return 0
+    return _Result(payload, rows, list(GRID_COLUMNS), default_format="csv",
+                   extra={"cells": len(cells)})
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
@@ -574,14 +564,18 @@ def main(argv=None) -> int:
         "simulate": _cmd_simulate,
         "verify": _cmd_verify,
     }
+    inputs = {}
     try:
-        return handlers[args.subcommand](args)
+        result = handlers[args.subcommand](args, inputs)
+        _emit(args, result)
+        _emit_manifest(args, inputs, started, result.extra)
     except (OSError, ValueError) as exc:  # InputError and JSONDecodeError included
         sys.stderr.write(f"sumtdp: error: {exc}\n")
         return 2
     except Exception as exc:
         sys.stderr.write(f"sumtdp: internal error: {exc}\n")
         return 1
+    return result.code
 
 
 if __name__ == "__main__":

@@ -175,25 +175,28 @@ def _below(t: float) -> float:
     return t - _T_MARGIN * max(abs(t), 1.0)
 
 
-def _last_below(evidence, lo: float, hi: float, threshold: float, rounds=3, points=32):
+def _last_below(evidence, lo: float, hi: float, threshold: float, points=32):
     """Greatest probed t in ``[lo, hi]`` whose evidence is below ``threshold``.
 
     Each round evaluates a grid of the bracket and narrows it to the step
-    where the evidence reaches the threshold.  None when it already does at
-    ``lo``.
+    where the evidence reaches the threshold, until that step is within
+    ``_T_MARGIN * max(|t|, 1)`` of its top, so the result lies within that
+    margin below the boundary however far ``hi`` lies from it.  None when
+    the evidence already reaches the threshold at ``lo``.
     """
     found = None
-    for _ in range(rounds):
+    while True:
         grid = np.linspace(lo, hi, points + 1)
         below = np.flatnonzero(evidence(grid) < threshold)
         if not below.size:
-            break
+            return found
         i = below[-1]
         found = float(grid[i])
         if i == points:
-            break
+            return found
         lo, hi = grid[i], grid[i + 1]
-    return found
+        if hi - lo <= _T_MARGIN * max(abs(hi), 1.0):
+            return found
 
 
 def evidence_from_t(
@@ -218,8 +221,9 @@ def evidence_from_t(
     Only the entries truncation can keep are converted.  Every combiner but
     ``identity`` decreases in p, and p decreases in t, so those entries lie
     above a cut in t.  For a rank the cut steps down from the rank-th
-    greatest t; for a threshold it steps down from the greatest t that a
-    few grid evaluations of the same transform find below the threshold.
+    greatest t; for a threshold it steps down from the greatest t that
+    grid evaluations of the same transform find below the threshold,
+    within one step of the boundary.
     Each step is ``1e-6`` relative in t (absolute below 1), which assumes
     that the rounding errors of ``stdtr`` and the combiners move the
     evidence far less than that.  The evidence where the step starts must

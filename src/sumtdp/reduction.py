@@ -58,21 +58,17 @@ def reduce_columns(stats: StatisticMatrix, subset, ground: float = 0.0) -> Reduc
             "reduction applies to floor-truncated matrices only"
         )
     subset = validate_subset(subset, stats.n_hyps)
-    sset = set(subset)
+    outside = np.ones(stats.n_hyps, dtype=bool)
+    outside[list(subset)] = False
+    inert = (values[1:] == ground).all(axis=0)
+    removable = outside & inert
+    collapsible = np.flatnonzero(outside & ~inert & (values[0] == ground))
 
-    removed = []
-    collapsible = []
-    for j in range(stats.n_hyps):
-        if j in sset:
-            continue
-        if (values[1:, j] == ground).all():
-            removed.append(j)
-        elif values[0, j] == ground:
-            collapsible.append(j)
-
-    merge = len(collapsible) >= 2
-    dropped = set(removed) | (set(collapsible) if merge else set())
-    kept = [j for j in range(stats.n_hyps) if j not in dropped]
+    merge = collapsible.size >= 2
+    keep = ~removable
+    if merge:
+        keep[collapsible] = False
+    kept = np.flatnonzero(keep).tolist()
 
     cols = [values[:, kept]]
     names = stats.names
@@ -82,15 +78,15 @@ def reduce_columns(stats: StatisticMatrix, subset, ground: float = 0.0) -> Reduc
         if new_names is not None:
             new_names.append("+".join(names[j] for j in collapsible))
 
-    new_subset = tuple(kept.index(j) for j in subset)
+    new_index = np.cumsum(keep) - 1
     reduced = StatisticMatrix(
         np.concatenate(cols, axis=1),
         names=None if new_names is None else tuple(new_names),
     )
     return ReductionResult(
         stats=reduced,
-        subset=new_subset,
+        subset=tuple(new_index[list(subset)].tolist()),
         kept=tuple(kept),
-        removed=tuple(removed),
-        collapsed=tuple(collapsible) if merge else (),
+        removed=tuple(np.flatnonzero(removable).tolist()),
+        collapsed=tuple(collapsible.tolist()) if merge else (),
     )

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import re
+import shlex
 from dataclasses import fields
 from pathlib import Path
 
@@ -194,9 +195,7 @@ class TestTdp:
         assert (lift["kind"], lift["overlap"], lift["witness"]) == ("lift", "3", "1;4;5")
         assert float(lift["value"]) <= 0.0
 
-    @pytest.mark.parametrize("extra", [(), ("--truncate", "2.0", "--reduce", "off")],
-                             ids=["plain", "reduce-off"])
-    def test_one_problem_per_run(self, toy_csv, capsys, monkeypatch, extra):
+    def test_one_problem_per_run(self, toy_csv, capsys, monkeypatch):
         built = []
         real = sumtdp.SumTestProblem.from_matrix
 
@@ -207,7 +206,7 @@ class TestTdp:
         monkeypatch.setattr(sumtdp.SumTestProblem, "from_matrix", counting)
         code, out, _ = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
-            "--sets", "[[1,2],[1,4,5],[2,3,4]]", *extra)
+            "--sets", "[[1,2],[1,4,5],[2,3,4]]")
         assert code == 0
         assert [e["set_id"] for e in json.loads(out)] == [1, 2, 3]
         assert len(built) == 1
@@ -221,22 +220,6 @@ class TestTdp:
         assert entry["m_reduced"] == 3
         assert entry["removed"] == 1
         assert entry["collapsed"] == 2
-
-    def test_reduce_off(self, toy_csv, capsys):
-        code, out, _ = run(
-            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
-            "--sets", "[[1,2]]", "--truncate", "2.0", "--reduce", "off")
-        assert code == 0
-        entry = json.loads(out)[0]
-        assert "m_reduced" not in entry
-
-    def test_reduce_on_without_truncation_warns(self, toy_csv, capsys):
-        code, out, err = run(
-            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
-            "--sets", "[[1,2]]", "--reduce", "on")
-        assert code == 0
-        assert "no effect without truncation" in err
-        assert "m_reduced" not in json.loads(out)[0]
 
     def test_truncate_rank(self, toy_csv, capsys):
         # rank 12 of the toy matrix is the value 2.0, matching --truncate 2.0
@@ -628,6 +611,30 @@ class TestErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flag", [
+        (["test"], "--trace"),
+        (["largest", "--gamma", "0.5"], "--trace"),
+        (["verify"], "--trace"),
+        (["simulate"], "--trace"),
+        (["tdp", "--sets", "[[1,2]]", "--truncate", "2.0"], "--reduce"),
+    ], ids=["test-trace", "largest-trace", "verify-trace", "simulate-trace", "tdp-reduce"])
+    def test_unread_flag_is_refused(self, toy_csv, tmp_path, capsys, command, flag):
+        # only tdp writes a trace, and tdp reduces whenever truncation is
+        # active: a flag that could change neither a result nor a time is
+        # refused at parse time instead of being ignored
+        if command[0] == "simulate":
+            config = tmp_path / "study.json"
+            config.write_text(json.dumps({"n_reps": 1}))
+            source = ["--config", str(config)]
+        else:
+            source = ["--stats", toy_csv, "--alpha", "0.4"]
+        value = tmp_path / "trace.csv" if flag == "--trace" else "off"
+        with pytest.raises(SystemExit) as exc:
+            main([*command, *source, flag, str(value)])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "trace.csv").exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -658,8 +665,21 @@ class TestReadme:
         # installation section names pip's flags, not ours
         flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*",
                                self.section("## Command line", "## Budgets")))
-        assert {"--max-iter", "--truncate", "--reduce"} <= flags
+        assert {"--max-iter", "--truncate", "--trace"} <= flags
         assert sorted(flags - known) == []
+
+    def test_command_line_examples_run(self, tmp_path, capsys, monkeypatch):
+        """Each ``sumtdp`` example followed by a JSON block prints that JSON."""
+        text = self.section("## Command line")
+        (toy,) = re.findall(r"```csv\n(.*?)```", text, re.S)
+        assert toy == TOY_CSV
+        (tmp_path / "toy_stats.csv").write_text(toy)
+        monkeypatch.chdir(tmp_path)
+        examples = re.findall(r"```sh\n(sumtdp [^\n]*)\n```\s*```json\n(.*?)```", text, re.S)
+        assert [cmd.split()[1] for cmd, _ in examples] == ["tdp", "test", "largest", "verify"]
+        for command, expected in examples:
+            code, out, _ = run(capsys, *shlex.split(command)[1:])
+            assert (code, json.loads(out)) == (0, json.loads(expected)), command
 
     def test_simulate_config_table_lists_every_field(self):
         keys = re.findall(r"^\| `(\w+)` \|", self.section("### `simulate`"), re.M)

@@ -359,3 +359,20 @@ class TestEvidenceFromT:
         monkeypatch.setattr(scipy.special, "stdtr", counting)
         evidence_from_t(tstats, 29, Combiner.parse("fisher"), **rule)
         assert sum(converted) < 0.1 * tstats.values.size
+
+    @pytest.mark.parametrize("hi", [8.0, 1e5])
+    def test_threshold_search_resolves_the_boundary(self, hi):
+        # one statistic far above the boundary must not stop the search short
+        # of it, which would convert every entry
+        from sumtdp.combiners import _T_MARGIN, _last_below
+
+        fisher = Combiner.parse("fisher")
+
+        def evidence(t):
+            return fisher.transform(2.0 * scipy.special.stdtr(30, -t))
+
+        threshold = -np.log(0.05)
+        boundary = sps.t.isf(0.025, 30)
+        found = _last_below(evidence, 0.5, hi, threshold)
+        assert evidence(np.array([found]))[0] < threshold
+        assert boundary - _T_MARGIN * boundary <= found <= boundary

@@ -173,3 +173,70 @@ class TestDiscoveryInvariance:
             after = discoveries(
                 SumTestProblem.from_matrix(red.stats, cfg), red.subset)
             assert before.discoveries == after.discoveries
+
+
+def reference_reduction(stats, subset, ground):
+    """The module docstring's two rules applied one column at a time."""
+    values, m = stats.values, stats.n_hyps
+    removed, collapsible = [], []
+    for j in range(m):
+        if j in subset:
+            continue
+        if all(values[r, j] == ground for r in range(1, values.shape[0])):
+            removed.append(j)
+        elif values[0, j] == ground:
+            collapsible.append(j)
+    if len(collapsible) < 2:
+        collapsible = []  # a lone mergeable column stays in place
+    kept = [j for j in range(m) if j not in removed and j not in collapsible]
+    matrix = values[:, kept]
+    names = None if stats.names is None else [stats.names[j] for j in kept]
+    if collapsible:
+        merged = values[:, collapsible].sum(axis=1, keepdims=True)
+        matrix = np.concatenate([matrix, merged], axis=1)
+        if names is not None:
+            names.append("+".join(stats.names[j] for j in collapsible))
+    return {
+        "values": matrix,
+        "names": None if names is None else tuple(names),
+        "subset": tuple(kept.index(j) for j in subset),
+        "kept": tuple(kept),
+        "removed": tuple(removed),
+        "collapsed": tuple(collapsible),
+    }
+
+
+class TestAgainstPerColumnReference:
+    def test_random_tie_heavy_matrices(self):
+        rng = np.random.default_rng(63)
+        seen = {"named": 0, "unnamed": 0, "lone": 0, "merged": 0, "removed": 0, "full": 0}
+        for _ in range(400):
+            ground = float(rng.choice([0.0, -1.5, 2.0]))
+            m = int(rng.integers(1, 13))
+            b = int(rng.integers(2, 9))
+            # mostly ground, so whole columns and observed entries tie at it
+            values = ground + rng.choice([0.0, 0.0, 0.0, 1.0, 0.1, 2.5], size=(b, m))
+            named = rng.random() < 0.5
+            names = tuple(f"c{j}" for j in range(m)) if named else None
+            stats = StatisticMatrix(values, names=names)
+            full = rng.random() < 0.1
+            subset = tuple(range(m)) if full else random_subset(rng, m)
+
+            red = reduce_columns(stats, subset, ground=ground)
+            ref = reference_reduction(stats, subset, ground)
+            assert red.stats.values.shape == ref["values"].shape
+            assert red.stats.values.tobytes() == ref["values"].tobytes()
+            assert red.stats.names == ref["names"]
+            for field in ("subset", "kept", "removed", "collapsed"):
+                got = getattr(red, field)
+                assert got == ref[field], field
+                assert all(type(j) is int for j in got), field
+
+            outside = [j for j in range(m) if j not in subset]
+            lone = [j for j in outside if j not in red.removed and values[0, j] == ground]
+            seen["named" if named else "unnamed"] += 1
+            seen["lone"] += len(lone) == 1
+            seen["merged"] += bool(red.collapsed)
+            seen["removed"] += bool(red.removed)
+            seen["full"] += full
+        assert min(seen.values()) >= 10, seen
