@@ -267,9 +267,10 @@ def _read_list(spec: str, inputs: dict, inline=False):
     Tokens are separated by commas or blanks, one list per nonblank line.
     Returns the value and whether it was JSON.  The file's hash goes to
     ``inputs``; with ``inline``, a ``spec`` starting with ``[`` is the text
-    itself.
+    itself and must be JSON.
     """
-    if inline and spec.lstrip().startswith("["):
+    is_text = inline and spec.lstrip().startswith("[")
+    if is_text:
         text = spec
     else:
         inputs[spec] = _sha256(spec)
@@ -277,7 +278,9 @@ def _read_list(spec: str, inputs: dict, inline=False):
             text = fh.read()
     try:
         return json.loads(text), True
-    except json.JSONDecodeError:
+    except json.JSONDecodeError as exc:
+        if is_text:
+            raise InputError(f"--sets is not valid JSON: {exc}") from None
         lines = [line for line in text.splitlines() if line.strip()]
         return [line.replace(",", " ").split() for line in lines], False
 

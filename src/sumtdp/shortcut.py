@@ -5,7 +5,7 @@ hypothesis sets sharing at least z members with S, optionally restricted to a
 subspace that forces some columns in and excludes others.  The question a
 single step answers is whether every candidate is rejected by the centered
 sum test.  Scanning candidate sizes one at a time, it uses two prefix-sum
-devices per size v:
+devices per size v, and no other:
 
 * a lower bound on all candidate quantiles at size v, built from each row's
   z smallest centered values inside S plus the v - z smallest of the rest
@@ -14,15 +14,18 @@ devices per size v:
 * a greedy path of concrete candidates, built in observed-statistic order
   (one global ordering, not per row), whose quantile at size v is exact; a
   non-positive path value exhibits a surviving candidate and settles the
-  whole question negatively.
+  whole question negatively.  Every reported survivor is a path candidate:
+  where a size holds a single candidate, the path reaches it.
 
 Two shape indices confine the scan: the bound is nonincreasing in v up to
-``drop_end`` and nondecreasing from ``rise_start`` on, so the scan walks
-downward from ``drop_end`` and then upward, stopping early once the bound
-turns positive on a monotone stretch.  Sizes that remain in doubt form the
-returned window.  Both indices come from a binary search over columns: each
-row of the remainder is sorted, so "every row is at most 0" and "some row is
-below 0" each hold on a leading run of columns.
+``drop_end`` and nondecreasing from ``rise_start`` on (in floats too: adding
+an entry <= 0, or >= 0, never raises, or lowers, a rounded running sum).  So
+the scan walks down from ``drop_end``, then up from above it, stopping once
+the bound turns positive on a monotone stretch, and reads each size at most
+once.  Sizes that remain in doubt form the returned window.  Both indices
+come from a binary search over columns: each row of the remainder is sorted,
+so "every row is at most 0" and "some row is below 0" each hold on a leading
+run of columns.
 
 Everything a scan needs about the query subset itself lives in one
 :class:`QueryContext`, built once per query: the validated subset, its
@@ -100,7 +103,8 @@ class Evaluation:
 
     ``window`` is the inclusive range of candidate sizes still in doubt
     (UNDECIDED only).  ``witness`` is a surviving candidate set
-    (SURVIVOR_FOUND only), recorded for audit.
+    (SURVIVOR_FOUND only), recorded for audit: always a greedy-path
+    candidate, or ``()`` at overlap 0 or below.
     """
 
     verdict: Verdict
@@ -383,12 +387,9 @@ class Workspace:
         self._ctx = ctx
         self._forced = forced
         self._free = free
-        s_free = free & ctx.in_subset
-        self._n_s_free = int(np.count_nonzero(s_free))
-        self._needed = needed
         self._reserved = reserved
-
-        self.infeasible = needed > self._n_s_free
+        s_free = free & ctx.in_subset
+        self.infeasible = needed > int(np.count_nonzero(s_free))
         if self.infeasible:
             return
 
@@ -397,18 +398,17 @@ class Workspace:
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
 
         cen = prob.centered
-        offset = _row_sums(cen[:, forced_cols]) if forced_cols.size else 0.0
+        # Shared by the bound and the path.  No row sum is -0.0, so adding
+        # the zero sum of no columns leaves every other sum's bits as they are.
+        self._forced_sum = _row_sums(cen[:, forced_cols])
         in_s = ctx.sorted_rows(s_free)
-        sel_sum = _row_sums(in_s[:, :needed]) if needed else 0.0
         o_free = np.flatnonzero(free & ~ctx.in_subset)
         if o_free.size:
             rem = np.concatenate([in_s[:, needed:], np.take(cen, o_free, axis=1)], axis=1)
             rem.sort(axis=1)
         else:
             rem = in_s[:, needed:]
-        self._base = np.asarray(offset + sel_sum, dtype=float)
-        if np.ndim(self._base) == 0:
-            self._base = np.full(prob.n_transforms, float(self._base))
+        self._base = self._forced_sum + _row_sums(in_s[:, :needed])
         self._rem_prefix = _RunningSums(rem.shape, lambda lo, hi: rem[:, lo:hi])
         # Every row is sorted, so "all rows <= 0" and "some row < 0" each hold
         # on a leading run of columns; a binary search finds where each ends.
@@ -433,12 +433,7 @@ class Workspace:
             rest_mask = self._free.copy()
             rest_mask[reserved] = False
             rest = order[rest_mask[order]]
-            forced_cols = np.flatnonzero(self._forced)
-            base = np.zeros(self.prob.n_transforms)
-            if forced_cols.size:
-                base += _row_sums(cen[:, forced_cols])
-            if reserved.size:
-                base += _row_sums(cen[:, reserved])
+            base = self._forced_sum + _row_sums(cen[:, reserved])
             prefix = _RunningSums(
                 (self.prob.n_transforms, rest.size),
                 lambda lo, hi: np.take(cen, rest[lo:hi], axis=1),
@@ -458,21 +453,6 @@ class Workspace:
         members[self._reserved] = True
         members[rest[: v - self.size_min]] = True
         return tuple(np.flatnonzero(members).tolist())
-
-    def singleton_at(self, v: int) -> bool:
-        """Whether exactly one candidate set has size ``v``.
-
-        True at the top size (all free columns taken) and, when the required
-        overlap picks exhaust the subset's free columns, at the bottom size.
-        There the bound equals the candidate's exact quantile.
-        """
-        if v == self.size_max:
-            return True
-        return v == self.size_min and self._needed == self._n_s_free
-
-    def singleton_set(self, v: int) -> tuple:
-        taken = self._free if v == self.size_max else self._free & self._ctx.in_subset
-        return tuple(np.flatnonzero(self._forced | taken).tolist())
 
 
 def single_step(
@@ -496,7 +476,8 @@ def single_step(
     want_path : bool
         Compute greedy-path quantiles at undecided sizes.  Callers switch
         this off when the subspace inherits its parent's already-checked
-        path (the exclude-child of a branch).
+        path (the exclude-child of a branch).  Without the path a scan
+        never reports a survivor: it is ALL_REJECTED or UNDECIDED.
     """
     ctx = query_context(prob, subset)
     s = len(ctx.subset)
@@ -517,53 +498,46 @@ def single_step(
     if v1 > v2:
         return Evaluation(Verdict.ALL_REJECTED)
 
-    forced_t = tuple(sorted(constraint.forced))
-    excluded_t = tuple(sorted(constraint.excluded))
-    memo = {}
-    undecided = set()
+    if trace is not None:
+        where = dict(overlap=overlap, forced=tuple(sorted(constraint.forced)),
+                     excluded=tuple(sorted(constraint.excluded)))
+    undecided = []
 
-    def bound_at(v: int) -> float:
-        if v not in memo:
-            memo[v] = ws.bound_value(v)
-            if trace is not None:
-                trace.add(
-                    kind="bound", overlap=overlap, forced=forced_t,
-                    excluded=excluded_t, size=v, value=memo[v],
-                )
-        return memo[v]
+    def certified(v: int) -> bool:
+        value = ws.bound_value(v)
+        if trace is not None:
+            trace.add(kind="bound", **where, size=v, value=value)
+        return value > 0.0
 
-    def note_undecided(v: int):
-        if v in undecided:
+    def survivor(v: int):
+        """Note size ``v`` as in doubt; its path candidate if that survives."""
+        undecided.append(v)
+        if not want_path:
             return None
-        undecided.add(v)
-        if ws.singleton_at(v):
-            # Sole candidate at this size: the bound is its exact quantile.
-            return Evaluation(Verdict.SURVIVOR_FOUND, witness=ws.singleton_set(v))
-        if want_path:
-            u = ws.path_value(v)
-            if trace is not None:
-                trace.add(
-                    kind="path", overlap=overlap, forced=forced_t,
-                    excluded=excluded_t, size=v, value=u,
-                )
-            if u <= 0.0:
-                return Evaluation(Verdict.SURVIVOR_FOUND, witness=ws.path_set(v))
-        return None
+        value = ws.path_value(v)
+        if trace is not None:
+            trace.add(kind="path", **where, size=v, value=value)
+        if value > 0.0:
+            return None
+        return Evaluation(Verdict.SURVIVOR_FOUND, witness=ws.path_set(v))
 
     down_start = min(ws.drop_end, v2)
+    up_start = max(down_start + 1, v1)
     for v in range(down_start, v1 - 1, -1):
-        if bound_at(v) > 0.0:
-            break  # nonincreasing up to drop_end, so smaller sizes are positive too
-        found = note_undecided(v)
+        if certified(v):
+            # Smaller sizes are positive too, and from rise_start on larger ones.
+            if v >= ws.rise_start:
+                up_start = v2 + 1
+            break
+        found = survivor(v)
         if found is not None:
             return found
-    up_start = v1 + 1 if down_start >= v1 else v1
     for v in range(up_start, v2 + 1):
-        if bound_at(v) > 0.0:
+        if certified(v):
             if v >= ws.rise_start:
-                break  # nondecreasing from rise_start, so later sizes are positive too
+                break  # later sizes are positive too
             continue
-        found = note_undecided(v)
+        found = survivor(v)
         if found is not None:
             return found
 

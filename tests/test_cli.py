@@ -585,6 +585,15 @@ class TestErrors:
         assert code == 2
         assert "nonempty" in err
 
+    def test_inline_sets_must_parse(self, toy_csv, capsys):
+        # text starting with "[" is inline JSON, never a line-per-set list
+        code, out, err = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+            "--sets", "[[1,2],[3]")
+        assert code == 2
+        assert out == ""
+        assert "--sets" in err
+
     def test_engine_fault_is_internal_error(self, toy_csv, capsys, monkeypatch):
         # a scan that never settles leaves a subspace with no pivot: an
         # engine fault, reported as such, not as a per-set input error

@@ -88,15 +88,8 @@ class TestWorkspaceToy:
         ws = _workspace(toy_problem)
         got = [ws.path_set(v) for v in range(1, 6)]
         assert got == [(1,), (1, 3), (1, 3, 4), (1, 2, 3, 4), (0, 1, 2, 3, 4)]
-
-    def test_singletons(self, toy_problem):
-        ws = _workspace(toy_problem)
-        assert ws.singleton_at(5)
-        assert ws.singleton_set(5) == (0, 1, 2, 3, 4)
-        assert not ws.singleton_at(1)
-        ws2 = _workspace(toy_problem, overlap=2)
-        assert ws2.singleton_at(2)
-        assert ws2.singleton_set(2) == (0, 1)
+        # At overlap 2 the smallest size holds one candidate, the subset.
+        assert _workspace(toy_problem, overlap=2).path_set(2) == (0, 1)
 
     def test_overlap_validation(self, toy_problem):
         with pytest.raises(ValueError, match="overlap"):
@@ -264,6 +257,38 @@ class TestSingleStepToy:
             assert r["forced"] == ()
             assert r["excluded"] == ()
 
+    def test_positive_read_past_rise_start_ends_scan(self, toy_problem):
+        # Size 4 is the smallest and reads positive at or past rise_start,
+        # so size 5 is positive too and is not read.
+        trace = TraceLog()
+        out = single_step(toy_problem, (0, 1, 2, 3, 4), 4, trace=trace)
+        assert out.verdict is Verdict.ALL_REJECTED
+        assert [(r["kind"], r["size"]) for r in trace.rows] == [("bound", 4)]
+
+
+def assert_walk(prob, subset, overlap, constraint=FREE, window=None):
+    """The scan reads sizes down from min(drop_end, hi), then up above it, once each."""
+    trace = TraceLog()
+    single_step(prob, subset, overlap, constraint, window=window, trace=trace)
+    reads = [(r["size"], r["value"]) for r in trace.rows if r["kind"] == "bound"]
+    if not reads:
+        return
+    sizes = [v for v, _ in reads]
+    ws = Workspace(prob, subset, overlap, constraint)
+    lo, hi = window if window is not None else (ws.size_min, ws.size_max)
+    lo, hi = max(lo, ws.size_min), min(hi, ws.size_max)
+    start = min(ws.drop_end, hi)
+    down = [v for v in sizes if v <= start]
+    up = sizes[len(down):]
+    assert down == list(range(start, start - len(down), -1))
+    assert up == list(range(max(start + 1, lo), max(start + 1, lo) + len(up)))
+    assert len(set(sizes)) == len(sizes)
+    # A positive read ends the downward run, and at or past rise_start the scan.
+    for i, (v, value) in enumerate(reads[:-1]):
+        if value > 0.0:
+            assert v < ws.rise_start
+            assert v > start or i == len(down) - 1
+
 
 def _enumerate_checks(rng, n_instances):
     """Yield (prob, table, subset) tuples small enough to enumerate."""
@@ -360,7 +385,16 @@ class TestLawsAgainstOracle:
                     continue
                 ws = Workspace(prob, subset, z)
                 for v in out.window:
-                    assert not ws.singleton_at(v)
+                    # A size with one candidate: its path check decided it.
+                    assert v != ws.size_max
+                    assert not (v == ws.size_min and z == len(subset))
+
+    def test_scan_reads_each_size_once(self):
+        rng = np.random.default_rng(38)
+        for prob, table, subset in _enumerate_checks(rng, 30):
+            for z in range(1, len(subset) + 1):
+                assert_walk(prob, subset, z)
+                assert_walk(prob, subset, z, window=(z + 1, z + 2))
 
     def test_skipping_path_only_delays(self):
         # without path checks the verdict may stay UNDECIDED, but whenever it
@@ -370,6 +404,7 @@ class TestLawsAgainstOracle:
             for z in range(1, len(subset) + 1):
                 full = single_step(prob, subset, z, want_path=True)
                 lazy = single_step(prob, subset, z, want_path=False)
+                assert lazy.verdict is not Verdict.SURVIVOR_FOUND
                 if lazy.verdict is Verdict.ALL_REJECTED:
                     assert full.verdict is Verdict.ALL_REJECTED
                 if full.verdict is Verdict.UNDECIDED:
