@@ -261,13 +261,14 @@ def _parse_tokens(tokens, stats: StatisticMatrix):
     return validate_subset(_column_indices(tokens, stats), stats.n_hyps)
 
 
-def _read_list(spec: str, inputs: dict, inline=False):
+def _read_list(spec: str, inputs: dict, flag: str, inline=False):
     """The JSON value of file ``spec``, else its lines split into tokens.
 
     Tokens are separated by commas or blanks, one list per nonblank line.
     Returns the value and whether it was JSON.  The file's hash goes to
     ``inputs``; with ``inline``, a ``spec`` starting with ``[`` is the text
-    itself and must be JSON.
+    itself.  Text whose first nonblank character is ``[`` must be JSON,
+    whether inline or read from a file; ``flag`` names it when it is not.
     """
     is_text = inline and spec.lstrip().startswith("[")
     if is_text:
@@ -279,15 +280,15 @@ def _read_list(spec: str, inputs: dict, inline=False):
     try:
         return json.loads(text), True
     except json.JSONDecodeError as exc:
-        if is_text:
-            raise InputError(f"--sets is not valid JSON: {exc}") from None
+        if text.lstrip().startswith("["):
+            raise InputError(f"{flag} is not valid JSON: {exc}") from None
         lines = [line for line in text.splitlines() if line.strip()]
         return [line.replace(",", " ").split() for line in lines], False
 
 
 def _parse_set_lists(spec: str, inputs: dict):
     """--sets: JSON list of lists, or one comma-separated set per line."""
-    loaded, _ = _read_list(spec, inputs, inline=True)
+    loaded, _ = _read_list(spec, inputs, "--sets", inline=True)
     if not isinstance(loaded, list) or not loaded:
         raise InputError("--sets must supply a nonempty list of sets")
     if not all(isinstance(entry, list) for entry in loaded):
@@ -298,7 +299,7 @@ def _parse_set_lists(spec: str, inputs: dict):
 def _parse_order(spec, stats: StatisticMatrix, inputs: dict):
     if spec is None:
         return None
-    tokens, is_json = _read_list(spec, inputs)
+    tokens, is_json = _read_list(spec, inputs, "--order")
     if not is_json:
         tokens = [tok for line in tokens for tok in line]
     elif not isinstance(tokens, list):

@@ -43,24 +43,23 @@ contiguous memory.  A scan reads a few sizes near ``drop_end``, so the
 prefix tables of the bound and of the greedy path are built only as far as
 the widest size read so far, at least doubling when they grow; each
 extension carries the last running sum on, so every entry equals that of
-one ``cumsum`` over all columns bit for bit.  Row sums are still taken in
-column-major order, which adds left to right (numpy would sum a contiguous
-row pairwise and round differently).  Centered values hold no negative
-zero, so equal entries are equal bit for bit and sorting or trimming a block
-cannot change a sum.  The context also keeps one slot: the mask of the last
-scan's free subset columns and their centered values, sorted within each
-row.  A branch's two children share their free subset columns (the pivot
-leaves them on both sides), which differ from their parent's by at most the
-pivot, so a child scan reuses the block or deletes one value per row
-instead of sorting again.
+one ``cumsum`` over all columns bit for bit.  Row sums add left to right
+too (see :func:`_row_sums`), so a sum carried over and extended has the
+bits of a fresh one.  Centered values hold no negative zero, so equal
+entries are equal bit for bit and sorting or trimming a block cannot change
+a sum.  The context keeps one slot: the last scan's free subset columns,
+sorted within each row, with the row sums of their first ``k0``.  A
+branch's two children share their free subset columns, which differ from
+their parent's by at most the pivot, so a child scan reuses the block or
+deletes one value per row, and re-sums only rows that lose a value among
+their first ``k0``.  The greedy path's reserved columns are summed alike.
 
 Matrices are never mutated.  Besides each workspace's own growing tables,
-the slot is the only state that changes: it is replaced as one tuple, read
-once into a local by each scan, and its arrays are read-only, so scans
-sharing a context (even concurrently) stay correct and at worst sort again.
-A slot that does not hold what its mask says breaks an engine invariant
-and raises :class:`RuntimeError`, never :class:`ValueError`, which callers
-read as bad input.
+the slot and the path's carried sums are the only state that changes; each
+is replaced as one tuple and read once into a local by each scan, so scans
+sharing a context (even concurrently) stay correct and at worst sum or sort
+again.  A slot that does not hold what its mask says is an engine fault:
+:class:`RuntimeError`, never :class:`ValueError`, which means bad input.
 """
 
 from bisect import bisect_left
@@ -215,20 +214,31 @@ def _row_sums(block: np.ndarray) -> np.ndarray:
     return np.asfortranarray(block).sum(axis=1)
 
 
-def _without_values(block: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _add_columns(head: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``_row_sums`` of ``[head | cols]``, left to right even for one row (a spare zero row)."""
+    buf = np.zeros((head.shape[0] + 1, cols.shape[1] + 1), order="F")
+    buf[:-1, 0], buf[:-1, 1:] = head, cols
+    return buf.sum(axis=1)[:-1]
+
+
+def _without_values(block: np.ndarray, values: np.ndarray):
     """``block`` (rows sorted) with one entry equal to ``values[r]`` cut from row r.
 
-    The entry cut is the first not below the value, which equals it when
-    the row holds it; a row that does not is an engine fault.  Equal
-    centered values are equal bit for bit (no negative zeros), so the
-    result is the block a fresh sort of the remaining columns gives.
+    Also returns the cut positions, bisected in all rows at once: the first
+    entry not below the value, which equals it when the row holds it; a row
+    that does not is an engine fault.  Equal centered values are equal bit
+    for bit (no negative zeros), so the result is the block a fresh sort of
+    the remaining columns gives.
     """
     n_rows, n = block.shape
-    pos = np.count_nonzero(block < values[:, None], axis=1)
     rows = np.arange(n_rows)
+    pos = np.zeros(n_rows, dtype=np.intp)
+    for shift in range(n.bit_length() - 1, -1, -1):
+        probe = np.minimum(pos + (1 << shift), n)
+        pos = np.where(block[rows, probe - 1] < values, probe, pos)
     if not (block[rows, np.minimum(pos, n - 1)] == values).all():
         raise RuntimeError("the query context's sorted block lacks a column it should hold")
-    return np.delete(block.ravel(), rows * n + pos).reshape(n_rows, n - 1)
+    return np.delete(block.ravel(), rows * n + pos).reshape(n_rows, n - 1), pos
 
 
 class _RunningSums:
@@ -279,11 +289,15 @@ class QueryContext:
     subset_order : ndarray of int
         The subset's columns in that order.
     sorted_block : tuple or None
-        ``(mask, block)`` of the last scan, or None before the first: the
-        mask of its free subset columns and the B x n block of their
-        centered values, each row sorted ascending.  Both are read-only, and
-        the pair is only ever replaced whole (see :meth:`sorted_rows`).
+        ``(mask, block, k0, head)`` of the last scan, or None before the
+        first: the mask of its free subset columns, the B x n block of their
+        centered values, each row sorted ascending, and the row sums ``head``
+        of ``block[:, :k0]`` (or None), replaced whole (see :meth:`sorted_rows`).
+    order_sums : tuple
+        ``(k0, head)``, the row sums of the centered ``subset_order[:k0]``.
     """
+
+    SLACK = 16  # carried row sums stop this many columns short of a read
 
     def __init__(self, prob: SumTestProblem, subset):
         self.prob = prob
@@ -293,31 +307,53 @@ class QueryContext:
         self.order = np.argsort(prob.observed, kind="stable")
         self.subset_order = self.order[self.in_subset[self.order]]
         self.sorted_block = None
+        self.order_sums = (0, None)
 
-    def sorted_rows(self, mask: np.ndarray) -> np.ndarray:
-        """Row-sorted, read-only block of the centered columns in ``mask``.
+    def carried_sums(self, carried, columns, k: int):
+        """``_row_sums(columns(0, k))`` from ``head``, the sums of ``columns(0, k0)``
+        (afresh if ``k < k0``), and the ``(k0, head)`` to carry on: at most ``SLACK``
+        columns short of ``k``, so a force child's narrower read extends it too.
+        A lone row sums pairwise, so a one-row problem carries nothing."""
+        if self.prob.n_transforms < 2:
+            return _row_sums(columns(0, k)), carried
+        k0, head = carried
+        if head is None or k < k0:
+            k0, head = 0, np.zeros(self.prob.n_transforms)
+        if k > k0 + self.SLACK:
+            k0, head = k - self.SLACK, _add_columns(head, columns(k0, k - self.SLACK))
+        return _add_columns(head, columns(k0, k)), (k0, head)
+
+    def sorted_rows(self, mask: np.ndarray, needed: int):
+        """Row-sorted, read-only block of the centered columns in ``mask``,
+        and ``_row_sums`` of its first ``needed`` columns.
 
         Reuses :attr:`sorted_block` when its mask equals ``mask``, deletes
-        one value per row when ``mask`` lacks exactly one of its columns,
-        and sorts afresh otherwise; the result then takes the slot.
+        one value per row when ``mask`` lacks exactly one of its columns
+        (keeping the carried sums of rows cut at or past ``k0``), and sorts
+        afresh otherwise; the result then takes the slot.
         """
         slot = self.sorted_block
-        block = None
+        block, carried = None, (0, None)
         if slot is not None:
-            held, kept = slot
+            held, kept, k0, head = slot
             gone = np.flatnonzero(held != mask)
             if not gone.size:
-                return kept
-            if gone.size == 1 and held[gone[0]]:
-                block = _without_values(kept, self.prob.centered[:, gone[0]])
+                block, carried = kept, (k0, head)
+            elif gone.size == 1 and held[gone[0]]:
+                block, pos = _without_values(kept, self.prob.centered[:, gone[0]])
+                if head is not None and k0 <= block.shape[1]:
+                    redo, head = pos < k0, head.copy()
+                    head[redo] = _add_columns(np.zeros(np.count_nonzero(redo)), block[redo, :k0])
+                    carried = (k0, head)
         if block is None:
             block = np.take(self.prob.centered, np.flatnonzero(mask), axis=1)
             block.sort(axis=1)
+        block.setflags(write=False)
+        sums, carried = self.carried_sums(carried, lambda lo, hi: block[:, lo:hi], needed)
         mask = mask.copy()
         mask.setflags(write=False)
-        block.setflags(write=False)
-        self.sorted_block = (mask, block)
-        return block
+        self.sorted_block = (mask, block, *carried)
+        return block, sums
 
     def subspace(self, overlap: int, constraint=FREE):
         """Masks and reserved columns of one constrained subspace.
@@ -401,14 +437,14 @@ class Workspace:
         # Shared by the bound and the path.  No row sum is -0.0, so adding
         # the zero sum of no columns leaves every other sum's bits as they are.
         self._forced_sum = _row_sums(cen[:, forced_cols])
-        in_s = ctx.sorted_rows(s_free)
+        in_s, picked = ctx.sorted_rows(s_free, needed)
         o_free = np.flatnonzero(free & ~ctx.in_subset)
         if o_free.size:
             rem = np.concatenate([in_s[:, needed:], np.take(cen, o_free, axis=1)], axis=1)
             rem.sort(axis=1)
         else:
             rem = in_s[:, needed:]
-        self._base = self._forced_sum + _row_sums(in_s[:, :needed])
+        self._base = self._forced_sum + picked
         self._rem_prefix = _RunningSums(rem.shape, lambda lo, hi: rem[:, lo:hi])
         # Every row is sorted, so "all rows <= 0" and "some row < 0" each hold
         # on a leading run of columns; a binary search finds where each ends.
@@ -428,17 +464,20 @@ class Workspace:
     def _paths(self):
         if self._path_tables is None:
             cen = self.prob.centered
-            order = self._ctx.order
-            reserved = self._reserved
+            ctx, reserved = self._ctx, self._reserved
             rest_mask = self._free.copy()
             rest_mask[reserved] = False
-            rest = order[rest_mask[order]]
-            base = self._forced_sum + _row_sums(cen[:, reserved])
+            rest = ctx.order[rest_mask[ctx.order]]
+            if np.array_equal(reserved, ctx.subset_order[: reserved.size]):  # as on the spine
+                picked, ctx.order_sums = ctx.carried_sums(ctx.order_sums, lambda lo, hi: np.take(
+                    cen, ctx.subset_order[lo:hi], axis=1), reserved.size)
+            else:
+                picked = _row_sums(np.take(cen, reserved, axis=1))
             prefix = _RunningSums(
                 (self.prob.n_transforms, rest.size),
                 lambda lo, hi: np.take(cen, rest[lo:hi], axis=1),
             )
-            self._path_tables = (rest, base, prefix)
+            self._path_tables = (rest, self._forced_sum + picked, prefix)
         return self._path_tables
 
     def path_value(self, v: int) -> float:

@@ -594,6 +594,21 @@ class TestErrors:
         assert out == ""
         assert "--sets" in err
 
+    @pytest.mark.parametrize("flag, command", [
+        ("--sets", ["tdp"]),
+        ("--order", ["largest", "--gamma", "0.5"]),
+    ], ids=["sets", "order"])
+    def test_file_starting_with_bracket_must_parse(self, toy_csv, tmp_path, capsys,
+                                                   flag, command):
+        # a file that looks like JSON is never read as one list per line
+        path = tmp_path / "list.json"
+        path.write_text("  \n[[1,2],[3]\n")
+        code, out, err = run(
+            capsys, *command, "--stats", toy_csv, "--alpha", "0.4", flag, str(path))
+        assert code == 2
+        assert out == ""
+        assert f"{flag} is not valid JSON" in err
+
     def test_engine_fault_is_internal_error(self, toy_csv, capsys, monkeypatch):
         # a scan that never settles leaves a subspace with no pivot: an
         # engine fault, reported as such, not as a per-set input error

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sumtdp import (
     FREE,
@@ -13,11 +15,13 @@ from sumtdp import (
     TraceLog,
     Verdict,
     Workspace,
+    evaluate_iterative,
     pick_pivot,
     single_step,
     subset_quantile,
 )
-from sumtdp.shortcut import QueryContext
+from sumtdp import shortcut
+from sumtdp.shortcut import QueryContext, _row_sums
 from tests.util import POOL, random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
@@ -118,6 +122,77 @@ class TestWorkspaceToy:
         assert Workspace(other, ctx, 1).subset == TOY_SUBSET
 
 
+def _tables(ws):
+    sizes = range(ws.size_min, ws.size_max + 1)
+    return (
+        (ws.size_min, ws.size_max, ws.drop_end, ws.rise_start),
+        [ws.bound_value(v) for v in sizes],
+        [ws.path_value(v) for v in sizes],
+    )
+
+
+def _signs(tables):
+    # == cannot tell -0.0 from 0.0; the sign bits can.
+    return [np.signbit(values).tolist() for values in tables[1:]]
+
+
+def assert_spine_matches_fresh(prob, subset, overlaps, constraint=FREE, steps=3):
+    """Scan a branch order on one shared context; each node as a fresh context does.
+
+    For each overlap in turn, as the bisection visits levels: the root, then
+    each level's exclude and force child down the exclude spine, then the
+    deferred force children, deepest first.  The walk stops early where no
+    column is left to split on; returns the spine's depth at each overlap.
+    """
+    ctx = QueryContext(prob, subset)
+    depths = []
+    for overlap in overlaps:
+        order, deferred, cons = [constraint], [], constraint
+        for _ in range(steps):
+            try:
+                pivot = pick_pivot(prob, ctx, overlap, cons)
+            except RuntimeError:
+                break
+            order += [cons.exclude(pivot), cons.force(pivot)]
+            deferred.append(cons.force(pivot))
+            cons = cons.exclude(pivot)
+        for cons in order + deferred[::-1]:
+            shared = Workspace(prob, ctx, overlap, cons)
+            fresh = Workspace(prob, subset, overlap, cons)
+            assert shared.infeasible == fresh.infeasible
+            if not fresh.infeasible:
+                got, want = _tables(shared), _tables(fresh)
+                assert got == want
+                assert _signs(got) == _signs(want)
+                assert_carried_sums_exact(ctx)
+        depths.append(len(deferred))
+    return depths
+
+
+def assert_carried_sums_exact(ctx):
+    """Each carried row sum equals a fresh ``_row_sums`` of its columns, bit for bit.
+
+    The tables compared above read only a quantile over rows; this reads
+    every row.
+    """
+    _, block, k0, head = ctx.sorted_block
+    k1, path_head = ctx.order_sums
+    path_cols = ctx.prob.centered[:, ctx.subset_order[:k1]]
+    for sums, cols in ((head, block[:, :k0]), (path_head, path_cols)):
+        if sums is not None:
+            want = _row_sums(cols)
+            assert sums.tolist() == want.tolist()
+            assert np.signbit(sums).tolist() == np.signbit(want).tolist()
+
+
+def _deep_problem():
+    """40 x 300 Gaussian problem whose level 282 exhausts a budget of 30 splits."""
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal((40, 300))
+    values[0, rng.permutation(300)[:60]] += 2.0
+    return SumTestProblem(values[0] - values, values[0], 2)
+
+
 class TestSortedBlockReuse:
     """Scans sharing a context reuse or trim its sorted block, same tables."""
 
@@ -134,41 +209,10 @@ class TestSortedBlockReuse:
         cen[:4, 8], cen[:4, 3] = 0.0, -0.0
         return SumTestProblem(cen, obs, 4)
 
-    @staticmethod
-    def _signs(tables):
-        # == cannot tell -0.0 from 0.0; the sign bits can.
-        return [np.signbit(values).tolist() for values in tables[1:]]
-
-    @staticmethod
-    def _tables(ws):
-        sizes = range(ws.size_min, ws.size_max + 1)
-        return (
-            (ws.size_min, ws.size_max, ws.drop_end, ws.rise_start),
-            [ws.bound_value(v) for v in sizes],
-            [ws.path_value(v) for v in sizes],
-        )
-
     def test_branch_order_matches_fresh_contexts(self):
         prob = self._problem()
         for overlap in (1, 3, 5, 9):
-            ctx = QueryContext(prob, self.SUBSET)
-            # Root, then each level's exclude and force child down the
-            # exclude spine, then the deferred force children, deepest first.
-            order, deferred, cons = [FREE], [], FREE
-            for _ in range(3):
-                pivot = pick_pivot(prob, ctx, overlap, cons)
-                order += [cons.exclude(pivot), cons.force(pivot)]
-                deferred.append(cons.force(pivot))
-                cons = cons.exclude(pivot)
-            order += deferred[::-1]
-            for cons in order:
-                shared = Workspace(prob, ctx, overlap, cons)
-                fresh = Workspace(prob, self.SUBSET, overlap, cons)
-                assert shared.infeasible == fresh.infeasible
-                if not fresh.infeasible:
-                    assert self._tables(shared) == self._tables(fresh)
-                    assert self._signs(self._tables(shared)) == self._signs(
-                        self._tables(fresh))
+            assert assert_spine_matches_fresh(prob, self.SUBSET, [overlap]) == [3]
 
     def test_siblings_share_and_children_trim(self):
         prob = self._problem()
@@ -206,11 +250,116 @@ class TestSortedBlockReuse:
         ctx = QueryContext(prob, self.SUBSET)
         held = ctx.in_subset.copy()
         block = np.sort(prob.centered[:, :9], axis=1) + 10.0  # no column's values
-        ctx.sorted_block = (held, block)
+        head = np.sum(block[:, :3], axis=1)
+        ctx.sorted_block = (held, block, 3, head)
         smaller = held.copy()
         smaller[8] = False
         with pytest.raises(RuntimeError, match="sorted block"):
-            ctx.sorted_rows(smaller)
+            ctx.sorted_rows(smaller, 3)
+
+
+class TestCarriedSums:
+    """Row sums carried through the context keep the bits of fresh sums."""
+
+    def test_trim_resums_one_row_left_to_right(self):
+        # Cutting column 47 moves the first k0 sorted entries of row 0 only:
+        # it is the second smallest entry there and the largest in the other
+        # rows.  numpy would sum that lone row pairwise, and each 1.0 added
+        # to -1e16 on its own rounds away; the carried sums must add it left
+        # to right, as a fresh sum over all rows does.
+        rng = np.random.default_rng(7)
+        cen = rng.standard_normal((4, 48))
+        cen[0] = [-1e16, *[1.0] * 46, -1e9]
+        cen[1:, 47] = 1e9
+        prob = SumTestProblem(cen, rng.standard_normal(48), 1)
+        subset, needed = tuple(range(48)), 44
+        mask = np.ones(48, dtype=bool)
+        ctx = QueryContext(prob, subset)
+        ctx.sorted_rows(mask, needed)
+        k0 = ctx.sorted_block[2]
+        assert k0 >= 8  # numpy sums pairwise from eight entries on
+        mask[47] = False
+        block, sums = ctx.sorted_rows(mask, needed)
+        fresh_block, fresh_sums = QueryContext(prob, subset).sorted_rows(mask, needed)
+        assert np.array_equal(block, fresh_block)
+        assert sums.tolist() == fresh_sums.tolist() == _row_sums(block[:, :needed]).tolist()
+        assert np.signbit(sums).tolist() == np.signbit(fresh_sums).tolist()
+        # The row's pairwise sum differs, so a pairwise re-sum would show.
+        lone = block[0, :k0]
+        assert _row_sums(lone[None, :])[0] != _row_sums(np.stack([lone, lone]))[0]
+        shared = Workspace(prob, ctx, needed, FREE.exclude(47))
+        fresh = Workspace(prob, subset, needed, FREE.exclude(47))
+        assert _tables(shared) == _tables(fresh)
+
+    def test_one_row_sums_pairwise_as_defined(self):
+        # numpy sums a lone contiguous row pairwise, and so does _row_sums
+        # for a one-row problem: no carried sum may add it left to right.
+        cen = np.array([[-1e16, *[1.0] * 39]])
+        prob = SumTestProblem(cen, np.arange(40.0), 1)
+        ctx = QueryContext(prob, tuple(range(40)))
+        mask = np.ones(40, dtype=bool)
+        for needed in (30, 31, 29, 40):
+            block, sums = ctx.sorted_rows(mask, needed)
+            assert sums.tolist() == [float(np.sum(block[0, :needed]))]
+        assert sums[0] != -1e16  # left to right, every 1.0 would round away
+        for overlap in (30, 31):
+            ws = Workspace(prob, ctx, overlap)
+            assert ws.path_value(overlap) == float(np.sum(cen[0, :overlap]))
+
+    def test_deep_spine_matches_fresh_contexts(self):
+        # All columns at overlaps near |S|, so every pivot lies in S and each
+        # force child needs one overlap pick fewer; the levels in bisection
+        # order read wider, then much narrower, then wider sums again.
+        prob = _deep_problem()
+        depths = assert_spine_matches_fresh(
+            prob, tuple(range(300)), [282, 256, 283], steps=14)
+        assert min(depths) >= 12
+
+    def test_spine_sums_few_columns(self, monkeypatch):
+        # Each scan down the spine differs from the one before by a pivot,
+        # so it extends or patches the carried sums of the overlap picks.
+        # Summing every pick again would cost a full width, 40 x 282
+        # entries, for each of the 25 scans and each of the bound's and the
+        # path's sums; carried, the whole walk costs about six.
+        prob = _deep_problem()
+        summed = []
+        for name in ("_row_sums", "_add_columns"):
+            def counting(*arrays, _real=getattr(shortcut, name)):
+                summed.append(arrays[-1].size)
+                return _real(*arrays)
+            monkeypatch.setattr(shortcut, name, counting)
+        trace = TraceLog()
+        out = evaluate_iterative(prob, tuple(range(300)), 282, budget=24, trace=trace)
+        assert out.verdict is Verdict.UNDECIDED
+        assert sum(row["kind"] == "eval" for row in trace.rows) == 25
+        assert sum(summed) < 8 * 40 * 282
+
+
+@st.composite
+def spine_cases(draw):
+    m, b = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+    value = st.sampled_from(POOL)
+    row = st.lists(value, min_size=m, max_size=m)
+    centered = np.array(draw(st.lists(row, min_size=b, max_size=b)))
+    prob = SumTestProblem(centered, np.array(draw(row)), draw(st.integers(1, b)))
+    subsets = st.just(range(m)) | st.sets(st.integers(0, m - 1), min_size=1)
+    subset = tuple(sorted(draw(subsets)))
+    s = len(subset)
+    level = st.integers(max(1, s - 24), s) | st.integers(1, s)
+    overlaps = draw(st.lists(level, min_size=1, max_size=3))
+    role = draw(st.lists(st.sampled_from("fx" + "." * 10), min_size=m, max_size=m))
+    constraint = SubspaceConstraint(
+        {i for i, r in enumerate(role) if r == "f"},
+        {i for i, r in enumerate(role) if r == "x"},
+    )
+    return prob, subset, overlaps, constraint
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(spine_cases())
+def test_spine_on_ties_matches_fresh_contexts(case):
+    prob, subset, overlaps, constraint = case
+    assert_spine_matches_fresh(prob, subset, overlaps, constraint, steps=6)
 
 
 class TestSingleStepToy:
