@@ -20,7 +20,6 @@ Typical use::
     print(res.discoveries, res.tdp)
 """
 
-from .branchbound import IterationResult, evaluate_iterative, pick_pivot
 from .combiners import (
     COMBINER_KINDS,
     Combiner,
@@ -45,16 +44,7 @@ from .inference import (
 )
 from .oracle import RejectionTable
 from .reduction import ReductionResult, reduce_columns
-from .shortcut import (
-    FREE,
-    Evaluation,
-    SubspaceConstraint,
-    SumTestProblem,
-    TraceLog,
-    Verdict,
-    Workspace,
-    single_step,
-)
+from .shortcut import SumTestProblem, TraceLog, Verdict
 from .simharness import (
     GRID_COLUMNS,
     ReplicationOutcome,
@@ -91,10 +81,8 @@ __all__ = [
     # transformation schemes
     "TransformationScheme", "sign_flip_matrix", "row_permutation_matrix",
     "one_sample_t",
-    # scan and branch and bound
-    "SumTestProblem", "Workspace", "single_step", "Verdict", "Evaluation",
-    "SubspaceConstraint", "FREE", "TraceLog",
-    "pick_pivot", "evaluate_iterative", "IterationResult",
+    # problem, verdicts and trace
+    "SumTestProblem", "Verdict", "TraceLog",
     # inference
     "discoveries", "discoveries_matrix", "DiscoveryResult",
     "largest_subset", "PrefixResult",

@@ -19,14 +19,13 @@ stack, exclude side on top, giving a depth-first run through the exclude
 spine first.  The root evaluation is free of charge; callers that count
 scans add it themselves.
 
-A run builds one :class:`~.shortcut.QueryContext` for its subset (or uses
-the one its caller passes in) and hands it to every scan and every pivot
-choice, so the subset is validated and the columns are ordered once.  The
-pivot reads the subspace's masks and reserved columns from the context,
-the same rule the scan's greedy path uses.  A subspace that is still
-undecided but has no column left to split on breaks an engine invariant
-and raises :class:`RuntimeError`, never :class:`ValueError`, which callers
-read as bad input.
+A run takes the query's :class:`~.shortcut.QueryContext` and hands it to
+every scan and every pivot choice, so the subset is validated and the
+columns are ordered once per query.  The pivot reads the subspace's masks
+and reserved columns from the context, the same rule the scan's greedy
+path uses.  A subspace that is still undecided but has no column left to
+split on breaks an engine invariant and raises :class:`RuntimeError`,
+never :class:`ValueError`, which callers read as bad input.
 """
 
 import math
@@ -35,10 +34,9 @@ from dataclasses import dataclass
 from .shortcut import (
     FREE,
     Evaluation,
-    SumTestProblem,
+    QueryContext,
     TraceLog,
     Verdict,
-    query_context,
     single_step,
 )
 
@@ -57,7 +55,7 @@ class IterationResult:
         return self.evaluation.verdict
 
 
-def pick_pivot(prob: SumTestProblem, subset, overlap: int, constraint=FREE) -> int:
+def pick_pivot(ctx: QueryContext, overlap: int, constraint=FREE) -> int:
     """Branching column for an undecided subspace.
 
     Free columns reserved by the greedy path (the columns inside the subset
@@ -66,10 +64,8 @@ def pick_pivot(prob: SumTestProblem, subset, overlap: int, constraint=FREE) -> i
     statistic wins, ties going to the highest index.  That makes the pivot
     exactly the last column the greedy path would add, so excluding it
     leaves every shorter path prefix, and hence the parent's path values,
-    untouched.  ``subset`` is column indices or a
-    :class:`~.shortcut.QueryContext` for ``prob``.
+    untouched.
     """
-    ctx = query_context(prob, subset)
     _, free, _, reserved = ctx.subspace(overlap, constraint)
     candidates = free.copy()
     candidates[reserved] = False
@@ -82,8 +78,7 @@ def pick_pivot(prob: SumTestProblem, subset, overlap: int, constraint=FREE) -> i
 
 
 def evaluate_iterative(
-    prob: SumTestProblem,
-    subset,
+    ctx: QueryContext,
     overlap: int,
     constraint=FREE,
     budget=None,
@@ -96,16 +91,13 @@ def evaluate_iterative(
     root scan is free).  ``budget=None`` means unlimited, which always
     terminates: subspaces shrink by one free column per split.
 
-    ``subset`` is column indices or a :class:`~.shortcut.QueryContext` for
-    ``prob``.  Returns the final evaluation and the number of budgeted scans
-    performed.  An UNDECIDED result means the budget ran out; spending more
-    can only refine it (the explored tree is a prefix of the unlimited run's
-    tree).
+    Returns the final evaluation and the number of budgeted scans performed.
+    An UNDECIDED result means the budget ran out; spending more can only
+    refine it (the explored tree is a prefix of the unlimited run's tree).
     """
     limit = math.inf if budget is None else int(budget)
     if limit < 0:
         raise ValueError("budget must be nonnegative")
-    ctx = query_context(prob, subset)
 
     def log(ev, cons, index):
         if trace is not None:
@@ -116,7 +108,7 @@ def evaluate_iterative(
                 verdict=ev.verdict, window=ev.window, witness=ev.witness,
             )
 
-    root = single_step(prob, ctx, overlap, constraint, want_path=True, trace=trace)
+    root = single_step(ctx, overlap, constraint, want_path=True, trace=trace)
     log(root, constraint, 0)
     if root.verdict is not Verdict.UNDECIDED:
         return IterationResult(root, 0)
@@ -125,7 +117,7 @@ def evaluate_iterative(
     stack = [(constraint, root.window)]
     while stack:
         cons, window = stack.pop()
-        pivot = pick_pivot(prob, ctx, overlap, cons)
+        pivot = pick_pivot(ctx, overlap, cons)
         if trace is not None:
             trace.add(
                 kind="branch", pivot=pivot, overlap=overlap,
@@ -143,7 +135,7 @@ def evaluate_iterative(
                 return IterationResult(Evaluation(Verdict.UNDECIDED, window=window), spent)
             spent += 1
             ev = single_step(
-                prob, ctx, overlap, cons_child,
+                ctx, overlap, cons_child,
                 window=window, want_path=want_path, trace=trace,
             )
             log(ev, cons_child, spent)

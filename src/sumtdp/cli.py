@@ -55,7 +55,6 @@ from .statmatrix import (
     column_index,
     read_data_csv,
     read_statistic_csv,
-    reject,
     subset_quantile,
     validate_subset,
 )
@@ -261,22 +260,14 @@ def _parse_tokens(tokens, stats: StatisticMatrix):
     return validate_subset(_column_indices(tokens, stats), stats.n_hyps)
 
 
-def _read_list(spec: str, inputs: dict, flag: str, inline=False):
-    """The JSON value of file ``spec``, else its lines split into tokens.
+def _parse_list(text: str, flag: str):
+    """The JSON value of ``text``, else its lines split into tokens.
 
     Tokens are separated by commas or blanks, one list per nonblank line.
-    Returns the value and whether it was JSON.  The file's hash goes to
-    ``inputs``; with ``inline``, a ``spec`` starting with ``[`` is the text
-    itself.  Text whose first nonblank character is ``[`` must be JSON,
-    whether inline or read from a file; ``flag`` names it when it is not.
+    Returns the value and whether it was JSON.  Text whose first nonblank
+    character is ``[`` must be JSON, whether inline or read from a file;
+    ``flag`` names it when it is not.
     """
-    is_text = inline and spec.lstrip().startswith("[")
-    if is_text:
-        text = spec
-    else:
-        inputs[spec] = _sha256(spec)
-        with open(spec) as fh:
-            text = fh.read()
     try:
         return json.loads(text), True
     except json.JSONDecodeError as exc:
@@ -284,6 +275,16 @@ def _read_list(spec: str, inputs: dict, flag: str, inline=False):
             raise InputError(f"{flag} is not valid JSON: {exc}") from None
         lines = [line for line in text.splitlines() if line.strip()]
         return [line.replace(",", " ").split() for line in lines], False
+
+
+def _read_list(spec: str, inputs: dict, flag: str, inline=False):
+    """:func:`_parse_list` of file ``spec``, whose hash goes to ``inputs``;
+    with ``inline``, of ``spec`` itself when it starts with ``[``."""
+    if inline and spec.lstrip().startswith("["):
+        return _parse_list(spec, flag)
+    inputs[spec] = _sha256(spec)
+    with open(spec) as fh:
+        return _parse_list(fh.read(), flag)
 
 
 def _parse_set_lists(spec: str, inputs: dict):
@@ -414,14 +415,15 @@ def _cmd_test(args, inputs: dict) -> _Result:
     if args.set is None:
         subset = tuple(range(stats.n_hyps))
     else:
-        tokens = json.loads(args.set) if args.set.lstrip().startswith("[") \
+        tokens = _parse_list(args.set, "--set")[0] if args.set.lstrip().startswith("[") \
             else args.set.replace(",", " ").split()
         subset = _parse_tokens(tokens, stats)
+    quantile = subset_quantile(prob, subset)
     payload = {
         "size": len(subset),
-        "quantile": subset_quantile(prob, subset),
+        "quantile": quantile,
         "critical_rank": cfg.crit_rank,
-        "reject": reject(prob, subset),
+        "reject": quantile > 0.0,
     }
     return _Result(payload, [payload], list(payload))
 
@@ -519,6 +521,9 @@ def _build_cells(config: dict, full_scale: bool, args):
     cell_dicts = config.get("cells", [{}])
     if not isinstance(cell_dicts, list) or not all(isinstance(c, dict) for c in cell_dicts):
         raise InputError("config key 'cells' must be a list of objects")
+    if combiners is not None and not (isinstance(combiners, list) and combiners
+                                      and all(isinstance(c, str) for c in combiners)):
+        raise InputError("config key 'combiners' must be a nonempty list of combiner names")
     cells = []
     for cell in cell_dicts:
         merged = {**defaults, **top, **cell}

@@ -78,6 +78,8 @@ class Combiner:
     @classmethod
     def parse(cls, token: str) -> "Combiner":
         """Parse a CLI token such as ``fisher`` or ``vw:-1``."""
+        if not isinstance(token, str):
+            raise ValueError(f"combiner must be a name such as 'fisher', got {token!r}")
         token = token.strip().lower()
         if ":" in token:
             head, _, tail = token.partition(":")

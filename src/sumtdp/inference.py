@@ -168,7 +168,7 @@ def discoveries(
 
     while hi - lo > 1:
         z = _probe(lo, hi)
-        res = evaluate_iterative(prob, ctx, z, budget=step_budget, trace=trace)
+        res = evaluate_iterative(ctx, z, budget=step_budget, trace=trace)
         cost = 1 + res.iterations
         spent_total += cost
         if res.verdict is Verdict.ALL_REJECTED:

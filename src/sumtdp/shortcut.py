@@ -34,9 +34,8 @@ in index order) and the reserved-column rule, which picks the subset columns
 the greedy path spends on the overlap requirement.  A subspace constraint is
 turned into boolean masks of forced and free columns, and the workspace, the
 greedy path and the branching pivot all read those masks and that one
-ordering.  Functions that take a ``subset`` accept either column indices, for
-which they build the context themselves, or a context built for the same
-problem; both run the same code.
+ordering.  Every scan and pivot takes the context as its only query
+argument; :func:`~.inference.discoveries` builds it from column indices.
 
 Scan tables are row-major, so every row sort and prefix sum runs over
 contiguous memory.  A scan reads a few sizes near ``drop_end``, so the
@@ -58,7 +57,8 @@ Matrices are never mutated.  Besides each workspace's own growing tables,
 the slot and the path's carried sums are the only state that changes; each
 is replaced as one tuple and read once into a local by each scan, so scans
 sharing a context (even concurrently) stay correct and at worst sum or sort
-again.  A slot that does not hold what its mask says is an engine fault:
+again.  A slot that does not hold what its mask says, an overlap outside
+1..|S| or a constraint column out of range is an engine fault:
 :class:`RuntimeError`, never :class:`ValueError`, which means bad input.
 """
 
@@ -81,7 +81,6 @@ __all__ = [
     "FREE",
     "SumTestProblem",
     "QueryContext",
-    "query_context",
     "Workspace",
     "single_step",
     "TraceLog",
@@ -144,7 +143,8 @@ class SumTestProblem:
     greedy path and the branching pivot order columns by observed statistic,
     which the centered matrix alone cannot recover.
 
-    The centered matrix is stored with every negative zero turned into 0.0.
+    The centered matrix is stored row-major, with every negative zero
+    turned into 0.0, whatever the layout of its input.
     numpy's vectorized sorts may swap or even merge the signs of tied zeros,
     so only then do sums over sorted rows (and the sign of a zero bound)
     not depend on the sort.
@@ -165,7 +165,7 @@ class SumTestProblem:
             raise ValueError(
                 f"crit_rank {self.crit_rank} out of range for {cen.shape[0]} rows"
             )
-        cen = cen + 0.0  # a copy, with -0.0 stored as 0.0
+        cen = np.add(cen, 0.0, order="C")  # a row-major copy, with -0.0 stored as 0.0
         cen.setflags(write=False)
         obs = obs.copy()
         obs.setflags(write=False)
@@ -369,7 +369,7 @@ class QueryContext:
         m = self.prob.n_hyps
         for i in constraint.forced | constraint.excluded:
             if not 0 <= i < m:
-                raise ValueError(f"constraint column {i} out of range")
+                raise RuntimeError(f"constraint column {i} out of range")
         forced = np.zeros(m, dtype=bool)
         forced[list(constraint.forced)] = True
         free = ~forced
@@ -379,19 +379,9 @@ class QueryContext:
         return forced, free, needed, reserved
 
 
-def query_context(prob: SumTestProblem, subset) -> QueryContext:
-    """``subset`` itself when it is a context for ``prob``, else a new one."""
-    if isinstance(subset, QueryContext):
-        if subset.prob is not prob:
-            raise ValueError("query context was built for another problem")
-        return subset
-    return QueryContext(prob, subset)
-
-
 class Workspace:
-    """Prefix-sum tables for one (problem, subset, overlap, constraint) query.
+    """Prefix-sum tables for one (query, overlap, constraint) scan.
 
-    ``subset`` is column indices or a :class:`QueryContext` for ``prob``.
     The bound's remainder (each row's free columns left after the overlap
     picks, sorted) is built whole; its prefix sums, and the greedy path's
     columns and prefix sums, only as far as the widest size read.  Sizes
@@ -401,7 +391,7 @@ class Workspace:
     ----------
     infeasible : bool
         True when no candidate set satisfies the constraint, in which case no
-        other attribute beyond the inputs is meaningful.
+        other attribute is meaningful.
     size_min, size_max : int
         Inclusive range of candidate set sizes in this subspace.
     drop_end, rise_start : int
@@ -410,16 +400,11 @@ class Workspace:
         search, which rests on the remainder's rows being sorted.
     """
 
-    def __init__(self, prob: SumTestProblem, subset, overlap: int, constraint=FREE):
-        ctx = query_context(prob, subset)
+    def __init__(self, ctx: QueryContext, overlap: int, constraint=FREE):
         if not 1 <= overlap <= len(ctx.subset):
-            raise ValueError(f"overlap must lie in 1..{len(ctx.subset)}, got {overlap}")
+            raise RuntimeError(f"overlap must lie in 1..{len(ctx.subset)}, got {overlap}")
         forced, free, needed, reserved = ctx.subspace(overlap, constraint)
-        self.prob = prob
-        self.subset = ctx.subset
-        self.overlap = overlap
-        self.constraint = constraint
-
+        self.prob = ctx.prob
         self._ctx = ctx
         self._forced = forced
         self._free = free
@@ -433,7 +418,7 @@ class Workspace:
         self.size_min = forced_cols.size + needed
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
 
-        cen = prob.centered
+        cen = ctx.prob.centered
         # Shared by the bound and the path.  No row sum is -0.0, so adding
         # the zero sum of no columns leaves every other sum's bits as they are.
         self._forced_sum = _row_sums(cen[:, forced_cols])
@@ -495,8 +480,7 @@ class Workspace:
 
 
 def single_step(
-    prob: SumTestProblem,
-    subset,
+    ctx: QueryContext,
     overlap: int,
     constraint=FREE,
     window=None,
@@ -507,7 +491,6 @@ def single_step(
 
     Parameters
     ----------
-    subset : column indices, or a :class:`QueryContext` for ``prob``
     window : (int, int), optional
         Inclusive range of candidate sizes still pending; defaults to the
         subspace's full size range.  Sizes outside the subspace's range are
@@ -518,7 +501,6 @@ def single_step(
         path (the exclude-child of a branch).  Without the path a scan
         never reports a survivor: it is ALL_REJECTED or UNDECIDED.
     """
-    ctx = query_context(prob, subset)
     s = len(ctx.subset)
     if overlap <= 0:
         # The empty set overlaps everything by 0 and is never rejected, so
@@ -528,7 +510,7 @@ def single_step(
     if overlap >= s + 1:
         return Evaluation(Verdict.ALL_REJECTED)
 
-    ws = Workspace(prob, ctx, overlap, constraint)
+    ws = Workspace(ctx, overlap, constraint)
     if ws.infeasible:
         return Evaluation(Verdict.ALL_REJECTED)
     v1, v2 = window if window is not None else (ws.size_min, ws.size_max)

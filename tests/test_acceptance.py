@@ -12,26 +12,23 @@ import numpy as np
 import pytest
 
 from sumtdp import (
-    FREE,
     RejectionTable,
     SimulationConfig,
     StatisticMatrix,
     SumTestProblem,
     TestConfig,
     Verdict,
-    Workspace,
     discoveries,
     discoveries_matrix,
-    evaluate_iterative,
-    pick_pivot,
     reduce_columns,
     reject,
     run_study,
-    single_step,
     subset_quantile,
     truncate,
     TruncationRule,
 )
+from sumtdp.branchbound import evaluate_iterative, pick_pivot
+from sumtdp.shortcut import FREE, QueryContext, Workspace, single_step
 from tests.conftest import TOY_ROWS
 from tests.util import random_instance, random_subset
 
@@ -51,11 +48,12 @@ def test_criterion_1_worked_example_exact():
     ok = cfg.crit_rank == 3
     ok &= subset_quantile(prob, sub) == 2.0
     ok &= reject(prob, sub)
-    ok &= single_step(prob, sub, 2).verdict is Verdict.ALL_REJECTED
-    root = single_step(prob, sub, 1)
+    ctx = QueryContext(prob, sub)
+    ok &= single_step(ctx, 2).verdict is Verdict.ALL_REJECTED
+    root = single_step(ctx, 1)
     ok &= root.verdict is Verdict.UNDECIDED
-    ok &= pick_pivot(prob, sub, 1) == 0
-    settled = evaluate_iterative(prob, sub, 1, budget=2)
+    ok &= pick_pivot(ctx, 1) == 0
+    settled = evaluate_iterative(ctx, 1, budget=2)
     ok &= settled.verdict is Verdict.SURVIVOR_FOUND
     ok &= settled.iterations <= 2
     res = discoveries(prob, sub)
@@ -83,7 +81,7 @@ def test_criterion_2_matches_exhaustive_reference():
             if res.overlap_cap != table.max_nonrejected_overlap(sub):
                 mismatches += 1
             for z in range(1, len(sub) + 1):
-                verdict = evaluate_iterative(prob, sub, z).verdict
+                verdict = evaluate_iterative(QueryContext(prob, sub), z).verdict
                 truth = table.all_overlapping_rejected(sub, z)
                 if (verdict is Verdict.ALL_REJECTED) != truth:
                     mismatches += 1
@@ -126,7 +124,7 @@ def test_criterion_4_bound_and_path_laws():
         for _ in range(5):
             sub = random_subset(rng, stats.n_hyps)
             for z in range(1, len(sub) + 1):
-                ws = Workspace(prob, sub, z)
+                ws = Workspace(QueryContext(prob, sub), z)
                 if ws.infeasible:
                     continue
                 prev = None
@@ -150,10 +148,10 @@ def test_criterion_4_bound_and_path_laws():
                     prev = bound
                 # excluding the pivot must not disturb the greedy path
                 try:
-                    pivot = pick_pivot(prob, sub, z)
+                    pivot = pick_pivot(QueryContext(prob, sub), z)
                 except RuntimeError:
                     continue
-                child = Workspace(prob, sub, z, FREE.exclude(pivot))
+                child = Workspace(QueryContext(prob, sub), z, FREE.exclude(pivot))
                 if child.infeasible:
                     continue
                 lemma_checked += 1
@@ -262,7 +260,7 @@ def test_criterion_8_scaling():
     cfg = TestConfig(0.05, b)
     prob = SumTestProblem.from_matrix(stats, cfg)
     started = time.perf_counter()
-    out = single_step(prob, tuple(range(m)), 1)
+    out = single_step(QueryContext(prob, tuple(range(m))), 1)
     elapsed = time.perf_counter() - started
     print(f"  single scan over {m} columns: {elapsed:.2f}s ({out.verdict.value})")
     ok &= elapsed < 10.0

@@ -3,29 +3,27 @@
 import numpy as np
 import pytest
 
-from sumtdp import (
-    FREE,
-    RejectionTable,
-    SumTestProblem,
-    TraceLog,
-    Verdict,
-    Workspace,
-    evaluate_iterative,
-    pick_pivot,
-)
+from sumtdp import RejectionTable, SumTestProblem, TraceLog, Verdict
+from sumtdp.branchbound import evaluate_iterative, pick_pivot
+from sumtdp.shortcut import FREE, QueryContext, Workspace
 from tests.util import random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
 
 
+@pytest.fixture
+def toy_ctx(toy_problem):
+    return QueryContext(toy_problem, TOY_SUBSET)
+
+
 class TestPivotToy:
-    def test_pivot_is_best_observed(self, toy_problem):
+    def test_pivot_is_best_observed(self, toy_ctx):
         # free columns minus the one reserved column (H2, smallest observed
         # inside the subset); H1 has the greatest observed statistic
-        assert pick_pivot(toy_problem, TOY_SUBSET, 1) == 0
+        assert pick_pivot(toy_ctx, 1) == 0
 
-    def test_pivot_after_excluding_it(self, toy_problem):
-        assert pick_pivot(toy_problem, TOY_SUBSET, 1, FREE.exclude(0)) == 2
+    def test_pivot_after_excluding_it(self, toy_ctx):
+        assert pick_pivot(toy_ctx, 1, FREE.exclude(0)) == 2
 
     def test_tie_goes_to_highest_index(self):
         values = np.zeros((4, 4))
@@ -33,49 +31,49 @@ class TestPivotToy:
         prob = SumTestProblem(values[1:] * 0.0, values[0], 1)
         # column 1 is reserved (smallest observed in subset); 0, 2, 3 tie at
         # observed 1, so the pivot is column 3
-        assert pick_pivot(prob, (0, 1), 1) == 3
+        assert pick_pivot(QueryContext(prob, (0, 1)), 1) == 3
 
     def test_no_candidate_raises(self):
         prob = SumTestProblem(np.zeros((2, 1)), np.zeros(1), 1)
         with pytest.raises(RuntimeError, match="no free column"):
-            pick_pivot(prob, (0,), 1)
+            pick_pivot(QueryContext(prob, (0,)), 1)
 
 
 class TestIterativeToy:
-    def test_settles_in_two_steps(self, toy_problem):
-        res = evaluate_iterative(toy_problem, TOY_SUBSET, 1)
+    def test_settles_in_two_steps(self, toy_ctx):
+        res = evaluate_iterative(toy_ctx, 1)
         assert res.verdict is Verdict.SURVIVOR_FOUND
         assert res.iterations == 2
         assert res.evaluation.witness == (0, 3)
 
-    def test_level_two_root_only(self, toy_problem):
-        res = evaluate_iterative(toy_problem, TOY_SUBSET, 2)
+    def test_level_two_root_only(self, toy_ctx):
+        res = evaluate_iterative(toy_ctx, 2)
         assert res.verdict is Verdict.ALL_REJECTED
         assert res.iterations == 0
 
-    def test_budget_zero_returns_root_window(self, toy_problem):
-        res = evaluate_iterative(toy_problem, TOY_SUBSET, 1, budget=0)
+    def test_budget_zero_returns_root_window(self, toy_ctx):
+        res = evaluate_iterative(toy_ctx, 1, budget=0)
         assert res.verdict is Verdict.UNDECIDED
         assert res.evaluation.window == (1, 3)
         assert res.iterations == 0
 
-    def test_budget_one_still_undecided(self, toy_problem):
-        res = evaluate_iterative(toy_problem, TOY_SUBSET, 1, budget=1)
+    def test_budget_one_still_undecided(self, toy_ctx):
+        res = evaluate_iterative(toy_ctx, 1, budget=1)
         assert res.verdict is Verdict.UNDECIDED
         assert res.iterations == 1
 
-    def test_budget_two_settles(self, toy_problem):
-        res = evaluate_iterative(toy_problem, TOY_SUBSET, 1, budget=2)
+    def test_budget_two_settles(self, toy_ctx):
+        res = evaluate_iterative(toy_ctx, 1, budget=2)
         assert res.verdict is Verdict.SURVIVOR_FOUND
         assert res.iterations == 2
 
-    def test_negative_budget_rejected(self, toy_problem):
+    def test_negative_budget_rejected(self, toy_ctx):
         with pytest.raises(ValueError):
-            evaluate_iterative(toy_problem, TOY_SUBSET, 1, budget=-1)
+            evaluate_iterative(toy_ctx, 1, budget=-1)
 
-    def test_trace_structure(self, toy_problem):
+    def test_trace_structure(self, toy_ctx):
         trace = TraceLog()
-        evaluate_iterative(toy_problem, TOY_SUBSET, 1, trace=trace)
+        evaluate_iterative(toy_ctx, 1, trace=trace)
         evals = [r for r in trace.rows if r["kind"] == "eval"]
         branches = [r for r in trace.rows if r["kind"] == "branch"]
         assert [e["index"] for e in evals] == [0, 1, 2]
@@ -104,7 +102,7 @@ class TestAgainstOracle:
             table = RejectionTable(prob)
             subset = random_subset(rng, stats.n_hyps)
             for z in range(1, len(subset) + 1):
-                res = evaluate_iterative(prob, subset, z)
+                res = evaluate_iterative(QueryContext(prob, subset), z)
                 truth = table.all_overlapping_rejected(subset, z)
                 assert res.verdict is not Verdict.UNDECIDED
                 assert (res.verdict is Verdict.ALL_REJECTED) == truth
@@ -122,7 +120,7 @@ class TestAgainstOracle:
             prob = SumTestProblem.from_matrix(stats, cfg)
             subset = random_subset(rng, stats.n_hyps)
             for z in range(1, len(subset) + 1):
-                full = evaluate_iterative(prob, subset, z)
+                full = evaluate_iterative(QueryContext(prob, subset), z)
                 if full.iterations >= 2:
                     deep.append((prob, subset, z, full))
             if len(deep) >= 6:
@@ -130,11 +128,11 @@ class TestAgainstOracle:
         assert len(deep) >= 6
         for prob, subset, z, full in deep:
             full_trace = TraceLog()
-            evaluate_iterative(prob, subset, z, trace=full_trace)
+            evaluate_iterative(QueryContext(prob, subset), z, trace=full_trace)
             full_evals = [r for r in full_trace.rows if r["kind"] == "eval"]
             for budget in range(full.iterations + 1):
                 t = TraceLog()
-                res = evaluate_iterative(prob, subset, z, budget=budget, trace=t)
+                res = evaluate_iterative(QueryContext(prob, subset), z, budget=budget, trace=t)
                 evals = [r for r in t.rows if r["kind"] == "eval"]
                 assert evals == full_evals[: len(evals)]
                 if budget < full.iterations:
@@ -153,7 +151,7 @@ class TestAgainstOracle:
             z = int(rng.integers(1, len(subset) + 1))
             final = None
             for budget in range(0, 12):
-                res = evaluate_iterative(prob, subset, z, budget=budget)
+                res = evaluate_iterative(QueryContext(prob, subset), z, budget=budget)
                 if final is None and res.verdict is not Verdict.UNDECIDED:
                     final = res.verdict
                 if final is not None:
@@ -172,11 +170,11 @@ class TestPathInheritance:
             prob = SumTestProblem.from_matrix(stats, cfg)
             subset = random_subset(rng, stats.n_hyps)
             z = int(rng.integers(1, len(subset) + 1))
-            parent = Workspace(prob, subset, z)
+            parent = Workspace(QueryContext(prob, subset), z)
             if parent.infeasible or parent.size_max - parent.size_min < 1:
                 continue
-            pivot = pick_pivot(prob, subset, z)
-            child = Workspace(prob, subset, z, FREE.exclude(pivot))
+            pivot = pick_pivot(QueryContext(prob, subset), z)
+            child = Workspace(QueryContext(prob, subset), z, FREE.exclude(pivot))
             if child.infeasible:
                 continue
             checked += 1
@@ -198,14 +196,14 @@ class TestPathInheritance:
             picks = rng.choice(m, size=min(3, m), replace=False)
             for j in picks[:-1]:
                 cons = cons.force(int(j)) if rng.random() < 0.5 else cons.exclude(int(j))
-            parent = Workspace(prob, subset, z, cons)
+            parent = Workspace(QueryContext(prob, subset), z, cons)
             if parent.infeasible:
                 continue
             try:
-                pivot = pick_pivot(prob, subset, z, cons)
+                pivot = pick_pivot(QueryContext(prob, subset), z, cons)
             except RuntimeError:
                 continue
-            child = Workspace(prob, subset, z, cons.exclude(pivot))
+            child = Workspace(QueryContext(prob, subset), z, cons.exclude(pivot))
             if child.infeasible:
                 continue
             checked += 1
@@ -224,7 +222,7 @@ class TestWitnesses:
             prob = SumTestProblem.from_matrix(stats, cfg)
             subset = random_subset(rng, stats.n_hyps)
             z = int(rng.integers(1, len(subset) + 1))
-            res = evaluate_iterative(prob, subset, z)
+            res = evaluate_iterative(QueryContext(prob, subset), z)
             if res.verdict is not Verdict.SURVIVOR_FOUND:
                 continue
             found += 1

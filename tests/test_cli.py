@@ -15,6 +15,7 @@ from scipy import stats as sps
 
 import sumtdp
 from sumtdp.cli import build_parser, main
+from sumtdp.shortcut import Evaluation
 
 TOY_CSV = """\
 H1,H2,H3,H4,H5
@@ -551,6 +552,22 @@ class TestSimulate:
         assert out == ""
         assert "bad simulation config" in err and "identity" in err
 
+    @pytest.mark.parametrize("config, key", [
+        ({"combiner": 1}, "combiner"),
+        ({"combiners": [1]}, "combiners"),
+        ({"combiners": "fisher"}, "combiners"),
+        ({"combiners": []}, "combiners"),
+    ], ids=["combiner-number", "combiners-number", "combiners-string", "combiners-empty"])
+    def test_combiner_type_errors_are_usage_errors(self, tmp_path, capsys, config, key):
+        # a combiner that is not a name, or combiners that are not a
+        # nonempty list of names, is bad input naming its key
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({"n_reps": 1, **config}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert re.search(rf"\b{key}\b", err), err
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = {"n_obs": 15, "n_hyps": 6, "n_transforms": 20, "n_reps": 1,
                "seed": 1, "active_fraction": 0.5, "alpha": 0.1}
@@ -593,6 +610,12 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "--sets" in err
+        # test --set follows the same rule, and its message names --set
+        code, out, err = run(
+            capsys, "test", "--stats", toy_csv, "--alpha", "0.4", "--set", "[1,2")
+        assert code == 2
+        assert out == ""
+        assert "--set is not valid JSON" in err
 
     @pytest.mark.parametrize("flag, command", [
         ("--sets", ["tdp"]),
@@ -614,7 +637,7 @@ class TestErrors:
         # engine fault, reported as such, not as a per-set input error
         monkeypatch.setattr(
             sumtdp.branchbound, "single_step",
-            lambda *args, **kwargs: sumtdp.Evaluation(sumtdp.Verdict.UNDECIDED, window=(1, 1)),
+            lambda *args, **kwargs: Evaluation(sumtdp.Verdict.UNDECIDED, window=(1, 1)),
         )
         code, out, err = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
@@ -710,11 +733,12 @@ class TestReadme:
         assert keys == [f.name for f in fields(sumtdp.SimulationConfig)]
 
     def test_entry_points_exported(self):
-        items = self.section("Useful entry points").split("\n- ")[1:]
-        names = {
+        # each item names its entries before its first colon, bare or in a
+        # call form such as `sign_flip_matrix(data, ...)`
+        items = self.section("The public API").split("\n- ")[1:]
+        names = [
             name
             for item in items
-            for name in re.findall(r"`(\w+)`", item.split(":", 1)[0])
-        }
-        assert "discoveries_matrix" in names
-        assert sorted(names - set(sumtdp.__all__)) == []
+            for name in re.findall(r"`(\w+)[`(]", item.split(":", 1)[0])
+        ]
+        assert sorted(names) == sorted(set(sumtdp.__all__) - {"__version__"})

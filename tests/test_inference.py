@@ -12,7 +12,6 @@ from sumtdp import (
     Verdict,
     discoveries,
     discoveries_matrix,
-    evaluate_iterative,
     largest_subset,
     reduce_columns,
     reject,
@@ -20,7 +19,9 @@ from sumtdp import (
     TruncationRule,
 )
 from sumtdp import inference
+from sumtdp.branchbound import evaluate_iterative
 from sumtdp.inference import _probe
+from sumtdp.shortcut import QueryContext
 from tests.util import random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
@@ -155,7 +156,7 @@ class TestProbeRule:
             lo, hi = 0, len(sub) + 1
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                verdict = evaluate_iterative(prob, sub, mid).verdict
+                verdict = evaluate_iterative(QueryContext(prob, sub), mid).verdict
                 if verdict is Verdict.ALL_REJECTED:
                     hi = mid
                 else:

@@ -19,13 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumtdp import (
-    SubspaceConstraint,
-    SumTestProblem,
-    Workspace,
-    pick_pivot,
-)
-from sumtdp.shortcut import QueryContext
+from sumtdp import SumTestProblem
+from sumtdp.branchbound import pick_pivot
+from sumtdp.shortcut import QueryContext, SubspaceConstraint, Workspace
 from tests.test_shortcut import assert_walk
 from tests.util import POOL
 
@@ -168,7 +164,7 @@ def check_against_reference(prob, subset, overlap, constraint, start):
     steps above the smallest, down to the smallest, then up.
     """
     ref = ReferenceScan(prob, subset, overlap, constraint)
-    ws = Workspace(prob, subset, overlap, constraint)
+    ws = Workspace(QueryContext(prob, subset), overlap, constraint)
     assert ws.infeasible == ref.infeasible
     if ref.infeasible:
         return
@@ -183,7 +179,7 @@ def check_against_reference(prob, subset, overlap, constraint, start):
             # greedy path must reach that candidate.
             assert ws.path_set(v) == ref.singleton_set(v)
 
-    ws = Workspace(prob, subset, overlap, constraint)
+    ws = Workspace(QueryContext(prob, subset), overlap, constraint)
     first = min(ref.size_min + start, ref.size_max)
     for v in [*range(first, ref.size_min - 1, -1), *range(first + 1, ref.size_max + 1)]:
         assert ws.bound_value(v) == ref.bound_value(v)
@@ -193,10 +189,10 @@ def check_against_reference(prob, subset, overlap, constraint, start):
     ctx = QueryContext(prob, subset)
     if ref.size_max > ref.size_min:
         added = set(ref.path_set(ref.size_max)) - set(ref.path_set(ref.size_max - 1))
-        assert {pick_pivot(prob, ctx, overlap, constraint)} == added
+        assert {pick_pivot(ctx, overlap, constraint)} == added
     else:
         with pytest.raises(RuntimeError, match="no free column"):
-            pick_pivot(prob, ctx, overlap, constraint)
+            pick_pivot(ctx, overlap, constraint)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)

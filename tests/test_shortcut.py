@@ -1,34 +1,43 @@
 """Single-step scan: bounds, greedy paths, shape indices, verdicts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumtdp import (
-    FREE,
-    Evaluation,
     RejectionTable,
-    SubspaceConstraint,
     SumTestProblem,
     TestConfig,
     TraceLog,
     Verdict,
-    Workspace,
-    evaluate_iterative,
-    pick_pivot,
-    single_step,
+    discoveries,
     subset_quantile,
 )
 from sumtdp import shortcut
-from sumtdp.shortcut import QueryContext, _row_sums
+from sumtdp.branchbound import evaluate_iterative, pick_pivot
+from sumtdp.shortcut import (
+    FREE,
+    Evaluation,
+    QueryContext,
+    SubspaceConstraint,
+    Workspace,
+    _row_sums,
+    single_step,
+)
 from tests.util import POOL, random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
 
 
 def _workspace(prob, overlap=1, constraint=FREE):
-    return Workspace(prob, TOY_SUBSET, overlap, constraint)
+    return Workspace(QueryContext(prob, TOY_SUBSET), overlap, constraint)
+
+
+def _scan(prob, overlap, *args, subset=TOY_SUBSET, **kwargs):
+    return single_step(QueryContext(prob, subset), overlap, *args, **kwargs)
 
 
 class TestProblem:
@@ -45,6 +54,28 @@ class TestProblem:
     def test_crit_rank_range(self):
         with pytest.raises(ValueError, match="crit_rank"):
             SumTestProblem(np.zeros((4, 2)), np.zeros(2), 5)
+
+    def test_fortran_input_stored_row_major(self):
+        # Reduced matrices come out column-major; the problem stores every
+        # input row-major, and the layout cannot change an answer.
+        rng = np.random.default_rng(12)
+        values = rng.standard_normal((30, 80))
+        values[0, :20] += 3.0
+        twins = [
+            SumTestProblem(layout(values[0] - values), values[0], 2)
+            for layout in (np.ascontiguousarray, np.asfortranarray)
+        ]
+        for prob in twins:
+            assert prob.centered.flags.c_contiguous
+        for subset in (range(80), range(25), range(10, 60, 3)):
+            traces = [TraceLog(), TraceLog()]
+            rows, cols = (
+                discoveries(prob, subset, step_budget=8, trace=trace)
+                for prob, trace in zip(twins, traces)
+            )
+            assert [getattr(cols, f.name) for f in fields(cols)] == \
+                [getattr(rows, f.name) for f in fields(rows)]
+            assert traces[0].rows == traces[1].rows
 
     def test_arrays_read_only(self, toy_problem):
         with pytest.raises(ValueError):
@@ -95,31 +126,26 @@ class TestWorkspaceToy:
         # At overlap 2 the smallest size holds one candidate, the subset.
         assert _workspace(toy_problem, overlap=2).path_set(2) == (0, 1)
 
+    # Only the engine builds workspaces, so a bad overlap or constraint
+    # column is an engine fault, not bad input.
     def test_overlap_validation(self, toy_problem):
-        with pytest.raises(ValueError, match="overlap"):
-            Workspace(toy_problem, TOY_SUBSET, 0)
-        with pytest.raises(ValueError, match="overlap"):
-            Workspace(toy_problem, TOY_SUBSET, 3)
+        with pytest.raises(RuntimeError, match="overlap"):
+            _workspace(toy_problem, 0)
+        with pytest.raises(RuntimeError, match="overlap"):
+            _workspace(toy_problem, 3)
 
     def test_constraint_column_range(self, toy_problem):
-        with pytest.raises(ValueError, match="out of range"):
-            Workspace(toy_problem, TOY_SUBSET, 1, FREE.exclude(9))
+        with pytest.raises(RuntimeError, match="out of range"):
+            _workspace(toy_problem, 1, FREE.exclude(9))
 
     def test_forced_subset_member_lowers_needed(self, toy_problem):
-        ws = Workspace(toy_problem, TOY_SUBSET, 2, FREE.force(0))
+        ws = _workspace(toy_problem, 2, FREE.force(0))
         assert ws.size_min == 2  # one forced + one still needed
         assert not ws.infeasible
 
     def test_infeasible_subspace(self, toy_problem):
-        ws = Workspace(toy_problem, TOY_SUBSET, 2, FREE.exclude(0))
+        ws = _workspace(toy_problem, 2, FREE.exclude(0))
         assert ws.infeasible
-
-    def test_context_of_another_problem_rejected(self, toy_problem, toy_stats, toy_cfg):
-        other = SumTestProblem.from_matrix(toy_stats, toy_cfg)
-        ctx = QueryContext(other, TOY_SUBSET)
-        with pytest.raises(ValueError, match="another problem"):
-            Workspace(toy_problem, ctx, 1)
-        assert Workspace(other, ctx, 1).subset == TOY_SUBSET
 
 
 def _tables(ws):
@@ -150,15 +176,15 @@ def assert_spine_matches_fresh(prob, subset, overlaps, constraint=FREE, steps=3)
         order, deferred, cons = [constraint], [], constraint
         for _ in range(steps):
             try:
-                pivot = pick_pivot(prob, ctx, overlap, cons)
+                pivot = pick_pivot(ctx, overlap, cons)
             except RuntimeError:
                 break
             order += [cons.exclude(pivot), cons.force(pivot)]
             deferred.append(cons.force(pivot))
             cons = cons.exclude(pivot)
         for cons in order + deferred[::-1]:
-            shared = Workspace(prob, ctx, overlap, cons)
-            fresh = Workspace(prob, subset, overlap, cons)
+            shared = Workspace(ctx, overlap, cons)
+            fresh = Workspace(QueryContext(prob, subset), overlap, cons)
             assert shared.infeasible == fresh.infeasible
             if not fresh.infeasible:
                 got, want = _tables(shared), _tables(fresh)
@@ -217,17 +243,17 @@ class TestSortedBlockReuse:
     def test_siblings_share_and_children_trim(self):
         prob = self._problem()
         ctx = QueryContext(prob, self.SUBSET)
-        Workspace(prob, ctx, 3)
+        Workspace(ctx, 3)
         root = ctx.sorted_block[1]
         assert root.shape == (15, 9) and not root.flags.writeable
         # Pivot 11 lies outside S: both children keep the root's block.
-        Workspace(prob, ctx, 3, FREE.exclude(11))
-        Workspace(prob, ctx, 3, FREE.force(11))
+        Workspace(ctx, 3, FREE.exclude(11))
+        Workspace(ctx, 3, FREE.force(11))
         assert ctx.sorted_block[1] is root
         # Pivot 8 lies inside S: the exclude child trims one value per row
         # (a tied one, +0 against -0 in some rows) and the force sibling
         # reuses that block.
-        Workspace(prob, ctx, 3, FREE.exclude(11).exclude(8))
+        Workspace(ctx, 3, FREE.exclude(11).exclude(8))
         trimmed = ctx.sorted_block[1]
         mask = np.ones(12, dtype=bool)
         mask[[8, 9, 10, 11]] = False
@@ -235,7 +261,7 @@ class TestSortedBlockReuse:
         fresh = np.sort(prob.centered[:, :8], axis=1)
         assert np.array_equal(trimmed, fresh)
         assert np.array_equal(np.signbit(trimmed), np.signbit(fresh))
-        Workspace(prob, ctx, 3, FREE.exclude(11).force(8))
+        Workspace(ctx, 3, FREE.exclude(11).force(8))
         assert ctx.sorted_block[1] is trimmed
 
     def test_negative_zeros_stored_as_zero(self):
@@ -287,8 +313,8 @@ class TestCarriedSums:
         # The row's pairwise sum differs, so a pairwise re-sum would show.
         lone = block[0, :k0]
         assert _row_sums(lone[None, :])[0] != _row_sums(np.stack([lone, lone]))[0]
-        shared = Workspace(prob, ctx, needed, FREE.exclude(47))
-        fresh = Workspace(prob, subset, needed, FREE.exclude(47))
+        shared = Workspace(ctx, needed, FREE.exclude(47))
+        fresh = Workspace(QueryContext(prob, subset), needed, FREE.exclude(47))
         assert _tables(shared) == _tables(fresh)
 
     def test_one_row_sums_pairwise_as_defined(self):
@@ -303,7 +329,7 @@ class TestCarriedSums:
             assert sums.tolist() == [float(np.sum(block[0, :needed]))]
         assert sums[0] != -1e16  # left to right, every 1.0 would round away
         for overlap in (30, 31):
-            ws = Workspace(prob, ctx, overlap)
+            ws = Workspace(ctx, overlap)
             assert ws.path_value(overlap) == float(np.sum(cen[0, :overlap]))
 
     def test_deep_spine_matches_fresh_contexts(self):
@@ -329,7 +355,8 @@ class TestCarriedSums:
                 return _real(*arrays)
             monkeypatch.setattr(shortcut, name, counting)
         trace = TraceLog()
-        out = evaluate_iterative(prob, tuple(range(300)), 282, budget=24, trace=trace)
+        ctx = QueryContext(prob, tuple(range(300)))
+        out = evaluate_iterative(ctx, 282, budget=24, trace=trace)
         assert out.verdict is Verdict.UNDECIDED
         assert sum(row["kind"] == "eval" for row in trace.rows) == 25
         assert sum(summed) < 8 * 40 * 282
@@ -364,39 +391,39 @@ def test_spine_on_ties_matches_fresh_contexts(case):
 
 class TestSingleStepToy:
     def test_level_two_all_rejected(self, toy_problem):
-        out = single_step(toy_problem, TOY_SUBSET, 2)
+        out = _scan(toy_problem, 2)
         assert out.verdict is Verdict.ALL_REJECTED
 
     def test_level_one_undecided(self, toy_problem):
-        out = single_step(toy_problem, TOY_SUBSET, 1)
+        out = _scan(toy_problem, 1)
         assert out.verdict is Verdict.UNDECIDED
         assert out.window == (1, 3)
 
     def test_level_zero_survivor(self, toy_problem):
-        out = single_step(toy_problem, TOY_SUBSET, 0)
+        out = _scan(toy_problem, 0)
         assert out.verdict is Verdict.SURVIVOR_FOUND
         assert out.witness == ()
 
     def test_level_above_size(self, toy_problem):
-        out = single_step(toy_problem, TOY_SUBSET, 3)
+        out = _scan(toy_problem, 3)
         assert out.verdict is Verdict.ALL_REJECTED
 
     def test_window_restriction(self, toy_problem):
         # sizes 4..5 were certified by the bound in the full scan
-        out = single_step(toy_problem, TOY_SUBSET, 1, window=(4, 5))
+        out = _scan(toy_problem, 1, window=(4, 5))
         assert out.verdict is Verdict.ALL_REJECTED
 
     def test_window_clamped_empty(self, toy_problem):
-        out = single_step(toy_problem, TOY_SUBSET, 1, window=(6, 9))
+        out = _scan(toy_problem, 1, window=(6, 9))
         assert out.verdict is Verdict.ALL_REJECTED
 
     def test_infeasible_vacuous(self, toy_problem):
-        out = single_step(toy_problem, TOY_SUBSET, 2, FREE.exclude(0))
+        out = _scan(toy_problem, 2, FREE.exclude(0))
         assert out.verdict is Verdict.ALL_REJECTED
 
     def test_trace_rows(self, toy_problem):
         trace = TraceLog()
-        single_step(toy_problem, TOY_SUBSET, 1, trace=trace)
+        _scan(toy_problem, 1, trace=trace)
         kinds = {r["kind"] for r in trace.rows}
         assert kinds == {"bound", "path"}
         sizes = sorted(r["size"] for r in trace.rows if r["kind"] == "bound")
@@ -410,7 +437,7 @@ class TestSingleStepToy:
         # Size 4 is the smallest and reads positive at or past rise_start,
         # so size 5 is positive too and is not read.
         trace = TraceLog()
-        out = single_step(toy_problem, (0, 1, 2, 3, 4), 4, trace=trace)
+        out = _scan(toy_problem, 4, subset=(0, 1, 2, 3, 4), trace=trace)
         assert out.verdict is Verdict.ALL_REJECTED
         assert [(r["kind"], r["size"]) for r in trace.rows] == [("bound", 4)]
 
@@ -418,12 +445,12 @@ class TestSingleStepToy:
 def assert_walk(prob, subset, overlap, constraint=FREE, window=None):
     """The scan reads sizes down from min(drop_end, hi), then up above it, once each."""
     trace = TraceLog()
-    single_step(prob, subset, overlap, constraint, window=window, trace=trace)
+    single_step(QueryContext(prob, subset), overlap, constraint, window=window, trace=trace)
     reads = [(r["size"], r["value"]) for r in trace.rows if r["kind"] == "bound"]
     if not reads:
         return
     sizes = [v for v, _ in reads]
-    ws = Workspace(prob, subset, overlap, constraint)
+    ws = Workspace(QueryContext(prob, subset), overlap, constraint)
     lo, hi = window if window is not None else (ws.size_min, ws.size_max)
     lo, hi = max(lo, ws.size_min), min(hi, ws.size_max)
     start = min(ws.drop_end, hi)
@@ -454,7 +481,7 @@ class TestLawsAgainstOracle:
         rng = np.random.default_rng(30)
         for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
-                ws = Workspace(prob, subset, z)
+                ws = Workspace(QueryContext(prob, subset), z)
                 if ws.infeasible:
                     continue
                 for v in range(ws.size_min, ws.size_max + 1):
@@ -465,7 +492,7 @@ class TestLawsAgainstOracle:
         rng = np.random.default_rng(31)
         for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
-                ws = Workspace(prob, subset, z)
+                ws = Workspace(QueryContext(prob, subset), z)
                 if ws.infeasible:
                     continue
                 for v in range(ws.size_min, ws.size_max + 1):
@@ -479,7 +506,7 @@ class TestLawsAgainstOracle:
         rng = np.random.default_rng(32)
         for prob, table, subset in _enumerate_checks(rng, 15):
             for z in range(1, len(subset) + 1):
-                ws = Workspace(prob, subset, z)
+                ws = Workspace(QueryContext(prob, subset), z)
                 if ws.infeasible:
                     continue
                 for v in range(ws.size_min, ws.size_max + 1):
@@ -489,7 +516,7 @@ class TestLawsAgainstOracle:
         rng = np.random.default_rng(33)
         for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
-                ws = Workspace(prob, subset, z)
+                ws = Workspace(QueryContext(prob, subset), z)
                 if ws.infeasible:
                     continue
                 vals = [ws.bound_value(v) for v in range(ws.size_min, ws.size_max + 1)]
@@ -505,7 +532,7 @@ class TestLawsAgainstOracle:
         n_undecided = 0
         for prob, table, subset in _enumerate_checks(rng, 40):
             for z in range(1, len(subset) + 1):
-                out = single_step(prob, subset, z)
+                out = single_step(QueryContext(prob, subset), z)
                 truth = table.all_overlapping_rejected(subset, z)
                 if out.verdict is Verdict.ALL_REJECTED:
                     assert truth
@@ -517,7 +544,7 @@ class TestLawsAgainstOracle:
                 else:
                     n_undecided += 1
                     lo, hi = out.window
-                    ws = Workspace(prob, subset, z)
+                    ws = Workspace(QueryContext(prob, subset), z)
                     for v in range(ws.size_min, ws.size_max + 1):
                         if lo <= v <= hi:
                             continue
@@ -529,10 +556,10 @@ class TestLawsAgainstOracle:
         rng = np.random.default_rng(35)
         for prob, table, subset in _enumerate_checks(rng, 30):
             for z in range(1, len(subset) + 1):
-                out = single_step(prob, subset, z)
+                out = single_step(QueryContext(prob, subset), z)
                 if out.verdict is not Verdict.UNDECIDED:
                     continue
-                ws = Workspace(prob, subset, z)
+                ws = Workspace(QueryContext(prob, subset), z)
                 for v in out.window:
                     # A size with one candidate: its path check decided it.
                     assert v != ws.size_max
@@ -551,8 +578,8 @@ class TestLawsAgainstOracle:
         rng = np.random.default_rng(36)
         for prob, table, subset in _enumerate_checks(rng, 30):
             for z in range(1, len(subset) + 1):
-                full = single_step(prob, subset, z, want_path=True)
-                lazy = single_step(prob, subset, z, want_path=False)
+                full = single_step(QueryContext(prob, subset), z, want_path=True)
+                lazy = single_step(QueryContext(prob, subset), z, want_path=False)
                 assert lazy.verdict is not Verdict.SURVIVOR_FOUND
                 if lazy.verdict is Verdict.ALL_REJECTED:
                     assert full.verdict is Verdict.ALL_REJECTED
@@ -568,7 +595,7 @@ class TestLawsAgainstOracle:
             cols = rng.choice(m, size=2, replace=False)
             constraint = FREE.force(int(cols[0])).exclude(int(cols[1]))
             for z in range(1, len(subset) + 1):
-                out = single_step(prob, subset, z, constraint)
+                out = single_step(QueryContext(prob, subset), z, constraint)
                 truth = _constrained_all_rejected(
                     prob, subset, z, constraint)
                 if out.verdict is Verdict.ALL_REJECTED:
