@@ -23,9 +23,9 @@ A run takes the query's :class:`~.shortcut.QueryContext` and hands it to
 every scan and every pivot choice, so the subset is validated and the
 columns are ordered once per query.  The pivot reads the subspace's masks
 and reserved columns from the context, the same rule the scan's greedy
-path uses.  A subspace that is still undecided but has no column left to
-split on breaks an engine invariant and raises :class:`RuntimeError`,
-never :class:`ValueError`, which callers read as bad input.
+path uses.  A negative budget, or an undecided subspace with no column
+left to split on, breaks an engine invariant and raises
+:class:`RuntimeError`, never :class:`ValueError`, which means bad input.
 """
 
 import math
@@ -97,7 +97,7 @@ def evaluate_iterative(
     """
     limit = math.inf if budget is None else int(budget)
     if limit < 0:
-        raise ValueError("budget must be nonnegative")
+        raise RuntimeError("budget must be nonnegative")
 
     def log(ev, cons, index):
         if trace is not None:

@@ -226,15 +226,15 @@ def _column_indices(tokens, stats: StatisticMatrix) -> list:
     :func:`column_index` (integers and integral floats), so anything else
     JSON can hold (null, booleans, nested lists, objects) is an input error.
     """
-    names = list(stats.column_names())
+    index = {name: j for j, name in reversed(list(enumerate(stats.column_names())))}  # first wins
     out = []
     for tok in tokens:
         if isinstance(tok, str):
             tok = tok.strip()
             if not tok:
                 continue
-            if tok in names:
-                out.append(names.index(tok))
+            if tok in index:
+                out.append(index[tok])
                 continue
             try:
                 tok = int(tok)

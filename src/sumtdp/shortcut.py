@@ -47,18 +47,22 @@ too (see :func:`_row_sums`), so a sum carried over and extended has the
 bits of a fresh one.  Centered values hold no negative zero, so equal
 entries are equal bit for bit and sorting or trimming a block cannot change
 a sum.  The context keeps one slot: the last scan's free subset columns,
-sorted within each row, with the row sums of their first ``k0``.  A
-branch's two children share their free subset columns, which differ from
-their parent's by at most the pivot, so a child scan reuses the block or
-deletes one value per row, and re-sums only rows that lose a value among
-their first ``k0``.  The greedy path's reserved columns are summed alike.
+sorted within each row as the leading columns of a writable row-major
+buffer, with the row sums of their first ``k0``.  A branch's two children
+share their free subset columns, which differ from their parent's by at
+most the pivot, so a child scan reuses the block or trims it in place,
+moving each row's entries after the pivot's value left by one, and re-sums
+only rows that lose a value among their first ``k0``.  The pivot has the
+greatest observed statistic, so its centered values mostly sort near the
+end of each row and a trim moves few entries.  The greedy path's reserved
+columns are summed alike.
 
 Matrices are never mutated.  Besides each workspace's own growing tables,
-the slot and the path's carried sums are the only state that changes; each
-is replaced as one tuple and read once into a local by each scan, so scans
-sharing a context (even concurrently) stay correct and at worst sum or sort
-again.  A slot that does not hold what its mask says, an overlap outside
-1..|S| or a constraint column out of range is an engine fault:
+the slot and the path's carried sums are the only state that changes, and
+a context serves one scan at a time: a trim rewrites the buffer that the
+last scan's read-only block views.  A slot that does not hold what its
+mask says, a column both forced and excluded, an overlap outside 1..|S| or
+a constraint column out of range is an engine fault:
 :class:`RuntimeError`, never :class:`ValueError`, which means bad input.
 """
 
@@ -121,7 +125,7 @@ class SubspaceConstraint:
         object.__setattr__(self, "forced", frozenset(int(i) for i in self.forced))
         object.__setattr__(self, "excluded", frozenset(int(i) for i in self.excluded))
         if self.forced & self.excluded:
-            raise ValueError(
+            raise RuntimeError(
                 f"columns {sorted(self.forced & self.excluded)} both forced and excluded"
             )
 
@@ -221,14 +225,16 @@ def _add_columns(head: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return buf.sum(axis=1)[:-1]
 
 
-def _without_values(block: np.ndarray, values: np.ndarray):
-    """``block`` (rows sorted) with one entry equal to ``values[r]`` cut from row r.
+def _cut_values(block: np.ndarray, values: np.ndarray):
+    """Cut one entry equal to ``values[r]`` from each sorted row r of ``block``, in place.
 
-    Also returns the cut positions, bisected in all rows at once: the first
-    entry not below the value, which equals it when the row holds it; a row
-    that does not is an engine fault.  Equal centered values are equal bit
-    for bit (no negative zeros), so the result is the block a fresh sort of
-    the remaining columns gives.
+    ``block`` is the first n columns of its ``base``, a writable row-major
+    buffer.  Also returns the cut positions, bisected in all rows at once:
+    the first entry not below the value, which equals it when the row holds
+    it; a row that does not is an engine fault, raised before anything
+    moves.  Each row's entries after its cut move left by one, so the first
+    n - 1 columns of the buffer are the block a fresh sort of the remaining
+    columns gives: equal centered values are equal bit for bit.
     """
     n_rows, n = block.shape
     rows = np.arange(n_rows)
@@ -238,7 +244,12 @@ def _without_values(block: np.ndarray, values: np.ndarray):
         pos = np.where(block[rows, probe - 1] < values, probe, pos)
     if not (block[rows, np.minimum(pos, n - 1)] == values).all():
         raise RuntimeError("the query context's sorted block lacks a column it should hold")
-    return np.delete(block.ravel(), rows * n + pos).reshape(n_rows, n - 1), pos
+    buf, moved = block.base, n - 1 - pos
+    # src: the flat buffer index of every entry after a cut, row by row
+    start = rows * buf.shape[1] + pos + 1 - (np.cumsum(moved) - moved)
+    flat, src = buf.reshape(-1), np.repeat(start, moved) + np.arange(moved.sum())
+    flat[src - 1] = flat[src]
+    return buf[:, :n - 1], pos
 
 
 class _RunningSums:
@@ -292,7 +303,8 @@ class QueryContext:
         ``(mask, block, k0, head)`` of the last scan, or None before the
         first: the mask of its free subset columns, the B x n block of their
         centered values, each row sorted ascending, and the row sums ``head``
-        of ``block[:, :k0]`` (or None), replaced whole (see :meth:`sorted_rows`).
+        of ``block[:, :k0]`` (or None), replaced whole (see :meth:`sorted_rows`);
+        ``block`` is a read-only view of a buffer that trims rewrite in place.
     order_sums : tuple
         ``(k0, head)``, the row sums of the centered ``subset_order[:k0]``.
     """
@@ -327,10 +339,10 @@ class QueryContext:
         """Row-sorted, read-only block of the centered columns in ``mask``,
         and ``_row_sums`` of its first ``needed`` columns.
 
-        Reuses :attr:`sorted_block` when its mask equals ``mask``, deletes
-        one value per row when ``mask`` lacks exactly one of its columns
-        (keeping the carried sums of rows cut at or past ``k0``), and sorts
-        afresh otherwise; the result then takes the slot.
+        Reuses :attr:`sorted_block` when its mask equals ``mask``, trims
+        one value per row in place when ``mask`` lacks exactly one of its
+        columns (keeping the carried sums of rows cut at or past ``k0``),
+        and sorts into a new buffer otherwise; the result takes the slot.
         """
         slot = self.sorted_block
         block, carried = None, (0, None)
@@ -340,7 +352,7 @@ class QueryContext:
             if not gone.size:
                 block, carried = kept, (k0, head)
             elif gone.size == 1 and held[gone[0]]:
-                block, pos = _without_values(kept, self.prob.centered[:, gone[0]])
+                block, pos = _cut_values(kept, self.prob.centered[:, gone[0]])
                 if head is not None and k0 <= block.shape[1]:
                     redo, head = pos < k0, head.copy()
                     head[redo] = _add_columns(np.zeros(np.count_nonzero(redo)), block[redo, :k0])
@@ -348,6 +360,7 @@ class QueryContext:
         if block is None:
             block = np.take(self.prob.centered, np.flatnonzero(mask), axis=1)
             block.sort(axis=1)
+            block = block.view()  # of the buffer, which later trims rewrite
         block.setflags(write=False)
         sums, carried = self.carried_sums(carried, lambda lo, hi: block[:, lo:hi], needed)
         mask = mask.copy()

@@ -132,6 +132,8 @@ def column_index(i) -> int:
     fractional or non-finite numbers and anything else are a
     :class:`ValueError`, never truncated to some other column.
     """
+    if type(i) is int:  # the common case, ahead of the slower ABC checks
+        return i
     if isinstance(i, (bool, np.bool_)) or not isinstance(i, numbers.Real):
         raise ValueError(f"column index {i!r} is not a number")
     if isinstance(i, numbers.Integral):

@@ -68,7 +68,7 @@ class TestIterativeToy:
         assert res.iterations == 2
 
     def test_negative_budget_rejected(self, toy_ctx):
-        with pytest.raises(ValueError):
+        with pytest.raises(RuntimeError):
             evaluate_iterative(toy_ctx, 1, budget=-1)
 
     def test_trace_structure(self, toy_ctx):

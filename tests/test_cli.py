@@ -105,6 +105,24 @@ class TestTdp:
         assert payload[0]["d"] == 1
         assert payload[1]["d"] == 0
 
+    def test_header_name_wins_over_integer(self, tmp_path, capsys):
+        # Column 1 is named "2": the token 2 is that column, not column 2,
+        # while an integer that names no column stays a 1-based index.
+        path = tmp_path / "named.csv"
+        path.write_text(TOY_CSV.replace("H1,H2", "2,H2", 1))
+        sets_file = tmp_path / "sets.txt"
+        sets_file.write_text("2 H2\n1 2\n")
+        code, out, _ = run(
+            capsys, "tdp", "--stats", str(path), "--alpha", "0.4",
+            "--sets", str(sets_file))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload[0] == {
+            "set_id": 1, "size": 2, "d": 1, "tdp": 0.5,
+            "converged": True, "iterations": 4,
+        }
+        assert "duplicate" in payload[1]["error"]
+
     def test_bad_set_becomes_error_entry(self, toy_csv, capsys):
         code, out, _ = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",

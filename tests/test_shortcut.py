@@ -1,5 +1,6 @@
 """Single-step scan: bounds, greedy paths, shape indices, verdicts."""
 
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -91,7 +92,7 @@ class TestConstraint:
         assert c.excluded == frozenset({4})
 
     def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="forced and excluded"):
+        with pytest.raises(RuntimeError, match="forced and excluded"):
             SubspaceConstraint(frozenset({1}), frozenset({1}))
 
     def test_free_is_empty(self):
@@ -282,6 +283,114 @@ class TestSortedBlockReuse:
         smaller[8] = False
         with pytest.raises(RuntimeError, match="sorted block"):
             ctx.sorted_rows(smaller, 3)
+
+
+class TestInPlaceTrim:
+    """A trim cuts one value per row inside the context's buffer, bit for bit."""
+
+    @staticmethod
+    def _assert_fresh(prob, block, sums, mask, needed):
+        fresh = np.sort(prob.centered[:, mask], axis=1)
+        assert block.tolist() == fresh.tolist()
+        assert np.signbit(block).tolist() == np.signbit(fresh).tolist()
+        want = _row_sums(fresh[:, :needed])
+        assert sums.tolist() == want.tolist()
+        assert np.signbit(sums).tolist() == np.signbit(want).tolist()
+
+    def test_cut_at_first_and_last_column_and_on_a_tie(self):
+        # Column 23 is the smallest entry of row 0, which is re-summed since
+        # it lies among the carried first k0, the largest of row 1, and ties
+        # column 2 in row 2 (+0 against -0, stored as two +0).
+        rng = np.random.default_rng(16)
+        cen = rng.choice(POOL, size=(4, 24))
+        cen[:3, 23] = (-5.0, 5.0, 0.0)
+        cen[2, 2] = -0.0
+        prob = SumTestProblem(cen, rng.standard_normal(24), 2)
+        ctx = QueryContext(prob, range(24))
+        mask = np.ones(24, dtype=bool)
+        needed = 20
+        root, _ = ctx.sorted_rows(mask, needed)
+        assert ctx.sorted_block[2] > 0
+        mask[23] = False
+        block, sums = ctx.sorted_rows(mask, needed)
+        assert np.shares_memory(block, root)
+        self._assert_fresh(prob, block, sums, mask, needed)
+        assert_carried_sums_exact(ctx)
+
+    def test_three_trims_stay_in_the_root_buffer(self):
+        rng = np.random.default_rng(17)
+        prob = SumTestProblem(rng.choice(POOL, size=(6, 30)), rng.standard_normal(30), 2)
+        ctx = QueryContext(prob, range(30))
+        mask = np.ones(30, dtype=bool)
+        needed = 12
+        root, _ = ctx.sorted_rows(mask, needed)
+        for col in (29, 3, 17):
+            mask[col] = False
+            block, sums = ctx.sorted_rows(mask, needed)
+            assert block.shape == (6, mask.sum())
+            assert np.shares_memory(block, root)
+            self._assert_fresh(prob, block, sums, mask, needed)
+            assert_carried_sums_exact(ctx)
+
+    def test_every_block_is_read_only(self):
+        rng = np.random.default_rng(18)
+        prob = SumTestProblem(rng.choice(POOL, size=(5, 10)), rng.standard_normal(10), 2)
+        ctx = QueryContext(prob, range(10))
+        mask = np.ones(10, dtype=bool)
+        masks = [mask.copy(), mask.copy()]  # a fresh sort, then its reuse
+        mask[4] = False
+        masks += [mask.copy(), mask.copy()]  # a trim, then its reuse
+        mask[[1, 2]] = False
+        masks.append(mask)  # two columns fewer: a fresh sort again
+        for held in masks:
+            block, _ = ctx.sorted_rows(held, 3)
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = 1.0
+            assert ctx.sorted_block[1] is block
+
+    def test_inconsistent_slot_leaves_buffer_unchanged(self):
+        # The slot claims column 9, which it lacks; column 3 holds the same
+        # values except in the last row, so every row but that one finds it.
+        rng = np.random.default_rng(19)
+        cen = rng.choice(POOL, size=(8, 10))
+        cen[:, 9] = cen[:, 3]
+        cen[-1, 9] = 50.0
+        prob = SumTestProblem(cen, rng.standard_normal(10), 2)
+        ctx = QueryContext(prob, range(9))
+        mask = ctx.in_subset.copy()
+        block, _ = ctx.sorted_rows(mask, 3)
+        before = block.base.copy()
+        claimed = mask.copy()
+        claimed[9] = True
+        ctx.sorted_block = (claimed, *ctx.sorted_block[1:])
+        with pytest.raises(RuntimeError, match="sorted block"):
+            ctx.sorted_rows(mask, 3)
+        assert block.base.tolist() == before.tolist()
+        assert np.signbit(block.base).tolist() == np.signbit(before).tolist()
+
+    def test_trim_allocates_less_than_its_block(self):
+        # A trim that copied the block would peak at its size or more; the
+        # pivot's column, with the greatest observed statistic, sorts near
+        # the end of each row, so moving the entries past it costs little.
+        rng = np.random.default_rng(20)
+        values = rng.standard_normal((200, 2000))
+        values[0, :100] += 3.0
+        prob = SumTestProblem(values[0] - values, values[0], 10)
+        ctx = QueryContext(prob, range(2000))
+        mask = np.ones(2000, dtype=bool)
+        root, _ = ctx.sorted_rows(mask, 10)
+        mask[int(np.argmax(prob.observed))] = False
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            block, _ = ctx.sorted_rows(mask, 10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < root.nbytes
+        assert np.shares_memory(block, root)
 
 
 class TestCarriedSums:
