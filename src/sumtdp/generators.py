@@ -5,11 +5,13 @@ drawn independently and uniformly from the chosen group, with replacement;
 duplicate draws are kept as distinct rows.  Randomness comes from numpy's
 seedable default generator, so the draws are fixed by the seed.
 
-Sign-flip t statistics sum over the observations in order, first to last,
-for all rows and columns at once: the order in which numpy's axis-0 sums of
-a C-ordered array with two or more columns add.  The values therefore do not
-depend on the data's memory layout or column count, and row 0 equals, bit
-for bit, a flipped row whose signs are all plus.
+Sign-flip t statistics gather each block of flipped rows from a table of
+the observations and their exact negations into one C-ordered observations
+x rows x columns slab, whose axis-0 sums (mean, squared deviations) numpy
+adds first to last.  It would add a lone entry per observation (one column,
+one row) pairwise, so that is accumulated instead.  The values thus do not
+depend on memory layout, column count or block size, and row 0 equals a
+flipped row of all plus signs, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -27,8 +29,8 @@ __all__ = [
 
 _KINDS = ("sign_flip", "row_permutation")
 
-# Rows times columns per block of t statistics: bounds the temporaries.
-_BLOCK_ELEMENTS = 1 << 15
+# Observations times rows times columns per block of signed data.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -57,30 +59,27 @@ def _check_data(data) -> np.ndarray:
     return arr
 
 
+def _sum_in_order(slab) -> np.ndarray:
+    # numpy adds a lone contiguous entry per observation pairwise: accumulate it
+    return np.add.accumulate(slab)[-1] if slab[0].size == 1 else slab.sum(axis=0)
+
+
 def _flipped_t(arr, signs, two_sided) -> np.ndarray:
     """One-sample t statistics of ``signs[r][:, None] * arr`` for each row r.
 
     ``signs`` holds +-1.0, all plus in row 0 (the observed data).
     """
     n, m = arr.shape
+    table = np.stack([-arr, arr], axis=1).reshape(2 * n, m)
+    pick = (signs.T > 0) + 2 * np.arange(n)[:, None]
     out = np.empty((len(signs), m))
-    rows = max(1, _BLOCK_ELEMENTS // m)
+    rows = max(1, _BLOCK_ELEMENTS // (n * m))
     for lo in range(0, len(out), rows):
-        flips, t = signs[lo:lo + rows], out[lo:lo + rows]
-        step = np.empty_like(t)
-        mean = np.multiply(flips[:, 0, None], arr[0])
-        for i in range(1, n):
-            mean += np.multiply(flips[:, i, None], arr[i], out=step)
-        mean /= n
-        sd = np.empty_like(t)
-        for i in range(n):
-            dev = np.multiply(flips[:, i, None], arr[i], out=step if i else sd)
-            dev -= mean
-            dev *= dev
-            if i:
-                sd += dev
-        sd /= n - 1
-        np.sqrt(sd, out=sd)
+        slab = np.take(table, pick[:, lo:lo + rows], axis=0)
+        mean = _sum_in_order(slab) / n
+        slab -= mean
+        slab *= slab
+        sd = np.sqrt(_sum_in_order(slab) / (n - 1))
         if not sd.all():
             r, c = np.argwhere(sd == 0.0)[0]
             if lo + r == 0:
@@ -90,7 +89,7 @@ def _flipped_t(arr, signs, two_sided) -> np.ndarray:
                 "so its t statistic is undefined"
             )
         sd /= np.sqrt(n)
-        np.divide(mean, sd, out=t)
+        t = np.divide(mean, sd, out=out[lo:lo + rows])
         if two_sided:
             np.abs(t, out=t)
     return out

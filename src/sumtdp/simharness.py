@@ -236,6 +236,18 @@ class StudyResult:
         ]
         return float(np.mean(flags)) if flags else float("nan")
 
+    def _query_mean(self, attr: str) -> float:
+        values = [getattr(r, attr) for o in self.outcomes for r in o.results.values()]
+        return float(np.mean(values)) if values else float("nan")
+
+    def converged_frac(self) -> float:
+        """Share of the queries, over every replication, whose bound converged."""
+        return self._query_mean("converged")
+
+    def mean_evals(self) -> float:
+        """Mean single-step scans per query, over every replication."""
+        return self._query_mean("evals")
+
     def mean_wall_time(self) -> float:
         return self.wall_time / len(self.outcomes)
 
@@ -260,15 +272,18 @@ def run_study(
 
 # One column per config field, in field order, then the cell's results.
 GRID_COLUMNS = tuple(f.name for f in fields(SimulationConfig)) + (
-    "mean_tdp_active", "fwer", "mean_wall_time_s", "error",
+    "mean_tdp_active", "fwer", "mean_wall_time_s", "converged_frac", "mean_evals",
+    "error",
 )
 
 
 def run_grid(cells) -> list:
-    """Run many cells, one row of aggregates each; failures become rows too.
+    """Run many cells, one row of aggregates each; bad cells become rows too.
 
-    A cell that raises is recorded with its error message and the grid keeps
-    going, so a long sweep is never lost to one bad configuration.
+    A cell that raises ``ValueError`` (a configuration or its data cannot be
+    run) is recorded with its error message and the grid keeps going, so a
+    long sweep is never lost to one bad configuration.  Any other exception
+    is a fault in the engine and propagates.
     """
     rows = []
     for cfg in cells:
@@ -276,12 +291,15 @@ def run_grid(cells) -> list:
         row.update(cfg.to_dict())
         try:
             study = run_study(cfg)
-            mean_tdp = study.mean_tdp("active")
-            fwer = study.family_error_rate()
-            row["mean_tdp_active"] = "" if math.isnan(mean_tdp) else mean_tdp
-            row["fwer"] = "" if math.isnan(fwer) else fwer
+            aggregates = {
+                "mean_tdp_active": study.mean_tdp("active"),
+                "fwer": study.family_error_rate(),
+                "converged_frac": study.converged_frac(),
+                "mean_evals": study.mean_evals(),
+            }
+            row.update({k: "" if math.isnan(v) else v for k, v in aggregates.items()})
             row["mean_wall_time_s"] = study.mean_wall_time()
-        except Exception as exc:  # per-cell isolation is the contract here
+        except ValueError as exc:
             row["error"] = str(exc)
         rows.append(row)
     return rows

@@ -597,6 +597,19 @@ class TestSimulate:
         rows = list(csv.DictReader(out.splitlines()))
         assert rows[0]["seed"] == "42"
 
+    def test_engine_fault_is_internal_error(self, tmp_path, capsys, monkeypatch):
+        # a fault inside a cell is not a bad cell: exit 1, no error row
+        def broken(cfg):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(sumtdp.simharness, "run_study", broken)
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({"n_reps": 1}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 1
+        assert out == ""
+        assert "internal error" in err and "invariant broken" in err
+
 
 class TestErrors:
     def test_missing_stats_file(self, capsys):

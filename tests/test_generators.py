@@ -1,6 +1,9 @@
 """Transformation schemes: identity row, reproducibility, statistics."""
 
 import hashlib
+import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,13 +17,16 @@ from sumtdp import (
     row_permutation_matrix,
     sign_flip_matrix,
 )
+from sumtdp.generators import _BLOCK_ELEMENTS
 
 
 def reference_sign_flip(data, n_transforms, seed, two_sided=True):
     """The per-row loop: one sign draw and one numpy t statistic per row.
 
     Equal to ``sign_flip_matrix`` bit for bit on C-ordered data with at
-    least two columns, where numpy's axis-0 sums add in row order.
+    least two columns, where numpy's axis-0 sums add in row order.  A single
+    column is one contiguous run, which numpy sums pairwise from 8 entries
+    on, so there ``scalar_flip_t`` is the reference.
     """
     def t(arr):
         sd = arr.std(axis=0, ddof=1)
@@ -34,6 +40,37 @@ def reference_sign_flip(data, n_transforms, seed, two_sided=True):
         signs = rng.integers(0, 2, size=arr.shape[0]) * 2 - 1
         rows.append(t(signs[:, None] * arr))
     return np.vstack(rows)
+
+
+def flip_signs(n_transforms, n, seed):
+    """The sign rows ``sign_flip_matrix`` draws: all plus, then the draws."""
+    signs = np.ones((n_transforms, n))
+    signs[1:] = np.random.default_rng(seed).integers(0, 2, size=(n_transforms - 1, n)) * 2 - 1
+    return signs
+
+
+def scalar_flip_t(data, signs, two_sided=True):
+    """t statistics from scalar IEEE adds in observation order, first to last.
+
+    ``reduce`` starts from the first term, keeping a lone -0.0 (``sum``
+    would start from 0 and, from Python 3.12, compensate).  Raises
+    ``ValueError(row, column)`` at the first zero standard deviation.
+    """
+    n = len(data)
+    rows = []
+    for r, flips in enumerate(signs.tolist()):
+        row = []
+        for c, column in enumerate(data.T.tolist()):
+            x = [s * v for s, v in zip(flips, column)]
+            mean = reduce(operator.add, x) / n
+            ss = reduce(operator.add, [(v - mean) * (v - mean) for v in x])
+            sd = math.sqrt(ss / (n - 1))
+            if sd == 0.0:
+                raise ValueError(r, c)
+            t = mean / (sd / math.sqrt(n))
+            row.append(abs(t) if two_sided else t)
+        rows.append(row)
+    return np.array(rows)
 
 
 def bits_equal(a, b):
@@ -140,11 +177,15 @@ class TestSignFlip:
             "4ee08d36133eec74a5e95b2ed0cdb5854328d674cc148fa669cfa7b33311c26c")
 
     def test_blocks_match_reference(self):
-        # a wide input spans several blocks of flipped rows
-        data = np.random.default_rng(3).normal(size=(12, 3000))
-        scheme = TransformationScheme("sign_flip", 40, seed=5)
-        assert bits_equal(sign_flip_matrix(data, scheme).values,
-                          reference_sign_flip(data, 40, 5))
+        # several blocks of flipped rows, one or more rows each, the last
+        # block a single row
+        for n, m in [(12, 3000), (12, 300)]:
+            rows = max(1, _BLOCK_ELEMENTS // (n * m))
+            b = 3 * rows + 1
+            data = np.random.default_rng(3).normal(size=(n, m))
+            scheme = TransformationScheme("sign_flip", b, seed=5)
+            assert bits_equal(sign_flip_matrix(data, scheme).values,
+                              reference_sign_flip(data, b, 5))
 
     def test_layout_independent(self):
         rng = np.random.default_rng(4)
@@ -187,6 +228,53 @@ def test_sign_flip_matches_per_row_loop(case):
             sign_flip_matrix(data, scheme, two_sided)
         return
     assert bits_equal(sign_flip_matrix(data, scheme, two_sided).values, ref)
+
+
+def scalar_cases():
+    """Shapes and values on which numpy's pairwise summation would show."""
+    rng = np.random.default_rng(18)
+    pool = np.array(DATA_POOL)
+    for k in range(120):
+        n, m, b = int(rng.integers(2, 30)), int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        if k % 2:
+            data = rng.choice(pool, size=(n, m))
+        else:
+            data = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4)
+        yield data, b, k
+    # zero variance observed, and made by a flip (|x| equal in a column)
+    yield np.array([[0.0], [-0.0], [0.0]] * 4), 3, 0
+    yield np.array([[1.0, 2.0], [-1.0, 0.5], [1.0, 1 / 3], [-1.0, 7.25]]), 4, 6
+    # a one-column input whose last block of flipped rows is a lone row
+    yield np.random.default_rng(7).normal(size=(20, 1)), _BLOCK_ELEMENTS // 20 + 1, 3
+
+
+def test_scalar_reference_matches():
+    seen = {"m1": 0, "b1": 0, "small": 0, "large": 0, "observed": 0, "flipped": 0}
+    for data, b, seed in scalar_cases():
+        n, m = data.shape
+        signs = flip_signs(b, n, seed)
+        scheme = TransformationScheme("sign_flip", b, seed)
+        seen["m1"] += m == 1
+        seen["b1"] += b == 1
+        seen["small" if n < 8 else "large"] += 1
+        for two_sided in (True, False):
+            try:
+                want = scalar_flip_t(data, signs, two_sided)
+            except ValueError as exc:
+                r, c = exc.args
+                seen["observed" if r == 0 else "flipped"] += 1
+                message = (f"column {c} has zero variance" if r == 0
+                           else f"row {r} makes column {c} constant")
+                with pytest.raises(ValueError, match=message):
+                    sign_flip_matrix(data, scheme, two_sided)
+                if r == 0:
+                    with pytest.raises(ValueError, match=message):
+                        one_sample_t(data, two_sided)
+                continue
+            got = sign_flip_matrix(data, scheme, two_sided)
+            assert bits_equal(got.values, want), (n, m, b, seed)
+            assert bits_equal(one_sample_t(data, two_sided), want[0])
+    assert all(seen.values()), seen
 
 
 class TestRowPermutation:

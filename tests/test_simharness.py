@@ -14,6 +14,7 @@ from sumtdp import (
     run_grid,
     run_replication,
     run_study,
+    simharness,
     simulate_data,
 )
 
@@ -219,6 +220,19 @@ class TestStudy:
         assert study.wall_time > 0
         assert study.mean_wall_time() == pytest.approx(
             study.wall_time / cfg.n_reps)
+        # convergence aggregates run over every query of every replication
+        results = [r for o in study.outcomes for r in o.results.values()]
+        assert len(results) == 2 * cfg.n_reps
+        assert study.converged_frac() == np.mean([r.converged for r in results])
+        assert study.mean_evals() == np.mean([r.evals for r in results]) >= 1.0
+
+    def test_convergence_aggregates_see_the_budget(self):
+        # with no scans past the root, some bisection levels stay undecided
+        cell = dict(FAST, n_hyps=20, active_fraction=0.5, power_target=0.6)
+        full = run_study(SimulationConfig(**cell))
+        none = run_study(SimulationConfig(**dict(cell, step_budget=0)))
+        assert none.converged_frac() < full.converged_frac() == 1.0
+        assert none.mean_evals() < full.mean_evals()
 
     def test_reproducible(self):
         cfg = SimulationConfig(**FAST)
@@ -240,6 +254,9 @@ class TestGrid:
             assert set(row) == set(GRID_COLUMNS)
             assert row["error"] == ""
             assert 0.0 <= row["mean_tdp_active"] <= 1.0
+            assert 0.0 <= row["converged_frac"] <= 1.0
+            assert row["mean_evals"] >= 1.0
+        assert GRID_COLUMNS[-3:] == ("converged_frac", "mean_evals", "error")
 
     def test_bad_cell_isolated(self):
         good = SimulationConfig(**FAST)
@@ -247,3 +264,13 @@ class TestGrid:
         rows = run_grid([bad, good])
         assert rows[0]["error"] != "" or rows[0]["mean_tdp_active"] != ""
         assert rows[1]["error"] == ""
+
+    def test_engine_fault_propagates(self, monkeypatch):
+        # only ValueError marks a bad cell; an engine invariant's
+        # RuntimeError is a fault and must not become an error row
+        def broken(cfg):
+            raise RuntimeError("invariant broken")
+
+        monkeypatch.setattr(simharness, "run_study", broken)
+        with pytest.raises(RuntimeError, match="invariant broken"):
+            run_grid([SimulationConfig(**FAST)])
