@@ -29,12 +29,7 @@ from .combiners import (
     threshold_from_rank,
     truncate,
 )
-from .generators import (
-    TransformationScheme,
-    one_sample_t,
-    row_permutation_matrix,
-    sign_flip_matrix,
-)
+from .generators import TransformationScheme, sign_flip_matrix
 from .inference import (
     DiscoveryResult,
     PrefixResult,
@@ -79,8 +74,7 @@ __all__ = [
     "Combiner", "COMBINER_KINDS", "apply_combiner",
     "TruncationRule", "truncate", "threshold_from_rank", "evidence_from_t",
     # transformation schemes
-    "TransformationScheme", "sign_flip_matrix", "row_permutation_matrix",
-    "one_sample_t",
+    "TransformationScheme", "sign_flip_matrix",
     # problem, verdicts and trace
     "SumTestProblem", "Verdict", "TraceLog",
     # inference

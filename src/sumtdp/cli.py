@@ -153,9 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sim, with_input=False)
     p_sim.add_argument("--config", required=True,
                        help="JSON study configuration (see README for the schema)")
-    p_sim.add_argument("--full-scale", action="store_true",
-                       help="full-scale defaults (1000 variables, 1000 replications) "
-                            "instead of desk scale (100/200)")
 
     p_verify = sub.add_parser("verify",
                               help="cross-check against the exhaustive reference")
@@ -186,6 +183,8 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
         raise InputError("--truncate and --truncate-rank are mutually exclusive")
     comb = Combiner.parse(args.combiner) if args.combiner is not None else None
     if args.stats is not None:
+        if args.one_sided:
+            raise InputError("--one-sided applies to --data only")
         inputs[args.stats] = _sha256(args.stats)
         stats = read_statistic_csv(args.stats)
     else:
@@ -342,8 +341,9 @@ def _write_trace(rows, path):
             for key in ("forced", "excluded", "witness"):
                 if row.get(key):
                     out[key] = _one_based(row[key])
-            if row.get("pivot") is not None:
-                out["pivot"] = row["pivot"] + 1
+            pivot = row.get("pivot")
+            if pivot is not None:  # a column, or a merged column's tuple
+                out["pivot"] = _one_based(pivot if isinstance(pivot, tuple) else (pivot,))
             writer.writerow(out)
 
 
@@ -512,10 +512,9 @@ def _cmd_verify(args, inputs: dict) -> _Result:
 _GRID_ONLY_KEYS = {"cells", "combiners"}
 
 
-def _build_cells(config: dict, full_scale: bool, args):
+def _build_cells(config: dict, args):
     from .simharness import SimulationConfig
 
-    defaults = {"n_hyps": 1000, "n_reps": 1000} if full_scale else {}
     top = {key: value for key, value in config.items() if key not in _GRID_ONLY_KEYS}
     combiners = config.get("combiners")
     cell_dicts = config.get("cells", [{}])
@@ -526,7 +525,7 @@ def _build_cells(config: dict, full_scale: bool, args):
         raise InputError("config key 'combiners' must be a nonempty list of combiner names")
     cells = []
     for cell in cell_dicts:
-        merged = {**defaults, **top, **cell}
+        merged = {**top, **cell}
         if args.alpha is not None and "alpha" not in merged:
             merged["alpha"] = args.alpha
         if args.seed is not None:
@@ -551,7 +550,7 @@ def _cmd_simulate(args, inputs: dict) -> _Result:
             raise InputError(f"{args.config}: invalid JSON ({exc})") from None
     if not isinstance(config, dict):
         raise InputError(f"{args.config}: top level must be an object")
-    cells = _build_cells(config, args.full_scale, args)
+    cells = _build_cells(config, args)
     rows = run_grid(cells)
     payload = [
         {key: (None if value == "" else value) for key, value in row.items()}

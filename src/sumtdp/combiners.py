@@ -93,11 +93,6 @@ class Combiner:
             raise ValueError(f"{token!r} needs a power, e.g. {token}:-1")
         return cls(token)
 
-    def label(self) -> str:
-        if self.kind == "generalized_mean":
-            return f"vw:{self.power:g}"
-        return self.kind
-
     def transform(self, values) -> np.ndarray:
         """Apply the transform elementwise to an array of p-values."""
         p = np.asarray(values, dtype=float)

@@ -1,9 +1,10 @@
-"""Transformation schemes that turn raw data into statistic matrices.
+"""t statistics under sign flips of whole observations, the one transformation group.
 
-The identity transformation always occupies row 0.  The remaining rows are
-drawn independently and uniformly from the chosen group, with replacement;
-duplicate draws are kept as distinct rows.  Randomness comes from numpy's
-seedable default generator, so the draws are fixed by the seed.
+The identity flip always occupies row 0.  The remaining rows are drawn
+independently and uniformly from the group, with replacement; duplicate
+draws are kept as distinct rows.  Randomness comes from numpy's seedable
+default generator, so the draws are fixed by the seed.  A matrix of any
+other statistic enters as a CSV (see :func:`~.statmatrix.write_statistic_csv`).
 
 Sign-flip t statistics gather each block of flipped rows from a table of
 the observations and their exact negations into one C-ordered observations
@@ -20,14 +21,7 @@ import numpy as np
 
 from .statmatrix import StatisticMatrix
 
-__all__ = [
-    "TransformationScheme",
-    "one_sample_t",
-    "sign_flip_matrix",
-    "row_permutation_matrix",
-]
-
-_KINDS = ("sign_flip", "row_permutation")
+__all__ = ["TransformationScheme", "sign_flip_matrix"]
 
 # Observations times rows times columns per block of signed data.
 _BLOCK_ELEMENTS = 1 << 16
@@ -35,14 +29,14 @@ _BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class TransformationScheme:
-    """How many transformations to draw, from which group, and the seed."""
+    """How many sign flips to draw, and the seed; ``kind`` must be ``"sign_flip"``."""
 
     kind: str
     n_transforms: int
     seed: int = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind != "sign_flip":
             raise ValueError(f"unknown transformation kind {self.kind!r}")
         if self.n_transforms < 1:
             raise ValueError("n_transforms must be at least 1")
@@ -95,49 +89,17 @@ def _flipped_t(arr, signs, two_sided) -> np.ndarray:
     return out
 
 
-def one_sample_t(data, two_sided: bool = True) -> np.ndarray:
-    """Column-wise one-sample t statistics, ``mean / (sd / sqrt(n))``.
-
-    With ``two_sided`` the absolute value is returned so that large always
-    means strong evidence against a zero mean.
-    """
-    arr = _check_data(data)
-    return _flipped_t(arr, np.ones((1, arr.shape[0])), two_sided)[0]
-
-
 def sign_flip_matrix(data, scheme: TransformationScheme, two_sided: bool = True) -> StatisticMatrix:
     """One-sample t statistics under random sign flips of whole observations.
 
     Each non-identity row flips every observation's sign independently with
     probability one half; the flip is shared across variables, preserving
-    their dependence.  ``two_sided`` is as in ``one_sample_t``.
+    their dependence.  Row 0 holds the observed ``mean / (sd / sqrt(n))`` of
+    each column; with ``two_sided`` every entry is an absolute value, so
+    large always means strong evidence against a zero mean.
     """
-    if scheme.kind != "sign_flip":
-        raise ValueError(f"scheme kind is {scheme.kind!r}, expected 'sign_flip'")
     arr = _check_data(data)
     signs = np.ones((scheme.n_transforms, arr.shape[0]))
     rng = np.random.default_rng(scheme.seed)
     signs[1:] = rng.integers(0, 2, size=signs[1:].shape) * 2 - 1
     return StatisticMatrix(_flipped_t(arr, signs, two_sided))
-
-
-def row_permutation_matrix(data, scheme: TransformationScheme, statistic) -> StatisticMatrix:
-    """Statistic matrix under random permutations of the observation rows.
-
-    Useful for statistics that depend on row order or on external labels
-    aligned with rows; a row-order-invariant statistic yields a constant
-    matrix.
-    """
-    if scheme.kind != "row_permutation":
-        raise ValueError(f"scheme kind is {scheme.kind!r}, expected 'row_permutation'")
-    arr = _check_data(data)
-    rows = [np.asarray(statistic(arr), dtype=float)]
-    m = arr.shape[1]
-    if rows[0].shape != (m,):
-        raise ValueError(
-            f"statistic must map (n, {m}) data to {m} values, got shape {rows[0].shape}"
-        )
-    rng = np.random.default_rng(scheme.seed)
-    for _ in range(scheme.n_transforms - 1):
-        rows.append(np.asarray(statistic(arr[rng.permutation(arr.shape[0])]), dtype=float))
-    return StatisticMatrix(np.vstack(rows))

@@ -217,7 +217,8 @@ def discoveries_matrix(
     in terms of the original subset, with the reduction's counts in
     ``reduction``.  Discovery counts are unchanged by the reduction, only the
     work to reach them shrinks.  ``step_budget`` and ``trace`` are those of
-    :func:`discoveries`.
+    :func:`discoveries`, but trace rows name original columns (a merged
+    column as a tuple) while sizes and windows count reduced ones.
     """
     subset = validate_subset(subset, stats.n_hyps)
     query, counts = subset, None
@@ -229,12 +230,25 @@ def discoveries_matrix(
             "removed": len(red.removed),
             "collapsed": len(red.collapsed),
         }
+    start = len(trace.rows) if trace is not None else 0
     res = discoveries(
         SumTestProblem.from_matrix(stats, cfg), query,
         step_budget=step_budget, trace=trace,
     )
     if counts is None:
         return res
+    if trace is not None:
+        # reduced column index -> the original columns it stands for
+        user = [(j,) for j in red.kept]
+        if red.collapsed:
+            user.append(red.collapsed)
+        for row in trace.rows[start:]:
+            for key in ("forced", "excluded", "witness"):
+                if row.get(key) is not None:
+                    row[key] = tuple(sorted(j for i in row[key] for j in user[i]))
+            if row.get("pivot") is not None:
+                pivot = user[row["pivot"]]
+                row["pivot"] = pivot if len(pivot) > 1 else pivot[0]
     return replace(res, subset=subset, reduction=counts)
 
 

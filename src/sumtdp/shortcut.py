@@ -106,7 +106,7 @@ class Evaluation:
     ``window`` is the inclusive range of candidate sizes still in doubt
     (UNDECIDED only).  ``witness`` is a surviving candidate set
     (SURVIVOR_FOUND only), recorded for audit: always a greedy-path
-    candidate, or ``()`` at overlap 0 or below.
+    candidate.
     """
 
     verdict: Verdict
@@ -206,22 +206,18 @@ def _rank_stat(column: np.ndarray, rank: int) -> float:
     return float(np.partition(column, rank - 1)[rank - 1])
 
 
-def _row_sums(block: np.ndarray) -> np.ndarray:
-    """Row sums of a B x k array, summed as numpy sums it in Fortran order.
+def _row_sums(cols: np.ndarray, head: np.ndarray = None) -> np.ndarray:
+    """Row sums of ``[head | cols]`` (``head`` zeros by default), left to right.
 
-    numpy sums a contiguous row pairwise from eight entries on, so the
-    rounding of ``block.sum(axis=1)`` would depend on memory layout.  Laid
-    out column by column with two or more rows, the sum adds one column at
-    a time into all rows, which is left to right.  A single row is
-    contiguous in either layout and is summed pairwise.
+    numpy sums a contiguous row pairwise from eight entries on.  Over a
+    column-major buffer with a spare zero row it adds one column at a time
+    into all rows, left to right whatever the row count.  A leading 0.0
+    changes no sum, because centered values hold no -0.0.
     """
-    return np.asfortranarray(block).sum(axis=1)
-
-
-def _add_columns(head: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``_row_sums`` of ``[head | cols]``, left to right even for one row (a spare zero row)."""
-    buf = np.zeros((head.shape[0] + 1, cols.shape[1] + 1), order="F")
-    buf[:-1, 0], buf[:-1, 1:] = head, cols
+    buf = np.zeros((cols.shape[0] + 1, cols.shape[1] + 1), order="F")
+    if head is not None:
+        buf[:-1, 0] = head
+    buf[:-1, 1:] = cols
     return buf.sum(axis=1)[:-1]
 
 
@@ -324,16 +320,13 @@ class QueryContext:
     def carried_sums(self, carried, columns, k: int):
         """``_row_sums(columns(0, k))`` from ``head``, the sums of ``columns(0, k0)``
         (afresh if ``k < k0``), and the ``(k0, head)`` to carry on: at most ``SLACK``
-        columns short of ``k``, so a force child's narrower read extends it too.
-        A lone row sums pairwise, so a one-row problem carries nothing."""
-        if self.prob.n_transforms < 2:
-            return _row_sums(columns(0, k)), carried
+        columns short of ``k``, so a force child's narrower read extends it too."""
         k0, head = carried
         if head is None or k < k0:
-            k0, head = 0, np.zeros(self.prob.n_transforms)
+            k0, head = 0, None
         if k > k0 + self.SLACK:
-            k0, head = k - self.SLACK, _add_columns(head, columns(k0, k - self.SLACK))
-        return _add_columns(head, columns(k0, k)), (k0, head)
+            k0, head = k - self.SLACK, _row_sums(columns(k0, k - self.SLACK), head)
+        return _row_sums(columns(k0, k), head), (k0, head)
 
     def sorted_rows(self, mask: np.ndarray, needed: int):
         """Row-sorted, read-only block of the centered columns in ``mask``,
@@ -355,7 +348,7 @@ class QueryContext:
                 block, pos = _cut_values(kept, self.prob.centered[:, gone[0]])
                 if head is not None and k0 <= block.shape[1]:
                     redo, head = pos < k0, head.copy()
-                    head[redo] = _add_columns(np.zeros(np.count_nonzero(redo)), block[redo, :k0])
+                    head[redo] = _row_sums(block[redo, :k0])
                     carried = (k0, head)
         if block is None:
             block = np.take(self.prob.centered, np.flatnonzero(mask), axis=1)
@@ -514,15 +507,6 @@ def single_step(
         path (the exclude-child of a branch).  Without the path a scan
         never reports a survivor: it is ALL_REJECTED or UNDECIDED.
     """
-    s = len(ctx.subset)
-    if overlap <= 0:
-        # The empty set overlaps everything by 0 and is never rejected, so
-        # this answers in the unconstrained space; recursive subspace calls
-        # always carry an overlap of at least 1.
-        return Evaluation(Verdict.SURVIVOR_FOUND, witness=())
-    if overlap >= s + 1:
-        return Evaluation(Verdict.ALL_REJECTED)
-
     ws = Workspace(ctx, overlap, constraint)
     if ws.infeasible:
         return Evaluation(Verdict.ALL_REJECTED)

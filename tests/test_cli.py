@@ -214,6 +214,43 @@ class TestTdp:
         assert (lift["kind"], lift["overlap"], lift["witness"]) == ("lift", "3", "1;4;5")
         assert float(lift["value"]) <= 0.0
 
+    def test_trace_of_reduced_sets_names_user_columns(self, tmp_path, capsys):
+        # truncation merges most of the 30 columns into one synthetic
+        # column; the trace still names the user's columns, 1-based
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(20, 30))
+        data[:, 20:26] += 1.0
+        path = tmp_path / "signal.csv"
+        lines = [",".join(f"v{j + 1}" for j in range(30))]
+        lines += [",".join(f"{v:.8f}" for v in row) for row in data]
+        path.write_text("\n".join(lines) + "\n")
+        sets = [list(range(21, 29)), [1, 2, 3]]
+        trace_path = tmp_path / "trace.csv"
+        argv = ["tdp", "--data", str(path), "--b", "100", "--combiner", "fisher",
+                "--truncate-rank", "200", "--seed", "1", "--sets", json.dumps(sets)]
+        code, out, _ = run(capsys, *argv, "--trace", str(trace_path))
+        assert code == 0
+        assert all(e["collapsed"] >= 2 for e in json.loads(out))
+        stats = sumtdp.cli._load_matrix(build_parser().parse_args(argv), {})
+        prob = sumtdp.SumTestProblem.from_matrix(stats, sumtdp.TestConfig(0.05, 100))
+
+        def cols(text):
+            return [int(c) for c in text.split(";")] if text else []
+
+        rows = list(csv.DictReader(trace_path.read_text().splitlines()))
+        survivors = [r for r in rows if r["kind"] == "lift" or r["verdict"] == "survivor-found"]
+        assert {r["kind"] for r in survivors} == {"eval", "lift"}
+        for row in rows:
+            named = [c for key in ("forced", "excluded", "witness", "pivot")
+                     for c in cols(row[key])]
+            assert all(1 <= c <= 30 for c in named)
+        for row in survivors:
+            query, witness = set(sets[int(row["set_id"]) - 1]), set(cols(row["witness"]))
+            if row["kind"] == "lift":
+                assert query <= witness
+            assert len(query & witness) >= int(row["overlap"])
+            assert sumtdp.subset_quantile(prob, [c - 1 for c in witness]) <= 0.0
+
     def test_one_problem_per_run(self, toy_csv, capsys, monkeypatch):
         built = []
         real = sumtdp.SumTestProblem.from_matrix
@@ -662,6 +699,15 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"{flag} is not valid JSON" in err
+
+    def test_one_sided_needs_data(self, toy_csv, capsys):
+        # sign flips make the t statistics; a given matrix has no sides
+        code, out, err = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+            "--sets", "[[1,2]]", "--one-sided")
+        assert code == 2
+        assert out == ""
+        assert "--one-sided applies to --data only" in err
 
     def test_engine_fault_is_internal_error(self, toy_csv, capsys, monkeypatch):
         # a scan that never settles leaves a subspace with no pivot: an

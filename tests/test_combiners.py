@@ -36,14 +36,11 @@ class TestParse:
                 continue
             c = Combiner.parse(kind)
             assert c.kind == kind
-            assert c.label() == kind
 
     def test_power_tokens(self):
         c = Combiner.parse("vw:-1")
         assert c.kind == "generalized_mean"
         assert c.power == -1.0
-        assert c.label() == "vw:-1"
-        assert Combiner.parse("vw:2.5").label() == "vw:2.5"
 
     def test_bad_tokens(self):
         with pytest.raises(ValueError, match="unknown combiner"):

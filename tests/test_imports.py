@@ -4,7 +4,10 @@ No linter ships with the project, so the first tests walk the syntax tree
 of each module in ``src/sumtdp`` and ``tests``: a name bound by an import
 must be read somewhere in the module, or be listed in its ``__all__``.
 Every name an ``__all__`` lists must exist, once: a stale string there
-still imports cleanly and breaks only ``from sumtdp import *``.
+still imports cleanly and breaks only ``from sumtdp import *``.  A private
+definition in ``src/sumtdp`` (a module-level function, class or assignment,
+or a method, whose name starts with one underscore) must be read somewhere
+in the package: code that only tests reach does not belong there.
 
 The package imports ``scipy.stats`` and ``scipy.optimize`` only inside the
 functions that need them (the simulation harness's effect size), because
@@ -71,6 +74,60 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_and_spares_exports():
     source = "import os\nimport sys as system\nfrom a import b, c\n__all__ = ['c']\nprint(b)\n"
     assert unused_imports(source) == ["line 1: os", "line 2: system"]
+
+
+def dead_definitions(sources: dict) -> list:
+    """Private definitions that no module of ``sources`` (name -> text) reads.
+
+    A read is a loaded name, an attribute or an imported name, anywhere in
+    any of the modules.
+    """
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, item.lineno, f"{node.name}.{item.name}")
+                            for item in node.body if isinstance(item, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return [
+        f"{module}:{line}: {name}"
+        for module, line, name in defined
+        if (bare := name.rpartition(".")[2]).startswith("_")
+        and not bare.endswith("__") and bare not in read
+    ]
+
+
+def test_no_dead_definitions():
+    sources = {path.name: path.read_text() for path in sorted((ROOT / "src" / "sumtdp").glob("*.py"))}
+    assert dead_definitions(sources) == []
+
+
+def test_dead_definition_checker_flags_unread_private_names():
+    a = (
+        "_LIMIT = 3\n_KINDS = ('x',)\nPUBLIC = 1\n"
+        "def _add_columns(x):\n    return x\n"
+        "def _helper(x):\n    return x + _LIMIT\n"
+        "class Thing:\n"
+        "    def __init__(self):\n        self._table = _helper(1)\n"
+        "    def _grow(self):\n        return self._table\n"
+        "    def _stale(self):\n        return self._grow()\n"
+    )
+    b = "from a import _helper as h\n"
+    assert dead_definitions({"a.py": a, "b.py": b}) == [
+        "a.py:2: _KINDS", "a.py:4: _add_columns", "a.py:13: Thing._stale",
+    ]
 
 
 def export_faults(module) -> list:

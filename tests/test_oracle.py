@@ -13,6 +13,7 @@ from sumtdp import (
     reject,
     subset_quantile,
 )
+from sumtdp.oracle import _popcount
 from tests.util import random_instance, random_subset
 
 
@@ -105,3 +106,17 @@ class TestLimits:
         # the problem, which every table is built from, checks the row count
         with pytest.raises(ValueError, match="disagree"):
             RejectionTable(SumTestProblem.from_matrix(toy_stats, TestConfig(0.4, 7)))
+
+
+def test_popcount_fallback_matches_bitwise_count(monkeypatch):
+    # numpy < 2 has no bitwise_count; the shift-and-add loop stands in
+    masks = np.random.default_rng(5).integers(0, 2**32, size=500, dtype=np.uint32)
+    masks[:2] = 0, 2**32 - 1
+    want = np.bitwise_count(masks)
+    scalar = np.uint32(2**32 - 3)
+    monkeypatch.delattr(np, "bitwise_count")
+    got = _popcount(masks)
+    assert got.tolist() == want.tolist()
+    assert got[:2].tolist() == [0, 32]
+    # all_overlapping_rejected counts the bits of one scalar mask
+    assert int(_popcount(scalar)) == 31

@@ -419,27 +419,29 @@ class TestCarriedSums:
         assert np.array_equal(block, fresh_block)
         assert sums.tolist() == fresh_sums.tolist() == _row_sums(block[:, :needed]).tolist()
         assert np.signbit(sums).tolist() == np.signbit(fresh_sums).tolist()
-        # The row's pairwise sum differs, so a pairwise re-sum would show.
+        # numpy's pairwise sum of the row differs, so a pairwise re-sum would show.
         lone = block[0, :k0]
-        assert _row_sums(lone[None, :])[0] != _row_sums(np.stack([lone, lone]))[0]
+        assert float(np.sum(lone)) != _row_sums(lone[None, :])[0]
         shared = Workspace(ctx, needed, FREE.exclude(47))
         fresh = Workspace(QueryContext(prob, subset), needed, FREE.exclude(47))
         assert _tables(shared) == _tables(fresh)
 
-    def test_one_row_sums_pairwise_as_defined(self):
-        # numpy sums a lone contiguous row pairwise, and so does _row_sums
-        # for a one-row problem: no carried sum may add it left to right.
+    def test_one_row_sums_left_to_right(self):
+        # A lone row adds left to right like any other, so carried and
+        # fresh sums of a one-row problem agree; numpy's pairwise sum would
+        # keep the 1.0s that left to right each round away.
         cen = np.array([[-1e16, *[1.0] * 39]])
         prob = SumTestProblem(cen, np.arange(40.0), 1)
         ctx = QueryContext(prob, tuple(range(40)))
         mask = np.ones(40, dtype=bool)
         for needed in (30, 31, 29, 40):
-            block, sums = ctx.sorted_rows(mask, needed)
-            assert sums.tolist() == [float(np.sum(block[0, :needed]))]
-        assert sums[0] != -1e16  # left to right, every 1.0 would round away
+            _, sums = ctx.sorted_rows(mask, needed)
+            _, fresh = QueryContext(prob, tuple(range(40))).sorted_rows(mask, needed)
+            assert sums.tolist() == fresh.tolist() == [-1e16]
+            assert float(np.sum(cen[0, :needed])) != -1e16
         for overlap in (30, 31):
             ws = Workspace(ctx, overlap)
-            assert ws.path_value(overlap) == float(np.sum(cen[0, :overlap]))
+            assert ws.path_value(overlap) == -1e16
 
     def test_deep_spine_matches_fresh_contexts(self):
         # All columns at overlaps near |S|, so every pivot lies in S and each
@@ -458,11 +460,10 @@ class TestCarriedSums:
         # path's sums; carried, the whole walk costs about six.
         prob = _deep_problem()
         summed = []
-        for name in ("_row_sums", "_add_columns"):
-            def counting(*arrays, _real=getattr(shortcut, name)):
-                summed.append(arrays[-1].size)
-                return _real(*arrays)
-            monkeypatch.setattr(shortcut, name, counting)
+        def counting(cols, *head, _real=shortcut._row_sums):
+            summed.append(cols.size)
+            return _real(cols, *head)
+        monkeypatch.setattr(shortcut, "_row_sums", counting)
         trace = TraceLog()
         ctx = QueryContext(prob, tuple(range(300)))
         out = evaluate_iterative(ctx, 282, budget=24, trace=trace)
@@ -508,14 +509,14 @@ class TestSingleStepToy:
         assert out.verdict is Verdict.UNDECIDED
         assert out.window == (1, 3)
 
+    # discoveries probes only overlaps 1..|S|: any other is an engine fault.
     def test_level_zero_survivor(self, toy_problem):
-        out = _scan(toy_problem, 0)
-        assert out.verdict is Verdict.SURVIVOR_FOUND
-        assert out.witness == ()
+        with pytest.raises(RuntimeError, match="overlap"):
+            _scan(toy_problem, 0)
 
     def test_level_above_size(self, toy_problem):
-        out = _scan(toy_problem, 3)
-        assert out.verdict is Verdict.ALL_REJECTED
+        with pytest.raises(RuntimeError, match="overlap"):
+            _scan(toy_problem, 3)
 
     def test_window_restriction(self, toy_problem):
         # sizes 4..5 were certified by the bound in the full scan
