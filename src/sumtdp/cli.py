@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
             src.add_argument("--data", default=None,
                              help="raw data CSV (observations x variables, header); "
                                   "the matrix holds t statistics under sign flips")
-            p.add_argument("--b", type=int, default=200,
+            p.add_argument("--b", type=int, default=None,
                            help="transformations to generate from --data, "
                                 "identity included (default 200)")
             p.add_argument("--one-sided", action="store_true",
@@ -116,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="floor entries below T to the ground value")
             p.add_argument("--truncate-rank", type=int, default=None, metavar="K",
                            help="use the K-th greatest matrix entry as the threshold")
-            p.add_argument("--ground", type=float, default=0.0,
+            p.add_argument("--ground", type=float, default=None,
                            help="ground value for truncation (default 0)")
 
     def add_budget(p):
@@ -181,15 +181,21 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
     """Load or generate the statistic matrix, then combine and truncate."""
     if args.truncate is not None and args.truncate_rank is not None:
         raise InputError("--truncate and --truncate-rank are mutually exclusive")
+    if args.ground is not None and args.truncate is None and args.truncate_rank is None:
+        raise InputError("--ground applies with --truncate or --truncate-rank only")
+    args.ground = 0.0 if args.ground is None else args.ground  # the manifest records it
     comb = Combiner.parse(args.combiner) if args.combiner is not None else None
     if args.stats is not None:
-        if args.one_sided:
-            raise InputError("--one-sided applies to --data only")
+        for flag, given in (("--one-sided", args.one_sided), ("--b", args.b is not None),
+                            ("--seed", args.seed is not None)):
+            if given:
+                raise InputError(f"{flag} applies to --data only")
         inputs[args.stats] = _sha256(args.stats)
         stats = read_statistic_csv(args.stats)
     else:
         inputs[args.data] = _sha256(args.data)
         names, data = read_data_csv(args.data)
+        args.b = 200 if args.b is None else args.b
         scheme = TransformationScheme(kind="sign_flip", n_transforms=args.b, seed=args.seed)
         tstats = sign_flip_matrix(data, scheme, two_sided=not args.one_sided)
         if comb is not None:

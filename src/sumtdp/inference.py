@@ -221,20 +221,18 @@ def discoveries_matrix(
     column as a tuple) while sizes and windows count reduced ones.
     """
     subset = validate_subset(subset, stats.n_hyps)
-    query, counts = subset, None
+    query, counts, prob = subset, None, SumTestProblem.from_matrix(stats, cfg)
     if reduction_ground is not None:
         red = reduce_columns(stats, subset, ground=reduction_ground)
-        stats, query = red.stats, red.subset
+        # on the full problem's grid, so the reduction changes no verdict
+        prob, query = prob.restricted(red.kept, red.collapsed, red.stats.observed), red.subset
         counts = {
-            "m_reduced": stats.n_hyps,
+            "m_reduced": red.stats.n_hyps,
             "removed": len(red.removed),
             "collapsed": len(red.collapsed),
         }
     start = len(trace.rows) if trace is not None else 0
-    res = discoveries(
-        SumTestProblem.from_matrix(stats, cfg), query,
-        step_budget=step_budget, trace=trace,
-    )
+    res = discoveries(prob, query, step_budget=step_budget, trace=trace)
     if counts is None:
         return res
     if trace is not None:

@@ -1,71 +1,58 @@
 """Single-step verdict on rejection of all candidate sets at one overlap level.
 
 For a query subset S and an overlap level z, the candidates are the
-hypothesis sets sharing at least z members with S, optionally restricted to a
-subspace that forces some columns in and excludes others.  The question a
-single step answers is whether every candidate is rejected by the centered
-sum test.  Scanning candidate sizes one at a time, it uses two prefix-sum
-devices per size v, and no other:
+hypothesis sets sharing at least z members with S, optionally restricted to
+a subspace that forces some columns in and excludes others.  A single step
+asks whether the centered sum test rejects every candidate.  Scanning
+candidate sizes v one at a time, it uses two prefix-sum devices, and no
+other:
 
-* a lower bound on all candidate quantiles at size v, built from each row's
-  z smallest centered values inside S plus the v - z smallest of the rest
-  (computed per row, so the bound is usually unattainable but never exceeds
-  any candidate's quantile); a positive bound certifies the size;
-* a greedy path of concrete candidates, built in observed-statistic order
-  (one global ordering, not per row), whose quantile at size v is exact; a
-  non-positive path value exhibits a surviving candidate and settles the
-  whole question negatively.  Every reported survivor is a path candidate:
-  where a size holds a single candidate, the path reaches it.
+* a lower bound on all candidate quantiles at size v, from each row's z
+  smallest centered values inside S plus its v - z smallest of the rest
+  (per row, so usually unattainable but never above any candidate's
+  quantile); a positive bound certifies the size;
+* a greedy path of concrete candidates in observed-statistic order (one
+  global ordering, not per row), whose quantile at size v is exact; a
+  non-positive path value exhibits a survivor and settles the question.
+  Every reported survivor is a path candidate, and where a size holds a
+  single candidate the path reaches it.
 
-Two shape indices confine the scan: the bound is nonincreasing in v up to
-``drop_end`` and nondecreasing from ``rise_start`` on (in floats too: adding
-an entry <= 0, or >= 0, never raises, or lowers, a rounded running sum).  So
-the scan walks down from ``drop_end``, then up from above it, stopping once
-the bound turns positive on a monotone stretch, and reads each size at most
-once.  Sizes that remain in doubt form the returned window.  Both indices
-come from a binary search over columns: each row of the remainder is sorted,
-so "every row is at most 0" and "some row is below 0" each hold on a leading
-run of columns.
+The bound is nonincreasing in v up to ``drop_end`` and nondecreasing from
+``rise_start`` on, so the scan walks down from ``drop_end``, then up from
+above it, stops once the bound turns positive on a monotone stretch, and
+reads each size at most once; sizes left in doubt form the returned
+window.  Each row of the remainder is sorted, so "every row is at most 0"
+and "some row is below 0" each hold on a leading run of columns, and a
+binary search finds both indices.
 
-Everything a scan needs about the query subset itself lives in one
-:class:`QueryContext`, built once per query: the validated subset, its
-boolean mask over the columns, one stable argsort of the observed row (ties
-in index order) and the reserved-column rule, which picks the subset columns
-the greedy path spends on the overlap requirement.  A subspace constraint is
-turned into boolean masks of forced and free columns, and the workspace, the
-greedy path and the branching pivot all read those masks and that one
-ordering.  Every scan and pivot takes the context as its only query
-argument; :func:`~.inference.discoveries` builds it from column indices.
+One :class:`QueryContext` per query holds the validated subset, its mask,
+one stable argsort of the observed row (ties in index order) and the
+reserved-column rule, which picks the subset columns the greedy path spends
+on the overlap requirement.  A subspace constraint becomes boolean masks of
+forced and free columns, which the workspace, the path and the branching
+pivot read with that one ordering.  Every scan and pivot takes the context
+as its only query argument.
 
-Scan tables are row-major, so every row sort and prefix sum runs over
-contiguous memory.  A scan reads a few sizes near ``drop_end``, so the
-prefix tables of the bound and of the greedy path are built only as far as
-the widest size read so far, at least doubling when they grow; each
-extension carries the last running sum on, so every entry equals that of
-one ``cumsum`` over all columns bit for bit.  Row sums add left to right
-too (see :func:`_row_sums`), so a sum carried over and extended has the
-bits of a fresh one.  Centered values hold no negative zero, so equal
-entries are equal bit for bit and sorting or trimming a block cannot change
-a sum.  The context keeps one slot: the last scan's free subset columns,
-sorted within each row as the leading columns of a writable row-major
-buffer, with the row sums of their first ``k0``.  A branch's two children
-share their free subset columns, which differ from their parent's by at
-most the pivot, so a child scan reuses the block or trims it in place,
-moving each row's entries after the pivot's value left by one, and re-sums
-only rows that lose a value among their first ``k0``.  The pivot has the
-greatest observed statistic, so its centered values mostly sort near the
-end of each row and a trim moves few entries.  The greedy path's reserved
-columns are summed alike.
+Centered values lie on a power-of-two grid (see :class:`SumTestProblem`),
+so every sum below is exact in any order, and each running sum moves by the
+columns between the sizes read.  The context keeps one slot: the last
+scan's free subset columns, sorted within each row as the leading columns
+of a writable row-major buffer, with running sums of the overlap picks.  A
+branch's children differ from their parent by at most the pivot, so a child
+scan reuses the block or trims it in place, moving each row's entries after
+the pivot's value left by one and patching each row's sum in O(1).  The
+pivot has the greatest observed statistic, so its values mostly sort late
+and a trim moves few entries.
 
-Matrices are never mutated.  Besides each workspace's own growing tables,
-the slot and the path's carried sums are the only state that changes, and
-a context serves one scan at a time: a trim rewrites the buffer that the
-last scan's read-only block views.  A slot that does not hold what its
-mask says, a column both forced and excluded, an overlap outside 1..|S| or
-a constraint column out of range is an engine fault:
+Matrices are never mutated; besides the running sums, the slot is the only
+state that changes, and a context serves one scan at a time (a trim
+rewrites the buffer that the last scan's block views).  A slot that does
+not hold what its mask says, a column both forced and excluded, an overlap
+outside 1..|S| or a constraint column out of range is an engine fault:
 :class:`RuntimeError`, never :class:`ValueError`, which means bad input.
 """
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
@@ -139,19 +126,39 @@ class SubspaceConstraint:
 FREE = SubspaceConstraint()
 
 
+def _grid_step(n: int, bound: float) -> float:
+    """The least power of two s with s * (2**53 - 4 n) >= 2 n bound, and s >= 2**-1074.
+
+    Any n integer multiples of s, each at most 2 bound + 2 s in magnitude,
+    sum to less than 2**53 s, so floats add them exactly in any order.
+    """
+    num, den = bound.as_integer_ratio()  # integers: 2 n bound may overflow a float
+    num, den = 2 * n * num, den * (2**53 - 4 * n)
+    e = num.bit_length() - den.bit_length()  # 2**(e - 1) < num / den < 2**(e + 1)
+    if num << max(-e, 0) > den << max(e, 0):
+        e += 1
+    return math.ldexp(1.0, max(e, -1074))
+
+
+def _steps(x: np.ndarray, step: float, up: bool) -> np.ndarray:
+    """``x / step`` rounded up, or down, to integers, as a new row-major array."""
+    q = np.divide(x, step, out=np.empty(x.shape))  # exact, or an underflow in (-1, 1)
+    (np.ceil if up else np.floor)(q, out=q)
+    q[(q == 0) & ((x > 0) if up else (x < 0))] = 1.0 if up else -1.0  # underflowed to 0
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class SumTestProblem:
     """Centered matrix, observed statistics and critical rank, bundled.
 
     The observed row of the original statistic matrix is kept because the
     greedy path and the branching pivot order columns by observed statistic,
-    which the centered matrix alone cannot recover.
-
-    The centered matrix is stored row-major, with every negative zero
-    turned into 0.0, whatever the layout of its input.
-    numpy's vectorized sorts may swap or even merge the signs of tied zeros,
-    so only then do sums over sorted rows (and the sign of a zero bound)
-    not depend on the sort.
+    which the centered matrix alone cannot recover.  The centered matrix is
+    stored row-major, every value an integer multiple of one power-of-two
+    step (see :meth:`from_matrix`) and every zero as 0.0, so each sum of
+    distinct columns of a row is exact in any order.  A centered matrix
+    given directly is rounded down onto the grid of its largest entry.
     """
 
     centered: np.ndarray
@@ -160,21 +167,23 @@ class SumTestProblem:
 
     def __post_init__(self):
         cen = np.asarray(self.centered, dtype=float)
-        obs = np.asarray(self.observed, dtype=float)
-        if cen.ndim != 2 or obs.shape != (cen.shape[1],):
-            raise ValueError("centered must be (B, m) and observed (m,)")
-        if not (np.isfinite(cen).all() and np.isfinite(obs).all()):
-            raise ValueError("non-finite entries in problem data")
-        if not 1 <= self.crit_rank <= cen.shape[0]:
-            raise ValueError(
-                f"crit_rank {self.crit_rank} out of range for {cen.shape[0]} rows"
-            )
-        cen = np.add(cen, 0.0, order="C")  # a row-major copy, with -0.0 stored as 0.0
+        if cen.ndim != 2 or not np.isfinite(cen).all():
+            raise ValueError("centered must be a finite (B, m) matrix")
+        step = _grid_step(cen.shape[1], float(max(cen.max(initial=0.0), -cen.min(initial=0.0))))
+        self._keep(_steps(cen, step, up=False) * step + 0.0, self.observed, self.crit_rank)
+
+    def _keep(self, cen: np.ndarray, observed, crit_rank: int) -> "SumTestProblem":
+        """Check the grid matrix ``cen`` against the other two fields; store all three."""
+        obs = np.array(observed, dtype=float)
+        if obs.shape != (cen.shape[1],) or not (np.isfinite(cen).all() and np.isfinite(obs).all()):
+            raise ValueError("observed must be a finite (m,) vector, and centered values finite")
+        if not 1 <= crit_rank <= cen.shape[0]:
+            raise ValueError(f"crit_rank {crit_rank} out of range for {cen.shape[0]} rows")
         cen.setflags(write=False)
-        obs = obs.copy()
         obs.setflags(write=False)
-        object.__setattr__(self, "centered", cen)
-        object.__setattr__(self, "observed", obs)
+        for name, value in (("centered", cen), ("observed", obs), ("crit_rank", crit_rank)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def n_transforms(self) -> int:
@@ -186,10 +195,58 @@ class SumTestProblem:
 
     @classmethod
     def from_matrix(cls, stats: StatisticMatrix, cfg: TestConfig) -> "SumTestProblem":
-        """Subtract every row of ``stats`` from its observed row."""
+        """Subtract every row of ``stats`` from its observed row, on the grid.
+
+        Each observed entry x0 is rounded down and each transformed entry xr
+        up, so each stored x0 - xr is at most its real value, within two
+        steps of it, and 0 in row 0.  Dominant columns, whose every
+        |x0 - xr| of rows 1 on exceeds 4 L (L: the other columns' largest
+        |x0 - xr| summed) with one sign per row, hold +T or -T there, T the
+        power of two in (2 L, 4 L], and the step comes from T and the other
+        columns.  The caps turn no row sum's sign and +T is at most the real
+        value, so a set this problem rejects, the exact test rejects, and one
+        huge column (a p-value of 1e-20 under ``vw:-1``) rounds no other away.
+        """
         if cfg.n_transforms != stats.n_transforms:
             raise ValueError("config and matrix disagree on the number of rows")
-        return cls(stats.values[0] - stats.values, stats.observed, cfg.crit_rank)
+        values, x0, dominant = stats.values, stats.values[0], []
+        top = values[1:].max(axis=0, initial=-np.inf)
+        bottom = values[1:].min(axis=0, initial=np.inf)
+        with np.errstate(over="ignore", invalid="ignore"):  # dominant entries may overflow
+            lo, hi = x0 - top, x0 - bottom  # each column's least and largest x0 - xr
+            # the largest |x0 - xr|, and a bound at or above the least
+            size, gap = np.maximum(hi, -lo), np.maximum(np.maximum(lo, -hi), np.minimum(hi, -lo))
+            order = np.argsort(size, kind="stable")
+            light = np.cumsum(size[order])  # light[i]: the i + 1 smallest sizes summed
+            tail = np.minimum.accumulate(gap[order][::-1])[::-1]  # least gap from i on
+            raw = np.maximum(np.abs(x0), np.maximum(top, -bottom))
+            step = _grid_step(x0.size, float(raw.max()))
+            for i in np.flatnonzero((tail[1:] > 4 * light[:-1]) & (light[:-1] > 0)):
+                cut = x0[order[i + 1:]] - values[1:, order[i + 1:]]
+                cap = math.ldexp(1.0, math.frexp(2 * light[i])[1])
+                fine = _grid_step(x0.size, max(float(raw[order[: i + 1]].max()), cap))
+                # every |x0 - xr| above 4 L, each with the sign of its row's first
+                if fine <= cap and (cut * np.sign(cut[:, :1]) > 4 * light[i]).all():
+                    step, dominant = fine, order[i + 1:]
+                    break
+            cen = _steps(values, step, up=True)  # the one B x m buffer
+            np.subtract(_steps(x0, step, up=False) + 0.0, cen, out=cen)
+            cen *= step
+        if len(dominant):
+            cen[1:, dominant] = np.copysign(cap, cut)
+        cen[0] = 0.0
+        # already on the grid, so not through __post_init__, which would copy it
+        return object.__new__(cls)._keep(cen, stats.observed, cfg.crit_rank)
+
+    def restricted(self, kept, merged, observed) -> "SumTestProblem":
+        """This problem on columns ``kept``, then one exact grid sum of ``merged`` if any.
+
+        ``observed`` is the new observed row.  Every sum of the new columns
+        is one of this problem's, so every verdict is too.
+        """
+        merged = [self.centered[:, list(merged)].sum(axis=1)] if len(merged) else []
+        cen = np.column_stack([np.take(self.centered, list(kept), axis=1), *merged])  # row-major
+        return object.__new__(SumTestProblem)._keep(cen, observed, self.crit_rank)
 
 
 class TraceLog:
@@ -206,19 +263,9 @@ def _rank_stat(column: np.ndarray, rank: int) -> float:
     return float(np.partition(column, rank - 1)[rank - 1])
 
 
-def _row_sums(cols: np.ndarray, head: np.ndarray = None) -> np.ndarray:
-    """Row sums of ``[head | cols]`` (``head`` zeros by default), left to right.
-
-    numpy sums a contiguous row pairwise from eight entries on.  Over a
-    column-major buffer with a spare zero row it adds one column at a time
-    into all rows, left to right whatever the row count.  A leading 0.0
-    changes no sum, because centered values hold no -0.0.
-    """
-    buf = np.zeros((cols.shape[0] + 1, cols.shape[1] + 1), order="F")
-    if head is not None:
-        buf[:-1, 0] = head
-    buf[:-1, 1:] = cols
-    return buf.sum(axis=1)[:-1]
+def _row_sums(cols: np.ndarray) -> np.ndarray:
+    """Row sums of a block of centered columns."""
+    return cols.sum(axis=1)
 
 
 def _cut_values(block: np.ndarray, values: np.ndarray):
@@ -230,7 +277,7 @@ def _cut_values(block: np.ndarray, values: np.ndarray):
     it; a row that does not is an engine fault, raised before anything
     moves.  Each row's entries after its cut move left by one, so the first
     n - 1 columns of the buffer are the block a fresh sort of the remaining
-    columns gives: equal centered values are equal bit for bit.
+    columns gives.
     """
     n_rows, n = block.shape
     rows = np.arange(n_rows)
@@ -249,36 +296,25 @@ def _cut_values(block: np.ndarray, values: np.ndarray):
 
 
 class _RunningSums:
-    """Row prefix sums of a B x n source, computed only as far as they are read.
+    """Row sums of the first k columns of a source, each read carried on from the last.
 
     ``columns(lo, hi)`` returns source columns ``lo`` to ``hi - 1`` as a
-    B x (hi - lo) array.  Column k of the table is the sum of the first k
-    source columns, 0 at k = 0.  An extension runs ``cumsum`` from the last
-    running sum, adding left to right as one ``cumsum`` over the whole
-    source does, so every entry equals that full table's bit for bit.  The
-    table at least doubles at each extension, so a scan reading sizes in
-    any order fills it in O(log n) extensions.  It is allocated only as
-    wide as it is filled: a scan often reads a single size, and allocating
-    the full width made scans slower through page faults on fresh memory.
+    B x (hi - lo) array.  ``sums`` holds the last read, of the first ``k``,
+    and the next adds or subtracts the columns in between: a scan reads
+    sizes near each other, so it sums few columns and allocates no table.
     """
 
-    def __init__(self, shape, columns):
-        n_rows, self._n = shape
-        self._table = np.zeros((n_rows, 1))
-        self._columns = columns
+    def __init__(self, columns):
+        self.columns, self.k, self.sums = columns, 0, 0.0
 
     def through(self, k: int) -> np.ndarray:
-        """Column ``k`` of the table: the row sums of the first ``k`` source columns."""
-        width = self._table.shape[1]
-        if k >= width:
-            grown = min(max(k + 1, 2 * width), self._n + 1)
-            table = np.empty((self._table.shape[0], grown))
-            table[:, :width] = self._table
-            seg = table[:, width - 1:]
-            seg[:, 1:] = self._columns(width - 1, grown - 1)
-            np.cumsum(seg, axis=1, out=seg)
-            self._table = table
-        return self._table[:, k]
+        """The row sums of the first ``k`` source columns."""
+        if k >= self.k:
+            self.sums = self.sums + _row_sums(self.columns(self.k, k))
+        else:
+            self.sums = self.sums - _row_sums(self.columns(k, self.k))
+        self.k = k
+        return self.sums
 
 
 class QueryContext:
@@ -296,16 +332,14 @@ class QueryContext:
     subset_order : ndarray of int
         The subset's columns in that order.
     sorted_block : tuple or None
-        ``(mask, block, k0, head)`` of the last scan, or None before the
-        first: the mask of its free subset columns, the B x n block of their
-        centered values, each row sorted ascending, and the row sums ``head``
-        of ``block[:, :k0]`` (or None), replaced whole (see :meth:`sorted_rows`);
+        ``(mask, block, sums)`` of the last scan, or None before the first:
+        the mask of its free subset columns, the B x n block of their
+        centered values, each row sorted ascending, and the running sums of
+        ``block``'s columns, replaced whole (see :meth:`sorted_rows`);
         ``block`` is a read-only view of a buffer that trims rewrite in place.
-    order_sums : tuple
-        ``(k0, head)``, the row sums of the centered ``subset_order[:k0]``.
+    order_sums : _RunningSums
+        The running sums of the centered columns in ``subset_order``.
     """
-
-    SLACK = 16  # carried row sums stop this many columns short of a read
 
     def __init__(self, prob: SumTestProblem, subset):
         self.prob = prob
@@ -313,53 +347,47 @@ class QueryContext:
         self.in_subset = np.zeros(prob.n_hyps, dtype=bool)
         self.in_subset[list(self.subset)] = True
         self.order = np.argsort(prob.observed, kind="stable")
-        self.subset_order = self.order[self.in_subset[self.order]]
+        self.subset_order = order = self.order[self.in_subset[self.order]]
         self.sorted_block = None
-        self.order_sums = (0, None)
-
-    def carried_sums(self, carried, columns, k: int):
-        """``_row_sums(columns(0, k))`` from ``head``, the sums of ``columns(0, k0)``
-        (afresh if ``k < k0``), and the ``(k0, head)`` to carry on: at most ``SLACK``
-        columns short of ``k``, so a force child's narrower read extends it too."""
-        k0, head = carried
-        if head is None or k < k0:
-            k0, head = 0, None
-        if k > k0 + self.SLACK:
-            k0, head = k - self.SLACK, _row_sums(columns(k0, k - self.SLACK), head)
-        return _row_sums(columns(k0, k), head), (k0, head)
+        # not through self: a cycle would hold the context until a collection
+        self.order_sums = _RunningSums(lambda lo, hi: np.take(prob.centered, order[lo:hi], axis=1))
 
     def sorted_rows(self, mask: np.ndarray, needed: int):
         """Row-sorted, read-only block of the centered columns in ``mask``,
-        and ``_row_sums`` of its first ``needed`` columns.
+        and the row sums of its first ``needed`` columns.
 
         Reuses :attr:`sorted_block` when its mask equals ``mask``, trims
         one value per row in place when ``mask`` lacks exactly one of its
-        columns (keeping the carried sums of rows cut at or past ``k0``),
-        and sorts into a new buffer otherwise; the result takes the slot.
+        columns, and sorts into a new buffer otherwise; the result takes
+        the slot.  A trim keeps the running sums of the first k columns: a
+        row cut before column k gains the value that slides into column
+        k - 1 and loses the cut one.
         """
         slot = self.sorted_block
-        block, carried = None, (0, None)
+        block, sums = None, _RunningSums(None)
         if slot is not None:
-            held, kept, k0, head = slot
+            held, kept, carried = slot
             gone = np.flatnonzero(held != mask)
             if not gone.size:
-                block, carried = kept, (k0, head)
+                block, sums = kept, carried
             elif gone.size == 1 and held[gone[0]]:
-                block, pos = _cut_values(kept, self.prob.centered[:, gone[0]])
-                if head is not None and k0 <= block.shape[1]:
-                    redo, head = pos < k0, head.copy()
-                    head[redo] = _row_sums(block[redo, :k0])
-                    carried = (k0, head)
+                cut = self.prob.centered[:, gone[0]]
+                block, pos = _cut_values(kept, cut)
+                k0 = carried.k
+                if k0 <= block.shape[1]:
+                    sums, head = carried, carried.sums
+                    if k0:
+                        sums.sums = np.where(pos < k0, head + block[:, k0 - 1] - cut, head)
         if block is None:
             block = np.take(self.prob.centered, np.flatnonzero(mask), axis=1)
             block.sort(axis=1)
             block = block.view()  # of the buffer, which later trims rewrite
         block.setflags(write=False)
-        sums, carried = self.carried_sums(carried, lambda lo, hi: block[:, lo:hi], needed)
+        sums.columns = lambda lo, hi: block[:, lo:hi]
         mask = mask.copy()
         mask.setflags(write=False)
-        self.sorted_block = (mask, block, *carried)
-        return block, sums
+        self.sorted_block = (mask, block, sums)
+        return block, sums.through(needed)
 
     def subspace(self, overlap: int, constraint=FREE):
         """Masks and reserved columns of one constrained subspace.
@@ -386,12 +414,11 @@ class QueryContext:
 
 
 class Workspace:
-    """Prefix-sum tables for one (query, overlap, constraint) scan.
+    """Running sums for one (query, overlap, constraint) scan.
 
     The bound's remainder (each row's free columns left after the overlap
-    picks, sorted) is built whole; its prefix sums, and the greedy path's
-    columns and prefix sums, only as far as the widest size read.  Sizes
-    may be read in any order.
+    picks, sorted) is built whole, the greedy path's order of columns at
+    its first read.  Sizes may be read in any order.
 
     Attributes
     ----------
@@ -425,8 +452,6 @@ class Workspace:
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
 
         cen = ctx.prob.centered
-        # Shared by the bound and the path.  No row sum is -0.0, so adding
-        # the zero sum of no columns leaves every other sum's bits as they are.
         self._forced_sum = _row_sums(cen[:, forced_cols])
         in_s, picked = ctx.sorted_rows(s_free, needed)
         o_free = np.flatnonzero(free & ~ctx.in_subset)
@@ -436,7 +461,7 @@ class Workspace:
         else:
             rem = in_s[:, needed:]
         self._base = self._forced_sum + picked
-        self._rem_prefix = _RunningSums(rem.shape, lambda lo, hi: rem[:, lo:hi])
+        self._rem_prefix = _RunningSums(lambda lo, hi: rem[:, lo:hi])
         # Every row is sorted, so "all rows <= 0" and "some row < 0" each hold
         # on a leading run of columns; a binary search finds where each ends.
         cols = range(rem.shape[1])
@@ -460,14 +485,10 @@ class Workspace:
             rest_mask[reserved] = False
             rest = ctx.order[rest_mask[ctx.order]]
             if np.array_equal(reserved, ctx.subset_order[: reserved.size]):  # as on the spine
-                picked, ctx.order_sums = ctx.carried_sums(ctx.order_sums, lambda lo, hi: np.take(
-                    cen, ctx.subset_order[lo:hi], axis=1), reserved.size)
+                picked = ctx.order_sums.through(reserved.size)
             else:
                 picked = _row_sums(np.take(cen, reserved, axis=1))
-            prefix = _RunningSums(
-                (self.prob.n_transforms, rest.size),
-                lambda lo, hi: np.take(cen, rest[lo:hi], axis=1),
-            )
+            prefix = _RunningSums(lambda lo, hi: np.take(cen, rest[lo:hi], axis=1))
             self._path_tables = (rest, self._forced_sum + picked, prefix)
         return self._path_tables
 

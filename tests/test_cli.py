@@ -6,6 +6,7 @@ import json
 import re
 import shlex
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 
 import jsonschema
@@ -16,6 +17,7 @@ from scipy import stats as sps
 import sumtdp
 from sumtdp.cli import build_parser, main
 from sumtdp.shortcut import Evaluation
+from tests.test_exactness import fuzz_instances
 
 TOY_CSV = """\
 H1,H2,H3,H4,H5
@@ -388,6 +390,22 @@ class TestVerify:
         assert payload["mismatches"] == 0
         assert payload["details"] == []
 
+    @pytest.mark.parametrize("instance, shape, alpha", [
+        (201, (11, 8), 0.2), (394, (6, 7), 0.4),
+    ], ids=["fuzz-201", "fuzz-394"])
+    def test_tie_heavy_fuzz_instance(self, tmp_path, capsys, instance, shape, alpha):
+        # Exact zero sums that float sums in two orders put on different
+        # sides of the threshold; centered on the grid, both agree.
+        values, got_alpha, _ = next(islice(fuzz_instances(), instance, None))
+        assert (values.shape, got_alpha) == (shape, alpha)
+        path = tmp_path / f"fuzz{instance}.csv"
+        sumtdp.write_statistic_csv(sumtdp.StatisticMatrix(values), path)
+        code, out, _ = run(capsys, "verify", "--stats", str(path), "--alpha", str(alpha))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["subsets_checked"] == 2 ** shape[1] - 1
+        assert payload["mismatches"] == 0
+
 
 class TestDataRoute:
     def test_generated_matrix_runs(self, data_csv, capsys):
@@ -506,7 +524,10 @@ class TestDataGoldens:
 
     Recorded before the t to evidence conversion learned to skip the
     entries truncation drops; the ``test`` quantile is a sum of matrix
-    entries, so a change in any bit of the kept evidence shows up.
+    entries, so a change in any bit of the kept evidence shows up.  The
+    two ``test`` digests were re-recorded when centered values moved onto
+    an exact power-of-two grid, which moved their quantiles in the last
+    bits.
     """
 
     SETS = "[[1,2,3,4],[1,2,3,4,5,6,7,8,9,10,11,12],[5,6,7,8]]"
@@ -530,10 +551,10 @@ class TestDataGoldens:
          "50b25e2d8a38909029194f7b535a22e8cee07a1e10ea7b28ac654d839377e611"),
         (["test", "--set", "1,2,3,4,5", "--combiner", "vw:-1",
           "--truncate-rank", "150"],
-         "aa70094292d305b079040b54b1147276783c50f3c2e6f302b3aa5a6a4cae57cf"),
+         "9b6c3e9970625eac03c3a257060c20e8e26ee5dbac1205947936645f7afcaba3"),
         (["test", "--set", "1,2,3,4,5", "--combiner", "edgington", "--one-sided",
           "--truncate", "-0.2", "--ground", "-1"],
-         "8256e450b89599829c86698bf99df2082372b6d4b13316984d6fcf73f759bb71"),
+         "d910301d6533f227fc633706a47f1549f67792e114de58420e70b8c1bc6a0b5f"),
     ], ids=["tdp-fisher-rank", "tdp-liptak-one-sided", "test-vw-rank",
             "test-edgington-one-sided"])
     def test_output_digest(self, golden_csv, capsys, argv, digest):
@@ -708,6 +729,36 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "--one-sided applies to --data only" in err
+
+    @pytest.mark.parametrize("flag, value", [("--b", "7"), ("--seed", "3")])
+    def test_generator_flags_need_data(self, toy_csv, capsys, flag, value):
+        # --b and --seed only shape the sign flips that --data generates
+        code, out, err = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+            "--sets", "[[1,2]]", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"{flag} applies to --data only" in err
+
+    @pytest.mark.parametrize("source", ["stats", "data"])
+    def test_ground_needs_truncation(self, toy_csv, data_csv, capsys, source):
+        # the ground value is what truncation floors entries to
+        path = toy_csv if source == "stats" else data_csv
+        code, out, err = run(
+            capsys, "tdp", f"--{source}", path, "--alpha", "0.4",
+            "--sets", "[[1,2]]", "--ground", "5")
+        assert code == 2
+        assert out == ""
+        assert "--ground applies with --truncate or --truncate-rank only" in err
+
+    def test_b_defaults_to_200_with_data(self, data_csv, capsys):
+        args = ("test", "--data", data_csv, "--alpha", "0.4", "--seed", "3")
+        code, implicit, _ = run(capsys, *args)
+        assert code == 0
+        code, explicit, _ = run(capsys, *args, "--b", "200")
+        assert code == 0
+        assert implicit == explicit
+        assert json.loads(implicit)["critical_rank"] == 80
 
     def test_engine_fault_is_internal_error(self, toy_csv, capsys, monkeypatch):
         # a scan that never settles leaves a subspace with no pivot: an

@@ -6,7 +6,9 @@ only carrier of the centered test.  Two matrices: the toy example and a
 seeded 40 x 8 one with three-decimal entries.  The output of ``sumtdp
 test`` (every subset) and ``sumtdp verify`` is pinned by sha256; subset
 quantiles are compared with ``==`` and the table's rejection flags byte for
-byte.
+byte.  The seeded quantiles and ``test`` digest were re-recorded when the
+problem moved its centered values onto an exact power-of-two grid: 250 of
+the 255 quantiles moved, by at most 1.1e-13, and none changed sign.
 """
 
 import hashlib
@@ -100,9 +102,8 @@ def test_verify_command(case, capsys, fmt):
 
 
 def test_negative_zero_quantile_prints_positive(tmp_path, capsys):
-    # The observed -0.0 centers to -0.0 in every other row; the problem
-    # stores those as 0.0, so the quantile is +0.0 whichever zero numpy's
-    # sum starts from.
+    # The observed -0.0 would center to -0.0 in every other row; the
+    # problem stores every zero as 0.0, so the quantile prints as 0.0.
     path = tmp_path / "negzero.csv"
     path.write_text("A,B\n-0.0,1\n0.0,0\n0.0,2\n0.0,0\n0.0,1\n")
     payload = json.loads(run(capsys, "test", "--stats", str(path), "--alpha", "0.4", "--set", "1"))

@@ -1,5 +1,7 @@
 """Discovery bounds: bisection, budgets, prefix search."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from sumtdp import (
     largest_subset,
     reduce_columns,
     reject,
+    subset_quantile,
     truncate,
     TruncationRule,
 )
@@ -353,6 +356,36 @@ class TestReductionEquivalence:
                 "removed": len(red.removed),
                 "collapsed": len(red.collapsed),
             }
+
+    @pytest.mark.parametrize("case", ["dropped", "merged"])
+    def test_columns_that_set_the_step(self, case):
+        # The dropped column holds the largest magnitude, or the merged
+        # column's sums exceed every entry: the reduced problem still sums
+        # on the full problem's grid, so every verdict and count is the same.
+        rng = np.random.default_rng(3)
+        values = rng.choice([0.0, 0.001, 0.002, 0.003], (16, 8))
+        values[0, :4] = rng.choice([0.002, 0.004, 0.01], 4)
+        values[0, 5:] = 0.0  # observed at the ground: merged
+        values[1:, 4] = 0.0  # transformed rows at the ground: dropped
+        values[0, 4] = 1e13 if case == "dropped" else 0.5
+        if case == "merged":
+            values[1, 5:] = 3e12
+        stats, cfg = StatisticMatrix(values), TestConfig(0.2, 16)
+        full = SumTestProblem.from_matrix(stats, cfg)
+        red = reduce_columns(stats, (0, 1, 2, 3), ground=0.0)
+        assert (red.removed, red.collapsed) == ((4,), (5, 6, 7))
+        small = full.restricted(red.kept, red.collapsed, red.stats.observed)
+        assert small.centered.flags.c_contiguous
+        members = [(0,), (1,), (2,), (3,), red.collapsed]  # of each reduced column
+        for mask in range(1, 1 << 5):
+            own = [i for i in range(5) if mask >> i & 1]
+            expanded = [j for i in own for j in members[i]]
+            assert subset_quantile(small, own) == subset_quantile(full, expanded)
+        for r in range(1, 5):
+            for sub in itertools.combinations(range(4), r):
+                plain = discoveries_matrix(stats, cfg, sub)
+                reduced = discoveries_matrix(stats, cfg, sub, reduction_ground=0.0)
+                assert plain.discoveries == reduced.discoveries, sub
 
 
 class TestLargestSubset:

@@ -1,6 +1,8 @@
 """Single-step scan: bounds, greedy paths, shape indices, verdicts."""
 
+import math
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from sumtdp import (
     RejectionTable,
+    StatisticMatrix,
     SumTestProblem,
     TestConfig,
     TraceLog,
@@ -25,10 +28,9 @@ from sumtdp.shortcut import (
     QueryContext,
     SubspaceConstraint,
     Workspace,
-    _row_sums,
     single_step,
 )
-from tests.util import POOL, random_instance, random_subset
+from tests.util import POOL, grid_cases, random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
 
@@ -196,20 +198,23 @@ def assert_spine_matches_fresh(prob, subset, overlaps, constraint=FREE, steps=3)
     return depths
 
 
+def assert_sums_exact(sums, cols):
+    """``sums`` are the row sums of ``cols`` added in any order: numpy's,
+    right to left, and exactly."""
+    for got, row in zip(np.broadcast_to(sums, cols.shape[:1]).tolist(), cols.tolist()):
+        assert got == float(np.sum(row)) == sum(reversed(row)) == math.fsum(row)
+
+
 def assert_carried_sums_exact(ctx):
-    """Each carried row sum equals a fresh ``_row_sums`` of its columns, bit for bit.
+    """Each carried row sum equals a fresh sum of its columns.
 
     The tables compared above read only a quantile over rows; this reads
     every row.
     """
-    _, block, k0, head = ctx.sorted_block
-    k1, path_head = ctx.order_sums
-    path_cols = ctx.prob.centered[:, ctx.subset_order[:k1]]
-    for sums, cols in ((head, block[:, :k0]), (path_head, path_cols)):
-        if sums is not None:
-            want = _row_sums(cols)
-            assert sums.tolist() == want.tolist()
-            assert np.signbit(sums).tolist() == np.signbit(want).tolist()
+    _, block, sums = ctx.sorted_block
+    path = ctx.order_sums
+    assert_sums_exact(sums.sums, block[:, :sums.k])
+    assert_sums_exact(path.sums, ctx.prob.centered[:, ctx.subset_order[:path.k]])
 
 
 def _deep_problem():
@@ -231,7 +236,7 @@ class TestSortedBlockReuse:
         obs = rng.choice(POOL, size=12)
         # Pivots in observed order: 11 (outside S), then 8 and 7 (inside).
         obs[[11, 8, 7]] = (5.0, 4.0, 3.0)
-        # Column 8 ties column 3 everywhere, and +0 meets -0 in some rows.
+        # Column 8 ties column 3 everywhere, and 0.0 meets -0.0 in some rows.
         cen[:, 8] = cen[:, 3]
         cen[:4, 8], cen[:4, 3] = 0.0, -0.0
         return SumTestProblem(cen, obs, 4)
@@ -252,8 +257,7 @@ class TestSortedBlockReuse:
         Workspace(ctx, 3, FREE.force(11))
         assert ctx.sorted_block[1] is root
         # Pivot 8 lies inside S: the exclude child trims one value per row
-        # (a tied one, +0 against -0 in some rows) and the force sibling
-        # reuses that block.
+        # (a tied one) and the force sibling reuses that block.
         Workspace(ctx, 3, FREE.exclude(11).exclude(8))
         trimmed = ctx.sorted_block[1]
         mask = np.ones(12, dtype=bool)
@@ -266,8 +270,7 @@ class TestSortedBlockReuse:
         assert ctx.sorted_block[1] is trimmed
 
     def test_negative_zeros_stored_as_zero(self):
-        # numpy's sorts may swap or merge the signs of tied zeros, so a
-        # block trimmed from its parent could disagree with a fresh sort.
+        # The grid stores a given -0.0 as 0.0.
         prob = self._problem()
         zeros = prob.centered[prob.centered == 0]
         assert zeros.size and not np.signbit(zeros).any()
@@ -277,8 +280,9 @@ class TestSortedBlockReuse:
         ctx = QueryContext(prob, self.SUBSET)
         held = ctx.in_subset.copy()
         block = np.sort(prob.centered[:, :9], axis=1) + 10.0  # no column's values
-        head = np.sum(block[:, :3], axis=1)
-        ctx.sorted_block = (held, block, 3, head)
+        sums = shortcut._RunningSums(lambda lo, hi: block[:, lo:hi])
+        sums.through(3)
+        ctx.sorted_block = (held, block, sums)
         smaller = held.copy()
         smaller[8] = False
         with pytest.raises(RuntimeError, match="sorted block"):
@@ -293,14 +297,12 @@ class TestInPlaceTrim:
         fresh = np.sort(prob.centered[:, mask], axis=1)
         assert block.tolist() == fresh.tolist()
         assert np.signbit(block).tolist() == np.signbit(fresh).tolist()
-        want = _row_sums(fresh[:, :needed])
-        assert sums.tolist() == want.tolist()
-        assert np.signbit(sums).tolist() == np.signbit(want).tolist()
+        assert_sums_exact(sums, fresh[:, :needed])
 
     def test_cut_at_first_and_last_column_and_on_a_tie(self):
-        # Column 23 is the smallest entry of row 0, which is re-summed since
-        # it lies among the carried first k0, the largest of row 1, and ties
-        # column 2 in row 2 (+0 against -0, stored as two +0).
+        # Column 23 is the smallest entry of row 0, whose carried sum is
+        # patched since it lies among the first k0, the largest of row 1,
+        # and ties column 2 in row 2 (0.0 against -0.0, stored as two 0.0).
         rng = np.random.default_rng(16)
         cen = rng.choice(POOL, size=(4, 24))
         cen[:3, 23] = (-5.0, 5.0, 0.0)
@@ -310,7 +312,7 @@ class TestInPlaceTrim:
         mask = np.ones(24, dtype=bool)
         needed = 20
         root, _ = ctx.sorted_rows(mask, needed)
-        assert ctx.sorted_block[2] > 0
+        assert ctx.sorted_block[2].k > 0
         mask[23] = False
         block, sums = ctx.sorted_rows(mask, needed)
         assert np.shares_memory(block, root)
@@ -394,54 +396,67 @@ class TestInPlaceTrim:
 
 
 class TestCarriedSums:
-    """Row sums carried through the context keep the bits of fresh sums."""
+    """Row sums carried through the context equal fresh sums in any order."""
 
-    def test_trim_resums_one_row_left_to_right(self):
+    def test_trim_patches_without_summing(self, monkeypatch):
         # Cutting column 47 moves the first k0 sorted entries of row 0 only:
         # it is the second smallest entry there and the largest in the other
-        # rows.  numpy would sum that lone row pairwise, and each 1.0 added
-        # to -1e16 on its own rounds away; the carried sums must add it left
-        # to right, as a fresh sum over all rows does.
+        # rows.  The trim patches that row's carried sum in place of summing
+        # it again, so a read at the carried width sums no entries.
         rng = np.random.default_rng(7)
         cen = rng.standard_normal((4, 48))
-        cen[0] = [-1e16, *[1.0] * 46, -1e9]
-        cen[1:, 47] = 1e9
+        cen[0, [0, 47]] = (-50.0, -40.0)
+        cen[1:, 47] = 40.0
         prob = SumTestProblem(cen, rng.standard_normal(48), 1)
         subset, needed = tuple(range(48)), 44
         mask = np.ones(48, dtype=bool)
         ctx = QueryContext(prob, subset)
         ctx.sorted_rows(mask, needed)
-        k0 = ctx.sorted_block[2]
-        assert k0 >= 8  # numpy sums pairwise from eight entries on
+        before = ctx.sorted_block[2].sums.copy()
         mask[47] = False
+        summed = []
+        def counting(cols, _real=shortcut._row_sums):
+            summed.append(cols.size)
+            return _real(cols)
+        monkeypatch.setattr(shortcut, "_row_sums", counting)
         block, sums = ctx.sorted_rows(mask, needed)
+        assert sum(summed) == 0
+        assert sums[0] != before[0] and sums[1:].tolist() == before[1:].tolist()
         fresh_block, fresh_sums = QueryContext(prob, subset).sorted_rows(mask, needed)
-        assert np.array_equal(block, fresh_block)
-        assert sums.tolist() == fresh_sums.tolist() == _row_sums(block[:, :needed]).tolist()
-        assert np.signbit(sums).tolist() == np.signbit(fresh_sums).tolist()
-        # numpy's pairwise sum of the row differs, so a pairwise re-sum would show.
-        lone = block[0, :k0]
-        assert float(np.sum(lone)) != _row_sums(lone[None, :])[0]
-        shared = Workspace(ctx, needed, FREE.exclude(47))
-        fresh = Workspace(QueryContext(prob, subset), needed, FREE.exclude(47))
-        assert _tables(shared) == _tables(fresh)
+        assert block.tolist() == fresh_block.tolist()
+        assert sums.tolist() == fresh_sums.tolist()
+        assert_sums_exact(sums, block[:, :needed])
 
-    def test_one_row_sums_left_to_right(self):
-        # A lone row adds left to right like any other, so carried and
-        # fresh sums of a one-row problem agree; numpy's pairwise sum would
-        # keep the 1.0s that left to right each round away.
-        cen = np.array([[-1e16, *[1.0] * 39]])
-        prob = SumTestProblem(cen, np.arange(40.0), 1)
-        ctx = QueryContext(prob, tuple(range(40)))
-        mask = np.ones(40, dtype=bool)
-        for needed in (30, 31, 29, 40):
-            _, sums = ctx.sorted_rows(mask, needed)
-            _, fresh = QueryContext(prob, tuple(range(40))).sorted_rows(mask, needed)
-            assert sums.tolist() == fresh.tolist() == [-1e16]
-            assert float(np.sum(cen[0, :needed])) != -1e16
-        for overlap in (30, 31):
-            ws = Workspace(ctx, overlap)
-            assert ws.path_value(overlap) == -1e16
+    @pytest.mark.parametrize("case", sorted(grid_cases()))
+    def test_reads_and_trims_exact_in_any_order(self, case):
+        # Random reads of the overlap picks, and random trims and fresh
+        # sorts of the block, on a problem built from a raw matrix.
+        values = grid_cases()[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rank-1 configs
+            prob = SumTestProblem.from_matrix(
+                StatisticMatrix(values), TestConfig(0.5, len(values)))
+        m = prob.n_hyps
+        rng = np.random.default_rng(len(case))
+        ctx = QueryContext(prob, range(m))
+        mask = np.ones(m, dtype=bool)
+        for _ in range(40):
+            live = np.flatnonzero(mask)
+            draw = rng.random()
+            if draw < 0.4 and live.size > 1:
+                mask[rng.choice(live)] = False
+            elif draw < 0.5:
+                mask = rng.random(m) < 0.7
+                mask[rng.integers(m)] = True
+            needed = int(rng.integers(0, mask.sum() + 1))
+            block, sums = ctx.sorted_rows(mask, needed)
+            fresh = np.sort(prob.centered[:, mask], axis=1)
+            assert block.tolist() == fresh.tolist()
+            assert_sums_exact(sums, fresh[:, :needed])
+            k = int(rng.integers(0, m + 1))
+            sums = ctx.order_sums.through(k)
+            assert_sums_exact(sums, prob.centered[:, ctx.subset_order[:k]])
+            assert_carried_sums_exact(ctx)
 
     def test_deep_spine_matches_fresh_contexts(self):
         # All columns at overlaps near |S|, so every pivot lies in S and each
@@ -457,12 +472,13 @@ class TestCarriedSums:
         # so it extends or patches the carried sums of the overlap picks.
         # Summing every pick again would cost a full width, 40 x 282
         # entries, for each of the 25 scans and each of the bound's and the
-        # path's sums; carried, the whole walk costs about six.
+        # path's sums; carried, the whole walk costs about two, the running
+        # sums of the bound and the path included.
         prob = _deep_problem()
         summed = []
-        def counting(cols, *head, _real=shortcut._row_sums):
+        def counting(cols, _real=shortcut._row_sums):
             summed.append(cols.size)
-            return _real(cols, *head)
+            return _real(cols)
         monkeypatch.setattr(shortcut, "_row_sums", counting)
         trace = TraceLog()
         ctx = QueryContext(prob, tuple(range(300)))

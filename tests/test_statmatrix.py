@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from sumtdp import (
     validate_subset,
     write_statistic_csv,
 )
-from tests.util import random_instance, random_subset
+from tests.util import grid_cases, random_instance, random_subset
 
 
 class TestStatisticMatrix:
@@ -57,20 +58,111 @@ class TestStatisticMatrix:
             StatisticMatrix(np.ones((2, 3)), names=("a",))
 
 
+def grid_step(m, k):
+    """The centering grid's step: the least power of two s with
+    s * (2**53 - 4 m) >= 2 m k, and at least 2**-1074."""
+    need = Fraction(2 * m) * Fraction(k) / (2**53 - 4 * m)
+    step = Fraction(1, 2**1074)
+    while step < need:
+        step *= 2
+    return step
+
+
+def assert_no_negative_zero(cen):
+    zeros = cen[cen == 0]
+    assert not np.signbit(zeros).any()
+
+
 class TestCentering:
+    """The problem stores centered values on an exact power-of-two grid."""
+
     def test_first_row_zero(self, toy_problem):
         assert np.array_equal(toy_problem.centered[0], np.zeros(5))
 
     def test_subtracts_from_observed(self, toy_stats, toy_problem):
+        # Small integers lie on the grid, so the toy centers exactly.
         expect = toy_stats.values[0] - toy_stats.values
         assert np.array_equal(toy_problem.centered, expect)
 
+    @staticmethod
+    def assert_rounded_toward_survival(values, cen, step=None):
+        """Each stored x0 - xr is a multiple of the step, at most its real
+        value and within two steps of it; row 0 is 0, no zero is negative."""
+        if step is None:
+            step = grid_step(values.shape[1], max(abs(x) for x in values.flat))
+        x0 = [Fraction(x) for x in values[0].tolist()]
+        for raw, got in zip(values.tolist(), cen.tolist()):
+            for obs, xr, c in zip(x0, raw, got):
+                real, c = obs - Fraction(xr), Fraction(c)
+                assert (c / step).denominator == 1
+                assert real - 2 * step < c <= real
+        assert cen[0].tolist() == [0.0] * values.shape[1]
+        assert_no_negative_zero(cen)
+
+    @pytest.mark.parametrize("name", sorted(grid_cases()))
+    def test_rounds_toward_survival(self, name):
+        values = grid_cases()[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # rank-1 configs
+            prob = SumTestProblem.from_matrix(
+                StatisticMatrix(values), TestConfig(0.5, len(values)))
+        self.assert_rounded_toward_survival(values, prob.centered)
+
     def test_centering_random(self):
         rng = np.random.default_rng(1)
-        stats, cfg = random_instance(rng)
-        cen = SumTestProblem.from_matrix(stats, cfg).centered
-        assert np.array_equal(cen, stats.values[0] - stats.values)
-        assert np.array_equal(cen[0], np.zeros(stats.n_hyps))
+        for _ in range(20):
+            stats, cfg = random_instance(rng)
+            cen = SumTestProblem.from_matrix(stats, cfg).centered
+            self.assert_rounded_toward_survival(stats.values, cen)
+
+    @pytest.mark.parametrize("dominant, flipped", [((3,), False), ((3, 7), False), ((3,), True)])
+    def test_dominant_columns_stored_at_a_cap(self, dominant, flipped):
+        # Columns whose every |x0 - xr| exceeds four times the other columns'
+        # largest |x0 - xr| summed (L), with one sign per row, hold +-T, T the
+        # power of two in (2 L, 4 L], +T at most the real value; the others
+        # sit on the grid of max(K, T), K their own largest raw magnitude.
+        values = grid_cases()["gaussian"].copy()
+        values[0, list(dominant)] = [1e20, 3e17][: len(dominant)]
+        if flipped:
+            values[5, 3] = 3e20  # x0 - xr < 0 in row 5 only
+        cen = SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.5, 12)).centered
+        rest = np.delete(values, dominant, axis=1)
+        light = sum(max(abs(rest[0, j] - x) for x in rest[:, j]) for j in range(rest.shape[1]))
+        cap = Fraction(abs(cen[1, dominant[0]]))
+        assert cap.denominator == 1 and cap.numerator.bit_count() == 1
+        assert 2 * light < cap <= 4 * light
+        for j in dominant:
+            real = [Fraction(values[0, j]) - Fraction(x) for x in values[1:, j]]
+            assert cen[0, j] == 0.0 and cen[1:, j].tolist() == [
+                float(cap) if r > 0 else -float(cap) for r in real]
+            assert all(cap <= r for r in real if r > 0)
+        assert (cen[1:, 3] < 0).sum() == flipped
+        step = grid_step(values.shape[1], max(cap, max(abs(Fraction(x)) for x in rest.flat)))
+        self.assert_rounded_toward_survival(rest, np.delete(cen, dominant, axis=1), step)
+
+    def test_dominant_columns_need_one_sign_per_row(self):
+        # Two huge columns of one scale, of opposite signs in one row: a set
+        # holding both can go either way, so neither is capped, and the step
+        # covers them.
+        values = grid_cases()["gaussian"].copy()
+        values[0, [3, 7]] = [1e20, 5e19]
+        values[5, 3] = 3e20
+        cen = SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.5, 12)).centered
+        self.assert_rounded_toward_survival(values, cen)
+
+    @pytest.mark.parametrize("name", sorted(grid_cases()))
+    def test_centered_input_rounds_down(self, name):
+        # A centered matrix given directly rounds down onto the grid of its
+        # own largest entry.
+        given = grid_cases()[name]
+        cen = SumTestProblem(given, np.zeros(given.shape[1]), 1).centered
+        step = grid_step(given.shape[1], max(abs(x) for x in given.flat))
+        for raw, got in zip(given.tolist(), cen.tolist()):
+            for c0, c in zip(raw, got):
+                c0, c = Fraction(c0), Fraction(c)
+                assert (c / step).denominator == 1
+                assert c0 - step < c <= c0
+        assert_no_negative_zero(cen)
 
 
 class TestTestConfig:

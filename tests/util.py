@@ -2,6 +2,8 @@
 
 import warnings
 
+import numpy as np
+
 from sumtdp import StatisticMatrix, TestConfig
 
 ALPHA_CHOICES = (0.05, 0.2, 0.4)
@@ -9,6 +11,28 @@ ALPHA_CHOICES = (0.05, 0.2, 0.4)
 # Tie-heavy centered values, both signed zeros included, for exact-equality
 # tests of the scan tables.
 POOL = (0.0, -0.0, 0.1, 0.2, 0.3, -0.3, 0.7, 1.1, 1 / 3, 2.2 / 3, -1.0, 2.0)
+
+# Huge values beside tiny and subnormal ones: divided by the grid step of
+# 1e300, the tiny ones underflow.
+EXTREMES = (1e300, -1e300, 3.0, 1e-300, -1e-300, 5e-324, -5e-324, 2e-308, 0.0, -0.0)
+
+
+def grid_cases():
+    """Raw matrices, observed row first, that put the centering grid to the test.
+
+    ``near-max`` has its largest entry near 1e308, so ``2 m K`` overflows
+    a float, while its centered values stay small enough to sum.
+    """
+    rng = np.random.default_rng(2102)
+    return {
+        "pool": rng.choice(POOL, (9, 14)),
+        "extremes": rng.choice(EXTREMES, (8, 10)),
+        "near-max": rng.uniform(0.9e308, 1.1e308, (6, 8)),
+        "one-column": rng.choice(POOL, (7, 1)),
+        "one-row": rng.choice(POOL, (1, 9)),
+        "zeros": np.zeros((5, 6)),
+        "gaussian": rng.standard_normal((12, 20)),
+    }
 
 
 def random_instance(rng, min_hyps=3, max_hyps=12, min_transforms=4,
