@@ -45,7 +45,6 @@ from .statmatrix import (
     StatisticMatrix,
     TestConfig,
     column_index,
-    columns_quantile,
     validate_subset,
 )
 
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscoveryResult:
     """Discovery bound for one subset query.
 
@@ -110,21 +109,23 @@ def _probe(lo: int, hi: int) -> int:
     return lo + (1 << ((hi - lo - 1).bit_length() - 1))
 
 
-def _lifts(prob, ctx, witness, rejected, trace) -> bool:
-    """Whether the survivor ``witness`` joined with the query subset survives.
+def _lifts(prob, ctx, found, rejected, trace) -> bool:
+    """Whether the survivor ``found`` joined with the query subset survives.
 
-    The set W ∪ S is tested exactly as :func:`~.statmatrix.reject` tests
-    it.  If it survives it contains S, so it certifies the overlap |S|
-    (d = 0) and the trace gets one ``lift`` row.  A rejected candidate is
-    remembered in ``rejected`` and never summed again in the query.
+    The set W ∪ S, W the witness, is tested exactly as :func:`~.statmatrix.reject`
+    tests it, from W's row sums plus the columns of S outside W.  If it survives
+    it contains S, so it certifies the overlap |S| (d = 0) and the trace gets one
+    ``lift`` row.  A rejected candidate is remembered in ``rejected`` and never
+    summed again in the query.
     """
-    members = ctx.in_subset.copy()
-    members[list(witness)] = True
-    cols = np.flatnonzero(members)
-    key = tuple(cols.tolist())
+    witness = np.zeros_like(ctx.in_subset)
+    witness[list(found.witness)] = True
+    key = tuple(np.flatnonzero(witness | ctx.in_subset).tolist())
     if key in rejected:
         return False
-    value = columns_quantile(prob, cols)
+    rest = np.flatnonzero(ctx.in_subset & ~witness)  # S outside W
+    sums = found.sums + np.take(prob.centered, rest, axis=1).sum(axis=1)
+    value = float(np.partition(sums, prob.crit_rank - 1)[prob.crit_rank - 1])
     if value > 0.0:
         rejected.add(key)
         return False
@@ -175,7 +176,7 @@ def discoveries(
             hi = z
         elif res.verdict is Verdict.SURVIVOR_FOUND:
             if hi == s + 1 and z < s and _lifts(
-                prob, ctx, res.evaluation.witness, rejected_lifts, trace,
+                prob, ctx, res.evaluation, rejected_lifts, trace,
             ):
                 z = s  # a survivor containing S: the overlap maximum is |S|
             lo = z

@@ -22,16 +22,19 @@ The bound is nonincreasing in v up to ``drop_end`` and nondecreasing from
 above it, stops once the bound turns positive on a monotone stretch, and
 reads each size at most once; sizes left in doubt form the returned
 window.  Each row of the remainder is sorted, so "every row is at most 0"
-and "some row is below 0" each hold on a leading run of columns, and a
-binary search finds both indices.
+and "some row is below 0" each hold on a leading run of columns.  A root
+scan (nothing forced or excluded) finds both run lengths from per-row
+counts of values at most 0 and below 0, sorts nothing before its first
+bound read, and reads the path first at its first size, so a survivor
+there costs no sort; a constrained scan bisects its sorted remainder.
 
 One :class:`QueryContext` per query holds the validated subset, its mask,
-one stable argsort of the observed row (ties in index order) and the
-reserved-column rule, which picks the subset columns the greedy path spends
-on the overlap requirement.  A subspace constraint becomes boolean masks of
-forced and free columns, which the workspace, the path and the branching
-pivot read with that one ordering.  Every scan and pivot takes the context
-as its only query argument.
+the problem's stable argsort of the observed row (ties in index order),
+the subset's counts and the reserved-column rule, which picks the subset
+columns the greedy path spends on the overlap requirement.  A subspace
+constraint becomes boolean masks of forced and free columns, which the
+workspace, the path and the branching pivot read with that one ordering.
+Every scan and pivot takes the context as its only query argument.
 
 Centered values lie on a power-of-two grid (see :class:`SumTestProblem`),
 so every sum below is exact in any order, and each running sum moves by the
@@ -54,7 +57,8 @@ outside 1..|S| or a constraint column out of range is an engine fault:
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 
 import numpy as np
@@ -93,12 +97,13 @@ class Evaluation:
     ``window`` is the inclusive range of candidate sizes still in doubt
     (UNDECIDED only).  ``witness`` is a surviving candidate set
     (SURVIVOR_FOUND only), recorded for audit: always a greedy-path
-    candidate.
+    candidate.  ``sums``, the witness's exact row sums, is not compared.
     """
 
     verdict: Verdict
     window: tuple = None
     witness: tuple = None
+    sums: np.ndarray = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,19 @@ class SumTestProblem:
         for name, value in (("centered", cen), ("observed", obs), ("crit_rank", crit_rank)):
             object.__setattr__(self, name, value)
         return self
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """All columns by observed statistic, ties by index; read-only."""
+        order = np.argsort(self.observed, kind="stable")
+        order.setflags(write=False)
+        return order
+
+    @cached_property
+    def counts(self) -> tuple:
+        """Each row's number of centered values at most 0, and below 0."""
+        cen = self.centered
+        return np.count_nonzero(cen <= 0.0, axis=1), np.count_nonzero(cen < 0.0, axis=1)
 
     @property
     def n_transforms(self) -> int:
@@ -327,10 +345,12 @@ class QueryContext:
     in_subset : ndarray of bool
         Mask of the subset's columns.
     order : ndarray of int
-        All columns by observed statistic, ties by index: the order of
-        ``sorted(range(m), key=lambda i: (observed[i], i))``.
+        The problem's ``order``, all columns by observed statistic, ties by
+        index: the order of ``sorted(range(m), key=lambda i: (observed[i], i))``.
     subset_order : ndarray of int
         The subset's columns in that order.
+    counts : tuple of ndarray
+        Each row's number of subset values at most 0, and below 0.
     sorted_block : tuple or None
         ``(mask, block, sums)`` of the last scan, or None before the first:
         the mask of its free subset columns, the B x n block of their
@@ -346,8 +366,13 @@ class QueryContext:
         self.subset = validate_subset(subset, prob.n_hyps)
         self.in_subset = np.zeros(prob.n_hyps, dtype=bool)
         self.in_subset[list(self.subset)] = True
-        self.order = np.argsort(prob.observed, kind="stable")
+        self.order = prob.order
         self.subset_order = order = self.order[self.in_subset[self.order]]
+        inside = 2 * len(self.subset) <= prob.n_hyps
+        side = self.subset if inside else np.flatnonzero(~self.in_subset)
+        side = np.take(prob.centered, side, axis=1)
+        le, lt = np.count_nonzero(side <= 0.0, axis=1), np.count_nonzero(side < 0.0, axis=1)
+        self.counts = (le, lt) if inside else (prob.counts[0] - le, prob.counts[1] - lt)
         self.sorted_block = None
         # not through self: a cycle would hold the context until a collection
         self.order_sums = _RunningSums(lambda lo, hi: np.take(prob.centered, order[lo:hi], axis=1))
@@ -417,8 +442,10 @@ class Workspace:
     """Running sums for one (query, overlap, constraint) scan.
 
     The bound's remainder (each row's free columns left after the overlap
-    picks, sorted) is built whole, the greedy path's order of columns at
-    its first read.  Sizes may be read in any order.
+    picks, sorted) is built whole: at once in a constrained scan, at the
+    first bound read in a root scan (nothing forced, nothing excluded).
+    The greedy path's order of columns is built at its first read.  Sizes
+    may be read in any order.
 
     Attributes
     ----------
@@ -429,32 +456,45 @@ class Workspace:
         Inclusive range of candidate set sizes in this subspace.
     drop_end, rise_start : int
         The bound is nonincreasing on sizes up to ``drop_end`` and
-        nondecreasing from ``rise_start`` on.  Both are found by binary
-        search, which rests on the remainder's rows being sorted.
+        nondecreasing from ``rise_start`` on: ``size_min`` plus the least
+        number, over rows, of remainder values at most 0, and plus the
+        greatest number below 0.  A root scan counts them from ``counts``;
+        a constrained scan bisects its sorted remainder.
     """
 
     def __init__(self, ctx: QueryContext, overlap: int, constraint=FREE):
         if not 1 <= overlap <= len(ctx.subset):
             raise RuntimeError(f"overlap must lie in 1..{len(ctx.subset)}, got {overlap}")
         forced, free, needed, reserved = ctx.subspace(overlap, constraint)
-        self.prob = ctx.prob
-        self._ctx = ctx
-        self._forced = forced
-        self._free = free
-        self._reserved = reserved
-        s_free = free & ctx.in_subset
-        self.infeasible = needed > int(np.count_nonzero(s_free))
+        self.prob, self._ctx = ctx.prob, ctx
+        self._forced, self._free, self._needed, self._reserved = forced, free, needed, reserved
+        self.infeasible = needed > int(np.count_nonzero(free & ctx.in_subset))
         if self.infeasible:
             return
 
         forced_cols = np.flatnonzero(forced)
         self.size_min = forced_cols.size + needed
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
+        self._forced_sum = _row_sums(ctx.prob.centered[:, forced_cols])
+        self._rem_prefix = self._path_tables = None
+        if constraint.forced or constraint.excluded:
+            rem = self._remainder()
+            cols = range(rem.shape[1])
+            nonpos_run = bisect_left(cols, True, key=lambda j: (rem[:, j] > 0.0).any())
+            negsome_run = bisect_left(cols, True, key=lambda j: (rem[:, j] >= 0.0).all())
+        else:
+            # A row's remainder: its S values less the `needed` smallest, and the rest.
+            (le_in, lt_in), (le, lt) = ctx.counts, ctx.prob.counts
+            nonpos_run = int((np.maximum(le_in - needed, 0) + le - le_in).min())
+            negsome_run = int((np.maximum(lt_in - needed, 0) + lt - lt_in).max())
+        self.drop_end = self.size_min + nonpos_run
+        self.rise_start = self.size_min + negsome_run
 
-        cen = ctx.prob.centered
-        self._forced_sum = _row_sums(cen[:, forced_cols])
-        in_s, picked = ctx.sorted_rows(s_free, needed)
-        o_free = np.flatnonzero(free & ~ctx.in_subset)
+    def _remainder(self) -> np.ndarray:
+        """Sort the bound's remainder, set up its running sums and return it."""
+        ctx, cen, needed = self._ctx, self.prob.centered, self._needed
+        in_s, picked = ctx.sorted_rows(self._free & ctx.in_subset, needed)
+        o_free = np.flatnonzero(self._free & ~ctx.in_subset)
         if o_free.size:
             rem = np.concatenate([in_s[:, needed:], np.take(cen, o_free, axis=1)], axis=1)
             rem.sort(axis=1)
@@ -462,18 +502,12 @@ class Workspace:
             rem = in_s[:, needed:]
         self._base = self._forced_sum + picked
         self._rem_prefix = _RunningSums(lambda lo, hi: rem[:, lo:hi])
-        # Every row is sorted, so "all rows <= 0" and "some row < 0" each hold
-        # on a leading run of columns; a binary search finds where each ends.
-        cols = range(rem.shape[1])
-        nonpos_run = bisect_left(cols, True, key=lambda j: (rem[:, j] > 0.0).any())
-        negsome_run = bisect_left(cols, True, key=lambda j: (rem[:, j] >= 0.0).all())
-        self.drop_end = self.size_min + nonpos_run
-        self.rise_start = self.size_min + negsome_run
-
-        self._path_tables = None
+        return rem
 
     def bound_value(self, v: int) -> float:
         """Lower bound on every candidate quantile at size ``v``."""
+        if self._rem_prefix is None:
+            self._remainder()
         col = self._base + self._rem_prefix.through(v - self.size_min)
         return _rank_stat(col, self.prob.crit_rank)
 
@@ -492,10 +526,14 @@ class Workspace:
             self._path_tables = (rest, self._forced_sum + picked, prefix)
         return self._path_tables
 
+    def path_sums(self, v: int) -> np.ndarray:
+        """Exact row sums of the size-``v`` greedy path candidate."""
+        _, base, prefix = self._paths()
+        return base + prefix.through(v - self.size_min)
+
     def path_value(self, v: int) -> float:
         """Exact quantile of the size-``v`` greedy path candidate."""
-        _, base, prefix = self._paths()
-        return _rank_stat(base + prefix.through(v - self.size_min), self.prob.crit_rank)
+        return _rank_stat(self.path_sums(v), self.prob.crit_rank)
 
     def path_set(self, v: int) -> tuple:
         """The size-``v`` greedy path candidate itself."""
@@ -523,10 +561,13 @@ def single_step(
         subspace's full size range.  Sizes outside the subspace's range are
         ignored, and an empty effective range is vacuously ALL_REJECTED.
     want_path : bool
-        Compute greedy-path quantiles at undecided sizes.  Callers switch
-        this off when the subspace inherits its parent's already-checked
-        path (the exclude-child of a branch).  Without the path a scan
-        never reports a survivor: it is ALL_REJECTED or UNDECIDED.
+        Compute greedy-path quantiles at sizes the bound leaves in doubt,
+        and before the bound at a size read while the remainder is unbuilt
+        (a root scan's first size); the bound is never above the path, so
+        the verdict is the same.  Callers switch this off when the subspace
+        inherits its parent's already-checked path (the exclude-child of a
+        branch).  Without the path a scan never reports a survivor: it is
+        ALL_REJECTED or UNDECIDED.
     """
     ws = Workspace(ctx, overlap, constraint)
     if ws.infeasible:
@@ -549,36 +590,41 @@ def single_step(
         return value > 0.0
 
     def survivor(v: int):
-        """Note size ``v`` as in doubt; its path candidate if that survives."""
-        undecided.append(v)
-        if not want_path:
-            return None
+        """Size ``v``'s path candidate if that survives."""
         value = ws.path_value(v)
         if trace is not None:
             trace.add(kind="path", **where, size=v, value=value)
         if value > 0.0:
             return None
-        return Evaluation(Verdict.SURVIVOR_FOUND, witness=ws.path_set(v))
+        return Evaluation(Verdict.SURVIVOR_FOUND, witness=ws.path_set(v), sums=ws.path_sums(v))
+
+    def read(v: int):
+        """Whether the bound certifies size ``v``, and the survivor found there."""
+        early = want_path and ws._rem_prefix is None  # the path first: it needs no sort
+        if early and (found := survivor(v)):
+            return False, found
+        if certified(v):
+            return True, None
+        undecided.append(v)
+        return False, survivor(v) if want_path and not early else None
 
     down_start = min(ws.drop_end, v2)
     up_start = max(down_start + 1, v1)
     for v in range(down_start, v1 - 1, -1):
-        if certified(v):
+        done, found = read(v)
+        if found is not None:
+            return found
+        if done:
             # Smaller sizes are positive too, and from rise_start on larger ones.
             if v >= ws.rise_start:
                 up_start = v2 + 1
             break
-        found = survivor(v)
-        if found is not None:
-            return found
     for v in range(up_start, v2 + 1):
-        if certified(v):
-            if v >= ws.rise_start:
-                break  # later sizes are positive too
-            continue
-        found = survivor(v)
+        done, found = read(v)
         if found is not None:
             return found
+        if done and v >= ws.rise_start:
+            break  # later sizes are positive too
 
     if not undecided:
         return Evaluation(Verdict.ALL_REJECTED)

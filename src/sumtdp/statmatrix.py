@@ -144,7 +144,10 @@ def column_index(i) -> int:
 
 
 def validate_subset(subset, n_hyps) -> tuple:
-    """Return ``subset`` as a sorted tuple of distinct in-range column indices."""
+    """Return ``subset`` as a sorted tuple of distinct in-range column indices.
+
+    A tuple of ints that already is one comes back itself, to be shared.
+    """
     cols = tuple(column_index(i) for i in subset)
     if not cols:
         raise ValueError("hypothesis subset must be non-empty")
@@ -153,17 +156,10 @@ def validate_subset(subset, n_hyps) -> tuple:
     for i in cols:
         if not 0 <= i < n_hyps:
             raise ValueError(f"column index {i} out of range for {n_hyps} columns")
-    return tuple(sorted(cols))
-
-
-def columns_quantile(prob, cols) -> float:
-    """:func:`subset_quantile` of the sorted, distinct, in-range columns ``cols``.
-
-    ``cols`` is not checked; callers that hold an already valid column
-    array (the discovery engine) skip :func:`validate_subset` this way.
-    """
-    sums = prob.centered[:, cols].sum(axis=1)
-    return float(np.partition(sums, prob.crit_rank - 1)[prob.crit_rank - 1])
+    cols = tuple(sorted(cols))
+    if type(subset) is tuple and cols == subset and all(type(i) is int for i in subset):
+        return subset
+    return cols
 
 
 def subset_quantile(prob, subset) -> float:
@@ -172,7 +168,8 @@ def subset_quantile(prob, subset) -> float:
     ``prob`` is a :class:`~sumtdp.shortcut.SumTestProblem`, which holds the
     centered matrix and the critical rank.
     """
-    return columns_quantile(prob, np.array(validate_subset(subset, prob.n_hyps)))
+    sums = prob.centered[:, list(validate_subset(subset, prob.n_hyps))].sum(axis=1)
+    return float(np.partition(sums, prob.crit_rank - 1)[prob.crit_rank - 1])
 
 
 def reject(prob, subset) -> bool:

@@ -259,9 +259,9 @@ class TestLift:
         real = inference._lifts
         calls = []
 
-        def spy(prob, ctx, witness, rejected, trace):
-            lifted = real(prob, ctx, witness, rejected, trace)
-            calls.append((prob, set(ctx.subset) | set(witness), lifted))
+        def spy(prob, ctx, found, rejected, trace):
+            lifted = real(prob, ctx, found, rejected, trace)
+            calls.append((prob, set(ctx.subset) | set(found.witness), lifted))
             return lifted
 
         monkeypatch.setattr(inference, "_lifts", spy)

@@ -19,9 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumtdp import SumTestProblem
+from sumtdp import SumTestProblem, Verdict
 from sumtdp.branchbound import pick_pivot
-from sumtdp.shortcut import QueryContext, SubspaceConstraint, Workspace
+from sumtdp.shortcut import FREE, QueryContext, SubspaceConstraint, Workspace, single_step
 from tests.test_shortcut import assert_walk
 from tests.util import POOL
 
@@ -213,3 +213,87 @@ def test_scan_reads_each_size_once(case):
     prob, subset, overlap, constraint, start = case
     assert_walk(prob, subset, overlap, constraint)
     assert_walk(prob, subset, overlap, constraint, window=(start, start + 2))
+
+
+def bound_first_scan(prob, subset, overlap, constraint, window, want_path):
+    """The scan that reads the bound first at every size, on the reference tables.
+
+    Returns (verdict, window, witness).  It reads the path only at sizes the
+    bound leaves in doubt, and finds ``drop_end`` and ``rise_start`` from
+    their definitions.
+    """
+    ref = ReferenceScan(prob, subset, overlap, constraint)
+    if ref.infeasible:
+        return Verdict.ALL_REJECTED, None, None
+    v1, v2 = window if window is not None else (ref.size_min, ref.size_max)
+    v1, v2 = max(v1, ref.size_min), min(v2, ref.size_max)
+    undecided = []
+
+    def survivor(v):
+        undecided.append(v)
+        if want_path and ref.path_value(v) <= 0.0:
+            return Verdict.SURVIVOR_FOUND, None, ref.path_set(v)
+        return None
+
+    down_start = min(ref.drop_end, v2)
+    up_start = max(down_start + 1, v1)
+    for v in range(down_start, v1 - 1, -1):
+        if ref.bound_value(v) > 0.0:
+            if v >= ref.rise_start:
+                up_start = v2 + 1
+            break
+        if found := survivor(v):
+            return found
+    for v in range(up_start, v2 + 1):
+        if ref.bound_value(v) > 0.0:
+            if v >= ref.rise_start:
+                break
+            continue
+        if found := survivor(v):
+            return found
+    if not undecided:
+        return Verdict.ALL_REJECTED, None, None
+    return Verdict.UNDECIDED, (min(undecided), max(undecided)), None
+
+
+def test_scan_order_matches_bound_first_reference():
+    """A scan that reads the path first while its remainder is unbuilt decides
+    as the bound-first scan does: same verdict, window and witness.
+
+    Root scans (nothing forced or excluded) take their shape indices from
+    counts, clamped where the overlap needs more subset columns than some
+    row has values at most 0; the counters make sure such scans, windows,
+    constrained scans and scans without the path all occur.
+    """
+    rng = np.random.default_rng(23)
+    seen = dict(root=0, clamped=0, constrained=0, window=0, no_path=0, survivor=0)
+    for _ in range(1500):
+        m, b = int(rng.integers(1, 11)), int(rng.integers(1, 11))
+        rank = int(rng.integers(1, b + 1))
+        prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m), rank)
+        subset = tuple(sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False).tolist()))
+        overlap = int(rng.integers(1, len(subset) + 1))
+        constraint = FREE
+        if rng.random() < 0.5:
+            role = rng.choice(list("fx.."), m)
+            forced, excluded = np.flatnonzero(role == "f"), np.flatnonzero(role == "x")
+            constraint = SubspaceConstraint(forced, excluded)
+        window = None
+        if rng.random() < 0.3:
+            lo = int(rng.integers(0, m + 1))
+            window = (lo, lo + int(rng.integers(0, 4)))
+        want_path = bool(rng.random() < 0.8)
+
+        ev = single_step(QueryContext(prob, subset), overlap, constraint, window, want_path)
+        want = bound_first_scan(prob, subset, overlap, constraint, window, want_path)
+        assert (ev.verdict, ev.window, ev.witness) == want
+
+        root = not (constraint.forced or constraint.excluded)
+        c_in = (prob.centered[:, list(subset)] <= 0.0).sum(axis=1)
+        seen["root"] += root
+        seen["clamped"] += root and bool((c_in < overlap).any() and (c_in > 0).any())
+        seen["constrained"] += not root
+        seen["window"] += window is not None
+        seen["no_path"] += not want_path
+        seen["survivor"] += want[0] is Verdict.SURVIVOR_FOUND
+    assert min(seen.values()) > 50, seen

@@ -249,7 +249,10 @@ class TestSortedBlockReuse:
     def test_siblings_share_and_children_trim(self):
         prob = self._problem()
         ctx = QueryContext(prob, self.SUBSET)
-        Workspace(ctx, 3)
+        # A root workspace sorts nothing until its first bound read.
+        ws = Workspace(ctx, 3)
+        assert ctx.sorted_block is None
+        ws.bound_value(ws.size_min)
         root = ctx.sorted_block[1]
         assert root.shape == (15, 9) and not root.flags.writeable
         # Pivot 11 lies outside S: both children keep the root's block.
@@ -287,6 +290,36 @@ class TestSortedBlockReuse:
         smaller[8] = False
         with pytest.raises(RuntimeError, match="sorted block"):
             ctx.sorted_rows(smaller, 3)
+
+
+class TestRootScanSortsNothing:
+    """A root scan whose greedy path survives at its first size sorts nothing."""
+
+    def test_post_hoc_query_on_a_large_matrix(self, monkeypatch):
+        # The shape of a many-query post-hoc matrix: 200 rows, 2000 columns,
+        # 100 of them shifted on the observed row, one query of 45 columns.
+        rng = np.random.default_rng(2000)
+        values = rng.standard_normal((200, 2000))
+        values[0, rng.permutation(2000)[:100]] += 3.0
+        prob = SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.05, 200))
+        subset = np.random.default_rng(45).choice(2000, 45, replace=False)
+
+        def no_sort(*args):
+            raise AssertionError("the root scan built the bound's sorted remainder")
+
+        monkeypatch.setattr(QueryContext, "sorted_rows", no_sort)
+        ctx = QueryContext(prob, subset)
+        ws = Workspace(ctx, 32)  # the first level the bisection probes
+        trace = TraceLog()
+        out = single_step(ctx, 32, trace=trace)
+        assert out.verdict is Verdict.SURVIVOR_FOUND
+        assert out.witness == ws.path_set(ws.drop_end)
+        assert [(r["kind"], r["size"]) for r in trace.rows] == [("path", ws.drop_end)]
+        # The witness carries its exact row sums, which the survivor lift extends.
+        assert out.sums.tolist() == prob.centered[:, list(out.witness)].sum(axis=1).tolist()
+        # The whole query settles on that survivor, lifted to d = 0.
+        res = discoveries(prob, subset, step_budget=50)
+        assert res.discoveries == 0 and res.evals == 1
 
 
 class TestInPlaceTrim:
@@ -561,10 +594,17 @@ class TestSingleStepToy:
 
     def test_positive_read_past_rise_start_ends_scan(self, toy_problem):
         # Size 4 is the smallest and reads positive at or past rise_start,
-        # so size 5 is positive too and is not read.
+        # so size 5 is positive too and is not read.  It is the root scan's
+        # first size, read before the remainder is built, so its path comes
+        # first; that path does not survive, and the bound certifies size 4.
         trace = TraceLog()
         out = _scan(toy_problem, 4, subset=(0, 1, 2, 3, 4), trace=trace)
         assert out.verdict is Verdict.ALL_REJECTED
+        assert [(r["kind"], r["size"]) for r in trace.rows] == [("path", 4), ("bound", 4)]
+        assert [r["value"] > 0.0 for r in trace.rows] == [True, True]
+        # Without the path the bound alone is read.
+        trace = TraceLog()
+        _scan(toy_problem, 4, subset=(0, 1, 2, 3, 4), want_path=False, trace=trace)
         assert [(r["kind"], r["size"]) for r in trace.rows] == [("bound", 4)]
 
 

@@ -283,6 +283,14 @@ class TestValidateSubset:
     def test_integral_numbers_pass(self):
         assert validate_subset([2.0, np.int64(0), np.float64(1.0)], 5) == (0, 1, 2)
 
+    def test_canonical_tuple_comes_back_itself(self):
+        subset = (0, 2, 3)
+        assert validate_subset(subset, 5) is subset
+        numpy_ints = tuple(np.arange(3))
+        for other in ((3, 0, 2), [0, 2, 3], numpy_ints):
+            got = validate_subset(other, 5)
+            assert got is not other and all(type(i) is int for i in got)
+
     @pytest.mark.parametrize(
         "bad", [0.9, 1.2, float("nan"), float("inf"), True, np.True_, "1", None]
     )
