@@ -1,31 +1,32 @@
 """Iterative deepening of the single-step scan over subspaces.
 
-When a scan leaves some candidate sizes undecided, the space is split on a
-pivot column: one child excludes it, the other forces it in.  Every candidate
-lands in exactly one child, so ALL_REJECTED in both settles the parent, and a
-survivor in either settles the whole question.  Children inherit the parent's
-undecided size window, which is where the splitting gains its power: sizes
-already certified never get rescanned.
+When a scan leaves some candidate sizes undecided, the space is split on
+the pivot that scan names: one child excludes it, the other forces it in.
+Every candidate lands in exactly one child, so ALL_REJECTED in both settles
+the parent, and a survivor in either settles the whole question.  Children
+inherit the parent's undecided size window, which is where the splitting
+gains its power: sizes already certified never get rescanned.
 
-The pivot is the free column with the greatest observed statistic among those
-the greedy path does not reserve for the overlap requirement.  Forcing it in
-drags the force-child's candidates toward large observed sums, pushing that
-side to reject quickly, while the exclude-child keeps the parent's greedy
-path intact, so its scan skips the path check.
+The pivot is the last column of the scan's greedy path, the free column
+with the greatest observed statistic among those the path does not reserve
+for the overlap requirement.  Forcing it in drags the force-child's
+candidates toward large observed sums, pushing that side to reject quickly.
+Excluding it leaves every shorter path candidate as it was, so at the
+inherited sizes the exclude-child's path values are ones an ancestor
+already read as positive, and its scan finds no survivor.  The scan is the
+only place that knows the rule, so this holds by construction.
 
 Both children of a node are evaluated as soon as the node is split, and each
 evaluation counts one unit of budget.  Still-undecided children go on a
-stack, exclude side on top, giving a depth-first run through the exclude
-spine first.  The root evaluation is free of charge; callers that count
-scans add it themselves.
+stack with their windows and pivots, exclude side on top, giving a
+depth-first run through the exclude spine first.  The root evaluation is
+free of charge; callers that count scans add it themselves.
 
 A run takes the query's :class:`~.shortcut.QueryContext` and hands it to
-every scan and every pivot choice, so the subset is validated and the
-columns are ordered once per query.  The pivot reads the subspace's masks
-and reserved columns from the context, the same rule the scan's greedy
-path uses.  A negative budget, or an undecided subspace with no column
-left to split on, breaks an engine invariant and raises
-:class:`RuntimeError`, never :class:`ValueError`, which means bad input.
+every scan, so the subset is validated and the columns are ordered once per
+query.  A negative budget, or an undecided subspace with no column left to
+split on, breaks an engine invariant and raises :class:`RuntimeError`,
+never :class:`ValueError`, which means bad input.
 """
 
 import math
@@ -40,7 +41,7 @@ from .shortcut import (
     single_step,
 )
 
-__all__ = ["IterationResult", "pick_pivot", "evaluate_iterative"]
+__all__ = ["IterationResult", "evaluate_iterative"]
 
 
 @dataclass(frozen=True)
@@ -55,32 +56,9 @@ class IterationResult:
         return self.evaluation.verdict
 
 
-def pick_pivot(ctx: QueryContext, overlap: int, constraint=FREE) -> int:
-    """Branching column for an undecided subspace.
-
-    Free columns reserved by the greedy path (the columns inside the subset
-    holding its smallest observed statistics, as many as the overlap still
-    requires) are not split on; among the rest, the greatest observed
-    statistic wins, ties going to the highest index.  That makes the pivot
-    exactly the last column the greedy path would add, so excluding it
-    leaves every shorter path prefix, and hence the parent's path values,
-    untouched.
-    """
-    _, free, _, reserved = ctx.subspace(overlap, constraint)
-    candidates = free.copy()
-    candidates[reserved] = False
-    by_obs = ctx.order[candidates[ctx.order]]
-    if not by_obs.size:
-        raise RuntimeError(
-            "no free column to branch on; the scan should have settled this subspace"
-        )
-    return int(by_obs[-1])
-
-
 def evaluate_iterative(
     ctx: QueryContext,
     overlap: int,
-    constraint=FREE,
     budget=None,
     trace: TraceLog = None,
 ) -> IterationResult:
@@ -108,16 +86,19 @@ def evaluate_iterative(
                 verdict=ev.verdict, window=ev.window, witness=ev.witness,
             )
 
-    root = single_step(ctx, overlap, constraint, want_path=True, trace=trace)
-    log(root, constraint, 0)
+    root = single_step(ctx, overlap, trace=trace)
+    log(root, FREE, 0)
     if root.verdict is not Verdict.UNDECIDED:
         return IterationResult(root, 0)
 
     spent = 0
-    stack = [(constraint, root.window)]
+    stack = [(FREE, root.window, root.pivot)]
     while stack:
-        cons, window = stack.pop()
-        pivot = pick_pivot(ctx, overlap, cons)
+        cons, window, pivot = stack.pop()
+        if pivot is None:
+            raise RuntimeError(
+                "no free column to branch on; the scan should have settled this subspace"
+            )
         if trace is not None:
             trace.add(
                 kind="branch", pivot=pivot, overlap=overlap,
@@ -125,26 +106,17 @@ def evaluate_iterative(
                 excluded=tuple(sorted(cons.excluded)),
             )
         children = []
-        # Exclude side first: it inherits the parent's greedy path, already
-        # checked at these sizes, so its scan runs without the path device.
-        for cons_child, want_path in (
-            (cons.exclude(pivot), False),
-            (cons.force(pivot), True),
-        ):
+        for cons_child in (cons.exclude(pivot), cons.force(pivot)):
             if spent >= limit:
                 return IterationResult(Evaluation(Verdict.UNDECIDED, window=window), spent)
             spent += 1
-            ev = single_step(
-                ctx, overlap, cons_child,
-                window=window, want_path=want_path, trace=trace,
-            )
+            ev = single_step(ctx, overlap, cons_child, window=window, trace=trace)
             log(ev, cons_child, spent)
             if ev.verdict is Verdict.SURVIVOR_FOUND:
                 return IterationResult(ev, spent)
             if ev.verdict is Verdict.UNDECIDED:
-                children.append((cons_child, ev.window))
+                children.append((cons_child, ev.window, ev.pivot))
         # LIFO stack: push the force side first so the exclude side pops first.
-        for child in reversed(children):
-            stack.append(child)
+        stack.extend(reversed(children))
 
     return IterationResult(Evaluation(Verdict.ALL_REJECTED), spent)

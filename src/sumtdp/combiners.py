@@ -167,12 +167,15 @@ def threshold_from_rank(stats: StatisticMatrix, rank: int) -> float:
 # meaningful for statistics near zero.
 _T_MARGIN = 1e-6
 
+# Grid steps per round of the threshold search.
+_GRID_STEPS = 32
+
 
 def _below(t: float) -> float:
     return t - _T_MARGIN * max(abs(t), 1.0)
 
 
-def _last_below(evidence, lo: float, hi: float, threshold: float, points=32):
+def _last_below(evidence, lo: float, hi: float, threshold: float):
     """Greatest probed t in ``[lo, hi]`` whose evidence is below ``threshold``.
 
     Each round evaluates a grid of the bracket and narrows it to the step
@@ -183,13 +186,13 @@ def _last_below(evidence, lo: float, hi: float, threshold: float, points=32):
     """
     found = None
     while True:
-        grid = np.linspace(lo, hi, points + 1)
+        grid = np.linspace(lo, hi, _GRID_STEPS + 1)
         below = np.flatnonzero(evidence(grid) < threshold)
         if not below.size:
             return found
         i = below[-1]
         found = float(grid[i])
-        if i == points:
+        if i == _GRID_STEPS:
             return found
         lo, hi = grid[i], grid[i + 1]
         if hi - lo <= _T_MARGIN * max(abs(hi), 1.0):

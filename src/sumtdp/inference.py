@@ -22,8 +22,7 @@ survives it contains S, so the overlap maximum is |S| and d(S) = 0 at
 once; the step is recorded at |S|, the overlap it certifies.  When
 d(S) > 0 that set is always rejected, so levels, scans and trace are those
 of the plain bisection.  The check is not a scan: it spends no budget and
-adds no level.  A candidate rejected once is not summed again in the
-query (for an all-column query it is S itself every time).
+adds no level.
 
 One budget, ``step_budget``, caps the branch-and-bound splits within each
 overlap level; each level costs one scan for its root plus one per split.
@@ -40,7 +39,7 @@ import numpy as np
 
 from .branchbound import evaluate_iterative
 from .reduction import reduce_columns
-from .shortcut import QueryContext, SumTestProblem, TraceLog, Verdict
+from .shortcut import QueryContext, SumTestProblem, TraceLog, Verdict, _rank_stat
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
@@ -109,28 +108,24 @@ def _probe(lo: int, hi: int) -> int:
     return lo + (1 << ((hi - lo - 1).bit_length() - 1))
 
 
-def _lifts(prob, ctx, found, rejected, trace) -> bool:
+def _lifts(prob, ctx, found, trace) -> bool:
     """Whether the survivor ``found`` joined with the query subset survives.
 
     The set W ∪ S, W the witness, is tested exactly as :func:`~.statmatrix.reject`
     tests it, from W's row sums plus the columns of S outside W.  If it survives
     it contains S, so it certifies the overlap |S| (d = 0) and the trace gets one
-    ``lift`` row.  A rejected candidate is remembered in ``rejected`` and never
-    summed again in the query.
+    ``lift`` row.
     """
     witness = np.zeros_like(ctx.in_subset)
     witness[list(found.witness)] = True
-    key = tuple(np.flatnonzero(witness | ctx.in_subset).tolist())
-    if key in rejected:
-        return False
     rest = np.flatnonzero(ctx.in_subset & ~witness)  # S outside W
     sums = found.sums + np.take(prob.centered, rest, axis=1).sum(axis=1)
-    value = float(np.partition(sums, prob.crit_rank - 1)[prob.crit_rank - 1])
+    value = _rank_stat(sums, prob.crit_rank)
     if value > 0.0:
-        rejected.add(key)
         return False
     if trace is not None:
-        trace.add(kind="lift", overlap=len(ctx.subset), witness=key, value=value)
+        members = tuple(np.flatnonzero(witness | ctx.in_subset).tolist())
+        trace.add(kind="lift", overlap=len(ctx.subset), witness=members, value=value)
     return True
 
 
@@ -164,7 +159,6 @@ def discoveries(
     lo, hi = 0, s + 1
     levels = []
     spent_total = 0
-    rejected_lifts = set()
     lo_certified = True
 
     while hi - lo > 1:
@@ -175,9 +169,7 @@ def discoveries(
         if res.verdict is Verdict.ALL_REJECTED:
             hi = z
         elif res.verdict is Verdict.SURVIVOR_FOUND:
-            if hi == s + 1 and z < s and _lifts(
-                prob, ctx, res.evaluation, rejected_lifts, trace,
-            ):
+            if hi == s + 1 and z < s and _lifts(prob, ctx, res.evaluation, trace):
                 z = s  # a survivor containing S: the overlap maximum is |S|
             lo = z
             lo_certified = True

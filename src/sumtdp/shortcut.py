@@ -29,12 +29,12 @@ bound read, and reads the path first at its first size, so a survivor
 there costs no sort; a constrained scan bisects its sorted remainder.
 
 One :class:`QueryContext` per query holds the validated subset, its mask,
-the problem's stable argsort of the observed row (ties in index order),
-the subset's counts and the reserved-column rule, which picks the subset
-columns the greedy path spends on the overlap requirement.  A subspace
-constraint becomes boolean masks of forced and free columns, which the
-workspace, the path and the branching pivot read with that one ordering.
-Every scan and pivot takes the context as its only query argument.
+the problem's stable argsort of the observed row (ties in index order) and
+the subset's counts.  Every scan takes it as its only query argument.  The
+scan's :class:`Workspace` turns a subspace constraint into boolean masks of
+forced and free columns and reserves the subset columns the greedy path
+spends on the overlap requirement; an undecided scan names the last column
+of its path as the pivot to split on, so no other code repeats that rule.
 
 Centered values lie on a power-of-two grid (see :class:`SumTestProblem`),
 so every sum below is exact in any order, and each running sum moves by the
@@ -97,12 +97,16 @@ class Evaluation:
     ``window`` is the inclusive range of candidate sizes still in doubt
     (UNDECIDED only).  ``witness`` is a surviving candidate set
     (SURVIVOR_FOUND only), recorded for audit: always a greedy-path
-    candidate.  ``sums``, the witness's exact row sums, is not compared.
+    candidate.  ``pivot`` is the column to split an undecided subspace on
+    (UNDECIDED from a scan only): the last column of the scan's greedy
+    path, None when every free column is an overlap pick.  ``sums``, the
+    witness's exact row sums, is not compared.
     """
 
     verdict: Verdict
     window: tuple = None
     witness: tuple = None
+    pivot: int = None
     sums: np.ndarray = field(default=None, compare=False, repr=False)
 
 
@@ -336,7 +340,7 @@ class _RunningSums:
 
 
 class QueryContext:
-    """Per-query invariants shared by every scan and pivot of one subset.
+    """Per-query invariants shared by every scan of one subset.
 
     Attributes
     ----------
@@ -414,29 +418,6 @@ class QueryContext:
         self.sorted_block = (mask, block, sums)
         return block, sums.through(needed)
 
-    def subspace(self, overlap: int, constraint=FREE):
-        """Masks and reserved columns of one constrained subspace.
-
-        Returns ``(forced, free, needed, reserved)``: boolean masks of the
-        forced and of the unconstrained columns, the number of overlap picks
-        the forced columns leave to be made, and the reserved columns.  Those
-        are the free subset columns with the smallest observed statistics,
-        as many as are needed, in observed order.  The greedy path starts
-        with them and the pivot never splits on them; the path-inheritance
-        lemma rests on both reading this one rule.
-        """
-        m = self.prob.n_hyps
-        for i in constraint.forced | constraint.excluded:
-            if not 0 <= i < m:
-                raise RuntimeError(f"constraint column {i} out of range")
-        forced = np.zeros(m, dtype=bool)
-        forced[list(constraint.forced)] = True
-        free = ~forced
-        free[list(constraint.excluded)] = False
-        needed = max(overlap - int(np.count_nonzero(forced & self.in_subset)), 0)
-        reserved = self.subset_order[free[self.subset_order]][:needed]
-        return forced, free, needed, reserved
-
 
 class Workspace:
     """Running sums for one (query, overlap, constraint) scan.
@@ -465,7 +446,18 @@ class Workspace:
     def __init__(self, ctx: QueryContext, overlap: int, constraint=FREE):
         if not 1 <= overlap <= len(ctx.subset):
             raise RuntimeError(f"overlap must lie in 1..{len(ctx.subset)}, got {overlap}")
-        forced, free, needed, reserved = ctx.subspace(overlap, constraint)
+        m = ctx.prob.n_hyps
+        for i in constraint.forced | constraint.excluded:
+            if not 0 <= i < m:
+                raise RuntimeError(f"constraint column {i} out of range")
+        forced = np.zeros(m, dtype=bool)
+        forced[list(constraint.forced)] = True
+        free = ~forced
+        free[list(constraint.excluded)] = False
+        needed = max(overlap - int(np.count_nonzero(forced & ctx.in_subset)), 0)
+        # The overlap picks the greedy path starts with: the free subset
+        # columns of smallest observed statistic, in observed order.
+        reserved = ctx.subset_order[free[ctx.subset_order]][:needed]
         self.prob, self._ctx = ctx.prob, ctx
         self._forced, self._free, self._needed, self._reserved = forced, free, needed, reserved
         self.infeasible = needed > int(np.count_nonzero(free & ctx.in_subset))
@@ -549,10 +541,14 @@ def single_step(
     overlap: int,
     constraint=FREE,
     window=None,
-    want_path: bool = True,
     trace: TraceLog = None,
 ) -> Evaluation:
     """One scan over candidate sizes at a given overlap level.
+
+    The greedy path is read at every size the bound leaves in doubt, and
+    before the bound at a size read while the remainder is unbuilt (a root
+    scan's first size); the bound is never above the path, so the verdict
+    is the same either way.  An UNDECIDED result names its pivot.
 
     Parameters
     ----------
@@ -560,14 +556,6 @@ def single_step(
         Inclusive range of candidate sizes still pending; defaults to the
         subspace's full size range.  Sizes outside the subspace's range are
         ignored, and an empty effective range is vacuously ALL_REJECTED.
-    want_path : bool
-        Compute greedy-path quantiles at sizes the bound leaves in doubt,
-        and before the bound at a size read while the remainder is unbuilt
-        (a root scan's first size); the bound is never above the path, so
-        the verdict is the same.  Callers switch this off when the subspace
-        inherits its parent's already-checked path (the exclude-child of a
-        branch).  Without the path a scan never reports a survivor: it is
-        ALL_REJECTED or UNDECIDED.
     """
     ws = Workspace(ctx, overlap, constraint)
     if ws.infeasible:
@@ -600,13 +588,13 @@ def single_step(
 
     def read(v: int):
         """Whether the bound certifies size ``v``, and the survivor found there."""
-        early = want_path and ws._rem_prefix is None  # the path first: it needs no sort
+        early = ws._rem_prefix is None  # the path first: it needs no sort
         if early and (found := survivor(v)):
             return False, found
         if certified(v):
             return True, None
         undecided.append(v)
-        return False, survivor(v) if want_path and not early else None
+        return False, None if early else survivor(v)
 
     down_start = min(ws.drop_end, v2)
     up_start = max(down_start + 1, v1)
@@ -628,4 +616,8 @@ def single_step(
 
     if not undecided:
         return Evaluation(Verdict.ALL_REJECTED)
-    return Evaluation(Verdict.UNDECIDED, window=(min(undecided), max(undecided)))
+    rest, _, _ = ws._paths()
+    return Evaluation(
+        Verdict.UNDECIDED, window=(min(undecided), max(undecided)),
+        pivot=int(rest[-1]) if rest.size else None,
+    )

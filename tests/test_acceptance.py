@@ -27,8 +27,8 @@ from sumtdp import (
     truncate,
     TruncationRule,
 )
-from sumtdp.branchbound import evaluate_iterative, pick_pivot
-from sumtdp.shortcut import FREE, QueryContext, Workspace, single_step
+from sumtdp.branchbound import evaluate_iterative
+from sumtdp.shortcut import QueryContext, SubspaceConstraint, TraceLog, Workspace, single_step
 from tests.conftest import TOY_ROWS
 from tests.util import random_instance, random_subset
 
@@ -52,7 +52,7 @@ def test_criterion_1_worked_example_exact():
     ok &= single_step(ctx, 2).verdict is Verdict.ALL_REJECTED
     root = single_step(ctx, 1)
     ok &= root.verdict is Verdict.UNDECIDED
-    ok &= pick_pivot(ctx, 1) == 0
+    ok &= root.pivot == 0
     settled = evaluate_iterative(ctx, 1, budget=2)
     ok &= settled.verdict is Verdict.SURVIVOR_FOUND
     ok &= settled.iterations <= 2
@@ -117,7 +117,7 @@ def test_criterion_4_bound_and_path_laws():
     rng = np.random.default_rng(4040)
     violations = 0
     lemma_checked = 0
-    for _ in range(30):
+    for _ in range(60):
         stats, cfg = random_instance(rng, max_hyps=10, max_transforms=32)
         prob = SumTestProblem.from_matrix(stats, cfg)
         table = RejectionTable(prob)
@@ -146,18 +146,20 @@ def test_criterion_4_bound_and_path_laws():
                         if v > ws.rise_start and bound < prev - 1e-9:
                             violations += 1
                     prev = bound
-                # excluding the pivot must not disturb the greedy path
-                try:
-                    pivot = pick_pivot(QueryContext(prob, sub), z)
-                except RuntimeError:
-                    continue
-                child = Workspace(QueryContext(prob, sub), z, FREE.exclude(pivot))
-                if child.infeasible:
-                    continue
-                lemma_checked += 1
-                for v in range(child.size_min, child.size_max + 1):
-                    if ws.path_set(v) != child.path_set(v):
-                        violations += 1
+                # excluding the pivot must not disturb the greedy path, at
+                # any node the level's run splits
+                trace = TraceLog()
+                evaluate_iterative(QueryContext(prob, sub), z, trace=trace)
+                for row in trace.rows:
+                    if row["kind"] != "branch":
+                        continue
+                    cons = SubspaceConstraint(row["forced"], row["excluded"])
+                    parent = Workspace(QueryContext(prob, sub), z, cons)
+                    child = Workspace(QueryContext(prob, sub), z, cons.exclude(row["pivot"]))
+                    lemma_checked += 1
+                    for v in range(child.size_min, child.size_max + 1):
+                        if parent.path_set(v) != child.path_set(v):
+                            violations += 1
     ok = violations == 0 and lemma_checked >= 50
     _report(4, "bound and path laws, zero violations", ok)
 

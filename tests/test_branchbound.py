@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from sumtdp import RejectionTable, SumTestProblem, TraceLog, Verdict
-from sumtdp.branchbound import evaluate_iterative, pick_pivot
-from sumtdp.shortcut import FREE, QueryContext, Workspace
-from tests.util import random_instance, random_subset
+from sumtdp import branchbound
+from sumtdp.branchbound import evaluate_iterative
+from sumtdp.shortcut import (
+    FREE,
+    Evaluation,
+    QueryContext,
+    SubspaceConstraint,
+    Workspace,
+    single_step,
+)
+from tests.util import POOL, random_instance, random_subset
 
 TOY_SUBSET = (0, 1)
 
@@ -16,27 +24,48 @@ def toy_ctx(toy_problem):
     return QueryContext(toy_problem, TOY_SUBSET)
 
 
+def _pivot(ctx, overlap, constraint=FREE):
+    """The pivot an undecided scan names."""
+    ev = single_step(ctx, overlap, constraint)
+    assert ev.verdict is Verdict.UNDECIDED
+    return ev.pivot
+
+
 class TestPivotToy:
     def test_pivot_is_best_observed(self, toy_ctx):
         # free columns minus the one reserved column (H2, smallest observed
         # inside the subset); H1 has the greatest observed statistic
-        assert pick_pivot(toy_ctx, 1) == 0
+        assert _pivot(toy_ctx, 1) == 0
 
     def test_pivot_after_excluding_it(self, toy_ctx):
-        assert pick_pivot(toy_ctx, 1, FREE.exclude(0)) == 2
+        assert _pivot(toy_ctx, 1, FREE.exclude(0)) == 2
 
     def test_tie_goes_to_highest_index(self):
-        values = np.zeros((4, 4))
-        values[0] = [1.0, 0.0, 1.0, 1.0]
-        prob = SumTestProblem(values[1:] * 0.0, values[0], 1)
+        observed = np.array([1.0, 0.0, 1.0, 1.0])
+        # size 1 holds {1}, positive in both rows, beside {0}, negative in
+        # the second, so the bound leaves it in doubt; from size 2 on every
+        # candidate is positive
+        centered = np.array([[1.0, 1.0, 1.0, 1.0], [-0.5, 1.0, 1.0, 1.0]])
+        prob = SumTestProblem(centered, observed, 1)
         # column 1 is reserved (smallest observed in subset); 0, 2, 3 tie at
         # observed 1, so the pivot is column 3
-        assert pick_pivot(QueryContext(prob, (0, 1)), 1) == 3
+        assert _pivot(QueryContext(prob, (0, 1)), 1) == 3
 
-    def test_no_candidate_raises(self):
+    def test_no_candidate_settles(self):
+        # One candidate: the greedy path reaches it, so the scan decides.
         prob = SumTestProblem(np.zeros((2, 1)), np.zeros(1), 1)
+        ev = single_step(QueryContext(prob, (0,)), 1)
+        assert ev.verdict is Verdict.SURVIVOR_FOUND
+        assert ev.pivot is None
+
+    def test_no_candidate_raises(self, toy_ctx, monkeypatch):
+        # An undecided scan with no pivot is an engine fault.
+        monkeypatch.setattr(
+            branchbound, "single_step",
+            lambda *args, **kwargs: Evaluation(Verdict.UNDECIDED, window=(1, 1)),
+        )
         with pytest.raises(RuntimeError, match="no free column"):
-            pick_pivot(QueryContext(prob, (0,)), 1)
+            evaluate_iterative(toy_ctx, 1)
 
 
 class TestIterativeToy:
@@ -158,57 +187,57 @@ class TestAgainstOracle:
                     assert res.verdict is final
 
 
+def _branched_nodes(rng, n_problems):
+    """(prob, subset, overlap, constraint, pivot) of every node a run splits.
+
+    Tie-heavy problems from the value pool, every overlap of a random
+    subset, each run to completion; the nodes and pivots are read from the
+    ``branch`` rows of its trace.
+    """
+    for _ in range(n_problems):
+        m, b = int(rng.integers(5, 11)), int(rng.integers(2, 12))
+        prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m),
+                              int(rng.integers(1, b + 1)))
+        subset = random_subset(rng, m)
+        for z in range(1, len(subset) + 1):
+            trace = TraceLog()
+            evaluate_iterative(QueryContext(prob, subset), z, trace=trace)
+            for r in trace.rows:
+                if r["kind"] == "branch":
+                    cons = SubspaceConstraint(r["forced"], r["excluded"])
+                    yield prob, subset, z, cons, r["pivot"]
+
+
 class TestPathInheritance:
+    # Excluding the pivot never touches the greedy path at sizes the child
+    # can still reach, which is why the exclude child's path checks find
+    # nothing its ancestors did not already read.
     def test_exclude_child_keeps_parent_paths(self):
-        # excluding the pivot never touches the greedy path at sizes the
-        # child can still reach, which is what lets the exclude scan skip
-        # the path device
-        rng = np.random.default_rng(43)
         checked = 0
-        for _ in range(40):
-            stats, cfg = random_instance(rng, max_hyps=10, max_transforms=24)
-            prob = SumTestProblem.from_matrix(stats, cfg)
-            subset = random_subset(rng, stats.n_hyps)
-            z = int(rng.integers(1, len(subset) + 1))
+        for prob, subset, z, cons, pivot in _branched_nodes(np.random.default_rng(43), 40):
+            if cons != FREE:
+                continue
             parent = Workspace(QueryContext(prob, subset), z)
-            if parent.infeasible or parent.size_max - parent.size_min < 1:
-                continue
-            pivot = pick_pivot(QueryContext(prob, subset), z)
             child = Workspace(QueryContext(prob, subset), z, FREE.exclude(pivot))
-            if child.infeasible:
-                continue
+            assert not child.infeasible
             checked += 1
             for v in range(child.size_min, child.size_max + 1):
                 assert parent.path_set(v) == child.path_set(v)
-                assert parent.path_value(v) == pytest.approx(child.path_value(v))
+                assert parent.path_value(v) == child.path_value(v)
         assert checked >= 20
 
     def test_inheritance_holds_in_nested_subspaces(self):
-        rng = np.random.default_rng(44)
         checked = 0
-        for _ in range(40):
-            stats, cfg = random_instance(rng, max_hyps=10, max_transforms=24)
-            prob = SumTestProblem.from_matrix(stats, cfg)
-            subset = random_subset(rng, stats.n_hyps)
-            z = int(rng.integers(1, len(subset) + 1))
-            cons = FREE
-            m = prob.n_hyps
-            picks = rng.choice(m, size=min(3, m), replace=False)
-            for j in picks[:-1]:
-                cons = cons.force(int(j)) if rng.random() < 0.5 else cons.exclude(int(j))
+        for prob, subset, z, cons, pivot in _branched_nodes(np.random.default_rng(44), 40):
+            if cons == FREE:
+                continue
             parent = Workspace(QueryContext(prob, subset), z, cons)
-            if parent.infeasible:
-                continue
-            try:
-                pivot = pick_pivot(QueryContext(prob, subset), z, cons)
-            except RuntimeError:
-                continue
             child = Workspace(QueryContext(prob, subset), z, cons.exclude(pivot))
-            if child.infeasible:
-                continue
+            assert not child.infeasible
             checked += 1
             for v in range(child.size_min, child.size_max + 1):
                 assert parent.path_set(v) == child.path_set(v)
+                assert parent.path_value(v) == child.path_value(v)
         assert checked >= 15
 
 

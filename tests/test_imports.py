@@ -7,7 +7,11 @@ Every name an ``__all__`` lists must exist, once: a stale string there
 still imports cleanly and breaks only ``from sumtdp import *``.  A private
 definition in ``src/sumtdp`` (a module-level function, class or assignment,
 or a method, whose name starts with one underscore) must be read somewhere
-in the package: code that only tests reach does not belong there.
+in the package: code that only tests reach does not belong there.  A
+parameter default of a function or method outside the package's
+``__all__`` must be overridden by some call in ``src/sumtdp`` or
+``bench``, by keyword or by position: a default no caller sets is an
+option that changes nothing, and test calls do not count.
 
 The package imports ``scipy.stats`` and ``scipy.optimize`` only inside the
 functions that need them (the simulation harness's effect size), because
@@ -30,6 +34,7 @@ import pytest
 from scipy import stats
 from scipy.special import stdtr
 
+import sumtdp
 from sumtdp.combiners import _P_HIGH, Combiner
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,6 +132,100 @@ def test_dead_definition_checker_flags_unread_private_names():
     b = "from a import _helper as h\n"
     assert dead_definitions({"a.py": a, "b.py": b}) == [
         "a.py:2: _KINDS", "a.py:4: _add_columns", "a.py:13: Thing._stale",
+    ]
+
+
+def unset_defaults(sources: dict, callers: dict, public) -> list:
+    """Defaulted parameters of ``sources`` that no call in ``callers`` supplies.
+
+    Both map a name to module text.  Functions and methods named in
+    ``public``, or defined on a class named there, are skipped, and so are
+    names that a caller reads as a value (passed on, so called out of
+    sight).  A call supplies a parameter by keyword, by ``**``, or by
+    position at or past its index (any position for ``*``).  Calls match
+    by the called name alone, and a class call is a call of its
+    ``__init__``.
+    """
+    def name(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    calls, escaped, public = {}, set(), set(public)
+    for source in callers.values():
+        nodes = list(ast.walk(ast.parse(source)))
+        # called, or only looked into: each callee and each attribute's owner
+        heads = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+        heads |= {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+        for node in nodes:
+            if isinstance(node, ast.Call):
+                calls.setdefault(name(node.func), []).append(node)
+            elif isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in heads:
+                escaped.add(name(node))
+
+    def supplies(call, arg, index):
+        if any(k.arg in (arg, None) for k in call.keywords):
+            return True
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        return index is not None and (starred or len(call.args) > index)
+
+    faults = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {id(item): node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for item in node.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            cls = owner.get(id(node))
+            callee = cls if node.name == "__init__" else node.name
+            if {node.name, cls} & public or callee in escaped:
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            if cls is not None and "staticmethod" not in {
+                getattr(d, "id", None) for d in node.decorator_list
+            }:
+                params = params[1:]  # self or cls
+            first = len(params) - len(args.defaults)
+            defaulted = [(a.arg, i) for i, a in enumerate(params) if i >= first]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for arg, index in defaulted:
+                if not any(supplies(call, arg, index) for call in calls.get(callee, ())):
+                    where = f"{cls}.{node.name}" if cls else node.name
+                    faults.append(f"{module}:{node.lineno}: {where}({arg})")
+    return faults
+
+
+def test_no_default_left_unset():
+    sources = {path.name: path.read_text() for path in sorted((ROOT / "src" / "sumtdp").glob("*.py"))}
+    callers = {f"src/{name}": text for name, text in sources.items()}
+    callers.update({f"bench/{path.name}": path.read_text() for path in sorted((ROOT / "bench").glob("*.py"))})
+    assert unset_defaults(sources, callers, sumtdp.__all__) == []
+
+
+def test_unset_default_checker_flags_defaults_no_caller_sets():
+    a = (
+        "def scan(x, window=None, trace=None, *, fast=False):\n    return x\n"
+        "def grid(lo, hi, points=32):\n    return lo\n"
+        "def public(x, flag=True):\n    return x\n"
+        "def entry(argv=None):\n    return argv\n"
+        "class Box:\n"
+        "    def __init__(self, size=1, fill=0):\n        self.size = size\n"
+        "    def grow(self, by=1):\n        return self.size + by\n"
+        "    @staticmethod\n"
+        "    def make(n, k=2):\n        return n * k\n"
+    )
+    b = (
+        "scan(1, (2, 3))\n"
+        "grid(0, 1)\n"
+        "run(entry)\n"
+        "box = Box(4)\n"
+        "box.grow(by=2)\n"
+        "Box.make(1, 2)\n"
+    )
+    assert unset_defaults({"a.py": a}, {"a.py": a, "b.py": b}, ["public"]) == [
+        "a.py:1: scan(trace)", "a.py:1: scan(fast)", "a.py:3: grid(points)",
+        "a.py:10: Box.__init__(fill)",
     ]
 
 

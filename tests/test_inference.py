@@ -259,8 +259,8 @@ class TestLift:
         real = inference._lifts
         calls = []
 
-        def spy(prob, ctx, found, rejected, trace):
-            lifted = real(prob, ctx, found, rejected, trace)
+        def spy(prob, ctx, found, trace):
+            lifted = real(prob, ctx, found, trace)
             calls.append((prob, set(ctx.subset) | set(found.witness), lifted))
             return lifted
 

@@ -15,12 +15,10 @@ sums it as numpy sums any contiguous row; the reference does the same.
 from itertools import accumulate
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumtdp import SumTestProblem, Verdict
-from sumtdp.branchbound import pick_pivot
 from sumtdp.shortcut import FREE, QueryContext, SubspaceConstraint, Workspace, single_step
 from tests.test_shortcut import assert_walk
 from tests.util import POOL
@@ -185,14 +183,14 @@ def check_against_reference(prob, subset, overlap, constraint, start):
         assert ws.bound_value(v) == ref.bound_value(v)
         assert ws.path_value(v) == ref.path_value(v)
 
-    # The pivot is the last column the greedy path adds.
-    ctx = QueryContext(prob, subset)
-    if ref.size_max > ref.size_min:
+    # An undecided scan's pivot is the last column the greedy path adds; a
+    # subspace with one size is never undecided.
+    ev = single_step(QueryContext(prob, subset), overlap, constraint)
+    if ev.verdict is Verdict.UNDECIDED:
         added = set(ref.path_set(ref.size_max)) - set(ref.path_set(ref.size_max - 1))
-        assert {pick_pivot(ctx, overlap, constraint)} == added
+        assert {ev.pivot} == added
     else:
-        with pytest.raises(RuntimeError, match="no free column"):
-            pick_pivot(ctx, overlap, constraint)
+        assert ev.pivot is None
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -215,24 +213,24 @@ def test_scan_reads_each_size_once(case):
     assert_walk(prob, subset, overlap, constraint, window=(start, start + 2))
 
 
-def bound_first_scan(prob, subset, overlap, constraint, window, want_path):
+def bound_first_scan(prob, subset, overlap, constraint, window):
     """The scan that reads the bound first at every size, on the reference tables.
 
-    Returns (verdict, window, witness).  It reads the path only at sizes the
-    bound leaves in doubt, and finds ``drop_end`` and ``rise_start`` from
-    their definitions.
+    Returns (verdict, window, witness, pivot).  It reads the path only at
+    sizes the bound leaves in doubt, finds ``drop_end`` and ``rise_start``
+    from their definitions, and names as pivot the last column of the path.
     """
     ref = ReferenceScan(prob, subset, overlap, constraint)
     if ref.infeasible:
-        return Verdict.ALL_REJECTED, None, None
+        return Verdict.ALL_REJECTED, None, None, None
     v1, v2 = window if window is not None else (ref.size_min, ref.size_max)
     v1, v2 = max(v1, ref.size_min), min(v2, ref.size_max)
     undecided = []
 
     def survivor(v):
         undecided.append(v)
-        if want_path and ref.path_value(v) <= 0.0:
-            return Verdict.SURVIVOR_FOUND, None, ref.path_set(v)
+        if ref.path_value(v) <= 0.0:
+            return Verdict.SURVIVOR_FOUND, None, ref.path_set(v), None
         return None
 
     down_start = min(ref.drop_end, v2)
@@ -252,21 +250,21 @@ def bound_first_scan(prob, subset, overlap, constraint, window, want_path):
         if found := survivor(v):
             return found
     if not undecided:
-        return Verdict.ALL_REJECTED, None, None
-    return Verdict.UNDECIDED, (min(undecided), max(undecided)), None
+        return Verdict.ALL_REJECTED, None, None, None
+    return Verdict.UNDECIDED, (min(undecided), max(undecided)), None, ref.rest[-1]
 
 
 def test_scan_order_matches_bound_first_reference():
     """A scan that reads the path first while its remainder is unbuilt decides
-    as the bound-first scan does: same verdict, window and witness.
+    as the bound-first scan does: same verdict, window, witness and pivot.
 
     Root scans (nothing forced or excluded) take their shape indices from
     counts, clamped where the overlap needs more subset columns than some
     row has values at most 0; the counters make sure such scans, windows,
-    constrained scans and scans without the path all occur.
+    constrained scans, survivors and undecided scans all occur.
     """
     rng = np.random.default_rng(23)
-    seen = dict(root=0, clamped=0, constrained=0, window=0, no_path=0, survivor=0)
+    seen = dict(root=0, clamped=0, constrained=0, window=0, survivor=0, undecided=0)
     for _ in range(1500):
         m, b = int(rng.integers(1, 11)), int(rng.integers(1, 11))
         rank = int(rng.integers(1, b + 1))
@@ -282,11 +280,10 @@ def test_scan_order_matches_bound_first_reference():
         if rng.random() < 0.3:
             lo = int(rng.integers(0, m + 1))
             window = (lo, lo + int(rng.integers(0, 4)))
-        want_path = bool(rng.random() < 0.8)
 
-        ev = single_step(QueryContext(prob, subset), overlap, constraint, window, want_path)
-        want = bound_first_scan(prob, subset, overlap, constraint, window, want_path)
-        assert (ev.verdict, ev.window, ev.witness) == want
+        ev = single_step(QueryContext(prob, subset), overlap, constraint, window)
+        want = bound_first_scan(prob, subset, overlap, constraint, window)
+        assert (ev.verdict, ev.window, ev.witness, ev.pivot) == want
 
         root = not (constraint.forced or constraint.excluded)
         c_in = (prob.centered[:, list(subset)] <= 0.0).sum(axis=1)
@@ -294,6 +291,6 @@ def test_scan_order_matches_bound_first_reference():
         seen["clamped"] += root and bool((c_in < overlap).any() and (c_in > 0).any())
         seen["constrained"] += not root
         seen["window"] += window is not None
-        seen["no_path"] += not want_path
         seen["survivor"] += want[0] is Verdict.SURVIVOR_FOUND
+        seen["undecided"] += want[0] is Verdict.UNDECIDED
     assert min(seen.values()) > 50, seen

@@ -21,7 +21,7 @@ from sumtdp import (
     subset_quantile,
 )
 from sumtdp import shortcut
-from sumtdp.branchbound import evaluate_iterative, pick_pivot
+from sumtdp.branchbound import evaluate_iterative
 from sumtdp.shortcut import (
     FREE,
     Evaluation,
@@ -170,18 +170,21 @@ def assert_spine_matches_fresh(prob, subset, overlaps, constraint=FREE, steps=3)
 
     For each overlap in turn, as the bisection visits levels: the root, then
     each level's exclude and force child down the exclude spine, then the
-    deferred force children, deepest first.  The walk stops early where no
-    column is left to split on; returns the spine's depth at each overlap.
+    deferred force children, deepest first.  Each split is on the column the
+    node's greedy path adds last, the pivot its scan names when undecided,
+    whatever the scan decides, so the walk also passes through nodes a scan
+    would settle.  It stops early where no column is left to split on;
+    returns the spine's depth at each overlap.
     """
     ctx = QueryContext(prob, subset)
     depths = []
     for overlap in overlaps:
         order, deferred, cons = [constraint], [], constraint
         for _ in range(steps):
-            try:
-                pivot = pick_pivot(ctx, overlap, cons)
-            except RuntimeError:
+            ws = Workspace(QueryContext(prob, subset), overlap, cons)
+            if ws.infeasible or ws.size_max == ws.size_min:
                 break
+            (pivot,) = set(ws.path_set(ws.size_max)) - set(ws.path_set(ws.size_max - 1))
             order += [cons.exclude(pivot), cons.force(pivot)]
             deferred.append(cons.force(pivot))
             cons = cons.exclude(pivot)
@@ -602,10 +605,6 @@ class TestSingleStepToy:
         assert out.verdict is Verdict.ALL_REJECTED
         assert [(r["kind"], r["size"]) for r in trace.rows] == [("path", 4), ("bound", 4)]
         assert [r["value"] > 0.0 for r in trace.rows] == [True, True]
-        # Without the path the bound alone is read.
-        trace = TraceLog()
-        _scan(toy_problem, 4, subset=(0, 1, 2, 3, 4), want_path=False, trace=trace)
-        assert [(r["kind"], r["size"]) for r in trace.rows] == [("bound", 4)]
 
 
 def assert_walk(prob, subset, overlap, constraint=FREE, window=None):
@@ -738,19 +737,42 @@ class TestLawsAgainstOracle:
                 assert_walk(prob, subset, z)
                 assert_walk(prob, subset, z, window=(z + 1, z + 2))
 
-    def test_skipping_path_only_delays(self):
-        # without path checks the verdict may stay UNDECIDED, but whenever it
-        # is decided it must agree with the path-enabled run
+    def test_exclude_child_rereads_parent_path(self):
+        # Path inheritance: the pivot is the last column of the parent's
+        # greedy path, so at every size an exclude child reads, its path
+        # value is one its parent read as positive, and it finds no survivor.
         rng = np.random.default_rng(36)
-        for prob, table, subset in _enumerate_checks(rng, 30):
+        n_children = n_reads = 0
+        for _ in range(60):
+            if rng.random() < 0.5:
+                stats, cfg = random_instance(rng, min_hyps=5, max_hyps=10, max_transforms=24)
+                prob = SumTestProblem.from_matrix(stats, cfg)
+            else:
+                m, b = int(rng.integers(5, 11)), int(rng.integers(2, 12))
+                prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m),
+                                      int(rng.integers(1, b + 1)))
+            subset = random_subset(rng, prob.n_hyps)
             for z in range(1, len(subset) + 1):
-                full = single_step(QueryContext(prob, subset), z, want_path=True)
-                lazy = single_step(QueryContext(prob, subset), z, want_path=False)
-                assert lazy.verdict is not Verdict.SURVIVOR_FOUND
-                if lazy.verdict is Verdict.ALL_REJECTED:
-                    assert full.verdict is Verdict.ALL_REJECTED
-                if full.verdict is Verdict.UNDECIDED:
-                    assert lazy == full
+                trace = TraceLog()
+                evaluate_iterative(QueryContext(prob, subset), z, trace=trace)
+                paths, verdicts = {}, {}
+                for r in trace.rows:
+                    key = (r["forced"], r["excluded"])
+                    if r["kind"] == "path":
+                        paths.setdefault(key, {})[r["size"]] = r["value"]
+                    elif r["kind"] == "eval":
+                        verdicts[key] = r["verdict"]
+                for r in trace.rows:
+                    if r["kind"] != "branch":
+                        continue
+                    parent = (r["forced"], r["excluded"])
+                    child = (r["forced"], tuple(sorted(r["excluded"] + (r["pivot"],))))
+                    n_children += 1
+                    assert verdicts[child] is not Verdict.SURVIVOR_FOUND
+                    for v, value in paths.get(child, {}).items():
+                        assert paths[parent][v] == value > 0.0
+                        n_reads += 1
+        assert n_children > 150 and n_reads > 200, (n_children, n_reads)
 
     def test_constrained_verdicts_sound(self):
         # force/exclude a random pair and compare against an oracle built on
