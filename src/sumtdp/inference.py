@@ -60,7 +60,7 @@ __all__ = [
 class DiscoveryResult:
     """Discovery bound for one subset query.
 
-    ``overlap_cap`` is the certified bound on the overlap maximum above
+    :attr:`overlap_cap` is the certified bound on the overlap maximum above
     (equal to it when ``converged``); :attr:`d_upper` is the bound on the
     discovery count above that the levels certify.  ``levels`` records each
     bisection step as (overlap level, verdict, scans spent there); a step
@@ -74,8 +74,6 @@ class DiscoveryResult:
 
     subset: tuple
     discoveries: int
-    overlap_cap: int
-    tdp: float
     converged: bool
     evals: int
     levels: tuple
@@ -84,6 +82,16 @@ class DiscoveryResult:
     @property
     def n_queried(self) -> int:
         return len(self.subset)
+
+    @property
+    def overlap_cap(self) -> int:
+        """|S| - d: the overlap maximum's certified upper bound."""
+        return len(self.subset) - self.discoveries
+
+    @property
+    def tdp(self) -> float:
+        """d / |S|: the true discovery proportion's lower bound."""
+        return self.discoveries / len(self.subset)
 
     @property
     def d_upper(self) -> int:
@@ -181,15 +189,10 @@ def discoveries(
 
     # The loop ends at lo == hi - 1, so the bracket is closed; it is exact
     # unless its lower end rests on a level the budget left undecided.
-    overlap_cap = hi - 1
-    converged = lo_certified
-    d = s - overlap_cap
     return DiscoveryResult(
         subset=subset,
-        discoveries=d,
-        overlap_cap=overlap_cap,
-        tdp=d / s,
-        converged=converged,
+        discoveries=s - (hi - 1),
+        converged=lo_certified,
         evals=spent_total,
         levels=tuple(levels),
     )

@@ -4,8 +4,7 @@ For a query subset S and an overlap level z, the candidates are the
 hypothesis sets sharing at least z members with S, optionally restricted to
 a subspace that forces some columns in and excludes others.  A single step
 asks whether the centered sum test rejects every candidate.  Scanning
-candidate sizes v one at a time, it uses two prefix-sum devices, and no
-other:
+candidate sizes v one at a time, it decides by two prefix-sum devices:
 
 * a lower bound on all candidate quantiles at size v, from each row's z
   smallest centered values inside S plus its v - z smallest of the rest
@@ -38,14 +37,19 @@ of its path as the pivot to split on, so no other code repeats that rule.
 
 Centered values lie on a power-of-two grid (see :class:`SumTestProblem`),
 so every sum below is exact in any order, and each running sum moves by the
-columns between the sizes read.  The context keeps one slot: the last
-scan's free subset columns, sorted within each row as the leading columns
-of a writable row-major buffer, with running sums of the overlap picks.  A
-branch's children differ from their parent by at most the pivot, so a child
-scan reuses the block or trims it in place, moving each row's entries after
-the pivot's value left by one and patching each row's sum in O(1).  The
-pivot has the greatest observed statistic, so its values mostly sort late
-and a trim moves few entries.
+columns between the sizes read.  A greedy-path read starts instead from
+the problem's :attr:`~SumTestProblem.checkpoints`, the row sums of every
+``_STRIDE``-th prefix of the observed order, when that moves fewer columns:
+a post-hoc query's first read then adds at most ``_STRIDE - 1`` columns and
+takes off the columns the path skips, not the whole prefix.
+
+The context keeps one slot: the last scan's free subset columns, sorted
+within each row as the leading columns of a writable row-major buffer, with
+running sums of the overlap picks.  A branch's children differ from their
+parent by at most the pivot, so a child scan reuses the block or trims it
+in place, moving each row's entries after the pivot's value left by one and
+patching each row's sum in O(1).  The pivot has the greatest observed
+statistic, so its values mostly sort late and a trim moves few entries.
 
 Matrices are never mutated; besides the running sums, the slot is the only
 state that changes, and a context serves one scan at a time (a trim
@@ -134,6 +138,12 @@ class SubspaceConstraint:
 
 FREE = SubspaceConstraint()
 
+# Columns of the observed order between two checkpoints.  On post-hoc
+# queries of 2000 columns, first path reads took 5-34 % longer at 128 than
+# at 64; at 32 whole queries ran 0-6 % faster, inside their run-to-run
+# spread, for twice the table.
+_STRIDE = 64
+
 
 def _grid_step(n: int, bound: float) -> float:
     """The least power of two s with s * (2**53 - 4 n) >= 2 n bound, and s >= 2**-1074.
@@ -200,6 +210,21 @@ class SumTestProblem:
         order = np.argsort(self.observed, kind="stable")
         order.setflags(write=False)
         return order
+
+    @cached_property
+    def checkpoints(self) -> np.ndarray:
+        """Row j: the row sums of the first ``j * _STRIDE`` columns of ``order``; read-only.
+
+        Built ``_STRIDE`` columns at a time, so it needs no B x m temporary;
+        it holds B (m // _STRIDE + 1) values.
+        """
+        cen, order = self.centered, self.order
+        table = np.zeros((self.n_hyps // _STRIDE + 1, self.n_transforms))
+        for j in range(1, table.shape[0]):
+            cols = order[(j - 1) * _STRIDE: j * _STRIDE]
+            np.add(table[j - 1], _row_sums(np.take(cen, cols, axis=1)), out=table[j])
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def counts(self) -> tuple:
@@ -323,15 +348,20 @@ class _RunningSums:
     ``columns(lo, hi)`` returns source columns ``lo`` to ``hi - 1`` as a
     B x (hi - lo) array.  ``sums`` holds the last read, of the first ``k``,
     and the next adds or subtracts the columns in between: a scan reads
-    sizes near each other, so it sums few columns and allocates no table.
+    sizes near each other, so it sums few columns.  ``restart(k, n)``, if
+    given, returns the first ``k``'s sums computed afresh from fewer than
+    ``n`` columns, or None when that takes ``n`` or more.
     """
 
-    def __init__(self, columns):
-        self.columns, self.k, self.sums = columns, 0, 0.0
+    def __init__(self, columns, restart=None):
+        self.columns, self.restart, self.k, self.sums = columns, restart, 0, 0.0
 
     def through(self, k: int) -> np.ndarray:
         """The row sums of the first ``k`` source columns."""
-        if k >= self.k:
+        fresh = self.restart(k, abs(k - self.k)) if self.restart else None
+        if fresh is not None:
+            self.sums = fresh
+        elif k >= self.k:
             self.sums = self.sums + _row_sums(self.columns(self.k, k))
         else:
             self.sums = self.sums - _row_sums(self.columns(k, self.k))
@@ -505,16 +535,30 @@ class Workspace:
 
     def _paths(self):
         if self._path_tables is None:
-            cen = self.prob.centered
-            ctx, reserved = self._ctx, self._reserved
+            prob, ctx, reserved = self.prob, self._ctx, self._reserved
+            cen = prob.centered
             rest_mask = self._free.copy()
             rest_mask[reserved] = False
-            rest = ctx.order[rest_mask[ctx.order]]
+            on_path = rest_mask[ctx.order]
+            rest_at = np.flatnonzero(on_path)  # each rest column's place in the order
+            rest = ctx.order[rest_at]
             if np.array_equal(reserved, ctx.subset_order[: reserved.size]):  # as on the spine
                 picked = ctx.order_sums.through(reserved.size)
             else:
                 picked = _row_sums(np.take(cen, reserved, axis=1))
-            prefix = _RunningSums(lambda lo, hi: np.take(cen, rest[lo:hi], axis=1))
+
+            def restart(k, budget):
+                # order[:p] holds rest[:k] and p - k columns off the path:
+                # reserved, forced or excluded
+                p = int(rest_at[k - 1]) + 1 if k else 0
+                q = p // _STRIDE
+                if p - q * _STRIDE + p - k >= budget:
+                    return None
+                added = np.take(cen, ctx.order[q * _STRIDE: p], axis=1)
+                taken = np.take(cen, ctx.order[:p][~on_path[:p]], axis=1)
+                return prob.checkpoints[q] + _row_sums(added) - _row_sums(taken)
+
+            prefix = _RunningSums(lambda lo, hi: np.take(cen, rest[lo:hi], axis=1), restart)
             self._path_tables = (rest, self._forced_sum + picked, prefix)
         return self._path_tables
 

@@ -148,14 +148,14 @@ def validate_subset(subset, n_hyps) -> tuple:
 
     A tuple of ints that already is one comes back itself, to be shared.
     """
-    cols = tuple(column_index(i) for i in subset)
+    cols = tuple(map(column_index, subset))
     if not cols:
         raise ValueError("hypothesis subset must be non-empty")
     if len(set(cols)) != len(cols):
         raise ValueError(f"duplicate column indices in subset {cols}")
-    for i in cols:
-        if not 0 <= i < n_hyps:
-            raise ValueError(f"column index {i} out of range for {n_hyps} columns")
+    if min(cols) < 0 or max(cols) >= n_hyps:
+        i = next(i for i in cols if not 0 <= i < n_hyps)  # the first, in input order
+        raise ValueError(f"column index {i} out of range for {n_hyps} columns")
     cols = tuple(sorted(cols))
     if type(subset) is tuple and cols == subset and all(type(i) is int for i in subset):
         return subset

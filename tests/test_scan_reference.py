@@ -15,11 +15,12 @@ sums it as numpy sums any contiguous row; the reference does the same.
 from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumtdp import SumTestProblem, Verdict
-from sumtdp.shortcut import FREE, QueryContext, SubspaceConstraint, Workspace, single_step
+from sumtdp.shortcut import _STRIDE, FREE, QueryContext, SubspaceConstraint, Workspace, single_step
 from tests.test_shortcut import assert_walk
 from tests.util import POOL
 
@@ -294,3 +295,76 @@ def test_scan_order_matches_bound_first_reference():
         seen["survivor"] += want[0] is Verdict.SURVIVOR_FOUND
         seen["undecided"] += want[0] is Verdict.UNDECIDED
     assert min(seen.values()) > 50, seen
+
+
+@st.composite
+def checkpoint_cases(draw):
+    """A scan whose path reads can start from the problem's checkpoints.
+
+    A checkpoint route needs a path column at least one stride into the
+    observed order, so the problems are wider than the reference cases:
+    tie-heavy pool values at 64, 130 or 200 columns, scanned at the root,
+    under a constraint, or on a ``restricted`` problem with a merged column.
+    The sizes are read as a drawn walk: down in steps that cross stride
+    boundaries, then up, then at random.
+    """
+    m, b = draw(st.sampled_from((64, 130, 200))), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = int(rng.integers(1, b + 1))
+    prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m), rank)
+    kind = draw(st.sampled_from(("root", "constrained", "restricted")))
+    constraint = FREE
+    if kind == "restricted":
+        cols = rng.permutation(m)
+        kept, merged = np.sort(cols[: m - m // 4]), cols[m - m // 4:]
+        prob = prob.restricted(kept.tolist(), merged.tolist(), rng.choice(POOL, kept.size + 1))
+    elif kind == "constrained":
+        role = rng.choice(list("fx" + "." * draw(st.integers(2, 30))), m)
+        constraint = SubspaceConstraint(np.flatnonzero(role == "f"), np.flatnonzero(role == "x"))
+    size = draw(st.integers(1, prob.n_hyps))
+    subset = tuple(sorted(rng.choice(prob.n_hyps, size, replace=False).tolist()))
+    overlap = draw(st.integers(1, len(subset)))
+    step, start = draw(st.integers(1, 80)), draw(st.floats(0.0, 1.0))
+    jumps = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
+    return kind, prob, subset, overlap, constraint, step, start, jumps
+
+
+def test_checkpoint_route_matches_direct_sums():
+    """Path sums read through the checkpoints equal a direct sum, bit for bit.
+
+    Every sum of distinct grid columns is exact, so the route a read takes
+    (carried on from the last read, or started from a checkpoint) must not
+    show in the result.  Counting checkpoint reads shows the route is taken.
+    """
+    table = SumTestProblem.__dict__["checkpoints"]
+    routed = {"root": [], "constrained": [], "restricted": []}
+    reads = []
+
+    def counting(prob):
+        reads[-1] += 1
+        return table.func(prob)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(checkpoint_cases())
+    def check(case):
+        kind, prob, subset, overlap, constraint, step, start, jumps = case
+        cen = prob.centered
+        checkpoints = table.func(prob)
+        for j, row in enumerate(checkpoints):
+            assert row.tobytes() == cen[:, prob.order[: j * _STRIDE]].sum(axis=1).tobytes()
+        ws = Workspace(QueryContext(prob, subset), overlap, constraint)
+        if ws.infeasible:
+            return
+        lo, hi = ws.size_min, ws.size_max
+        first = lo + round(start * (hi - lo))
+        walk = [*range(first, lo - 1, -step), *range(first + step, hi + 1, step)]
+        reads.append(0)
+        for v in walk + [lo + round(f * (hi - lo)) for f in jumps]:
+            want = cen[:, list(ws.path_set(v))].sum(axis=1)
+            assert ws.path_sums(v).tobytes() == want.tobytes(), v
+        routed[kind].append(reads[-1] > 0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SumTestProblem, "checkpoints", property(counting))
+        check()
+    assert all(sum(fired) > len(fired) // 4 for fired in routed.values()), routed

@@ -276,6 +276,26 @@ class TestValidateSubset:
         with pytest.raises(ValueError, match="out of range"):
             validate_subset((-1,), 5)
 
+    @pytest.mark.parametrize("subset, first", [
+        ((3, 9, -1), 9), ((3, -1, 9), -1), ((7, 0, 5), 7), ((0, 1, 2, 3, 4, 5), 5),
+    ])
+    def test_out_of_range_names_first_offender_in_input_order(self, subset, first):
+        with pytest.raises(ValueError) as err:
+            validate_subset(subset, 5)
+        assert str(err.value) == f"column index {first} out of range for 5 columns"
+
+    def test_checks_run_in_order_whatever_else_is_wrong(self):
+        # conversion first, in input order; then duplicates; then range
+        with pytest.raises(ValueError) as err:
+            validate_subset((9, 0.5, 1.5), 5)
+        assert str(err.value) == "column index 0.5 is not an integer"
+        with pytest.raises(ValueError) as err:
+            validate_subset((9, -1, 9), 5)
+        assert str(err.value) == "duplicate column indices in subset (9, -1, 9)"
+        with pytest.raises(ValueError) as err:
+            validate_subset([np.int64(6), 2.0, 8.0], 5)
+        assert str(err.value) == "column index 6 out of range for 5 columns"
+
     def test_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
             validate_subset((), 5)
