@@ -14,8 +14,10 @@ only here.  Each subcommand computes its result; :func:`main` alone times the
 run, writes the result and writes a manifest (command, configuration,
 versions, input checksums, wall time) next to ``--out``, or to stderr when
 results go to stdout, so any result file can be traced back to its exact
-inputs.  ``tdp`` reduces the matrix for each set whenever truncation is
-active (see :mod:`.reduction`), and is the only subcommand with ``--trace``.
+inputs.  Every subcommand but ``simulate`` builds one sum-test problem from
+its matrix; ``tdp`` queries each set on it, reduced to the set whenever
+truncation is active (see :mod:`.reduction`), and is the only subcommand with
+``--trace``.
 
 Exit codes: 0 success, 1 internal error or verification mismatch, 2 usage or
 input error.
@@ -23,7 +25,6 @@ input error.
 
 import argparse
 import csv
-import functools
 import hashlib
 import io
 import json
@@ -46,7 +47,7 @@ from .combiners import (
     truncate,
 )
 from .generators import TransformationScheme, sign_flip_matrix
-from .inference import discoveries, discoveries_matrix, largest_subset
+from .inference import _query, discoveries, largest_subset
 from .oracle import RejectionTable
 from .shortcut import SumTestProblem, TraceLog
 from .statmatrix import (
@@ -218,10 +219,9 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
 
 
 def _problem(args, inputs: dict):
-    """The loaded matrix, its test configuration and its sum-test problem."""
+    """The loaded matrix and its sum-test problem."""
     stats = _load_matrix(args, inputs)
-    cfg = TestConfig(_alpha(args), stats.n_transforms)
-    return stats, cfg, SumTestProblem.from_matrix(stats, cfg)
+    return stats, SumTestProblem.from_matrix(stats, TestConfig(_alpha(args), stats.n_transforms))
 
 
 def _column_indices(tokens, stats: StatisticMatrix) -> list:
@@ -417,7 +417,7 @@ def _emit_manifest(args, inputs: dict, started: float, extra=None):
 
 
 def _cmd_test(args, inputs: dict) -> _Result:
-    stats, cfg, prob = _problem(args, inputs)
+    stats, prob = _problem(args, inputs)
     if args.set is None:
         subset = tuple(range(stats.n_hyps))
     else:
@@ -428,34 +428,24 @@ def _cmd_test(args, inputs: dict) -> _Result:
     payload = {
         "size": len(subset),
         "quantile": quantile,
-        "critical_rank": cfg.crit_rank,
+        "critical_rank": prob.crit_rank,
         "reject": quantile > 0.0,
     }
     return _Result(payload, [payload], list(payload))
 
 
 def _cmd_tdp(args, inputs: dict) -> _Result:
-    stats = _load_matrix(args, inputs)
-    cfg = TestConfig(_alpha(args), stats.n_transforms)
+    stats, prob = _problem(args, inputs)
     # Reduction rests on the floor truncation leaves (see .reduction).
     truncated = args.truncate is not None or args.truncate_rank is not None
-    # Without reduction every set queries the same problem: build it at the
-    # first set that needs it (a failed build is retried, so each set still
-    # reports its own error).
-    problem = functools.cache(lambda: SumTestProblem.from_matrix(stats, cfg))
+    ground = args.ground if truncated else None
 
     entries, trace_rows = [], []
     for set_id, tokens in enumerate(_parse_set_lists(args.sets, inputs), start=1):
         trace = TraceLog() if args.trace is not None else None
-        opts = dict(step_budget=args.max_iter, trace=trace)
         try:
             subset = _parse_tokens(tokens, stats)
-            if truncated:
-                res = discoveries_matrix(
-                    stats, cfg, subset, reduction_ground=args.ground, **opts,
-                )
-            else:
-                res = discoveries(problem(), subset, **opts)
+            res = _query(prob, stats, subset, ground, args.max_iter, trace)
         except ValueError as exc:
             entries.append({"set_id": set_id, "error": str(exc)})
             continue
@@ -481,7 +471,7 @@ def _cmd_tdp(args, inputs: dict) -> _Result:
 
 
 def _cmd_largest(args, inputs: dict) -> _Result:
-    stats, _, prob = _problem(args, inputs)
+    stats, prob = _problem(args, inputs)
     order = _parse_order(args.order, stats, inputs)
     res = largest_subset(prob, args.gamma, order=order, step_budget=args.max_iter)
     names = stats.column_names()
@@ -495,7 +485,7 @@ def _cmd_largest(args, inputs: dict) -> _Result:
 
 
 def _cmd_verify(args, inputs: dict) -> _Result:
-    stats, _, prob = _problem(args, inputs)
+    stats, prob = _problem(args, inputs)
     table = RejectionTable(prob)
     m = stats.n_hyps
     subsets = [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]

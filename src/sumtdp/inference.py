@@ -43,6 +43,7 @@ from .shortcut import QueryContext, SumTestProblem, TraceLog, Verdict, _rank_sta
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
+    _is_count,
     column_index,
     validate_subset,
 )
@@ -158,8 +159,8 @@ def discoveries(
     ctx = QueryContext(prob, subset)
     subset = ctx.subset
     s = len(subset)
-    if step_budget is not None and step_budget < 0:
-        raise ValueError("step_budget must be nonnegative")
+    if step_budget is not None and not _is_count(step_budget):
+        raise ValueError(f"step_budget must be None or a nonnegative integer: {step_budget!r}")
 
     # Bisection invariant: some non-rejected set overlaps S by at least lo
     # (the empty set vouches for lo = 0), and every set overlapping S by at
@@ -206,7 +207,7 @@ def discoveries_matrix(
     step_budget=None,
     trace: TraceLog = None,
 ) -> DiscoveryResult:
-    """Discovery bound straight from a statistic matrix.
+    """Discovery bound straight from a statistic matrix: one problem build, one query.
 
     When ``reduction_ground`` is given, inert columns outside the subset are
     dropped or merged first (see :mod:`.reduction`); the result is reported
@@ -216,21 +217,20 @@ def discoveries_matrix(
     :func:`discoveries`, but trace rows name original columns (a merged
     column as a tuple) while sizes and windows count reduced ones.
     """
+    prob = SumTestProblem.from_matrix(stats, cfg)
+    return _query(prob, stats, subset, reduction_ground, step_budget, trace)
+
+
+def _query(prob, stats, subset, reduction_ground, step_budget, trace) -> DiscoveryResult:
+    """:func:`discoveries_matrix` on ``prob``, the problem built from ``stats``."""
     subset = validate_subset(subset, stats.n_hyps)
-    query, counts, prob = subset, None, SumTestProblem.from_matrix(stats, cfg)
-    if reduction_ground is not None:
-        red = reduce_columns(stats, subset, ground=reduction_ground)
-        # on the full problem's grid, so the reduction changes no verdict
-        prob, query = prob.restricted(red.kept, red.collapsed, red.stats.observed), red.subset
-        counts = {
-            "m_reduced": red.stats.n_hyps,
-            "removed": len(red.removed),
-            "collapsed": len(red.collapsed),
-        }
+    if reduction_ground is None:
+        return discoveries(prob, subset, step_budget=step_budget, trace=trace)
+    red = reduce_columns(stats, subset, ground=reduction_ground)
+    # on the full problem's grid, so the reduction changes no verdict
+    reduced = prob.restricted(red.kept, red.collapsed, red.stats.observed)
     start = len(trace.rows) if trace is not None else 0
-    res = discoveries(prob, query, step_budget=step_budget, trace=trace)
-    if counts is None:
-        return res
+    res = discoveries(reduced, red.subset, step_budget=step_budget, trace=trace)
     if trace is not None:
         # reduced column index -> the original columns it stands for
         user = [(j,) for j in red.kept]
@@ -243,6 +243,11 @@ def discoveries_matrix(
             if row.get("pivot") is not None:
                 pivot = user[row["pivot"]]
                 row["pivot"] = pivot if len(pivot) > 1 else pivot[0]
+    counts = {
+        "m_reduced": red.stats.n_hyps,
+        "removed": len(red.removed),
+        "collapsed": len(red.collapsed),
+    }
     return replace(res, subset=subset, reduction=counts)
 
 

@@ -194,8 +194,10 @@ class SumTestProblem:
     def _keep(self, cen: np.ndarray, observed, crit_rank: int) -> "SumTestProblem":
         """Check the grid matrix ``cen`` against the other two fields; store all three."""
         obs = np.array(observed, dtype=float)
-        if obs.shape != (cen.shape[1],) or not (np.isfinite(cen).all() and np.isfinite(obs).all()):
-            raise ValueError("observed must be a finite (m,) vector, and centered values finite")
+        if obs.shape != (cen.shape[1],) or not np.isfinite(obs).all():
+            raise ValueError("observed must be a finite (m,) vector")
+        if not np.isfinite(cen).all():
+            raise ValueError("centered values x0 - xr overflow; rescale the statistics")
         if not 1 <= crit_rank <= cen.shape[0]:
             raise ValueError(f"crit_rank {crit_rank} out of range for {cen.shape[0]} rows")
         cen.setflags(write=False)

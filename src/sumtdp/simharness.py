@@ -5,9 +5,10 @@ equicorrelation (one common factor per observation), plants signal in the
 first ceil(a*m) columns, builds a sign-flip matrix of two-sided t statistics,
 converts them to two-sided p-values and a combiner's evidence scale,
 optionally floor-truncated on the p scale (only the entries truncation keeps
-are converted), and queries discovery bounds for the active and inactive
-column sets.  The signal size is calibrated so that a single
-two-sided one-sample t-test at the study's level reaches a requested power.
+are converted), builds one sum-test problem and queries discovery bounds
+for the active and inactive column sets on it.  The signal size is
+calibrated so that a single two-sided one-sample t-test at the study's
+level reaches a requested power.
 
 Aggregates of interest: the familywise error rate is the share of
 replications reporting any discovery inside the inactive (all-null) set; the
@@ -25,8 +26,9 @@ import numpy as np
 
 from .combiners import Combiner, evidence_from_t
 from .generators import TransformationScheme, sign_flip_matrix
-from .inference import discoveries_matrix
-from .statmatrix import TestConfig
+from .inference import _query
+from .shortcut import SumTestProblem
+from .statmatrix import TestConfig, _is_count
 
 __all__ = [
     "SimulationConfig",
@@ -69,20 +71,17 @@ class SimulationConfig:
     step_budget: int = 50
 
     def __post_init__(self):
-        if self.n_obs < 2:
-            raise ValueError("n_obs must be at least 2")
-        if self.n_hyps < 1:
-            raise ValueError("n_hyps must be at least 1")
+        least = dict(n_obs=2, n_hyps=1, n_transforms=2, n_reps=1, seed=0, step_budget=0)
+        for name, low in least.items():
+            value = getattr(self, name)
+            if not (_is_count(value, low) or name == "step_budget" and value is None):
+                raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
         if not 0.0 <= self.active_fraction <= 1.0:
             raise ValueError("active_fraction must lie in [0, 1]")
         if not 0.0 <= self.correlation < 1.0:
             raise ValueError("correlation must lie in [0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.n_transforms < 2:
-            raise ValueError("n_transforms must be at least 2")
-        if self.n_reps < 1:
-            raise ValueError("n_reps must be at least 1")
         if not 0.0 < self.power_target < 1.0:
             raise ValueError("power_target must lie in (0, 1)")
         if self.truncate_p is not None:
@@ -195,17 +194,12 @@ def run_replication(
         threshold = float(comb.transform(np.array([cfg.truncate_p]))[0])
         ground = float(comb.transform(np.array([cfg.ground_p]))[0])
     evidence = evidence_from_t(tstats, cfg.n_obs - 1, comb, threshold=threshold, ground=ground)
-    test_cfg = TestConfig(cfg.alpha, cfg.n_transforms)
+    prob = SumTestProblem.from_matrix(evidence, TestConfig(cfg.alpha, cfg.n_transforms))
     results = {}
     for name in queries:
         cols = _query_columns(cfg, name)
-        if not cols:
-            continue
-        results[name] = discoveries_matrix(
-            evidence, test_cfg, cols,
-            reduction_ground=ground,
-            step_budget=cfg.step_budget,
-        )
+        if cols:
+            results[name] = _query(prob, evidence, cols, ground, cfg.step_budget, None)
     return ReplicationOutcome(rep=rep, results=results)
 
 

@@ -143,6 +143,11 @@ def column_index(i) -> int:
     return int(i)
 
 
+def _is_count(value, least=0) -> bool:
+    """Whether ``value`` is an integer (numpy's included, booleans not) of at least ``least``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least
+
+
 def validate_subset(subset, n_hyps) -> tuple:
     """Return ``subset`` as a sorted tuple of distinct in-range column indices.
 

@@ -269,6 +269,23 @@ class TestTdp:
         assert [e["set_id"] for e in json.loads(out)] == [1, 2, 3]
         assert len(built) == 1
 
+    def test_one_problem_for_truncated_sets(self, toy_csv, capsys, monkeypatch):
+        # each set is reduced from the one full problem, not rebuilt
+        built = []
+        real = sumtdp.SumTestProblem.from_matrix
+
+        def counting(stats, cfg):
+            built.append(stats)
+            return real(stats, cfg)
+
+        monkeypatch.setattr(sumtdp.SumTestProblem, "from_matrix", counting)
+        code, out, _ = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4", "--truncate", "2.0",
+            "--sets", "[[1,2],[1,4,5],[2,3,4],[5]]")
+        assert code == 0
+        assert [e["m_reduced"] for e in json.loads(out)] == [3, 4, 5, 4]
+        assert len(built) == 1
+
     def test_truncation_reduces_by_default(self, toy_csv, capsys):
         code, out, _ = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
@@ -485,16 +502,19 @@ class TestDataConversion:
             threshold = sumtdp.threshold_from_rank(evidence, rank)
         evidence = sumtdp.truncate(evidence, sumtdp.TruncationRule(threshold, ground))
         cfg = sumtdp.TestConfig(0.05, self.B)
-        entries = []
+        entries, rows = [], []
         for set_id, cols in enumerate(self.SETS, start=1):
+            trace = sumtdp.TraceLog()
             res = sumtdp.discoveries_matrix(
-                evidence, cfg, [c - 1 for c in cols], reduction_ground=ground, step_budget=50)
+                evidence, cfg, [c - 1 for c in cols], reduction_ground=ground, step_budget=50,
+                trace=trace)
             entries.append({
                 "set_id": set_id, "size": res.n_queried, "d": res.discoveries,
                 "tdp": res.tdp, "converged": res.converged, "iterations": res.evals,
                 **res.reduction,
             })
-        return entries
+            rows += [{**row, "set_id": set_id} for row in trace.rows]
+        return entries, rows
 
     @pytest.mark.parametrize("token, one_sided, threshold, rank, ground", [
         ("fisher", False, None, 150, 0.0),
@@ -506,17 +526,23 @@ class TestDataConversion:
         ("edgington", False, None, 300, -1.0),
         ("edgington", True, -0.05, None, -1.0),
     ])
-    def test_matches_library(self, signal_csv, capsys, token, one_sided, threshold, rank, ground):
+    def test_matches_library(self, signal_csv, tmp_path, capsys, token, one_sided, threshold,
+                             rank, ground):
         argv = ["tdp", "--data", signal_csv, "--b", str(self.B), "--seed", str(self.SEED),
                 "--sets", json.dumps(self.SETS), "--combiner", token, "--ground", str(ground)]
         argv += ["--truncate-rank", str(rank)] if rank is not None else ["--truncate", str(threshold)]
         if one_sided:
             argv.append("--one-sided")
-        code, out, _ = run(capsys, *argv)
+        trace_path, want_path = tmp_path / "trace.csv", tmp_path / "want.csv"
+        code, out, _ = run(capsys, *argv, "--trace", str(trace_path))
         assert code == 0
         got = json.loads(out)
-        assert got == self.library_entries(signal_csv, token, one_sided, threshold, rank, ground)
+        entries, rows = self.library_entries(signal_csv, token, one_sided, threshold, rank, ground)
+        assert got == entries
         assert got[0]["d"] > 0
+        # the same trace rows, set by set, as the CSV writer formats them
+        sumtdp.cli._write_trace(rows, want_path)
+        assert trace_path.read_text() == want_path.read_text()
 
 
 class TestDataGoldens:
@@ -644,6 +670,25 @@ class TestSimulate:
         assert out == ""
         assert re.search(rf"\b{key}\b", err), err
 
+    @pytest.mark.parametrize("config, key", [
+        ({"n_hyps": 20.0}, "n_hyps"),
+        ({"n_obs": 50.5}, "n_obs"),
+        ({"n_transforms": 40.5}, "n_transforms"),
+        ({"n_reps": 1.5}, "n_reps"),
+        ({"n_reps": True}, "n_reps"),
+        ({"seed": -1}, "seed"),
+        ({"step_budget": "3"}, "step_budget"),
+        ({"step_budget": 2.5}, "step_budget"),
+    ])
+    def test_integer_fields_are_usage_errors(self, tmp_path, capsys, config, key):
+        # never an internal error, and never a budget other than the one given
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps({"n_reps": 1, **config}))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert code == 2
+        assert out == ""
+        assert f"bad simulation config: {key} must be an integer of at least" in err
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = {"n_obs": 15, "n_hyps": 6, "n_transforms": 20, "n_reps": 1,
                "seed": 1, "active_fraction": 0.5, "alpha": 0.1}
@@ -683,6 +728,18 @@ class TestErrors:
             capsys, "tdp", "--stats", str(path), "--sets", "[[1]]")
         assert code == 2
         assert "bad.csv:2" in err
+
+    @pytest.mark.parametrize("command", [["test"], ["tdp", "--sets", "[[1,2],[3]]"]],
+                             ids=["test", "tdp"])
+    def test_centering_overflow(self, tmp_path, capsys, command):
+        # finite statistics whose x0 - xr overflow: one usage error for the
+        # whole run, naming the cause, not an error copied into every set
+        path = tmp_path / "huge.csv"
+        path.write_text("a,b,c\n1e308,-1e308,1\n-1e308,1e308,0\n1e308,1e308,2\n")
+        code, out, err = run(capsys, *command, "--stats", str(path), "--alpha", "0.4")
+        assert code == 2
+        assert out == ""
+        assert "centered values x0 - xr overflow; rescale the statistics" in err
 
     def test_empty_sets(self, toy_csv, capsys):
         code, _, err = run(

@@ -57,6 +57,16 @@ class TestDiscoveriesToy:
         with pytest.raises(ValueError):
             discoveries(toy_problem, TOY_SUBSET, step_budget=-1)
 
+    @pytest.mark.parametrize("budget", [2.5, True, "3"])
+    def test_non_integer_budgets_rejected(self, toy_problem, budget):
+        # never run as some other budget (2.5 as 2, True as 1)
+        with pytest.raises(ValueError, match="step_budget must be None or a nonnegative integer"):
+            discoveries(toy_problem, TOY_SUBSET, step_budget=budget)
+
+    def test_numpy_integer_budget(self, toy_problem):
+        want = discoveries(toy_problem, TOY_SUBSET, step_budget=3)
+        assert discoveries(toy_problem, TOY_SUBSET, step_budget=np.int64(3)) == want
+
     def test_fractional_columns_rejected(self, toy_problem):
         # not silently queried as columns (0, 1)
         with pytest.raises(ValueError, match="not an integer"):

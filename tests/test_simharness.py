@@ -89,6 +89,21 @@ class TestConfigObject:
         with pytest.raises(ValueError):
             SimulationConfig(truncate_p=0.6, ground_p=0.5)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_obs", 50.5), ("n_obs", 1), ("n_hyps", 20.0), ("n_hyps", 0), ("n_transforms", 40.5),
+        ("n_transforms", 1), ("n_reps", 1.5), ("n_reps", True), ("n_reps", 0), ("seed", -1),
+        ("seed", 1.0), ("step_budget", "3"), ("step_budget", 2.5), ("step_budget", False),
+        ("step_budget", -1),
+    ])
+    def test_integer_fields(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be an integer of at least"):
+            SimulationConfig(**{key: value})
+
+    def test_integer_fields_accept_numpy_and_no_budget(self):
+        cfg = SimulationConfig(n_hyps=np.int64(20), seed=np.uint32(7), step_budget=None)
+        assert (cfg.n_hyps, cfg.seed, cfg.step_budget) == (20, 7, None)
+        assert SimulationConfig(step_budget=0).step_budget == 0
+
     def test_truncation_needs_threshold_in_range(self):
         with pytest.raises(ValueError):
             SimulationConfig(truncate_p=0.0)
@@ -168,6 +183,24 @@ class TestReplication:
         cfg = SimulationConfig(**FAST, truncate_p=0.05, ground_p=0.5)
         out = run_replication(cfg, rep=0, effect=1.5)
         assert 0.0 <= out.results["active"].tdp <= 1.0
+
+    @pytest.mark.parametrize("truncation", [{}, {"truncate_p": 0.05, "ground_p": 0.5}],
+                             ids=["untruncated", "truncated"])
+    def test_one_problem_per_replication(self, monkeypatch, truncation):
+        built = []
+        real = simharness.SumTestProblem.from_matrix
+
+        def counting(stats, cfg):
+            built.append(stats)
+            return real(stats, cfg)
+
+        monkeypatch.setattr(simharness.SumTestProblem, "from_matrix", counting)
+        cfg = SimulationConfig(**FAST, **truncation)
+        for rep in range(3):
+            out = run_replication(cfg, rep=rep, effect=1.5)
+            assert set(out.results) == {"active", "inactive"}
+            assert (out.results["active"].reduction is None) == (not truncation)
+        assert len(built) == 3
 
     def test_deterministic(self):
         cfg = SimulationConfig(**FAST)
