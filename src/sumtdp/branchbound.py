@@ -16,6 +16,14 @@ inherited sizes the exclude-child's path values are ones an ancestor
 already read as positive, and its scan finds no survivor.  The scan is the
 only place that knows the rule, so this holds by construction.
 
+A subspace is one ``int8`` state per column (0 free, +1 forced, -1
+excluded): a child copies its parent and marks the pivot; a root scan
+passes None.  The pivot is never an overlap pick (one of the first
+``needed`` subset columns in observed order), and forcing a subset pivot
+lowers ``needed``.  So every marked subset column lies past the first
+``needed``: those are the picks, their sums the query context's running
+ones, and every subspace holds a candidate.
+
 Both children of a node are evaluated as soon as the node is split, and each
 evaluation counts one unit of budget.  Still-undecided children go on a
 stack with their windows and pivots, exclude side on top, giving a
@@ -24,20 +32,22 @@ free of charge; callers that count scans add it themselves.
 
 A run takes the query's :class:`~.shortcut.QueryContext` and hands it to
 every scan, so the subset is validated and the columns are ordered once per
-query.  A negative budget, or an undecided subspace with no column left to
-split on, breaks an engine invariant and raises :class:`RuntimeError`,
-never :class:`ValueError`, which means bad input.
+query.  A negative budget, or an undecided subspace with no free column
+named to split on, breaks an engine invariant and raises
+:class:`RuntimeError`, never :class:`ValueError`, which means bad input.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .shortcut import (
-    FREE,
     Evaluation,
     QueryContext,
     TraceLog,
     Verdict,
+    _marked,
     single_step,
 )
 
@@ -77,45 +87,39 @@ def evaluate_iterative(
     if limit < 0:
         raise RuntimeError("budget must be nonnegative")
 
-    def log(ev, cons, index):
+    def log(ev, state, index):
         if trace is not None:
             trace.add(
-                kind="eval", index=index, overlap=overlap,
-                forced=tuple(sorted(cons.forced)),
-                excluded=tuple(sorted(cons.excluded)),
+                kind="eval", index=index, overlap=overlap, **_marked(state),
                 verdict=ev.verdict, window=ev.window, witness=ev.witness,
             )
 
     root = single_step(ctx, overlap, trace=trace)
-    log(root, FREE, 0)
+    log(root, None, 0)
     if root.verdict is not Verdict.UNDECIDED:
         return IterationResult(root, 0)
 
     spent = 0
-    stack = [(FREE, root.window, root.pivot)]
+    stack = [(np.zeros(ctx.prob.n_hyps, dtype=np.int8), root.window, root.pivot)]
     while stack:
-        cons, window, pivot = stack.pop()
-        if pivot is None:
-            raise RuntimeError(
-                "no free column to branch on; the scan should have settled this subspace"
-            )
+        state, window, pivot = stack.pop()
+        if pivot is None or state[pivot]:
+            raise RuntimeError(f"no free column to branch on: the scan named pivot {pivot}")
         if trace is not None:
-            trace.add(
-                kind="branch", pivot=pivot, overlap=overlap,
-                forced=tuple(sorted(cons.forced)),
-                excluded=tuple(sorted(cons.excluded)),
-            )
+            trace.add(kind="branch", pivot=pivot, overlap=overlap, **_marked(state))
         children = []
-        for cons_child in (cons.exclude(pivot), cons.force(pivot)):
+        for mark in (-1, 1):  # exclude, then force
             if spent >= limit:
                 return IterationResult(Evaluation(Verdict.UNDECIDED, window=window), spent)
             spent += 1
-            ev = single_step(ctx, overlap, cons_child, window=window, trace=trace)
-            log(ev, cons_child, spent)
+            child = state.copy()
+            child[pivot] = mark
+            ev = single_step(ctx, overlap, child, window=window, trace=trace)
+            log(ev, child, spent)
             if ev.verdict is Verdict.SURVIVOR_FOUND:
                 return IterationResult(ev, spent)
             if ev.verdict is Verdict.UNDECIDED:
-                children.append((cons_child, ev.window, ev.pivot))
+                children.append((child, ev.window, ev.pivot))
         # LIFO stack: push the force side first so the exclude side pops first.
         stack.extend(reversed(children))
 

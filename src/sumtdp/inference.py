@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .branchbound import evaluate_iterative
-from .reduction import reduce_columns
+from .reduction import _reduction
 from .shortcut import QueryContext, SumTestProblem, TraceLog, Verdict, _rank_stat
 from .statmatrix import (
     StatisticMatrix,
@@ -226,16 +226,16 @@ def _query(prob, stats, subset, reduction_ground, step_budget, trace) -> Discove
     subset = validate_subset(subset, stats.n_hyps)
     if reduction_ground is None:
         return discoveries(prob, subset, step_budget=step_budget, trace=trace)
-    red = reduce_columns(stats, subset, ground=reduction_ground)
+    inner, kept, removed, collapsed = _reduction(stats, subset, reduction_ground)
     # on the full problem's grid, so the reduction changes no verdict
-    reduced = prob.restricted(red.kept, red.collapsed, red.stats.observed)
+    reduced = prob.restricted(kept, collapsed)
     start = len(trace.rows) if trace is not None else 0
-    res = discoveries(reduced, red.subset, step_budget=step_budget, trace=trace)
+    res = discoveries(reduced, inner, step_budget=step_budget, trace=trace)
     if trace is not None:
         # reduced column index -> the original columns it stands for
-        user = [(j,) for j in red.kept]
-        if red.collapsed:
-            user.append(red.collapsed)
+        user = [(j,) for j in kept]
+        if collapsed:
+            user.append(collapsed)
         for row in trace.rows[start:]:
             for key in ("forced", "excluded", "witness"):
                 if row.get(key) is not None:
@@ -243,11 +243,7 @@ def _query(prob, stats, subset, reduction_ground, step_budget, trace) -> Discove
             if row.get("pivot") is not None:
                 pivot = user[row["pivot"]]
                 row["pivot"] = pivot if len(pivot) > 1 else pivot[0]
-    counts = {
-        "m_reduced": red.stats.n_hyps,
-        "removed": len(red.removed),
-        "collapsed": len(red.collapsed),
-    }
+    counts = {"m_reduced": reduced.n_hyps, "removed": len(removed), "collapsed": len(collapsed)}
     return replace(res, subset=subset, reduction=counts)
 
 

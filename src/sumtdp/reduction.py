@@ -50,6 +50,21 @@ def reduce_columns(stats: StatisticMatrix, subset, ground: float = 0.0) -> Reduc
     guarantees); raises ValueError otherwise, since the dominance arguments
     above rest on it.
     """
+    subset, kept, removed, collapsed = _reduction(stats, subset, ground)
+    values, names = stats.values, stats.names
+    cols = [values[:, list(kept)]]
+    new_names = None if names is None else [names[j] for j in kept]
+    if collapsed:
+        cols.append(values[:, list(collapsed)].sum(axis=1, keepdims=True))
+        if new_names is not None:
+            new_names.append("+".join(names[j] for j in collapsed))
+    reduced = np.concatenate(cols, axis=1)
+    new_names = None if new_names is None else tuple(new_names)
+    return ReductionResult(StatisticMatrix(reduced, names=new_names), subset, kept, removed, collapsed)
+
+
+def _reduction(stats: StatisticMatrix, subset, ground) -> tuple:
+    """The fields of :func:`reduce_columns`'s result but the matrix, which it does not build."""
     ground = float(ground)
     values = stats.values
     if values.min() < ground:
@@ -68,25 +83,10 @@ def reduce_columns(stats: StatisticMatrix, subset, ground: float = 0.0) -> Reduc
     keep = ~removable
     if merge:
         keep[collapsible] = False
-    kept = np.flatnonzero(keep).tolist()
-
-    cols = [values[:, kept]]
-    names = stats.names
-    new_names = None if names is None else [names[j] for j in kept]
-    if merge:
-        cols.append(values[:, collapsible].sum(axis=1, keepdims=True))
-        if new_names is not None:
-            new_names.append("+".join(names[j] for j in collapsible))
-
     new_index = np.cumsum(keep) - 1
-    reduced = StatisticMatrix(
-        np.concatenate(cols, axis=1),
-        names=None if new_names is None else tuple(new_names),
-    )
-    return ReductionResult(
-        stats=reduced,
-        subset=tuple(new_index[list(subset)].tolist()),
-        kept=tuple(kept),
-        removed=tuple(np.flatnonzero(removable).tolist()),
-        collapsed=tuple(collapsible.tolist()) if merge else (),
+    return (
+        tuple(new_index[list(subset)].tolist()),
+        tuple(np.flatnonzero(keep).tolist()),
+        tuple(np.flatnonzero(removable).tolist()),
+        tuple(collapsible.tolist()) if merge else (),
     )

@@ -29,11 +29,13 @@ there costs no sort; a constrained scan bisects its sorted remainder.
 
 One :class:`QueryContext` per query holds the validated subset, its mask,
 the problem's stable argsort of the observed row (ties in index order) and
-the subset's counts.  Every scan takes it as its only query argument.  The
-scan's :class:`Workspace` turns a subspace constraint into boolean masks of
-forced and free columns and reserves the subset columns the greedy path
-spends on the overlap requirement; an undecided scan names the last column
-of its path as the pivot to split on, so no other code repeats that rule.
+the subset's counts.  Every scan takes it as its only query argument.  A
+subspace is one ``int8`` state per column (0 free, +1 forced, -1 excluded;
+None: the root, all free), which the scan's :class:`Workspace` reads as
+masks.  The greedy path spends the subset's first ``needed`` columns in
+observed order, which no branch marks (see :mod:`.branchbound`), on the
+overlap; an undecided scan names the path's last column as the pivot to
+split on, so no other code repeats that rule.
 
 Centered values lie on a power-of-two grid (see :class:`SumTestProblem`),
 so every sum below is exact in any order, and each running sum moves by the
@@ -54,8 +56,8 @@ statistic, so its values mostly sort late and a trim moves few entries.
 Matrices are never mutated; besides the running sums, the slot is the only
 state that changes, and a context serves one scan at a time (a trim
 rewrites the buffer that the last scan's block views).  A slot that does
-not hold what its mask says, a column both forced and excluded, an overlap
-outside 1..|S| or a constraint column out of range is an engine fault:
+not hold what its mask says, an overlap outside 1..|S| or a state that
+forces or excludes an overlap pick is an engine fault:
 :class:`RuntimeError`, never :class:`ValueError`, which means bad input.
 """
 
@@ -76,8 +78,6 @@ from .statmatrix import (
 __all__ = [
     "Verdict",
     "Evaluation",
-    "SubspaceConstraint",
-    "FREE",
     "SumTestProblem",
     "QueryContext",
     "Workspace",
@@ -103,8 +103,8 @@ class Evaluation:
     (SURVIVOR_FOUND only), recorded for audit: always a greedy-path
     candidate.  ``pivot`` is the column to split an undecided subspace on
     (UNDECIDED from a scan only): the last column of the scan's greedy
-    path, None when every free column is an overlap pick.  ``sums``, the
-    witness's exact row sums, is not compared.
+    path, never an overlap pick, and None when every free column is one.
+    ``sums``, the witness's exact row sums, is not compared.
     """
 
     verdict: Verdict
@@ -113,30 +113,6 @@ class Evaluation:
     pivot: int = None
     sums: np.ndarray = field(default=None, compare=False, repr=False)
 
-
-@dataclass(frozen=True)
-class SubspaceConstraint:
-    """Columns forced into, and excluded from, every candidate set."""
-
-    forced: frozenset = frozenset()
-    excluded: frozenset = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "forced", frozenset(int(i) for i in self.forced))
-        object.__setattr__(self, "excluded", frozenset(int(i) for i in self.excluded))
-        if self.forced & self.excluded:
-            raise RuntimeError(
-                f"columns {sorted(self.forced & self.excluded)} both forced and excluded"
-            )
-
-    def force(self, j: int) -> "SubspaceConstraint":
-        return SubspaceConstraint(self.forced | {j}, self.excluded)
-
-    def exclude(self, j: int) -> "SubspaceConstraint":
-        return SubspaceConstraint(self.forced, self.excluded | {j})
-
-
-FREE = SubspaceConstraint()
 
 # Columns of the observed order between two checkpoints.  On post-hoc
 # queries of 2000 columns, first path reads took 5-34 % longer at 128 than
@@ -287,15 +263,17 @@ class SumTestProblem:
         # already on the grid, so not through __post_init__, which would copy it
         return object.__new__(cls)._keep(cen, stats.observed, cfg.crit_rank)
 
-    def restricted(self, kept, merged, observed) -> "SumTestProblem":
+    def restricted(self, kept, merged) -> "SumTestProblem":
         """This problem on columns ``kept``, then one exact grid sum of ``merged`` if any.
 
-        ``observed`` is the new observed row.  Every sum of the new columns
-        is one of this problem's, so every verdict is too.
+        The merged column's observed statistic sums its members'.  Each sum
+        of the new columns is one of this problem's, so each verdict is too.
         """
-        merged = [self.centered[:, list(merged)].sum(axis=1)] if len(merged) else []
-        cen = np.column_stack([np.take(self.centered, list(kept), axis=1), *merged])  # row-major
-        return object.__new__(SumTestProblem)._keep(cen, observed, self.crit_rank)
+        kept, merged = list(kept), list(merged)
+        obs = [self.observed[kept], *([self.observed[merged].sum()] if merged else [])]
+        merged = [self.centered[:, merged].sum(axis=1)] if merged else []
+        cen = np.column_stack([np.take(self.centered, kept, axis=1), *merged])  # row-major
+        return object.__new__(SumTestProblem)._keep(cen, np.hstack(obs), self.crit_rank)
 
 
 class TraceLog:
@@ -306,6 +284,13 @@ class TraceLog:
 
     def add(self, **row):
         self.rows.append(row)
+
+
+def _marked(state) -> dict:
+    """Trace fields of a subspace (None: the root): its forced and excluded columns."""
+    state = np.zeros(0) if state is None else state
+    return dict(forced=tuple(np.flatnonzero(state > 0).tolist()),
+                excluded=tuple(np.flatnonzero(state < 0).tolist()))
 
 
 def _rank_stat(column: np.ndarray, rank: int) -> float:
@@ -452,19 +437,17 @@ class QueryContext:
 
 
 class Workspace:
-    """Running sums for one (query, overlap, constraint) scan.
+    """Running sums for one (query, overlap, subspace) scan.
 
-    The bound's remainder (each row's free columns left after the overlap
+    ``state`` holds one ``int8`` per column: 0 free, +1 forced, -1
+    excluded; None is the root subspace, with every column free.  The
+    bound's remainder (each row's free columns left after the overlap
     picks, sorted) is built whole: at once in a constrained scan, at the
-    first bound read in a root scan (nothing forced, nothing excluded).
-    The greedy path's order of columns is built at its first read.  Sizes
-    may be read in any order.
+    first bound read in a root scan.  The greedy path's order of columns is
+    built at its first read.  Sizes may be read in any order.
 
     Attributes
     ----------
-    infeasible : bool
-        True when no candidate set satisfies the constraint, in which case no
-        other attribute is meaningful.
     size_min, size_max : int
         Inclusive range of candidate set sizes in this subspace.
     drop_end, rise_start : int
@@ -475,33 +458,27 @@ class Workspace:
         a constrained scan bisects its sorted remainder.
     """
 
-    def __init__(self, ctx: QueryContext, overlap: int, constraint=FREE):
+    def __init__(self, ctx: QueryContext, overlap: int, state=None):
         if not 1 <= overlap <= len(ctx.subset):
             raise RuntimeError(f"overlap must lie in 1..{len(ctx.subset)}, got {overlap}")
-        m = ctx.prob.n_hyps
-        for i in constraint.forced | constraint.excluded:
-            if not 0 <= i < m:
-                raise RuntimeError(f"constraint column {i} out of range")
-        forced = np.zeros(m, dtype=bool)
-        forced[list(constraint.forced)] = True
-        free = ~forced
-        free[list(constraint.excluded)] = False
+        root = state is None
+        state = np.zeros(ctx.prob.n_hyps, dtype=np.int8) if root else state
+        forced, free = state > 0, state == 0
         needed = max(overlap - int(np.count_nonzero(forced & ctx.in_subset)), 0)
-        # The overlap picks the greedy path starts with: the free subset
-        # columns of smallest observed statistic, in observed order.
-        reserved = ctx.subset_order[free[ctx.subset_order]][:needed]
+        # The overlap picks the greedy path starts with: the subset columns
+        # of smallest observed statistic, which no branch marks.
+        reserved = ctx.subset_order[:needed]
+        if not free[reserved].all():
+            raise RuntimeError("the subspace forces or excludes one of its overlap picks")
         self.prob, self._ctx = ctx.prob, ctx
         self._forced, self._free, self._needed, self._reserved = forced, free, needed, reserved
-        self.infeasible = needed > int(np.count_nonzero(free & ctx.in_subset))
-        if self.infeasible:
-            return
 
         forced_cols = np.flatnonzero(forced)
         self.size_min = forced_cols.size + needed
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
         self._forced_sum = _row_sums(ctx.prob.centered[:, forced_cols])
         self._rem_prefix = self._path_tables = None
-        if constraint.forced or constraint.excluded:
+        if not root:
             rem = self._remainder()
             cols = range(rem.shape[1])
             nonpos_run = bisect_left(cols, True, key=lambda j: (rem[:, j] > 0.0).any())
@@ -544,10 +521,7 @@ class Workspace:
             on_path = rest_mask[ctx.order]
             rest_at = np.flatnonzero(on_path)  # each rest column's place in the order
             rest = ctx.order[rest_at]
-            if np.array_equal(reserved, ctx.subset_order[: reserved.size]):  # as on the spine
-                picked = ctx.order_sums.through(reserved.size)
-            else:
-                picked = _row_sums(np.take(cen, reserved, axis=1))
+            picked = ctx.order_sums.through(reserved.size)
 
             def restart(k, budget):
                 # order[:p] holds rest[:k] and p - k columns off the path:
@@ -585,7 +559,7 @@ class Workspace:
 def single_step(
     ctx: QueryContext,
     overlap: int,
-    constraint=FREE,
+    state=None,
     window=None,
     trace: TraceLog = None,
 ) -> Evaluation:
@@ -598,14 +572,14 @@ def single_step(
 
     Parameters
     ----------
+    state : ndarray of int8, optional
+        The subspace, as :class:`Workspace` reads it; None is the root.
     window : (int, int), optional
         Inclusive range of candidate sizes still pending; defaults to the
         subspace's full size range.  Sizes outside the subspace's range are
         ignored, and an empty effective range is vacuously ALL_REJECTED.
     """
-    ws = Workspace(ctx, overlap, constraint)
-    if ws.infeasible:
-        return Evaluation(Verdict.ALL_REJECTED)
+    ws = Workspace(ctx, overlap, state)
     v1, v2 = window if window is not None else (ws.size_min, ws.size_max)
     v1 = max(int(v1), ws.size_min)
     v2 = min(int(v2), ws.size_max)
@@ -613,8 +587,7 @@ def single_step(
         return Evaluation(Verdict.ALL_REJECTED)
 
     if trace is not None:
-        where = dict(overlap=overlap, forced=tuple(sorted(constraint.forced)),
-                     excluded=tuple(sorted(constraint.excluded)))
+        where = dict(overlap=overlap, **_marked(state))
     undecided = []
 
     def certified(v: int) -> bool:

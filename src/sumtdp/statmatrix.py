@@ -119,7 +119,7 @@ class TestConfig:
                 f"alpha={self.alpha} with {self.n_transforms} transformations "
                 "yields a test with zero power; use more transformations",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to its caller
             )
             rank = 1
         object.__setattr__(self, "crit_rank", rank)

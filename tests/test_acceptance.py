@@ -28,9 +28,9 @@ from sumtdp import (
     TruncationRule,
 )
 from sumtdp.branchbound import evaluate_iterative
-from sumtdp.shortcut import QueryContext, SubspaceConstraint, TraceLog, Workspace, single_step
+from sumtdp.shortcut import QueryContext, TraceLog, Workspace, single_step
 from tests.conftest import TOY_ROWS
-from tests.util import random_instance, random_subset
+from tests.util import random_instance, random_subset, subspace
 
 
 def _report(num, label, ok):
@@ -125,8 +125,6 @@ def test_criterion_4_bound_and_path_laws():
             sub = random_subset(rng, stats.n_hyps)
             for z in range(1, len(sub) + 1):
                 ws = Workspace(QueryContext(prob, sub), z)
-                if ws.infeasible:
-                    continue
                 prev = None
                 for v in range(ws.size_min, ws.size_max + 1):
                     bound = ws.bound_value(v)
@@ -153,9 +151,11 @@ def test_criterion_4_bound_and_path_laws():
                 for row in trace.rows:
                     if row["kind"] != "branch":
                         continue
-                    cons = SubspaceConstraint(row["forced"], row["excluded"])
-                    parent = Workspace(QueryContext(prob, sub), z, cons)
-                    child = Workspace(QueryContext(prob, sub), z, cons.exclude(row["pivot"]))
+                    parent = subspace(prob.n_hyps, row["forced"], row["excluded"])
+                    child = parent.copy()
+                    child[row["pivot"]] = -1
+                    parent = Workspace(QueryContext(prob, sub), z, parent)
+                    child = Workspace(QueryContext(prob, sub), z, child)
                     lemma_checked += 1
                     for v in range(child.size_min, child.size_max + 1):
                         if parent.path_set(v) != child.path_set(v):

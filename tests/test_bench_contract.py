@@ -5,7 +5,10 @@
 Running those checks here, on a few of the same queries, makes a change that
 breaks the answer contract (say, a level recorded at the probed overlap
 rather than the one it certifies) fail in the test suite, not only in a
-benchmark run.  The benchmark files are imported and read, never written.
+benchmark run.  The ``cli-tdp`` check runs one in-process ``tdp`` call and
+compares its JSON with the same pipeline rebuilt through the library.  The
+benchmark files are imported and read, never written; the ``cli-tdp``
+inputs and output go to a temporary directory.
 """
 
 import importlib.util
@@ -57,3 +60,12 @@ def test_engine_sets_every_tenth_query(bench):
 
 def test_engine_deep_both_queries(bench):
     assert contract_problems(bench, "engine-deep", range(2)) == []
+
+
+def test_cli_tdp_answers_match_the_library(bench, tmp_path):
+    workload = bench.WORKLOADS["cli-tdp"](
+        sumtdp, bench.DEFAULT_SEED, tmp_path, bench.HostProbe(share=0.0),
+    )
+    workload.build()
+    check, _ = workload.check([workload.trace_pass()])
+    assert (check.attempted, check.failed) == (4, 0), check.messages

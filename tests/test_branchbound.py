@@ -7,14 +7,12 @@ from sumtdp import RejectionTable, SumTestProblem, TraceLog, Verdict
 from sumtdp import branchbound
 from sumtdp.branchbound import evaluate_iterative
 from sumtdp.shortcut import (
-    FREE,
     Evaluation,
     QueryContext,
-    SubspaceConstraint,
     Workspace,
     single_step,
 )
-from tests.util import POOL, random_instance, random_subset
+from tests.util import POOL, random_instance, random_subset, subspace
 
 TOY_SUBSET = (0, 1)
 
@@ -24,9 +22,9 @@ def toy_ctx(toy_problem):
     return QueryContext(toy_problem, TOY_SUBSET)
 
 
-def _pivot(ctx, overlap, constraint=FREE):
+def _pivot(ctx, overlap, state=None):
     """The pivot an undecided scan names."""
-    ev = single_step(ctx, overlap, constraint)
+    ev = single_step(ctx, overlap, state)
     assert ev.verdict is Verdict.UNDECIDED
     return ev.pivot
 
@@ -38,7 +36,7 @@ class TestPivotToy:
         assert _pivot(toy_ctx, 1) == 0
 
     def test_pivot_after_excluding_it(self, toy_ctx):
-        assert _pivot(toy_ctx, 1, FREE.exclude(0)) == 2
+        assert _pivot(toy_ctx, 1, subspace(5, excluded=(0,))) == 2
 
     def test_tie_goes_to_highest_index(self):
         observed = np.array([1.0, 0.0, 1.0, 1.0])
@@ -65,6 +63,16 @@ class TestPivotToy:
             lambda *args, **kwargs: Evaluation(Verdict.UNDECIDED, window=(1, 1)),
         )
         with pytest.raises(RuntimeError, match="no free column"):
+            evaluate_iterative(toy_ctx, 1)
+
+    def test_marked_pivot_raises(self, toy_ctx, monkeypatch):
+        # Both children of a split on column 0 name column 0 again, which
+        # their states already mark: an engine fault.
+        monkeypatch.setattr(
+            branchbound, "single_step",
+            lambda *args, **kwargs: Evaluation(Verdict.UNDECIDED, window=(1, 1), pivot=0),
+        )
+        with pytest.raises(RuntimeError, match="no free column .* pivot 0"):
             evaluate_iterative(toy_ctx, 1)
 
 
@@ -188,7 +196,7 @@ class TestAgainstOracle:
 
 
 def _branched_nodes(rng, n_problems):
-    """(prob, subset, overlap, constraint, pivot) of every node a run splits.
+    """(prob, subset, overlap, state, pivot) of every node a run splits.
 
     Tie-heavy problems from the value pool, every overlap of a random
     subset, each run to completion; the nodes and pivots are read from the
@@ -204,8 +212,7 @@ def _branched_nodes(rng, n_problems):
             evaluate_iterative(QueryContext(prob, subset), z, trace=trace)
             for r in trace.rows:
                 if r["kind"] == "branch":
-                    cons = SubspaceConstraint(r["forced"], r["excluded"])
-                    yield prob, subset, z, cons, r["pivot"]
+                    yield prob, subset, z, subspace(m, r["forced"], r["excluded"]), r["pivot"]
 
 
 class TestPathInheritance:
@@ -214,12 +221,11 @@ class TestPathInheritance:
     # nothing its ancestors did not already read.
     def test_exclude_child_keeps_parent_paths(self):
         checked = 0
-        for prob, subset, z, cons, pivot in _branched_nodes(np.random.default_rng(43), 40):
-            if cons != FREE:
+        for prob, subset, z, state, pivot in _branched_nodes(np.random.default_rng(43), 40):
+            if state.any():
                 continue
             parent = Workspace(QueryContext(prob, subset), z)
-            child = Workspace(QueryContext(prob, subset), z, FREE.exclude(pivot))
-            assert not child.infeasible
+            child = Workspace(QueryContext(prob, subset), z, subspace(prob.n_hyps, excluded=(pivot,)))
             checked += 1
             for v in range(child.size_min, child.size_max + 1):
                 assert parent.path_set(v) == child.path_set(v)
@@ -228,17 +234,44 @@ class TestPathInheritance:
 
     def test_inheritance_holds_in_nested_subspaces(self):
         checked = 0
-        for prob, subset, z, cons, pivot in _branched_nodes(np.random.default_rng(44), 40):
-            if cons == FREE:
+        for prob, subset, z, state, pivot in _branched_nodes(np.random.default_rng(44), 40):
+            if not state.any():
                 continue
-            parent = Workspace(QueryContext(prob, subset), z, cons)
-            child = Workspace(QueryContext(prob, subset), z, cons.exclude(pivot))
-            assert not child.infeasible
+            parent = Workspace(QueryContext(prob, subset), z, state)
+            state = state.copy()
+            state[pivot] = -1
+            child = Workspace(QueryContext(prob, subset), z, state)
             checked += 1
             for v in range(child.size_min, child.size_max + 1):
                 assert parent.path_set(v) == child.path_set(v)
                 assert parent.path_value(v) == child.path_value(v)
         assert checked >= 15
+
+
+class TestSubspaceStates:
+    def test_loop_never_marks_an_overlap_pick(self):
+        # The picks are the first `needed` subset columns by (observed,
+        # index), `needed` the overlap less the forced subset columns; the
+        # scan relies on every state the loop builds leaving them free.
+        rng = np.random.default_rng(46)
+        n_states = n_subset_marks = 0
+        for _ in range(150):
+            stats, cfg = random_instance(rng, min_hyps=6, max_hyps=14, max_transforms=32)
+            prob = SumTestProblem.from_matrix(stats, cfg)
+            subset = random_subset(rng, stats.n_hyps)
+            by_observed = sorted(subset, key=lambda i: (prob.observed[i], i))
+            for z in range(1, len(subset) + 1):
+                trace = TraceLog()
+                evaluate_iterative(QueryContext(prob, subset), z, trace=trace)
+                for r in trace.rows:
+                    if r["kind"] != "eval" or r["index"] == 0:
+                        continue
+                    needed = max(z - len(set(r["forced"]) & set(subset)), 0)
+                    marked = set(r["forced"]) | set(r["excluded"])
+                    assert marked and not marked & set(by_observed[:needed])
+                    n_states += 1
+                    n_subset_marks += bool(marked & set(subset))
+        assert n_states > 150 and n_subset_marks > 100, (n_states, n_subset_marks)
 
 
 class TestWitnesses:

@@ -286,6 +286,19 @@ class TestTdp:
         assert [e["m_reduced"] for e in json.loads(out)] == [3, 4, 5, 4]
         assert len(built) == 1
 
+    def test_header_names_a_merged_column(self, tmp_path, capsys):
+        # Columns a and b merge under truncation; the merged column would be
+        # named "a+b", which the header already holds.  No reduced matrix
+        # with names is built, so both sets answer.
+        path = tmp_path / "dup.csv"
+        path.write_text("a,b,a+b,d\n0,0,3,2\n1,2,1,0\n2,1,0,1\n0,3,1,1\n1,0,2,0\n3,1,0,1\n")
+        code, out, _ = run(
+            capsys, "tdp", "--stats", str(path), "--alpha", "0.4", "--truncate", "0.5",
+            "--sets", "[[3],[3,4]]")
+        assert code == 0
+        entries = json.loads(out)
+        assert [(e["d"], e["m_reduced"], e["collapsed"]) for e in entries] == [(0, 3, 2)] * 2
+
     def test_truncation_reduces_by_default(self, toy_csv, capsys):
         code, out, _ = run(
             capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",

@@ -384,7 +384,7 @@ class TestReductionEquivalence:
         full = SumTestProblem.from_matrix(stats, cfg)
         red = reduce_columns(stats, (0, 1, 2, 3), ground=0.0)
         assert (red.removed, red.collapsed) == ((4,), (5, 6, 7))
-        small = full.restricted(red.kept, red.collapsed, red.stats.observed)
+        small = full.restricted(red.kept, red.collapsed)
         assert small.centered.flags.c_contiguous
         members = [(0,), (1,), (2,), (3,), red.collapsed]  # of each reduced column
         for mask in range(1, 1 << 5):

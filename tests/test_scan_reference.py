@@ -20,9 +20,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumtdp import SumTestProblem, Verdict
-from sumtdp.shortcut import _STRIDE, FREE, QueryContext, SubspaceConstraint, Workspace, single_step
+from sumtdp.shortcut import _STRIDE, QueryContext, Workspace, single_step
 from tests.test_shortcut import assert_walk
-from tests.util import POOL
+from tests.util import POOL, reachable, subspace
 
 
 def running_sum(values):
@@ -44,20 +44,22 @@ def prefix_sums(values):
 
 
 class ReferenceScan:
-    """One subspace's tables, written the plain way."""
+    """One subspace's tables, written the plain way.
 
-    def __init__(self, prob, subset, overlap, constraint):
+    ``state`` is the engine's (None for the root); the reference reads its
+    marks into lists of forced and free columns and orders them itself.
+    """
+
+    def __init__(self, prob, subset, overlap, state):
         m, obs, cen = prob.n_hyps, prob.observed, prob.centered
         self.rank = prob.crit_rank
         sset = set(subset)
-        self.forced = sorted(constraint.forced)
-        self.free = [i for i in range(m) if i not in constraint.forced | constraint.excluded]
+        marks = [0] * m if state is None else state.tolist()
+        self.forced = [i for i in range(m) if marks[i] > 0]
+        self.free = [i for i in range(m) if marks[i] == 0]
         self.s_free = [i for i in self.free if i in sset]
         o_free = [i for i in self.free if i not in sset]
-        self.needed = max(overlap - len(constraint.forced & sset), 0)
-        self.infeasible = self.needed > len(self.s_free)
-        if self.infeasible:
-            return
+        self.needed = max(overlap - len(sset.intersection(self.forced)), 0)
         self.size_min = len(self.forced) + self.needed
         self.size_max = len(self.forced) + len(self.free)
 
@@ -126,11 +128,9 @@ def draw_case(draw, m, b, subsets, overlaps, roles):
     subset = tuple(sorted(draw(subsets)))
     overlap = draw(overlaps(len(subset)))
     role = draw(st.lists(st.sampled_from(roles), min_size=m, max_size=m))
-    constraint = SubspaceConstraint(
-        {i for i, r in enumerate(role) if r == "f"},
-        {i for i, r in enumerate(role) if r == "x"},
-    )
-    return prob, subset, overlap, constraint, draw(st.integers(0, m))
+    state = subspace(m, [i for i, r in enumerate(role) if r == "f"],
+                     [i for i, r in enumerate(role) if r == "x"])
+    return prob, subset, overlap, reachable(prob, subset, overlap, state), draw(st.integers(0, m))
 
 
 @st.composite
@@ -155,18 +155,15 @@ def high_overlaps(s):
     return st.integers(max(1, s - 8), s) | st.integers(1, s)
 
 
-def check_against_reference(prob, subset, overlap, constraint, start):
+def check_against_reference(prob, subset, overlap, state, start):
     """Compare every size read in ascending order, then in the scan's order.
 
     The prefix tables grow as far as the widest size read, so a second
     workspace reads sizes as a scan does: from a drawn size ``start``
     steps above the smallest, down to the smallest, then up.
     """
-    ref = ReferenceScan(prob, subset, overlap, constraint)
-    ws = Workspace(QueryContext(prob, subset), overlap, constraint)
-    assert ws.infeasible == ref.infeasible
-    if ref.infeasible:
-        return
+    ref = ReferenceScan(prob, subset, overlap, state)
+    ws = Workspace(QueryContext(prob, subset), overlap, state)
     assert (ws.size_min, ws.size_max) == (ref.size_min, ref.size_max)
     assert (ws.drop_end, ws.rise_start) == (ref.drop_end, ref.rise_start)
     for v in range(ref.size_min, ref.size_max + 1):
@@ -178,7 +175,7 @@ def check_against_reference(prob, subset, overlap, constraint, start):
             # greedy path must reach that candidate.
             assert ws.path_set(v) == ref.singleton_set(v)
 
-    ws = Workspace(QueryContext(prob, subset), overlap, constraint)
+    ws = Workspace(QueryContext(prob, subset), overlap, state)
     first = min(ref.size_min + start, ref.size_max)
     for v in [*range(first, ref.size_min - 1, -1), *range(first + 1, ref.size_max + 1)]:
         assert ws.bound_value(v) == ref.bound_value(v)
@@ -186,7 +183,7 @@ def check_against_reference(prob, subset, overlap, constraint, start):
 
     # An undecided scan's pivot is the last column the greedy path adds; a
     # subspace with one size is never undecided.
-    ev = single_step(QueryContext(prob, subset), overlap, constraint)
+    ev = single_step(QueryContext(prob, subset), overlap, state)
     if ev.verdict is Verdict.UNDECIDED:
         added = set(ref.path_set(ref.size_max)) - set(ref.path_set(ref.size_max - 1))
         assert {ev.pivot} == added
@@ -209,21 +206,19 @@ def test_long_sums_match_reference(case):
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(scan_cases())
 def test_scan_reads_each_size_once(case):
-    prob, subset, overlap, constraint, start = case
-    assert_walk(prob, subset, overlap, constraint)
-    assert_walk(prob, subset, overlap, constraint, window=(start, start + 2))
+    prob, subset, overlap, state, start = case
+    assert_walk(prob, subset, overlap, state)
+    assert_walk(prob, subset, overlap, state, window=(start, start + 2))
 
 
-def bound_first_scan(prob, subset, overlap, constraint, window):
+def bound_first_scan(prob, subset, overlap, state, window):
     """The scan that reads the bound first at every size, on the reference tables.
 
     Returns (verdict, window, witness, pivot).  It reads the path only at
     sizes the bound leaves in doubt, finds ``drop_end`` and ``rise_start``
     from their definitions, and names as pivot the last column of the path.
     """
-    ref = ReferenceScan(prob, subset, overlap, constraint)
-    if ref.infeasible:
-        return Verdict.ALL_REJECTED, None, None, None
+    ref = ReferenceScan(prob, subset, overlap, state)
     v1, v2 = window if window is not None else (ref.size_min, ref.size_max)
     v1, v2 = max(v1, ref.size_min), min(v2, ref.size_max)
     undecided = []
@@ -272,21 +267,21 @@ def test_scan_order_matches_bound_first_reference():
         prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m), rank)
         subset = tuple(sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False).tolist()))
         overlap = int(rng.integers(1, len(subset) + 1))
-        constraint = FREE
+        state = None
         if rng.random() < 0.5:
             role = rng.choice(list("fx.."), m)
-            forced, excluded = np.flatnonzero(role == "f"), np.flatnonzero(role == "x")
-            constraint = SubspaceConstraint(forced, excluded)
+            state = subspace(m, np.flatnonzero(role == "f"), np.flatnonzero(role == "x"))
+            reachable(prob, subset, overlap, state)
         window = None
         if rng.random() < 0.3:
             lo = int(rng.integers(0, m + 1))
             window = (lo, lo + int(rng.integers(0, 4)))
 
-        ev = single_step(QueryContext(prob, subset), overlap, constraint, window)
-        want = bound_first_scan(prob, subset, overlap, constraint, window)
+        ev = single_step(QueryContext(prob, subset), overlap, state, window)
+        want = bound_first_scan(prob, subset, overlap, state, window)
         assert (ev.verdict, ev.window, ev.witness, ev.pivot) == want
 
-        root = not (constraint.forced or constraint.excluded)
+        root = state is None
         c_in = (prob.centered[:, list(subset)] <= 0.0).sum(axis=1)
         seen["root"] += root
         seen["clamped"] += root and bool((c_in < overlap).any() and (c_in > 0).any())
@@ -304,7 +299,7 @@ def checkpoint_cases(draw):
     A checkpoint route needs a path column at least one stride into the
     observed order, so the problems are wider than the reference cases:
     tie-heavy pool values at 64, 130 or 200 columns, scanned at the root,
-    under a constraint, or on a ``restricted`` problem with a merged column.
+    in a constrained subspace, or on a ``restricted`` problem with a merged column.
     The sizes are read as a drawn walk: down in steps that cross stride
     boundaries, then up, then at random.
     """
@@ -313,20 +308,22 @@ def checkpoint_cases(draw):
     rank = int(rng.integers(1, b + 1))
     prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m), rank)
     kind = draw(st.sampled_from(("root", "constrained", "restricted")))
-    constraint = FREE
+    state = None
     if kind == "restricted":
         cols = rng.permutation(m)
         kept, merged = np.sort(cols[: m - m // 4]), cols[m - m // 4:]
-        prob = prob.restricted(kept.tolist(), merged.tolist(), rng.choice(POOL, kept.size + 1))
+        prob = prob.restricted(kept.tolist(), merged.tolist())
     elif kind == "constrained":
         role = rng.choice(list("fx" + "." * draw(st.integers(2, 30))), m)
-        constraint = SubspaceConstraint(np.flatnonzero(role == "f"), np.flatnonzero(role == "x"))
+        state = subspace(m, np.flatnonzero(role == "f"), np.flatnonzero(role == "x"))
     size = draw(st.integers(1, prob.n_hyps))
     subset = tuple(sorted(rng.choice(prob.n_hyps, size, replace=False).tolist()))
     overlap = draw(st.integers(1, len(subset)))
+    if state is not None:
+        reachable(prob, subset, overlap, state)
     step, start = draw(st.integers(1, 80)), draw(st.floats(0.0, 1.0))
     jumps = draw(st.lists(st.floats(0.0, 1.0), max_size=6))
-    return kind, prob, subset, overlap, constraint, step, start, jumps
+    return kind, prob, subset, overlap, state, step, start, jumps
 
 
 def test_checkpoint_route_matches_direct_sums():
@@ -347,14 +344,12 @@ def test_checkpoint_route_matches_direct_sums():
     @settings(derandomize=True, max_examples=150, deadline=None, database=None)
     @given(checkpoint_cases())
     def check(case):
-        kind, prob, subset, overlap, constraint, step, start, jumps = case
+        kind, prob, subset, overlap, state, step, start, jumps = case
         cen = prob.centered
         checkpoints = table.func(prob)
         for j, row in enumerate(checkpoints):
             assert row.tobytes() == cen[:, prob.order[: j * _STRIDE]].sum(axis=1).tobytes()
-        ws = Workspace(QueryContext(prob, subset), overlap, constraint)
-        if ws.infeasible:
-            return
+        ws = Workspace(QueryContext(prob, subset), overlap, state)
         lo, hi = ws.size_min, ws.size_max
         first = lo + round(start * (hi - lo))
         walk = [*range(first, lo - 1, -step), *range(first + step, hi + 1, step)]

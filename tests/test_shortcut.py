@@ -23,20 +23,18 @@ from sumtdp import (
 from sumtdp import shortcut
 from sumtdp.branchbound import evaluate_iterative
 from sumtdp.shortcut import (
-    FREE,
     Evaluation,
     QueryContext,
-    SubspaceConstraint,
     Workspace,
     single_step,
 )
-from tests.util import POOL, grid_cases, random_instance, random_subset
+from tests.util import POOL, grid_cases, random_instance, random_subset, reachable, subspace
 
 TOY_SUBSET = (0, 1)
 
 
-def _workspace(prob, overlap=1, constraint=FREE):
-    return Workspace(QueryContext(prob, TOY_SUBSET), overlap, constraint)
+def _workspace(prob, overlap=1, state=None):
+    return Workspace(QueryContext(prob, TOY_SUBSET), overlap, state)
 
 
 def _scan(prob, overlap, *args, subset=TOY_SUBSET, **kwargs):
@@ -87,21 +85,6 @@ class TestProblem:
             toy_problem.observed[0] = 1.0
 
 
-class TestConstraint:
-    def test_force_exclude_builders(self):
-        c = FREE.force(2).exclude(4)
-        assert c.forced == frozenset({2})
-        assert c.excluded == frozenset({4})
-
-    def test_overlap_rejected(self):
-        with pytest.raises(RuntimeError, match="forced and excluded"):
-            SubspaceConstraint(frozenset({1}), frozenset({1}))
-
-    def test_free_is_empty(self):
-        assert FREE.forced == frozenset()
-        assert FREE.excluded == frozenset()
-
-
 class TestWorkspaceToy:
     def test_size_range(self, toy_problem):
         ws = _workspace(toy_problem)
@@ -129,26 +112,24 @@ class TestWorkspaceToy:
         # At overlap 2 the smallest size holds one candidate, the subset.
         assert _workspace(toy_problem, overlap=2).path_set(2) == (0, 1)
 
-    # Only the engine builds workspaces, so a bad overlap or constraint
-    # column is an engine fault, not bad input.
+    # Only the engine builds workspaces, so a bad overlap or subspace is an
+    # engine fault, not bad input.
     def test_overlap_validation(self, toy_problem):
         with pytest.raises(RuntimeError, match="overlap"):
             _workspace(toy_problem, 0)
         with pytest.raises(RuntimeError, match="overlap"):
             _workspace(toy_problem, 3)
 
-    def test_constraint_column_range(self, toy_problem):
-        with pytest.raises(RuntimeError, match="out of range"):
-            _workspace(toy_problem, 1, FREE.exclude(9))
-
     def test_forced_subset_member_lowers_needed(self, toy_problem):
-        ws = _workspace(toy_problem, 2, FREE.force(0))
+        ws = _workspace(toy_problem, 2, subspace(5, forced=(0,)))
         assert ws.size_min == 2  # one forced + one still needed
-        assert not ws.infeasible
 
-    def test_infeasible_subspace(self, toy_problem):
-        ws = _workspace(toy_problem, 2, FREE.exclude(0))
-        assert ws.infeasible
+    def test_marked_overlap_pick_raises(self, toy_problem):
+        # At overlap 2 both subset columns are picks, which no branch marks.
+        with pytest.raises(RuntimeError, match="overlap picks"):
+            _workspace(toy_problem, 2, subspace(5, excluded=(0,)))
+        with pytest.raises(RuntimeError, match="overlap picks"):
+            _workspace(toy_problem, 1, subspace(5, excluded=(1,)))
 
 
 def _tables(ws):
@@ -165,7 +146,7 @@ def _signs(tables):
     return [np.signbit(values).tolist() for values in tables[1:]]
 
 
-def assert_spine_matches_fresh(prob, subset, overlaps, constraint=FREE, steps=3):
+def assert_spine_matches_fresh(prob, subset, overlaps, state=None, steps=3):
     """Scan a branch order on one shared context; each node as a fresh context does.
 
     For each overlap in turn, as the bisection visits levels: the root, then
@@ -174,29 +155,31 @@ def assert_spine_matches_fresh(prob, subset, overlaps, constraint=FREE, steps=3)
     node's greedy path adds last, the pivot its scan names when undecided,
     whatever the scan decides, so the walk also passes through nodes a scan
     would settle.  It stops early where no column is left to split on;
-    returns the spine's depth at each overlap.
+    returns the spine's depth at each overlap.  ``state`` starts every
+    walk, so it must mark no overlap pick at any of ``overlaps``.
     """
     ctx = QueryContext(prob, subset)
     depths = []
     for overlap in overlaps:
-        order, deferred, cons = [constraint], [], constraint
+        order, deferred, node = [state], [], state
         for _ in range(steps):
-            ws = Workspace(QueryContext(prob, subset), overlap, cons)
-            if ws.infeasible or ws.size_max == ws.size_min:
+            ws = Workspace(QueryContext(prob, subset), overlap, node)
+            if ws.size_max == ws.size_min:
                 break
             (pivot,) = set(ws.path_set(ws.size_max)) - set(ws.path_set(ws.size_max - 1))
-            order += [cons.exclude(pivot), cons.force(pivot)]
-            deferred.append(cons.force(pivot))
-            cons = cons.exclude(pivot)
-        for cons in order + deferred[::-1]:
-            shared = Workspace(ctx, overlap, cons)
-            fresh = Workspace(QueryContext(prob, subset), overlap, cons)
-            assert shared.infeasible == fresh.infeasible
-            if not fresh.infeasible:
-                got, want = _tables(shared), _tables(fresh)
-                assert got == want
-                assert _signs(got) == _signs(want)
-                assert_carried_sums_exact(ctx)
+            excluded = subspace(prob.n_hyps) if node is None else node.copy()
+            forced = excluded.copy()
+            excluded[pivot], forced[pivot] = -1, 1
+            order += [excluded, forced]
+            deferred.append(forced)
+            node = excluded
+        for node in order + deferred[::-1]:
+            shared = Workspace(ctx, overlap, node)
+            fresh = Workspace(QueryContext(prob, subset), overlap, node)
+            got, want = _tables(shared), _tables(fresh)
+            assert got == want
+            assert _signs(got) == _signs(want)
+            assert_carried_sums_exact(ctx)
         depths.append(len(deferred))
     return depths
 
@@ -259,12 +242,12 @@ class TestSortedBlockReuse:
         root = ctx.sorted_block[1]
         assert root.shape == (15, 9) and not root.flags.writeable
         # Pivot 11 lies outside S: both children keep the root's block.
-        Workspace(ctx, 3, FREE.exclude(11))
-        Workspace(ctx, 3, FREE.force(11))
+        Workspace(ctx, 3, subspace(12, excluded=(11,)))
+        Workspace(ctx, 3, subspace(12, forced=(11,)))
         assert ctx.sorted_block[1] is root
         # Pivot 8 lies inside S: the exclude child trims one value per row
         # (a tied one) and the force sibling reuses that block.
-        Workspace(ctx, 3, FREE.exclude(11).exclude(8))
+        Workspace(ctx, 3, subspace(12, excluded=(11, 8)))
         trimmed = ctx.sorted_block[1]
         mask = np.ones(12, dtype=bool)
         mask[[8, 9, 10, 11]] = False
@@ -272,7 +255,7 @@ class TestSortedBlockReuse:
         fresh = np.sort(prob.centered[:, :8], axis=1)
         assert np.array_equal(trimmed, fresh)
         assert np.array_equal(np.signbit(trimmed), np.signbit(fresh))
-        Workspace(ctx, 3, FREE.exclude(11).force(8))
+        Workspace(ctx, 3, subspace(12, forced=(8,), excluded=(11,)))
         assert ctx.sorted_block[1] is trimmed
 
     def test_negative_zeros_stored_as_zero(self):
@@ -537,18 +520,17 @@ def spine_cases(draw):
     level = st.integers(max(1, s - 24), s) | st.integers(1, s)
     overlaps = draw(st.lists(level, min_size=1, max_size=3))
     role = draw(st.lists(st.sampled_from("fx" + "." * 10), min_size=m, max_size=m))
-    constraint = SubspaceConstraint(
-        {i for i, r in enumerate(role) if r == "f"},
-        {i for i, r in enumerate(role) if r == "x"},
-    )
-    return prob, subset, overlaps, constraint
+    state = subspace(m, [i for i, r in enumerate(role) if r == "f"],
+                     [i for i, r in enumerate(role) if r == "x"])
+    # marking no pick at the highest overlap, it marks none at the others
+    return prob, subset, overlaps, reachable(prob, subset, max(overlaps), state)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
 @given(spine_cases())
 def test_spine_on_ties_matches_fresh_contexts(case):
-    prob, subset, overlaps, constraint = case
-    assert_spine_matches_fresh(prob, subset, overlaps, constraint, steps=6)
+    prob, subset, overlaps, state = case
+    assert_spine_matches_fresh(prob, subset, overlaps, state, steps=6)
 
 
 class TestSingleStepToy:
@@ -579,9 +561,9 @@ class TestSingleStepToy:
         out = _scan(toy_problem, 1, window=(6, 9))
         assert out.verdict is Verdict.ALL_REJECTED
 
-    def test_infeasible_vacuous(self, toy_problem):
-        out = _scan(toy_problem, 2, FREE.exclude(0))
-        assert out.verdict is Verdict.ALL_REJECTED
+    def test_marked_overlap_pick_raises(self, toy_problem):
+        with pytest.raises(RuntimeError, match="overlap picks"):
+            _scan(toy_problem, 2, subspace(5, excluded=(0,)))
 
     def test_trace_rows(self, toy_problem):
         trace = TraceLog()
@@ -607,15 +589,15 @@ class TestSingleStepToy:
         assert [r["value"] > 0.0 for r in trace.rows] == [True, True]
 
 
-def assert_walk(prob, subset, overlap, constraint=FREE, window=None):
+def assert_walk(prob, subset, overlap, state=None, window=None):
     """The scan reads sizes down from min(drop_end, hi), then up above it, once each."""
     trace = TraceLog()
-    single_step(QueryContext(prob, subset), overlap, constraint, window=window, trace=trace)
+    single_step(QueryContext(prob, subset), overlap, state, window=window, trace=trace)
     reads = [(r["size"], r["value"]) for r in trace.rows if r["kind"] == "bound"]
     if not reads:
         return
     sizes = [v for v, _ in reads]
-    ws = Workspace(QueryContext(prob, subset), overlap, constraint)
+    ws = Workspace(QueryContext(prob, subset), overlap, state)
     lo, hi = window if window is not None else (ws.size_min, ws.size_max)
     lo, hi = max(lo, ws.size_min), min(hi, ws.size_max)
     start = min(ws.drop_end, hi)
@@ -647,8 +629,6 @@ class TestLawsAgainstOracle:
         for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
                 ws = Workspace(QueryContext(prob, subset), z)
-                if ws.infeasible:
-                    continue
                 for v in range(ws.size_min, ws.size_max + 1):
                     ref = table.min_quantile(subset, z, v)
                     assert ws.bound_value(v) <= ref + 1e-9
@@ -658,8 +638,6 @@ class TestLawsAgainstOracle:
         for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
                 ws = Workspace(QueryContext(prob, subset), z)
-                if ws.infeasible:
-                    continue
                 for v in range(ws.size_min, ws.size_max + 1):
                     cand = ws.path_set(v)
                     assert len(cand) == v
@@ -672,8 +650,6 @@ class TestLawsAgainstOracle:
         for prob, table, subset in _enumerate_checks(rng, 15):
             for z in range(1, len(subset) + 1):
                 ws = Workspace(QueryContext(prob, subset), z)
-                if ws.infeasible:
-                    continue
                 for v in range(ws.size_min, ws.size_max + 1):
                     assert ws.bound_value(v) <= ws.path_value(v) + 1e-9
 
@@ -682,8 +658,6 @@ class TestLawsAgainstOracle:
         for prob, table, subset in _enumerate_checks(rng, 25):
             for z in range(1, len(subset) + 1):
                 ws = Workspace(QueryContext(prob, subset), z)
-                if ws.infeasible:
-                    continue
                 vals = [ws.bound_value(v) for v in range(ws.size_min, ws.size_max + 1)]
                 for i in range(1, len(vals)):
                     v = ws.size_min + i
@@ -775,32 +749,37 @@ class TestLawsAgainstOracle:
         assert n_children > 150 and n_reads > 200, (n_children, n_reads)
 
     def test_constrained_verdicts_sound(self):
-        # force/exclude a random pair and compare against an oracle built on
-        # the restricted candidate family
+        # force/exclude a random pair, as far as that marks no overlap pick,
+        # and compare against an oracle built on the restricted candidate
+        # family
         rng = np.random.default_rng(37)
+        n_constrained = 0
         for prob, table, subset in _enumerate_checks(rng, 25):
             m = prob.n_hyps
             cols = rng.choice(m, size=2, replace=False)
-            constraint = FREE.force(int(cols[0])).exclude(int(cols[1]))
             for z in range(1, len(subset) + 1):
-                out = single_step(QueryContext(prob, subset), z, constraint)
-                truth = _constrained_all_rejected(
-                    prob, subset, z, constraint)
+                state = reachable(prob, subset, z, subspace(m, cols[:1], cols[1:]))
+                forced = set(np.flatnonzero(state > 0).tolist())
+                excluded = set(np.flatnonzero(state < 0).tolist())
+                n_constrained += bool(forced or excluded)
+                out = single_step(QueryContext(prob, subset), z, state)
+                truth = _constrained_all_rejected(prob, subset, z, forced, excluded)
                 if out.verdict is Verdict.ALL_REJECTED:
                     assert truth
                 elif out.verdict is Verdict.SURVIVOR_FOUND:
                     assert not truth
                     w = set(out.witness)
-                    assert constraint.forced <= w
-                    assert not (constraint.excluded & w)
+                    assert forced <= w
+                    assert not (excluded & w)
+        assert n_constrained > 50, n_constrained
 
 
-def _constrained_all_rejected(prob, subset, z, constraint):
+def _constrained_all_rejected(prob, subset, z, forced, excluded):
     m = prob.n_hyps
     sset = set(subset)
     for mask in range(1 << m):
         v = {i for i in range(m) if mask >> i & 1}
-        if not constraint.forced <= v or (constraint.excluded & v):
+        if not forced <= v or (excluded & v):
             continue
         if len(v & sset) < z:
             continue

@@ -181,6 +181,13 @@ class TestTestConfig:
         with pytest.warns(UserWarning, match="zero power"):
             TestConfig(0.05, 10)
 
+    def test_zero_power_warning_names_the_caller(self):
+        # Not the line of the dataclass's generated __init__ that calls
+        # __post_init__, which reads as <string>.
+        with pytest.warns(UserWarning, match="zero power") as caught:
+            TestConfig(0.05, 10)
+        assert caught[0].filename == __file__
+
     def test_no_warning_with_power(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -69,3 +69,29 @@ def random_subset(rng, m, allow_empty=False):
     if k == 0:
         return ()
     return tuple(sorted(int(j) for j in rng.choice(m, size=k, replace=False)))
+
+
+def subspace(m, forced=(), excluded=()):
+    """The branch loop's state of a subspace of ``m`` columns: 0 free, +1 forced, -1 excluded."""
+    state = np.zeros(m, dtype=np.int8)
+    state[list(forced)] = 1
+    state[list(excluded)] = -1
+    return state
+
+
+def reachable(prob, subset, overlap, state):
+    """``state`` with marks taken off until it marks no overlap pick, in place.
+
+    The picks are the first ``needed`` subset columns in observed order,
+    and the branch loop never marks one, so only such states reach a scan.
+    Freeing a forced subset column raises ``needed``, so this repeats until
+    no pick is marked.
+    """
+    subset = list(subset)
+    order = [i for i in np.argsort(prob.observed, kind="stable") if i in subset]
+    while True:
+        needed = max(overlap - int((state[subset] > 0).sum()), 0)
+        marked = [i for i in order[:needed] if state[i]]
+        if not marked:
+            return state
+        state[marked] = 0
