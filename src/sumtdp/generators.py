@@ -6,25 +6,31 @@ draws are kept as distinct rows.  Randomness comes from numpy's seedable
 default generator, so the draws are fixed by the seed.  A matrix of any
 other statistic enters as a CSV (see :func:`~.statmatrix.write_statistic_csv`).
 
-Sign-flip t statistics gather each block of flipped rows from a table of
-the observations and their exact negations into one C-ordered observations
-x rows x columns slab, whose axis-0 sums (mean, squared deviations) numpy
-adds first to last.  It would add a lone entry per observation (one column,
-one row) pairwise, so that is accumulated instead.  The values thus do not
-depend on memory layout, column count or block size, and row 0 equals a
-flipped row of all plus signs, bit for bit.
+Sign-flip t statistics are those of the data on a grid: each column is
+scaled by a power of two 2^e at least its largest |x| and rounded once to
+integers q_i of at most 2^52 / n.  Rounding is odd, so it commutes with
+every flip, and each S = sum_i s_i q_i is an integer below 2^53 that one
+matrix product gives exactly in any order, BLAS or thread count.  Then
+t = S sqrt(n - 1) / sqrt(n sum_i q_i^2 - S^2), and a flip makes a column
+constant exactly when all |q_i| are equal and |S| = n |q_0|.  The values
+under -s negate those under s, and row 0 equals any all-plus flip, bit for
+bit, whatever the memory layout or column count.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .statmatrix import StatisticMatrix
+from .statmatrix import StatisticMatrix, _is_count
 
 __all__ = ["TransformationScheme", "sign_flip_matrix"]
 
-# Observations times rows times columns per block of signed data.
-_BLOCK_ELEMENTS = 1 << 16
+_BLOCK_ELEMENTS = 1 << 16  # rows times columns per block of the elementwise tail
+# With N = n sum q^2 and D = N - S^2 (an integer, 0 only if constant), float
+# sums of squares in any order are off by at most n u N (u = 2^-53), and the
+# float D by (n + 3) u N.  Where it is at least N / 2, t is within (n + 8) u
+# of its exact value on the grid; below, D is taken in integers (t within 5 u).
+_BAND = 0.5
 
 
 @dataclass(frozen=True)
@@ -38,55 +44,43 @@ class TransformationScheme:
     def __post_init__(self):
         if self.kind != "sign_flip":
             raise ValueError(f"unknown transformation kind {self.kind!r}")
-        if self.n_transforms < 1:
-            raise ValueError("n_transforms must be at least 1")
+        if not _is_count(self.n_transforms, 1):
+            raise ValueError(f"n_transforms must be an integer of at least 1, got {self.n_transforms!r}")
 
 
-def _check_data(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError(f"data must be 2-D (observations x variables), got {arr.shape}")
-    if arr.shape[0] < 2:
-        raise ValueError("need at least 2 observations")
-    if not np.isfinite(arr).all():
-        raise ValueError("data contains non-finite entries")
-    return arr
-
-
-def _sum_in_order(slab) -> np.ndarray:
-    # numpy adds a lone contiguous entry per observation pairwise: accumulate it
-    return np.add.accumulate(slab)[-1] if slab[0].size == 1 else slab.sum(axis=0)
+def _grid(arr) -> np.ndarray:
+    """Column j as row j, times 2^(52 - ceil(log2 n) - e_j) and rounded: |q| <= 2^52 / n."""
+    e = np.frexp(np.abs(arr).max(axis=0))[1]
+    q = np.ldexp(arr.T, 52 - (len(arr) - 1).bit_length() - e[:, None], order="C")
+    return np.round(q, out=q)
 
 
 def _flipped_t(arr, signs, two_sided) -> np.ndarray:
-    """One-sample t statistics of ``signs[r][:, None] * arr`` for each row r.
-
-    ``signs`` holds +-1.0, all plus in row 0 (the observed data).
-    """
+    """t statistics of ``signs[r][:, None] * arr`` on the grid for each row r, +-1.0 signs."""
     n, m = arr.shape
-    table = np.stack([-arr, arr], axis=1).reshape(2 * n, m)
-    pick = (signs.T > 0) + 2 * np.arange(n)[:, None]
-    out = np.empty((len(signs), m))
-    rows = max(1, _BLOCK_ELEMENTS // (n * m))
+    q = _grid(arr)  # row j holds column j: one summation order for any m
+    out = np.matmul(signs, q.T, out=np.empty((len(signs), m)))
+    mag = np.abs(q)
+    flat = np.flatnonzero((mag == mag[:, :1]).all(axis=1))
+    hit = np.abs(out[:, flat]) == n * mag[flat, 0]
+    if hit.any():
+        r, c = np.argwhere(hit)[0]
+        raise ValueError(f"column {flat[c]} has zero variance" if r == 0 else (
+            f"the sign flip drawn for row {r} makes column {flat[c]} constant, "
+            "so its t statistic is undefined"))
+    nq = n * np.square(mag, out=mag).sum(axis=1)
+    band, root, exact = _BAND * nq, np.sqrt(n - 1), {}
+    rows = max(1, _BLOCK_ELEMENTS // m)
     for lo in range(0, len(out), rows):
-        slab = np.take(table, pick[:, lo:lo + rows], axis=0)
-        mean = _sum_in_order(slab) / n
-        slab -= mean
-        slab *= slab
-        sd = np.sqrt(_sum_in_order(slab) / (n - 1))
-        if not sd.all():
-            r, c = np.argwhere(sd == 0.0)[0]
-            if lo + r == 0:
-                raise ValueError(f"column {c} has zero variance")
-            raise ValueError(
-                f"the sign flip drawn for row {lo + r} makes column {c} constant, "
-                "so its t statistic is undefined"
-            )
-        sd /= np.sqrt(n)
-        t = np.divide(mean, sd, out=out[lo:lo + rows])
-        if two_sided:
-            np.abs(t, out=t)
-    return out
+        sums = out[lo:lo + rows]  # S, turned into t in place
+        d = np.subtract(nq, sums * sums)
+        for i in np.flatnonzero(d < band).tolist():
+            r, c = divmod(i, m)
+            if c not in exact:
+                exact[c] = n * sum(int(v) ** 2 for v in q[c].tolist())
+            d[r, c] = float(exact[c] - int(sums[r, c]) ** 2)
+        np.divide(sums * root, np.sqrt(d, out=d), out=sums)
+    return np.abs(out, out=out) if two_sided else out
 
 
 def sign_flip_matrix(data, scheme: TransformationScheme, two_sided: bool = True) -> StatisticMatrix:
@@ -98,7 +92,13 @@ def sign_flip_matrix(data, scheme: TransformationScheme, two_sided: bool = True)
     each column; with ``two_sided`` every entry is an absolute value, so
     large always means strong evidence against a zero mean.
     """
-    arr = _check_data(data)
+    arr = np.asarray(data, dtype=float)
+    if arr.ndim != 2:
+        raise ValueError(f"data must be 2-D (observations x variables), got {arr.shape}")
+    if arr.shape[0] < 2:
+        raise ValueError("need at least 2 observations")
+    if not np.isfinite(arr).all():
+        raise ValueError("data contains non-finite entries")
     signs = np.ones((scheme.n_transforms, arr.shape[0]))
     rng = np.random.default_rng(scheme.seed)
     signs[1:] = rng.integers(0, 2, size=signs[1:].shape) * 2 - 1

@@ -33,7 +33,9 @@ class ReductionResult:
 
     ``kept`` lists original column indices in their new order, excluding the
     synthetic column (present iff ``collapsed`` has at least two entries, and
-    then sitting at the last new index).
+    then sitting at the last new index).  The synthetic column is named by
+    joining its members' names with ``+``, wrapped in parentheses until no
+    kept column holds the name.
     """
 
     stats: StatisticMatrix
@@ -57,7 +59,10 @@ def reduce_columns(stats: StatisticMatrix, subset, ground: float = 0.0) -> Reduc
     if collapsed:
         cols.append(values[:, list(collapsed)].sum(axis=1, keepdims=True))
         if new_names is not None:
-            new_names.append("+".join(names[j] for j in collapsed))
+            merged = "+".join(names[j] for j in collapsed)
+            while merged in new_names:  # a kept column already holds the name
+                merged = f"({merged})"
+            new_names.append(merged)
     reduced = np.concatenate(cols, axis=1)
     new_names = None if new_names is None else tuple(new_names)
     return ReductionResult(StatisticMatrix(reduced, names=new_names), subset, kept, removed, collapsed)

@@ -476,6 +476,17 @@ class TestDataRoute:
         assert "sign flip drawn for row" in err
         assert "makes column 0 constant" in err
 
+    def test_values_closer_than_grid_step(self, tmp_path, capsys):
+        # 1 and 1 + 2^-52 round to one point of column a's grid (step 2^-50)
+        path = tmp_path / "step.csv"
+        path.write_text("a,b\n1,2\n1.0000000000000002,1\n1,3\n")
+        code, out, err = run(
+            capsys, "tdp", "--data", str(path), "--b", "10", "--seed", "0",
+            "--sets", "[[1,2]]")
+        assert code == 2
+        assert out == ""
+        assert "column 0 has zero variance" in err
+
     def test_unknown_combiner(self, data_csv, capsys):
         code, _, err = run(
             capsys, "tdp", "--data", data_csv, "--combiner", "nope",

@@ -2,8 +2,11 @@
 
 import hashlib
 import math
-import operator
-from functools import reduce
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,30 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from sumtdp import TransformationScheme, sign_flip_matrix
-from sumtdp.generators import _BLOCK_ELEMENTS
+from sumtdp import TransformationScheme, generators, sign_flip_matrix
+from sumtdp.generators import _BLOCK_ELEMENTS, _flipped_t, _grid
 
-
-def reference_sign_flip(data, n_transforms, seed, two_sided=True):
-    """The per-row loop: one sign draw and one numpy t statistic per row.
-
-    Equal to ``sign_flip_matrix`` bit for bit on C-ordered data with at
-    least two columns, where numpy's axis-0 sums add in row order.  A single
-    column is one contiguous run, which numpy sums pairwise from 8 entries
-    on, so there ``scalar_flip_t`` is the reference.
-    """
-    def t(arr):
-        sd = arr.std(axis=0, ddof=1)
-        stat = arr.mean(axis=0) / (sd / np.sqrt(arr.shape[0]))
-        return np.abs(stat) if two_sided else stat
-
-    arr = np.asarray(data, dtype=float)
-    rows = [t(arr)]
-    rng = np.random.default_rng(seed)
-    for _ in range(n_transforms - 1):
-        signs = rng.integers(0, 2, size=arr.shape[0]) * 2 - 1
-        rows.append(t(signs[:, None] * arr))
-    return np.vstack(rows)
+SRC = Path(generators.__file__).resolve().parents[1]
 
 
 def flip_signs(n_transforms, n, seed):
@@ -44,28 +27,76 @@ def flip_signs(n_transforms, n, seed):
     return signs
 
 
-def scalar_flip_t(data, signs, two_sided=True):
-    """t statistics from scalar IEEE adds in observation order, first to last.
+def grid_reference(data, signs):
+    """The grid integers, row sums and ``n sum q^2 - S^2`` in plain Python.
 
-    ``reduce`` starts from the first term, keeping a lone -0.0 (``sum``
-    would start from 0 and, from Python 3.12, compensate).  Raises
-    ``ValueError(row, column)`` at the first zero standard deviation.
+    Column j is multiplied by 2^(52 - ceil(log2 n) - e_j), where ``e_j`` is
+    ``math.frexp``'s exponent of its largest |x| (so 2^e_j > max|x|), and
+    every entry rounded half to even, all as Python ints.  Returns ``q`` (a
+    list of columns), ``S[r][j]`` and ``D[r][j]``; D is 0 exactly where the
+    flip makes the column constant.
     """
     n = len(data)
-    rows = []
-    for r, flips in enumerate(signs.tolist()):
-        row = []
-        for c, column in enumerate(data.T.tolist()):
-            x = [s * v for s, v in zip(flips, column)]
-            mean = reduce(operator.add, x) / n
-            ss = reduce(operator.add, [(v - mean) * (v - mean) for v in x])
-            sd = math.sqrt(ss / (n - 1))
-            if sd == 0.0:
-                raise ValueError(r, c)
-            t = mean / (sd / math.sqrt(n))
-            row.append(abs(t) if two_sided else t)
-        rows.append(row)
-    return np.array(rows)
+    k = math.ceil(math.log2(n))
+    q = []
+    for column in data.T.tolist():
+        scale = Fraction(2) ** (52 - k - math.frexp(max(map(abs, column)))[1])
+        q.append([round(Fraction(v) * scale) for v in column])
+    n_sq = [n * sum(v * v for v in col) for col in q]
+    S, D = [], []
+    for flips in signs.astype(int).tolist():
+        S.append([sum(f * v for f, v in zip(flips, col)) for col in q])
+        D.append([nq - s * s for nq, s in zip(n_sq, S[-1])])
+    return q, S, D
+
+
+def assert_t_within_bound(got, S, D, n, two_sided):
+    """Each t is within (n + 8) 2^-53 relative of S sqrt(n - 1) / sqrt(D).
+
+    Checked on squares in integers: with t = a / b, (t / t_exact)^2 is
+    a^2 D / (b^2 (n - 1) S^2).  Where S is 0, t must be 0.
+    """
+    big, ulps = 2**53, n + 8
+    for r, (t_row, s_row, d_row) in enumerate(zip(got.tolist(), S, D)):
+        for c, (t, s, d) in enumerate(zip(t_row, s_row, d_row)):
+            if s == 0 or t == 0:
+                assert s == t, (r, c, t, s)
+                continue
+            assert (t > 0) == (two_sided or s > 0), (r, c, t, s)
+            a, b = abs(t).as_integer_ratio()
+            lhs, rhs = a * a * d * big * big, b * b * (n - 1) * s * s
+            assert (big - ulps) ** 2 * rhs <= lhs <= (big + ulps) ** 2 * rhs, (r, c, t, s, d)
+
+
+def check_reference(data, b, seed, two_sided):
+    """Check ``sign_flip_matrix`` against ``grid_reference``; say what was exercised.
+
+    The grid and the sums equal the reference's integers, and t is within
+    the bound of the exact value, or the call raises the reference's first
+    constant (row, column).  Returns ``"observed"`` or ``"flipped"`` for a
+    raise, ``"band"`` where some entry has 2 D < n sum q^2 (the integer
+    path), else ``"plain"``.
+    """
+    n = len(data)
+    signs = flip_signs(b, n, seed)
+    q, S, D = grid_reference(data, signs)
+    grid = _grid(data)
+    assert np.array_equal(grid, np.array(q, dtype=float))
+    assert np.array_equal(np.matmul(signs, grid.T), np.array(S, dtype=float))
+    scheme = TransformationScheme("sign_flip", b, seed)
+    flat = [(r, c) for r, row in enumerate(D) for c, d in enumerate(row) if d == 0]
+    if flat:
+        r, c = flat[0]
+        message = (f"column {c} has zero variance" if r == 0
+                   else f"sign flip drawn for row {r} makes column {c} constant")
+        with pytest.raises(ValueError, match=message):
+            sign_flip_matrix(data, scheme, two_sided)
+        return "observed" if r == 0 else "flipped"
+    got = sign_flip_matrix(data, scheme, two_sided).values
+    assert_t_within_bound(got, S, D, n, two_sided)
+    n_sq = [s * s + d for s, d in zip(S[0], D[0])]
+    band = any(2 * d < nq for row in D for d, nq in zip(row, n_sq))
+    return "band" if band else "plain"
 
 
 def bits_equal(a, b):
@@ -76,13 +107,17 @@ def bits_equal(a, b):
 # Tie-heavy data values, both signed zeros included.
 DATA_POOL = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0, 0.1, 1 / 3, 7.25)
 
+# Offsets far above the spread, where the one-pass variance cancels.
+OFFSETS = (0.0, 1e4, 1e8)
+
 
 @st.composite
 def flip_cases(draw):
     n = draw(st.integers(2, 20))
-    m = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 6))
     value = st.sampled_from(DATA_POOL) | st.floats(-1e3, 1e3, allow_nan=False)
     data = np.array(draw(st.lists(value, min_size=n * m, max_size=n * m))).reshape(n, m)
+    data += draw(st.sampled_from(OFFSETS))
     return data, draw(st.integers(1, 40)), draw(st.integers(0, 2**32)), draw(st.booleans())
 
 
@@ -169,23 +204,28 @@ class TestSignFlip:
             sign_flip_matrix(data, TransformationScheme("sign_flip", 100, 0))
 
     def test_golden(self):
-        # the sha256 of the matrix the per-row loop returns for this input
+        # sha256 of the t statistics on the per-column grid, recorded when
+        # they replaced the in-order float sums of the raw data
         data = np.random.default_rng(2026).normal(size=(50, 100))
         data[:, :10] += 0.5
         mat = sign_flip_matrix(data, TransformationScheme("sign_flip", 200, 7))
         assert hashlib.sha256(mat.values.tobytes()).hexdigest() == (
-            "4ee08d36133eec74a5e95b2ed0cdb5854328d674cc148fa669cfa7b33311c26c")
+            "483bacd73f627235d10aa69c844122273fa7885cc5a7bc71aea2194ec5cb28ff")
 
     def test_blocks_match_reference(self):
-        # several blocks of flipped rows, one or more rows each, the last
-        # block a single row
+        # several blocks of the elementwise tail, one or more rows each, the
+        # last block a single row; offset columns send row 0 to the integer
+        # path, and each row alone gives the same bits
         for n, m in [(12, 3000), (12, 300)]:
-            rows = max(1, _BLOCK_ELEMENTS // (n * m))
+            rows = max(1, _BLOCK_ELEMENTS // m)
             b = 3 * rows + 1
             data = np.random.default_rng(3).normal(size=(n, m))
-            scheme = TransformationScheme("sign_flip", b, seed=5)
-            assert bits_equal(sign_flip_matrix(data, scheme).values,
-                              reference_sign_flip(data, b, 5))
+            data[:, ::7] += 1e4
+            assert check_reference(data, b, 5, True) == "band"
+            signs = flip_signs(b, n, 5)
+            whole = _flipped_t(data, signs, False)
+            for r in range(0, b, rows // 2 + 1):
+                assert bits_equal(_flipped_t(data, signs[r:r + 1], False)[0], whole[r])
 
     def test_layout_independent(self):
         rng = np.random.default_rng(4)
@@ -214,19 +254,11 @@ class TestSignFlip:
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(flip_cases())
 def test_sign_flip_matches_per_row_loop(case):
-    data, n_transforms, seed, two_sided = case
-    scheme = TransformationScheme("sign_flip", n_transforms, seed)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ref = reference_sign_flip(data, n_transforms, seed, two_sided)
-    if not np.isfinite(ref).all():
-        with pytest.raises(ValueError):
-            sign_flip_matrix(data, scheme, two_sided)
-        return
-    assert bits_equal(sign_flip_matrix(data, scheme, two_sided).values, ref)
+    check_reference(*case)
 
 
 def scalar_cases():
-    """Shapes and values on which numpy's pairwise summation would show."""
+    """Shapes, values and offsets for the reference sweep."""
     rng = np.random.default_rng(18)
     pool = np.array(DATA_POOL)
     for k in range(120):
@@ -235,41 +267,85 @@ def scalar_cases():
             data = rng.choice(pool, size=(n, m))
         else:
             data = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-3, 4)
-        yield data, b, k
+        yield data + OFFSETS[k % 3], b, k
     # zero variance observed, and made by a flip (|x| equal in a column)
     yield np.array([[0.0], [-0.0], [0.0]] * 4), 3, 0
     yield np.array([[1.0, 2.0], [-1.0, 0.5], [1.0, 1 / 3], [-1.0, 7.25]]), 4, 6
-    # a one-column input whose last block of flipped rows is a lone row
-    yield np.random.default_rng(7).normal(size=(20, 1)), _BLOCK_ELEMENTS // 20 + 1, 3
+    # the extremes of the float range, and values closer than the grid step
+    yield np.array([[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0]]), 3, 0
+    yield np.array([[5e-324, 1.0], [1e-323, 2.0], [0.0, 4.0]]), 3, 0
+    yield np.array([[2.0, 1.0], [1.0, 1.0 + 2.0**-52], [3.0, 1.0]]), 3, 0
 
 
 def test_scalar_reference_matches():
-    seen = {"m1": 0, "b1": 0, "small": 0, "large": 0, "observed": 0, "flipped": 0}
+    seen = {"m1": 0, "b1": 0, "small": 0, "large": 0,
+            "observed": 0, "flipped": 0, "band": 0, "plain": 0}
     for data, b, seed in scalar_cases():
         n, m = data.shape
-        signs = flip_signs(b, n, seed)
-        scheme = TransformationScheme("sign_flip", b, seed)
         seen["m1"] += m == 1
         seen["b1"] += b == 1
         seen["small" if n < 8 else "large"] += 1
         for two_sided in (True, False):
-            try:
-                want = scalar_flip_t(data, signs, two_sided)
-            except ValueError as exc:
-                r, c = exc.args
-                seen["observed" if r == 0 else "flipped"] += 1
-                message = (f"column {c} has zero variance" if r == 0
-                           else f"row {r} makes column {c} constant")
-                with pytest.raises(ValueError, match=message):
-                    sign_flip_matrix(data, scheme, two_sided)
-                if r == 0:
-                    with pytest.raises(ValueError, match=message):
-                        observed_t(data, two_sided)
-                continue
-            got = sign_flip_matrix(data, scheme, two_sided)
-            assert bits_equal(got.values, want), (n, m, b, seed)
-            assert bits_equal(observed_t(data, two_sided), want[0])
+            with np.errstate(all="raise"):
+                seen[check_reference(data, b, seed, two_sided)] += 1
     assert all(seen.values()), seen
+
+
+class TestExtremes:
+    """Magnitudes at both ends of the float range, and the grid step's contract."""
+
+    def test_huge_column(self):
+        data = np.array([[1e308, 1.0], [-1e308, 2.0], [1e308, 3.0]])
+        with np.errstate(all="raise"):
+            mat = sign_flip_matrix(data, TransformationScheme("sign_flip", 3, 0), two_sided=False)
+        assert mat.values[0, 0] == pytest.approx(0.5)
+        check_reference(data, 3, 0, False)
+
+    def test_subnormal_column(self):
+        data = np.array([[5e-324], [1e-323], [0.0]])
+        with np.errstate(all="raise"):
+            got = observed_t(data, two_sided=False)
+        assert got[0] == pytest.approx(math.sqrt(3))
+        check_reference(data, 20, 1, False)
+
+    def test_values_closer_than_grid_step_are_constant(self):
+        # the grid step of [1, 1 + 2^-52, 1] is 2^-50: the column is constant
+        data = np.array([[1.0, 2.0], [1.0 + 2.0**-52, 1.0], [1.0, 3.0]])
+        with pytest.raises(ValueError, match="column 0 has zero variance"):
+            observed_t(data)
+
+
+BLAS_SCRIPT = """
+import hashlib
+import numpy as np
+from sumtdp import TransformationScheme, sign_flip_matrix
+data = np.random.default_rng(3).standard_normal((50, 2000))
+data[:, :200] += 0.5
+mat = sign_flip_matrix(data, TransformationScheme("sign_flip", 1000, 11))
+print(hashlib.sha256(mat.values.tobytes()).hexdigest())
+"""
+
+
+def test_blas_threads_leave_bits():
+    # the cli-tdp shape under one and two OpenBLAS threads
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", BLAS_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+def test_negated_signs_negate_rows():
+    data = np.random.default_rng(3).standard_normal((50, 2000))
+    data[:, :200] += 0.5
+    signs = flip_signs(1000, 50, 11)
+    plus = _flipped_t(data, signs, False)
+    assert plus.all()
+    assert bits_equal(_flipped_t(data, -signs, False), -plus)
 
 
 class TestScheme:
@@ -280,3 +356,13 @@ class TestScheme:
     def test_positive_count(self):
         with pytest.raises(ValueError):
             TransformationScheme("sign_flip", 0)
+
+    @pytest.mark.parametrize("count", [True, 2.0, "3", None, -1])
+    def test_non_count_refused(self, count):
+        with pytest.raises(ValueError, match="n_transforms must be an integer"):
+            TransformationScheme("sign_flip", count)
+
+    @pytest.mark.parametrize("count", [np.int64(3), np.int32(3), 3])
+    def test_numpy_integer_count(self, count):
+        mat = sign_flip_matrix(np.arange(8.0).reshape(4, 2), TransformationScheme("sign_flip", count, 0))
+        assert mat.values.shape == (3, 2)

@@ -78,6 +78,23 @@ class TestStructuralRules:
         assert red.kept == (0,)
         assert np.array_equal(red.stats.values[:, 1], [0.0, 5.0, 1.0])
 
+    def test_merged_name_unique(self):
+        # a and b merge; the kept column "a+b" already holds their joined name
+        vals = np.array([
+            [0.0, 0.0, 3.0, 2.0],
+            [1.0, 2.0, 1.0, 0.0],
+            [2.0, 1.0, 0.0, 1.0],
+            [0.0, 3.0, 1.0, 1.0],
+            [1.0, 0.0, 2.0, 0.0],
+            [3.0, 1.0, 0.0, 1.0],
+        ])
+        stats = truncate(StatisticMatrix(vals, names=("a", "b", "a+b", "d")),
+                         TruncationRule(threshold=0.5, ground=0.0))
+        red = reduce_columns(stats, (2,), ground=0.0)
+        assert red.collapsed == (0, 1)
+        assert red.stats.names == ("a+b", "d", "(a+b)")
+        assert red.subset == (0,)
+
     def test_subset_never_removed_nor_collapsed(self):
         vals = np.array([
             [0.0, 0.0, 5.0],
