@@ -32,14 +32,13 @@ from .combiners import (
 from .generators import TransformationScheme, sign_flip_matrix
 from .inference import (
     DiscoveryResult,
-    PrefixResult,
     discoveries,
     discoveries_matrix,
     largest_subset,
 )
 from .oracle import RejectionTable
 from .reduction import ReductionResult, reduce_columns
-from .shortcut import SumTestProblem, TraceLog, Verdict
+from .shortcut import SumTestProblem, Verdict
 from .simharness import (
     GRID_COLUMNS,
     ReplicationOutcome,
@@ -76,10 +75,10 @@ __all__ = [
     # transformation schemes
     "TransformationScheme", "sign_flip_matrix",
     # problem, verdicts and trace
-    "SumTestProblem", "Verdict", "TraceLog",
+    "SumTestProblem", "Verdict",
     # inference
     "discoveries", "discoveries_matrix", "DiscoveryResult",
-    "largest_subset", "PrefixResult",
+    "largest_subset",
     # reduction
     "reduce_columns", "ReductionResult",
     # exhaustive reference

@@ -45,7 +45,6 @@ import numpy as np
 from .shortcut import (
     Evaluation,
     QueryContext,
-    TraceLog,
     Verdict,
     _marked,
     single_step,
@@ -70,7 +69,7 @@ def evaluate_iterative(
     ctx: QueryContext,
     overlap: int,
     budget=None,
-    trace: TraceLog = None,
+    trace: list = None,
 ) -> IterationResult:
     """Decide whether all sets overlapping the subset enough are rejected.
 
@@ -82,6 +81,8 @@ def evaluate_iterative(
     Returns the final evaluation and the number of budgeted scans performed.
     An UNDECIDED result means the budget ran out; spending more can only
     refine it (the explored tree is a prefix of the unlimited run's tree).
+    ``trace``, a list, gets the scans' rows (see :func:`~.shortcut.single_step`),
+    one ``eval`` dict per scan and one ``branch`` dict per split.
     """
     limit = math.inf if budget is None else int(budget)
     if limit < 0:
@@ -89,10 +90,10 @@ def evaluate_iterative(
 
     def log(ev, state, index):
         if trace is not None:
-            trace.add(
+            trace.append(dict(
                 kind="eval", index=index, overlap=overlap, **_marked(state),
                 verdict=ev.verdict, window=ev.window, witness=ev.witness,
-            )
+            ))
 
     root = single_step(ctx, overlap, trace=trace)
     log(root, None, 0)
@@ -106,7 +107,7 @@ def evaluate_iterative(
         if pivot is None or state[pivot]:
             raise RuntimeError(f"no free column to branch on: the scan named pivot {pivot}")
         if trace is not None:
-            trace.add(kind="branch", pivot=pivot, overlap=overlap, **_marked(state))
+            trace.append(dict(kind="branch", pivot=pivot, overlap=overlap, **_marked(state)))
         children = []
         for mark in (-1, 1):  # exclude, then force
             if spent >= limit:

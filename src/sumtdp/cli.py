@@ -49,7 +49,7 @@ from .combiners import (
 from .generators import TransformationScheme, sign_flip_matrix
 from .inference import _query, discoveries, largest_subset
 from .oracle import RejectionTable
-from .shortcut import SumTestProblem, TraceLog
+from .shortcut import SumTestProblem
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
@@ -330,34 +330,29 @@ def _write_trace(rows, path):
         "window_lo", "window_hi", "forced", "excluded", "witness", "pivot",
     )
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
-            out = {key: "" for key in columns}
-            out["set_id"] = row.get("set_id", "")
-            out["kind"] = row.get("kind", "")
-            for key in ("index", "overlap", "size", "value"):
-                if row.get(key) is not None:
-                    out[key] = row[key]
-            if row.get("verdict") is not None:
-                out["verdict"] = row["verdict"].value
-            window = row.get("window")
-            if window is not None:
-                out["window_lo"], out["window_hi"] = window
-            for key in ("forced", "excluded", "witness"):
-                if row.get(key):
-                    out[key] = _one_based(row[key])
-            pivot = row.get("pivot")
-            if pivot is not None:  # a column, or a merged column's tuple
-                out["pivot"] = _one_based(pivot if isinstance(pivot, tuple) else (pivot,))
+            out = {key: value for key, value in row.items() if value is not None}
+            if "verdict" in out:
+                out["verdict"] = out["verdict"].value
+            if "window" in out:
+                out["window_lo"], out["window_hi"] = out["window"]
+            for key in ("forced", "excluded", "witness", "pivot"):
+                if key in out:  # a pivot is a column, or a merged column's tuple
+                    out[key] = _one_based(out[key] if isinstance(out[key], tuple) else (out[key],))
             writer.writerow(out)
 
 
 class _Result(NamedTuple):
-    """A subcommand's outcome, written and turned into the exit code by :func:`main`."""
+    """A subcommand's outcome, written and turned into the exit code by :func:`main`.
 
-    payload: object  # the JSON output
-    rows: list  # the CSV output, one dict per row
+    ``payload``, one row (a dict) or a list of rows, is the JSON as it stands;
+    the CSV has one line per row of its ``columns``, a missing field empty
+    and a list joined by ``;``.
+    """
+
+    payload: object
     columns: list
     default_format: str = "json"
     extra: dict = None  # more manifest keys
@@ -370,10 +365,11 @@ def _emit(args, result: _Result):
         text = json.dumps(result.payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=result.columns)
-        writer.writeheader()
-        for row in result.rows:
-            writer.writerow({key: row.get(key, "") for key in result.columns})
+        writer = csv.writer(buf)
+        writer.writerow(result.columns)
+        for row in result.payload if isinstance(result.payload, list) else [result.payload]:
+            cells = map(row.get, result.columns)
+            writer.writerow([";".join(v) if isinstance(v, list) else v for v in cells])
         text = buf.getvalue()
     if args.out:
         with open(args.out, "w") as fh:
@@ -431,7 +427,7 @@ def _cmd_test(args, inputs: dict) -> _Result:
         "critical_rank": prob.crit_rank,
         "reject": quantile > 0.0,
     }
-    return _Result(payload, [payload], list(payload))
+    return _Result(payload, list(payload))
 
 
 def _cmd_tdp(args, inputs: dict) -> _Result:
@@ -442,7 +438,7 @@ def _cmd_tdp(args, inputs: dict) -> _Result:
 
     entries, trace_rows = [], []
     for set_id, tokens in enumerate(_parse_set_lists(args.sets, inputs), start=1):
-        trace = TraceLog() if args.trace is not None else None
+        trace = [] if args.trace is not None else None
         try:
             subset = _parse_tokens(tokens, stats)
             res = _query(prob, stats, subset, ground, args.max_iter, trace)
@@ -461,13 +457,13 @@ def _cmd_tdp(args, inputs: dict) -> _Result:
             entry.update(res.reduction)
         entries.append(entry)
         if trace is not None:
-            trace_rows += [{**row, "set_id": set_id} for row in trace.rows]
+            trace_rows += [{**row, "set_id": set_id} for row in trace]
     if args.trace is not None:
         _write_trace(trace_rows, args.trace)
 
     columns = ["set_id", "size", "d", "tdp", "converged", "iterations",
                "m_reduced", "removed", "collapsed", "error"]
-    return _Result(entries, entries, columns)
+    return _Result(entries, columns)
 
 
 def _cmd_largest(args, inputs: dict) -> _Result:
@@ -475,13 +471,13 @@ def _cmd_largest(args, inputs: dict) -> _Result:
     order = _parse_order(args.order, stats, inputs)
     res = largest_subset(prob, args.gamma, order=order, step_budget=args.max_iter)
     names = stats.column_names()
+    subset = () if res is None else res.subset
     payload = {
-        "size": res.size,
-        "tdp": res.result.tdp if res.result is not None else 0.0,
-        "members": [names[i] for i in res.subset],
+        "size": len(subset),
+        "tdp": 0.0 if res is None else res.tdp,
+        "members": [names[i] for i in subset],
     }
-    csv_row = {**payload, "members": ";".join(payload["members"])}
-    return _Result(payload, [csv_row], list(payload))
+    return _Result(payload, list(payload))
 
 
 def _cmd_verify(args, inputs: dict) -> _Result:
@@ -500,9 +496,7 @@ def _cmd_verify(args, inputs: dict) -> _Result:
         "mismatches": len(mismatches),
         "details": mismatches[:20],
     }
-    rows = [{"subsets_checked": len(subsets), "mismatches": len(mismatches)}]
-    return _Result(payload, rows, ["subsets_checked", "mismatches"],
-                   code=1 if mismatches else 0)
+    return _Result(payload, ["subsets_checked", "mismatches"], code=1 if mismatches else 0)
 
 
 _GRID_ONLY_KEYS = {"cells", "combiners"}
@@ -547,13 +541,11 @@ def _cmd_simulate(args, inputs: dict) -> _Result:
     if not isinstance(config, dict):
         raise InputError(f"{args.config}: top level must be an object")
     cells = _build_cells(config, args)
-    rows = run_grid(cells)
     payload = [
         {key: (None if value == "" else value) for key, value in row.items()}
-        for row in rows
+        for row in run_grid(cells)
     ]
-    return _Result(payload, rows, list(GRID_COLUMNS), default_format="csv",
-                   extra={"cells": len(cells)})
+    return _Result(payload, list(GRID_COLUMNS), default_format="csv", extra={"cells": len(cells)})
 
 
 def main(argv=None) -> int:

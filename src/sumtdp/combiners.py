@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statmatrix import StatisticMatrix
+from .statmatrix import StatisticMatrix, _is_count
 
 __all__ = [
     "Combiner",
@@ -72,6 +72,8 @@ class Combiner:
             if self.power is None:
                 raise ValueError("generalized_mean requires a power")
             object.__setattr__(self, "power", float(self.power))
+            if not np.isfinite(self.power):
+                raise ValueError(f"bad combiner power {self.power!r}")
         elif self.power is not None:
             raise ValueError(f"{self.kind} takes no power argument")
 
@@ -158,7 +160,7 @@ def truncate(stats: StatisticMatrix, rule: TruncationRule) -> StatisticMatrix:
 def threshold_from_rank(stats: StatisticMatrix, rank: int) -> float:
     """The ``rank``-th greatest entry of the whole matrix (duplicates counted)."""
     flat = stats.values.ravel()
-    if not 1 <= rank <= flat.size:
+    if not (_is_count(rank, 1) and rank <= flat.size):
         raise ValueError(f"rank must lie in 1..{flat.size}, got {rank}")
     return float(np.partition(flat, flat.size - rank)[flat.size - rank])
 
@@ -262,7 +264,7 @@ def evidence_from_t(
         return convert_all()  # which reports the p-values above 1
     if rank is None:
         top = _last_below(evidence, lo, float(t.max()), threshold)
-    elif 1 <= rank <= t.size:
+    elif _is_count(rank, 1) and rank <= t.size:
         top = _below(float(np.partition(t.ravel(), t.size - rank)[t.size - rank]))
     else:
         top = None  # the full conversion reports the rank

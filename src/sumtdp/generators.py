@@ -97,6 +97,8 @@ def sign_flip_matrix(data, scheme: TransformationScheme, two_sided: bool = True)
         raise ValueError(f"data must be 2-D (observations x variables), got {arr.shape}")
     if arr.shape[0] < 2:
         raise ValueError("need at least 2 observations")
+    if arr.shape[1] < 1:
+        raise ValueError(f"data must hold at least 1 variable, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("data contains non-finite entries")
     signs = np.ones((scheme.n_transforms, arr.shape[0]))

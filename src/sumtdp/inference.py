@@ -39,7 +39,7 @@ import numpy as np
 
 from .branchbound import evaluate_iterative
 from .reduction import _reduction
-from .shortcut import QueryContext, SumTestProblem, TraceLog, Verdict, _rank_stat
+from .shortcut import QueryContext, SumTestProblem, Verdict, _rank_stat
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
@@ -50,7 +50,6 @@ from .statmatrix import (
 
 __all__ = [
     "DiscoveryResult",
-    "PrefixResult",
     "discoveries",
     "discoveries_matrix",
     "largest_subset",
@@ -134,7 +133,7 @@ def _lifts(prob, ctx, found, trace) -> bool:
         return False
     if trace is not None:
         members = tuple(np.flatnonzero(witness | ctx.in_subset).tolist())
-        trace.add(kind="lift", overlap=len(ctx.subset), witness=members, value=value)
+        trace.append(dict(kind="lift", overlap=len(ctx.subset), witness=members, value=value))
     return True
 
 
@@ -142,7 +141,7 @@ def discoveries(
     prob: SumTestProblem,
     subset,
     step_budget=None,
-    trace: TraceLog = None,
+    trace: list = None,
 ) -> DiscoveryResult:
     """Lower confidence bound on true discoveries in ``subset``.
 
@@ -205,7 +204,7 @@ def discoveries_matrix(
     subset,
     reduction_ground=None,
     step_budget=None,
-    trace: TraceLog = None,
+    trace: list = None,
 ) -> DiscoveryResult:
     """Discovery bound straight from a statistic matrix: one problem build, one query.
 
@@ -227,16 +226,16 @@ def _query(prob, stats, subset, reduction_ground, step_budget, trace) -> Discove
     if reduction_ground is None:
         return discoveries(prob, subset, step_budget=step_budget, trace=trace)
     inner, kept, removed, collapsed = _reduction(stats, subset, reduction_ground)
-    # on the full problem's grid, so the reduction changes no verdict
-    reduced = prob.restricted(kept, collapsed)
-    start = len(trace.rows) if trace is not None else 0
+    # on the full problem's grid (itself when every column stays), so no verdict changes
+    reduced = prob if len(kept) == prob.n_hyps else prob.restricted(kept, collapsed)
+    start = len(trace) if trace is not None else 0
     res = discoveries(reduced, inner, step_budget=step_budget, trace=trace)
     if trace is not None:
         # reduced column index -> the original columns it stands for
         user = [(j,) for j in kept]
         if collapsed:
             user.append(collapsed)
-        for row in trace.rows[start:]:
+        for row in trace[start:]:
             for key in ("forced", "excluded", "witness"):
                 if row.get(key) is not None:
                     row[key] = tuple(sorted(j for i in row[key] for j in user[i]))
@@ -247,21 +246,12 @@ def _query(prob, stats, subset, reduction_ground, step_budget, trace) -> Discove
     return replace(res, subset=subset, reduction=counts)
 
 
-@dataclass(frozen=True)
-class PrefixResult:
-    """Largest prefix of an ordering whose TDP bound clears a target."""
-
-    size: int
-    subset: tuple
-    result: DiscoveryResult  # None when no prefix qualifies
-
-
 def largest_subset(
     prob: SumTestProblem,
     gamma: float,
     order=None,
     step_budget=None,
-) -> PrefixResult:
+) -> DiscoveryResult:
     """Largest k whose first-k-columns TDP bound is at least ``gamma``.
 
     ``order`` is a permutation of all column indices (default: natural
@@ -270,9 +260,9 @@ def largest_subset(
     of length k with discovery count d < gamma*k rules out every length
     above floor(d/gamma) as well, because dropping columns removes at most
     that many discoveries while the requirement scales with k, so the
-    search jumps straight there.  Returns size 0 with an empty
-    subset when no prefix qualifies.  ``step_budget`` caps each prefix
-    query's levels as in :func:`discoveries`.
+    search jumps straight there.  Returns the qualifying prefix's result,
+    whose ``subset`` is the prefix, or None when no prefix qualifies.
+    ``step_budget`` caps each prefix query's levels as in :func:`discoveries`.
     """
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
@@ -287,9 +277,9 @@ def largest_subset(
     while k >= 1:
         res = discoveries(prob, order[:k], step_budget=step_budget)
         if res.tdp >= gamma:
-            return PrefixResult(size=k, subset=res.subset, result=res)
+            return res
         # No larger prefix can qualify than discoveries/gamma (discoveries
         # only drop when columns are removed); +1 absorbs float rounding at
         # the boundary, at worst costing one extra query.
         k = min(int(res.discoveries / gamma) + 1, k - 1)
-    return PrefixResult(size=0, subset=(), result=None)
+    return None

@@ -82,7 +82,6 @@ __all__ = [
     "QueryContext",
     "Workspace",
     "single_step",
-    "TraceLog",
 ]
 
 
@@ -274,16 +273,6 @@ class SumTestProblem:
         merged = [self.centered[:, merged].sum(axis=1)] if merged else []
         cen = np.column_stack([np.take(self.centered, kept, axis=1), *merged])  # row-major
         return object.__new__(SumTestProblem)._keep(cen, np.hstack(obs), self.crit_rank)
-
-
-class TraceLog:
-    """Accumulates per-size bound/path values and node verdicts for audit."""
-
-    def __init__(self):
-        self.rows = []
-
-    def add(self, **row):
-        self.rows.append(row)
 
 
 def _marked(state) -> dict:
@@ -561,7 +550,7 @@ def single_step(
     overlap: int,
     state=None,
     window=None,
-    trace: TraceLog = None,
+    trace: list = None,
 ) -> Evaluation:
     """One scan over candidate sizes at a given overlap level.
 
@@ -578,6 +567,9 @@ def single_step(
         Inclusive range of candidate sizes still pending; defaults to the
         subspace's full size range.  Sizes outside the subspace's range are
         ignored, and an empty effective range is vacuously ALL_REJECTED.
+    trace : list, optional
+        Gets one dict per bound or path read: ``kind``, ``overlap``,
+        ``forced``, ``excluded``, ``size`` and ``value``.
     """
     ws = Workspace(ctx, overlap, state)
     v1, v2 = window if window is not None else (ws.size_min, ws.size_max)
@@ -593,14 +585,14 @@ def single_step(
     def certified(v: int) -> bool:
         value = ws.bound_value(v)
         if trace is not None:
-            trace.add(kind="bound", **where, size=v, value=value)
+            trace.append(dict(kind="bound", **where, size=v, value=value))
         return value > 0.0
 
     def survivor(v: int):
         """Size ``v``'s path candidate if that survives."""
         value = ws.path_value(v)
         if trace is not None:
-            trace.add(kind="path", **where, size=v, value=value)
+            trace.append(dict(kind="path", **where, size=v, value=value))
         if value > 0.0:
             return None
         return Evaluation(Verdict.SURVIVOR_FOUND, witness=ws.path_set(v), sums=ws.path_sums(v))

@@ -109,8 +109,8 @@ class TestConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must lie in [0, 1), got {self.alpha}")
-        if self.n_transforms < 1:
-            raise ValueError("need at least the identity transformation")
+        if not _is_count(self.n_transforms, 1):
+            raise ValueError(f"n_transforms must be an integer of at least 1, got {self.n_transforms!r}")
         rank = math.ceil(self.alpha * self.n_transforms)
         if rank <= 1:
             # The smallest centered sum includes the identity row's 0, so a

@@ -28,7 +28,7 @@ from sumtdp import (
     TruncationRule,
 )
 from sumtdp.branchbound import evaluate_iterative
-from sumtdp.shortcut import QueryContext, TraceLog, Workspace, single_step
+from sumtdp.shortcut import QueryContext, Workspace, single_step
 from tests.conftest import TOY_ROWS
 from tests.util import random_instance, random_subset, subspace
 
@@ -146,9 +146,9 @@ def test_criterion_4_bound_and_path_laws():
                     prev = bound
                 # excluding the pivot must not disturb the greedy path, at
                 # any node the level's run splits
-                trace = TraceLog()
+                trace = []
                 evaluate_iterative(QueryContext(prob, sub), z, trace=trace)
-                for row in trace.rows:
+                for row in trace:
                     if row["kind"] != "branch":
                         continue
                     parent = subspace(prob.n_hyps, row["forced"], row["excluded"])

@@ -69,3 +69,18 @@ def test_cli_tdp_answers_match_the_library(bench, tmp_path):
     workload.build()
     check, _ = workload.check([workload.trace_pass()])
     assert (check.attempted, check.failed) == (4, 0), check.messages
+
+
+@pytest.mark.parametrize("name", ["cli-tdp", "engine-sets", "engine-deep", "simulate"])
+def test_traced_pass_has_no_failed_request(bench, tmp_path, name):
+    # The span hooks in bench/tracing.py read result shapes (.verdict,
+    # .evals, .levels, window=) that only a traced run exercises otherwise.
+    workload = bench.WORKLOADS[name](sumtdp, bench.DEFAULT_SEED, tmp_path, bench.HostProbe(share=0.0))
+    workload.build()
+    tracer = bench.Tracer()
+    with bench.Patches(tracer, sumtdp):
+        requests = workload.trace_pass()
+    assert [r.error for r in requests if r.error is not None] == []
+    calls = {span: row[0] for span, row in tracer.aggregate().items()}
+    for span in ("inference.discoveries", "branchbound.evaluate_iterative", "shortcut.single_step"):
+        assert calls.get(span, 0) >= 1, span

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sumtdp import RejectionTable, SumTestProblem, TraceLog, Verdict
+from sumtdp import RejectionTable, SumTestProblem, Verdict
 from sumtdp import branchbound
 from sumtdp.branchbound import evaluate_iterative
 from sumtdp.shortcut import (
@@ -109,10 +109,10 @@ class TestIterativeToy:
             evaluate_iterative(toy_ctx, 1, budget=-1)
 
     def test_trace_structure(self, toy_ctx):
-        trace = TraceLog()
+        trace = []
         evaluate_iterative(toy_ctx, 1, trace=trace)
-        evals = [r for r in trace.rows if r["kind"] == "eval"]
-        branches = [r for r in trace.rows if r["kind"] == "branch"]
+        evals = [r for r in trace if r["kind"] == "eval"]
+        branches = [r for r in trace if r["kind"] == "branch"]
         assert [e["index"] for e in evals] == [0, 1, 2]
         assert evals[0]["verdict"] is Verdict.UNDECIDED
         assert branches == [{
@@ -164,13 +164,13 @@ class TestAgainstOracle:
                 break
         assert len(deep) >= 6
         for prob, subset, z, full in deep:
-            full_trace = TraceLog()
+            full_trace = []
             evaluate_iterative(QueryContext(prob, subset), z, trace=full_trace)
-            full_evals = [r for r in full_trace.rows if r["kind"] == "eval"]
+            full_evals = [r for r in full_trace if r["kind"] == "eval"]
             for budget in range(full.iterations + 1):
-                t = TraceLog()
+                t = []
                 res = evaluate_iterative(QueryContext(prob, subset), z, budget=budget, trace=t)
-                evals = [r for r in t.rows if r["kind"] == "eval"]
+                evals = [r for r in t if r["kind"] == "eval"]
                 assert evals == full_evals[: len(evals)]
                 if budget < full.iterations:
                     assert res.verdict is Verdict.UNDECIDED
@@ -208,9 +208,9 @@ def _branched_nodes(rng, n_problems):
                               int(rng.integers(1, b + 1)))
         subset = random_subset(rng, m)
         for z in range(1, len(subset) + 1):
-            trace = TraceLog()
+            trace = []
             evaluate_iterative(QueryContext(prob, subset), z, trace=trace)
-            for r in trace.rows:
+            for r in trace:
                 if r["kind"] == "branch":
                     yield prob, subset, z, subspace(m, r["forced"], r["excluded"]), r["pivot"]
 
@@ -261,9 +261,9 @@ class TestSubspaceStates:
             subset = random_subset(rng, stats.n_hyps)
             by_observed = sorted(subset, key=lambda i: (prob.observed[i], i))
             for z in range(1, len(subset) + 1):
-                trace = TraceLog()
+                trace = []
                 evaluate_iterative(QueryContext(prob, subset), z, trace=trace)
-                for r in trace.rows:
+                for r in trace:
                     if r["kind"] != "eval" or r["index"] == 0:
                         continue
                     needed = max(z - len(set(r["forced"]) & set(subset)), 0)

@@ -286,6 +286,23 @@ class TestTdp:
         assert [e["m_reduced"] for e in json.loads(out)] == [3, 4, 5, 4]
         assert len(built) == 1
 
+    def test_all_column_set_is_not_restricted(self, toy_csv, capsys, monkeypatch):
+        # a reduction that keeps every column queries the full problem itself
+        restricted = []
+        real = sumtdp.SumTestProblem.restricted
+
+        def counting(prob, kept, merged):
+            restricted.append(kept)
+            return real(prob, kept, merged)
+
+        monkeypatch.setattr(sumtdp.SumTestProblem, "restricted", counting)
+        code, out, _ = run(
+            capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4", "--truncate", "2.0",
+            "--sets", "[[1,2],[1,2,3,4,5],[1,4,5],[5]]")
+        assert code == 0
+        assert [e["m_reduced"] for e in json.loads(out)] == [3, 5, 4, 4]
+        assert len(restricted) == 3
+
     def test_header_names_a_merged_column(self, tmp_path, capsys):
         # Columns a and b merge under truncation; the merged column would be
         # named "a+b", which the header already holds.  No reduced matrix
@@ -494,6 +511,16 @@ class TestDataRoute:
         assert code == 2
         assert "unknown combiner" in err
 
+    @pytest.mark.parametrize("power", ["inf", "1e400", "nan", "-inf"])
+    def test_power_must_be_finite(self, tmp_path, capsys, power):
+        path = tmp_path / "p.csv"
+        path.write_text("a,b\n0.01,0.2\n0.5,0.7\n0.3,0.9\n")
+        code, out, err = run(
+            capsys, "tdp", "--stats", str(path), "--combiner", f"vw:{power}",
+            "--sets", "[[1,2]]")
+        assert (code, out) == (2, "")
+        assert f"bad combiner power '{power}'" in err
+
 
 class TestDataConversion:
     """``--data`` with a combiner and truncation gives what the library
@@ -528,7 +555,7 @@ class TestDataConversion:
         cfg = sumtdp.TestConfig(0.05, self.B)
         entries, rows = [], []
         for set_id, cols in enumerate(self.SETS, start=1):
-            trace = sumtdp.TraceLog()
+            trace = []
             res = sumtdp.discoveries_matrix(
                 evidence, cfg, [c - 1 for c in cols], reduction_ground=ground, step_budget=50,
                 trace=trace)
@@ -537,7 +564,7 @@ class TestDataConversion:
                 "tdp": res.tdp, "converged": res.converged, "iterations": res.evals,
                 **res.reduction,
             })
-            rows += [{**row, "set_id": set_id} for row in trace.rows]
+            rows += [{**row, "set_id": set_id} for row in trace]
         return entries, rows
 
     @pytest.mark.parametrize("token, one_sided, threshold, rank, ground", [

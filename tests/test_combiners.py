@@ -50,6 +50,13 @@ class TestParse:
         with pytest.raises(ValueError, match="power"):
             Combiner.parse("vw:")
 
+    @pytest.mark.parametrize("power", ["inf", "1e400", "-inf", "nan"])
+    def test_power_must_be_finite(self, power):
+        with pytest.raises(ValueError, match="bad combiner power"):
+            Combiner.parse(f"vw:{power}")
+        with pytest.raises(ValueError, match="bad combiner power"):
+            Combiner("generalized_mean", float(power))
+
 
 class TestTransforms:
     def test_fisher_values(self):
@@ -203,6 +210,14 @@ class TestThresholdFromRank:
         with pytest.raises(ValueError):
             threshold_from_rank(toy_stats, toy_stats.values.size + 1)
 
+    @pytest.mark.parametrize("rank", [2.5, 2.0, True])
+    def test_rank_must_be_a_count(self, toy_stats, rank):
+        with pytest.raises(ValueError, match=r"rank must lie in 1\.\.30"):
+            threshold_from_rank(toy_stats, rank)
+
+    def test_numpy_rank(self, toy_stats):
+        assert threshold_from_rank(toy_stats, np.int64(12)) == 2.0
+
 
 def full_conversion(tstats, df, comb, two_sided, names, threshold, rank, ground):
     """Every entry through t.sf, the combiner and then truncation."""
@@ -336,6 +351,18 @@ class TestEvidenceFromT:
         for rank in (1, 30, 100):
             with pytest.raises(ValueError, match=r"p-values must lie in \(0, 1\], got 0.0"):
                 evidence_from_t(StatisticMatrix(t), 9, Combiner.parse("fisher"), rank=rank)
+
+    @pytest.mark.parametrize("rank", [2.5, 2.0, True])
+    def test_rank_must_be_a_count(self, rank):
+        t = np.abs(np.random.default_rng(5).standard_normal((20, 5)))
+        with pytest.raises(ValueError, match=r"rank must lie in 1\.\.100"):
+            evidence_from_t(StatisticMatrix(t), 9, Combiner.parse("fisher"), rank=rank)
+
+    def test_numpy_rank(self):
+        t = StatisticMatrix(np.abs(np.random.default_rng(5).standard_normal((20, 5))))
+        fisher = Combiner.parse("fisher")
+        got = evidence_from_t(t, 9, fisher, rank=np.int64(30)).values
+        assert np.array_equal(got, evidence_from_t(t, 9, fisher, rank=30).values)
 
     def test_threshold_and_rank_exclusive(self):
         with pytest.raises(ValueError, match="not both"):

@@ -152,6 +152,11 @@ class TestOneSampleT:
         with pytest.raises(ValueError, match="2 observations"):
             observed_t(np.ones((1, 3)))
 
+    def test_needs_a_variable(self):
+        scheme = TransformationScheme("sign_flip", 10, seed=1)
+        with pytest.raises(ValueError, match=r"at least 1 variable, got \(5, 0\)"):
+            sign_flip_matrix(np.zeros((5, 0)), scheme)
+
 
 class TestSignFlip:
     def test_row_zero_is_identity(self, data):

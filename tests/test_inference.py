@@ -10,7 +10,6 @@ from sumtdp import (
     StatisticMatrix,
     SumTestProblem,
     TestConfig,
-    TraceLog,
     Verdict,
     discoveries,
     discoveries_matrix,
@@ -73,9 +72,9 @@ class TestDiscoveriesToy:
             discoveries(toy_problem, [0.9, 1.2])
 
     def test_trace_collects_all_levels(self, toy_problem):
-        trace = TraceLog()
+        trace = []
         discoveries(toy_problem, TOY_SUBSET, trace=trace)
-        overlaps = {r["overlap"] for r in trace.rows}
+        overlaps = {r["overlap"] for r in trace}
         assert overlaps == {1, 2}
 
 
@@ -290,11 +289,11 @@ class TestLift:
             table = RejectionTable(prob)
             for _ in range(6):
                 sub = random_subset(rng, stats.n_hyps)
-                trace = TraceLog()
+                trace = []
                 res = discoveries(prob, sub, trace=trace)
                 assert res.converged
                 assert res.discoveries == len(sub) - table.max_nonrejected_overlap(sub)
-                lifts = [r for r in trace.rows if r["kind"] == "lift"]
+                lifts = [r for r in trace if r["kind"] == "lift"]
                 if lifts:
                     n_lifts += 1
                     assert res.discoveries == res.d_upper == 0
@@ -303,14 +302,14 @@ class TestLift:
         assert n_lifts > 10
 
     def test_toy_zero_discovery_query(self, toy_problem):
-        trace = TraceLog()
+        trace = []
         res = discoveries(toy_problem, (0, 3, 4), trace=trace)
         assert res.levels == ((3, Verdict.SURVIVOR_FOUND, 1),)
         assert (res.discoveries, res.d_upper, res.evals) == (0, 0, 1)
         assert res.converged
-        lifts = [r for r in trace.rows if r["kind"] == "lift"]
+        lifts = [r for r in trace if r["kind"] == "lift"]
         assert lifts == [{"kind": "lift", "overlap": 3, "witness": (0, 3, 4), "value": -1.0}]
-        assert trace.rows[-1] is lifts[0]
+        assert trace[-1] is lifts[0]
 
     def test_no_check_after_all_rejected(self, monkeypatch):
         events = []
@@ -401,13 +400,11 @@ class TestReductionEquivalence:
 class TestLargestSubset:
     def test_toy_half(self, toy_problem):
         res = largest_subset(toy_problem, 0.5)
-        assert res.size == 4
-        assert res.result.tdp == 0.5
+        assert res.tdp == 0.5
         assert res.subset == (0, 1, 2, 3)
 
     def test_gamma_zero_returns_full_set(self, toy_problem):
         res = largest_subset(toy_problem, 0.0)
-        assert res.size == 5
         assert res.subset == (0, 1, 2, 3, 4)
 
     def test_none_qualifies(self):
@@ -418,10 +415,7 @@ class TestLargestSubset:
         stats = StatisticMatrix(vals)
         cfg = TestConfig(0.2, 20)
         prob = SumTestProblem.from_matrix(stats, cfg)
-        res = largest_subset(prob, 0.9)
-        assert res.size == 0
-        assert res.subset == ()
-        assert res.result is None
+        assert largest_subset(prob, 0.9) is None
 
     def test_matches_downward_scan(self):
         rng = np.random.default_rng(58)
@@ -437,7 +431,7 @@ class TestLargestSubset:
                     if discoveries(prob, order[:k]).tdp >= gamma:
                         best = k
                         break
-                assert res.size == best
+                assert (0 if res is None else len(res.subset)) == best
 
     def test_order_validation(self, toy_problem):
         with pytest.raises(ValueError, match="permutation"):
@@ -454,4 +448,4 @@ class TestLargestSubset:
     def test_prefix_uses_given_order(self, toy_problem):
         order = (4, 3, 2, 1, 0)
         res = largest_subset(toy_problem, 0.2, order=order)
-        assert res.subset == tuple(sorted(order[: res.size]))
+        assert res.subset == tuple(sorted(order[: len(res.subset)]))

@@ -15,7 +15,6 @@ from sumtdp import (
     StatisticMatrix,
     SumTestProblem,
     TestConfig,
-    TraceLog,
     Verdict,
     discoveries,
     subset_quantile,
@@ -69,14 +68,14 @@ class TestProblem:
         for prob in twins:
             assert prob.centered.flags.c_contiguous
         for subset in (range(80), range(25), range(10, 60, 3)):
-            traces = [TraceLog(), TraceLog()]
+            traces = [[], []]
             rows, cols = (
                 discoveries(prob, subset, step_budget=8, trace=trace)
                 for prob, trace in zip(twins, traces)
             )
             assert [getattr(cols, f.name) for f in fields(cols)] == \
                 [getattr(rows, f.name) for f in fields(rows)]
-            assert traces[0].rows == traces[1].rows
+            assert traces[0] == traces[1]
 
     def test_arrays_read_only(self, toy_problem):
         with pytest.raises(ValueError):
@@ -296,11 +295,11 @@ class TestRootScanSortsNothing:
         monkeypatch.setattr(QueryContext, "sorted_rows", no_sort)
         ctx = QueryContext(prob, subset)
         ws = Workspace(ctx, 32)  # the first level the bisection probes
-        trace = TraceLog()
+        trace = []
         out = single_step(ctx, 32, trace=trace)
         assert out.verdict is Verdict.SURVIVOR_FOUND
         assert out.witness == ws.path_set(ws.drop_end)
-        assert [(r["kind"], r["size"]) for r in trace.rows] == [("path", ws.drop_end)]
+        assert [(r["kind"], r["size"]) for r in trace] == [("path", ws.drop_end)]
         # The witness carries its exact row sums, which the survivor lift extends.
         assert out.sums.tolist() == prob.centered[:, list(out.witness)].sum(axis=1).tolist()
         # The whole query settles on that survivor, lifted to d = 0.
@@ -499,11 +498,11 @@ class TestCarriedSums:
             summed.append(cols.size)
             return _real(cols)
         monkeypatch.setattr(shortcut, "_row_sums", counting)
-        trace = TraceLog()
+        trace = []
         ctx = QueryContext(prob, tuple(range(300)))
         out = evaluate_iterative(ctx, 282, budget=24, trace=trace)
         assert out.verdict is Verdict.UNDECIDED
-        assert sum(row["kind"] == "eval" for row in trace.rows) == 25
+        assert sum(row["kind"] == "eval" for row in trace) == 25
         assert sum(summed) < 8 * 40 * 282
 
 
@@ -566,13 +565,13 @@ class TestSingleStepToy:
             _scan(toy_problem, 2, subspace(5, excluded=(0,)))
 
     def test_trace_rows(self, toy_problem):
-        trace = TraceLog()
+        trace = []
         _scan(toy_problem, 1, trace=trace)
-        kinds = {r["kind"] for r in trace.rows}
+        kinds = {r["kind"] for r in trace}
         assert kinds == {"bound", "path"}
-        sizes = sorted(r["size"] for r in trace.rows if r["kind"] == "bound")
+        sizes = sorted(r["size"] for r in trace if r["kind"] == "bound")
         assert sizes == [1, 2, 3, 4]  # scan stopped after size 4 went positive
-        for r in trace.rows:
+        for r in trace:
             assert r["overlap"] == 1
             assert r["forced"] == ()
             assert r["excluded"] == ()
@@ -582,18 +581,18 @@ class TestSingleStepToy:
         # so size 5 is positive too and is not read.  It is the root scan's
         # first size, read before the remainder is built, so its path comes
         # first; that path does not survive, and the bound certifies size 4.
-        trace = TraceLog()
+        trace = []
         out = _scan(toy_problem, 4, subset=(0, 1, 2, 3, 4), trace=trace)
         assert out.verdict is Verdict.ALL_REJECTED
-        assert [(r["kind"], r["size"]) for r in trace.rows] == [("path", 4), ("bound", 4)]
-        assert [r["value"] > 0.0 for r in trace.rows] == [True, True]
+        assert [(r["kind"], r["size"]) for r in trace] == [("path", 4), ("bound", 4)]
+        assert [r["value"] > 0.0 for r in trace] == [True, True]
 
 
 def assert_walk(prob, subset, overlap, state=None, window=None):
     """The scan reads sizes down from min(drop_end, hi), then up above it, once each."""
-    trace = TraceLog()
+    trace = []
     single_step(QueryContext(prob, subset), overlap, state, window=window, trace=trace)
-    reads = [(r["size"], r["value"]) for r in trace.rows if r["kind"] == "bound"]
+    reads = [(r["size"], r["value"]) for r in trace if r["kind"] == "bound"]
     if not reads:
         return
     sizes = [v for v, _ in reads]
@@ -727,16 +726,16 @@ class TestLawsAgainstOracle:
                                       int(rng.integers(1, b + 1)))
             subset = random_subset(rng, prob.n_hyps)
             for z in range(1, len(subset) + 1):
-                trace = TraceLog()
+                trace = []
                 evaluate_iterative(QueryContext(prob, subset), z, trace=trace)
                 paths, verdicts = {}, {}
-                for r in trace.rows:
+                for r in trace:
                     key = (r["forced"], r["excluded"])
                     if r["kind"] == "path":
                         paths.setdefault(key, {})[r["size"]] = r["value"]
                     elif r["kind"] == "eval":
                         verdicts[key] = r["verdict"]
-                for r in trace.rows:
+                for r in trace:
                     if r["kind"] != "branch":
                         continue
                     parent = (r["forced"], r["excluded"])

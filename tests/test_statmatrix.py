@@ -203,6 +203,14 @@ class TestTestConfig:
         with pytest.raises(ValueError):
             TestConfig(0.4, 0)
 
+    @pytest.mark.parametrize("count", [200.5, 200.0, True, "200"])
+    def test_count_must_be_an_integer(self, count):
+        with pytest.raises(ValueError, match="n_transforms must be an integer of at least 1"):
+            TestConfig(0.05, count)
+
+    def test_numpy_count(self):
+        assert TestConfig(0.05, np.int64(200)).crit_rank == 10
+
 
 class TestSubsetQuantile:
     def test_toy_values(self, toy_problem):
