@@ -15,8 +15,9 @@ run, writes the result and writes a manifest (command, configuration,
 versions, input checksums, wall time) next to ``--out``, or to stderr when
 results go to stdout, so any result file can be traced back to its exact
 inputs.  Every subcommand but ``simulate`` builds one sum-test problem from
-its matrix; ``tdp`` queries each set on it, reduced to the set whenever
-truncation is active (see :mod:`.reduction`), and is the only subcommand with
+its matrix.  Whenever truncation is active, the problem reduces each query
+to its set (see :mod:`.reduction`), so ``tdp``, ``largest`` and ``verify``
+all query the reduced problem; ``tdp`` is the only subcommand with
 ``--trace``.
 
 Exit codes: 0 success, 1 internal error or verification mismatch, 2 usage or
@@ -47,7 +48,7 @@ from .combiners import (
     truncate,
 )
 from .generators import TransformationScheme, sign_flip_matrix
-from .inference import _query, discoveries, largest_subset
+from .inference import discoveries, largest_subset
 from .oracle import RejectionTable
 from .shortcut import SumTestProblem
 from .statmatrix import (
@@ -219,9 +220,11 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
 
 
 def _problem(args, inputs: dict):
-    """The loaded matrix and its sum-test problem."""
+    """The loaded matrix and its sum-test problem, reducing each query under truncation."""
     stats = _load_matrix(args, inputs)
-    return stats, SumTestProblem.from_matrix(stats, TestConfig(_alpha(args), stats.n_transforms))
+    truncated = args.truncate is not None or args.truncate_rank is not None
+    cfg = TestConfig(_alpha(args), stats.n_transforms)
+    return stats, SumTestProblem.from_matrix(stats, cfg, ground=args.ground if truncated else None)
 
 
 def _column_indices(tokens, stats: StatisticMatrix) -> list:
@@ -432,16 +435,12 @@ def _cmd_test(args, inputs: dict) -> _Result:
 
 def _cmd_tdp(args, inputs: dict) -> _Result:
     stats, prob = _problem(args, inputs)
-    # Reduction rests on the floor truncation leaves (see .reduction).
-    truncated = args.truncate is not None or args.truncate_rank is not None
-    ground = args.ground if truncated else None
-
     entries, trace_rows = [], []
     for set_id, tokens in enumerate(_parse_set_lists(args.sets, inputs), start=1):
         trace = [] if args.trace is not None else None
         try:
             subset = _parse_tokens(tokens, stats)
-            res = _query(prob, stats, subset, ground, args.max_iter, trace)
+            res = discoveries(prob, subset, step_budget=args.max_iter, trace=trace)
         except ValueError as exc:
             entries.append({"set_id": set_id, "error": str(exc)})
             continue
@@ -541,11 +540,8 @@ def _cmd_simulate(args, inputs: dict) -> _Result:
     if not isinstance(config, dict):
         raise InputError(f"{args.config}: top level must be an object")
     cells = _build_cells(config, args)
-    payload = [
-        {key: (None if value == "" else value) for key, value in row.items()}
-        for row in run_grid(cells)
-    ]
-    return _Result(payload, list(GRID_COLUMNS), default_format="csv", extra={"cells": len(cells)})
+    return _Result(run_grid(cells), list(GRID_COLUMNS), default_format="csv",
+                   extra={"cells": len(cells)})
 
 
 def main(argv=None) -> int:

@@ -38,8 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .branchbound import evaluate_iterative
-from .reduction import _reduction
-from .shortcut import QueryContext, SumTestProblem, Verdict, _rank_stat
+from .shortcut import QueryContext, SumTestProblem, Verdict, _rank_stat, _reduce
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
@@ -68,8 +67,8 @@ class DiscoveryResult:
     overlap that survivor certifies, the subset's size, not the probed one.
     ``evals`` is the total number of single-step scans, root scans included.
     ``reduction`` holds the column-reduction counts (``m_reduced``,
-    ``removed``, ``collapsed``) when :func:`discoveries_matrix` reduced the
-    matrix first, and is None otherwise.
+    ``removed``, ``collapsed``) when the query ran on a problem built with a
+    truncation ground (see :func:`discoveries`), and is None otherwise.
     """
 
     subset: tuple
@@ -151,12 +150,39 @@ def discoveries(
     may undercount; ``converged`` tells the difference.  One
     :class:`~.shortcut.QueryContext` serves every scan of the query.
 
+    A problem with ``ground_classes`` is first reduced to the subset on its
+    own grid (see :mod:`.reduction`), which changes no verdict; trace rows
+    then name original columns (a merged one as a tuple), while sizes and
+    windows count reduced ones.
+
     Bounds from any number of calls on one problem hold jointly at the
     configured confidence level, so a loop over many subsets needs no
     adjustment across queries.
     """
-    ctx = QueryContext(prob, subset)
-    subset = ctx.subset
+    if prob.ground_classes is None:
+        return _bisect(QueryContext(prob, subset), step_budget, trace)
+    subset = validate_subset(subset, prob.n_hyps)
+    inner, kept, removed, collapsed = _reduce(prob.ground_classes, subset)
+    reduced = prob if len(kept) == prob.n_hyps else prob.restricted(kept, collapsed)
+    start = len(trace) if trace is not None else 0
+    res = _bisect(QueryContext(reduced, inner), step_budget, trace)
+    if trace is not None and reduced is not prob:
+        # reduced column index -> the original columns it stands for
+        user = [(j,) for j in kept] + [collapsed]
+        for row in trace[start:]:
+            for key in ("forced", "excluded", "witness"):
+                if row.get(key) is not None:
+                    row[key] = tuple(sorted(j for i in row[key] for j in user[i]))
+            if row.get("pivot") is not None:
+                pivot = user[row["pivot"]]
+                row["pivot"] = pivot if len(pivot) > 1 else pivot[0]
+    counts = {"m_reduced": reduced.n_hyps, "removed": len(removed), "collapsed": len(collapsed)}
+    return replace(res, subset=subset, reduction=counts)
+
+
+def _bisect(ctx: QueryContext, step_budget, trace) -> DiscoveryResult:
+    """:func:`discoveries` on the context's problem and subset, as they stand."""
+    prob, subset = ctx.prob, ctx.subset
     s = len(subset)
     if step_budget is not None and not _is_count(step_budget):
         raise ValueError(f"step_budget must be None or a nonnegative integer: {step_budget!r}")
@@ -206,44 +232,10 @@ def discoveries_matrix(
     step_budget=None,
     trace: list = None,
 ) -> DiscoveryResult:
-    """Discovery bound straight from a statistic matrix: one problem build, one query.
-
-    When ``reduction_ground`` is given, inert columns outside the subset are
-    dropped or merged first (see :mod:`.reduction`); the result is reported
-    in terms of the original subset, with the reduction's counts in
-    ``reduction``.  Discovery counts are unchanged by the reduction, only the
-    work to reach them shrinks.  ``step_budget`` and ``trace`` are those of
-    :func:`discoveries`, but trace rows name original columns (a merged
-    column as a tuple) while sizes and windows count reduced ones.
-    """
-    prob = SumTestProblem.from_matrix(stats, cfg)
-    return _query(prob, stats, subset, reduction_ground, step_budget, trace)
-
-
-def _query(prob, stats, subset, reduction_ground, step_budget, trace) -> DiscoveryResult:
-    """:func:`discoveries_matrix` on ``prob``, the problem built from ``stats``."""
-    subset = validate_subset(subset, stats.n_hyps)
-    if reduction_ground is None:
-        return discoveries(prob, subset, step_budget=step_budget, trace=trace)
-    inner, kept, removed, collapsed = _reduction(stats, subset, reduction_ground)
-    # on the full problem's grid (itself when every column stays), so no verdict changes
-    reduced = prob if len(kept) == prob.n_hyps else prob.restricted(kept, collapsed)
-    start = len(trace) if trace is not None else 0
-    res = discoveries(reduced, inner, step_budget=step_budget, trace=trace)
-    if trace is not None:
-        # reduced column index -> the original columns it stands for
-        user = [(j,) for j in kept]
-        if collapsed:
-            user.append(collapsed)
-        for row in trace[start:]:
-            for key in ("forced", "excluded", "witness"):
-                if row.get(key) is not None:
-                    row[key] = tuple(sorted(j for i in row[key] for j in user[i]))
-            if row.get("pivot") is not None:
-                pivot = user[row["pivot"]]
-                row["pivot"] = pivot if len(pivot) > 1 else pivot[0]
-    counts = {"m_reduced": reduced.n_hyps, "removed": len(removed), "collapsed": len(collapsed)}
-    return replace(res, subset=subset, reduction=counts)
+    """Discovery bound straight from a statistic matrix: :func:`discoveries` on
+    ``SumTestProblem.from_matrix(stats, cfg, ground=reduction_ground)``."""
+    prob = SumTestProblem.from_matrix(stats, cfg, ground=reduction_ground)
+    return discoveries(prob, subset, step_budget=step_budget, trace=trace)
 
 
 def largest_subset(

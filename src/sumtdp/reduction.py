@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .shortcut import _ground_classes, _reduce
 from .statmatrix import StatisticMatrix, validate_subset
 
 __all__ = ["ReductionResult", "reduce_columns"]
@@ -52,7 +53,8 @@ def reduce_columns(stats: StatisticMatrix, subset, ground: float = 0.0) -> Reduc
     guarantees); raises ValueError otherwise, since the dominance arguments
     above rest on it.
     """
-    subset, kept, removed, collapsed = _reduction(stats, subset, ground)
+    classes = _ground_classes(stats.values, ground)
+    subset, kept, removed, collapsed = _reduce(classes, validate_subset(subset, stats.n_hyps))
     values, names = stats.values, stats.names
     cols = [values[:, list(kept)]]
     new_names = None if names is None else [names[j] for j in kept]
@@ -66,32 +68,3 @@ def reduce_columns(stats: StatisticMatrix, subset, ground: float = 0.0) -> Reduc
     reduced = np.concatenate(cols, axis=1)
     new_names = None if new_names is None else tuple(new_names)
     return ReductionResult(StatisticMatrix(reduced, names=new_names), subset, kept, removed, collapsed)
-
-
-def _reduction(stats: StatisticMatrix, subset, ground) -> tuple:
-    """The fields of :func:`reduce_columns`'s result but the matrix, which it does not build."""
-    ground = float(ground)
-    values = stats.values
-    if values.min() < ground:
-        raise ValueError(
-            f"matrix entries fall below the ground value {ground}; "
-            "reduction applies to floor-truncated matrices only"
-        )
-    subset = validate_subset(subset, stats.n_hyps)
-    outside = np.ones(stats.n_hyps, dtype=bool)
-    outside[list(subset)] = False
-    inert = (values[1:] == ground).all(axis=0)
-    removable = outside & inert
-    collapsible = np.flatnonzero(outside & ~inert & (values[0] == ground))
-
-    merge = collapsible.size >= 2
-    keep = ~removable
-    if merge:
-        keep[collapsible] = False
-    new_index = np.cumsum(keep) - 1
-    return (
-        tuple(new_index[list(subset)].tolist()),
-        tuple(np.flatnonzero(keep).tolist()),
-        tuple(np.flatnonzero(removable).tolist()),
-        tuple(collapsible.tolist()) if merge else (),
-    )

@@ -142,6 +142,52 @@ def _steps(x: np.ndarray, step: float, up: bool) -> np.ndarray:
     return q
 
 
+# Entries per block of rows when summing absolute values (see _sums_finite).
+_BLOCK = 1 << 16
+
+
+def _sums_finite(cen: np.ndarray) -> bool:
+    """Whether every row of ``cen`` has a finite absolute sum, so no sum of its entries overflows.
+
+    m times the largest |entry| decides most matrices; the rest are summed
+    ``_BLOCK`` entries at a time, so no B x m temporary is made.
+    """
+    top = float(max(cen.max(initial=0.0), -cen.min(initial=0.0)))
+    if math.isfinite(cen.shape[1] * top):
+        return True
+    rows = max(_BLOCK // max(cen.shape[1], 1), 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return all(np.isfinite(np.abs(cen[i:i + rows]).sum(axis=1)).all()
+                   for i in range(0, cen.shape[0], rows))
+
+
+def _ground_classes(values: np.ndarray, ground) -> tuple:
+    """Read-only masks of the columns :mod:`.reduction` drops and merges at ``ground``:
+    transformed rows all at it, and the others' observed entries at it."""
+    ground = float(ground)
+    if values.min() < ground:
+        raise ValueError(f"matrix entries fall below the ground value {ground}; "
+                         "reduction applies to floor-truncated matrices only")
+    inert = (values[1:] == ground).all(axis=0)
+    low = ~inert & (values[0] == ground)
+    inert.setflags(write=False)
+    low.setflags(write=False)
+    return inert, low
+
+
+def _reduce(classes: tuple, subset: tuple) -> tuple:
+    """The validated ``subset`` re-indexed, and the columns kept, removed and collapsed
+    by ``classes`` outside it; a lone collapsible column is kept in place."""
+    outside = np.ones(classes[0].size, dtype=bool)
+    outside[list(subset)] = False
+    removed, merged = (np.flatnonzero(outside & mask) for mask in classes)
+    merged = merged if merged.size >= 2 else merged[:0]
+    keep = np.ones(outside.size, dtype=bool)
+    keep[removed] = keep[merged] = False
+    inner, kept = np.cumsum(keep)[list(subset)] - 1, np.flatnonzero(keep)
+    return tuple(inner.tolist()), *(tuple(c.tolist()) for c in (kept, removed, merged))
+
+
 @dataclass(frozen=True, eq=False)
 class SumTestProblem:
     """Centered matrix, observed statistics and critical rank, bundled.
@@ -153,6 +199,9 @@ class SumTestProblem:
     step (see :meth:`from_matrix`) and every zero as 0.0, so each sum of
     distinct columns of a row is exact in any order.  A centered matrix
     given directly is rounded down onto the grid of its largest entry.
+    No row's absolute sum may overflow, so no sum of its entries does.
+    :attr:`ground_classes`, set only by :meth:`from_matrix` given a ground,
+    are the column masks :func:`~.inference.discoveries` reduces by.
     """
 
     centered: np.ndarray
@@ -166,18 +215,19 @@ class SumTestProblem:
         step = _grid_step(cen.shape[1], float(max(cen.max(initial=0.0), -cen.min(initial=0.0))))
         self._keep(_steps(cen, step, up=False) * step + 0.0, self.observed, self.crit_rank)
 
-    def _keep(self, cen: np.ndarray, observed, crit_rank: int) -> "SumTestProblem":
-        """Check the grid matrix ``cen`` against the other two fields; store all three."""
+    def _keep(self, cen: np.ndarray, observed, crit_rank: int, classes=None) -> "SumTestProblem":
+        """Check the grid matrix ``cen`` against the next two fields; store all four."""
         obs = np.array(observed, dtype=float)
         if obs.shape != (cen.shape[1],) or not np.isfinite(obs).all():
             raise ValueError("observed must be a finite (m,) vector")
-        if not np.isfinite(cen).all():
+        if not _sums_finite(cen):
             raise ValueError("centered values x0 - xr overflow; rescale the statistics")
         if not 1 <= crit_rank <= cen.shape[0]:
             raise ValueError(f"crit_rank {crit_rank} out of range for {cen.shape[0]} rows")
         cen.setflags(write=False)
         obs.setflags(write=False)
-        for name, value in (("centered", cen), ("observed", obs), ("crit_rank", crit_rank)):
+        for name, value in (("centered", cen), ("observed", obs), ("crit_rank", crit_rank),
+                            ("ground_classes", classes)):
             object.__setattr__(self, name, value)
         return self
 
@@ -218,7 +268,7 @@ class SumTestProblem:
         return self.centered.shape[1]
 
     @classmethod
-    def from_matrix(cls, stats: StatisticMatrix, cfg: TestConfig) -> "SumTestProblem":
+    def from_matrix(cls, stats: StatisticMatrix, cfg: TestConfig, ground=None) -> "SumTestProblem":
         """Subtract every row of ``stats`` from its observed row, on the grid.
 
         Each observed entry x0 is rounded down and each transformed entry xr
@@ -230,9 +280,11 @@ class SumTestProblem:
         columns.  The caps turn no row sum's sign and +T is at most the real
         value, so a set this problem rejects, the exact test rejects, and one
         huge column (a p-value of 1e-20 under ``vw:-1``) rounds no other away.
+        With ``ground``, the floor a truncation left, no entry may lie below it.
         """
         if cfg.n_transforms != stats.n_transforms:
             raise ValueError("config and matrix disagree on the number of rows")
+        classes = None if ground is None else _ground_classes(stats.values, ground)
         values, x0, dominant = stats.values, stats.values[0], []
         top = values[1:].max(axis=0, initial=-np.inf)
         bottom = values[1:].min(axis=0, initial=np.inf)
@@ -260,16 +312,19 @@ class SumTestProblem:
             cen[1:, dominant] = np.copysign(cap, cut)
         cen[0] = 0.0
         # already on the grid, so not through __post_init__, which would copy it
-        return object.__new__(cls)._keep(cen, stats.observed, cfg.crit_rank)
+        return object.__new__(cls)._keep(cen, stats.observed, cfg.crit_rank, classes)
 
     def restricted(self, kept, merged) -> "SumTestProblem":
         """This problem on columns ``kept``, then one exact grid sum of ``merged`` if any.
 
-        The merged column's observed statistic sums its members'.  Each sum
-        of the new columns is one of this problem's, so each verdict is too.
+        The merged column's observed statistic sums its members', clipped to
+        the finite range.  Each sum of the new columns is one of this
+        problem's, so each verdict is too.
         """
         kept, merged = list(kept), list(merged)
-        obs = [self.observed[kept], *([self.observed[merged].sum()] if merged else [])]
+        with np.errstate(over="ignore"):
+            total = [np.nan_to_num(self.observed[merged].sum())] if merged else []
+        obs = [self.observed[kept], *total]
         merged = [self.centered[:, merged].sum(axis=1)] if merged else []
         cen = np.column_stack([np.take(self.centered, kept, axis=1), *merged])  # row-major
         return object.__new__(SumTestProblem)._keep(cen, np.hstack(obs), self.crit_rank)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .combiners import Combiner, evidence_from_t
 from .generators import TransformationScheme, sign_flip_matrix
-from .inference import _query
+from .inference import discoveries
 from .shortcut import SumTestProblem
 from .statmatrix import TestConfig, _is_count
 
@@ -194,12 +194,12 @@ def run_replication(
         threshold = float(comb.transform(np.array([cfg.truncate_p]))[0])
         ground = float(comb.transform(np.array([cfg.ground_p]))[0])
     evidence = evidence_from_t(tstats, cfg.n_obs - 1, comb, threshold=threshold, ground=ground)
-    prob = SumTestProblem.from_matrix(evidence, TestConfig(cfg.alpha, cfg.n_transforms))
+    prob = SumTestProblem.from_matrix(evidence, TestConfig(cfg.alpha, cfg.n_transforms), ground)
     results = {}
     for name in queries:
         cols = _query_columns(cfg, name)
         if cols:
-            results[name] = _query(prob, evidence, cols, ground, cfg.step_budget, None)
+            results[name] = discoveries(prob, cols, step_budget=cfg.step_budget)
     return ReplicationOutcome(rep=rep, results=results)
 
 
@@ -277,11 +277,12 @@ def run_grid(cells) -> list:
     A cell that raises ``ValueError`` (a configuration or its data cannot be
     run) is recorded with its error message and the grid keeps going, so a
     long sweep is never lost to one bad configuration.  Any other exception
-    is a fault in the engine and propagates.
+    is a fault in the engine and propagates.  A cell with no value, such as
+    an aggregate of no queries or the error of a good cell, holds None.
     """
     rows = []
     for cfg in cells:
-        row = {key: "" for key in GRID_COLUMNS}
+        row = dict.fromkeys(GRID_COLUMNS)
         row.update(cfg.to_dict())
         try:
             study = run_study(cfg)
@@ -291,7 +292,7 @@ def run_grid(cells) -> list:
                 "converged_frac": study.converged_frac(),
                 "mean_evals": study.mean_evals(),
             }
-            row.update({k: "" if math.isnan(v) else v for k, v in aggregates.items()})
+            row.update({k: None if math.isnan(v) else v for k, v in aggregates.items()})
             row["mean_wall_time_s"] = study.mean_wall_time()
         except ValueError as exc:
             row["error"] = str(exc)

@@ -257,9 +257,9 @@ class TestTdp:
         built = []
         real = sumtdp.SumTestProblem.from_matrix
 
-        def counting(stats, cfg):
+        def counting(stats, cfg, ground=None):
             built.append(stats)
-            return real(stats, cfg)
+            return real(stats, cfg, ground=ground)
 
         monkeypatch.setattr(sumtdp.SumTestProblem, "from_matrix", counting)
         code, out, _ = run(
@@ -274,9 +274,9 @@ class TestTdp:
         built = []
         real = sumtdp.SumTestProblem.from_matrix
 
-        def counting(stats, cfg):
+        def counting(stats, cfg, ground=None):
             built.append(stats)
-            return real(stats, cfg)
+            return real(stats, cfg, ground=ground)
 
         monkeypatch.setattr(sumtdp.SumTestProblem, "from_matrix", counting)
         code, out, _ = run(
@@ -380,6 +380,28 @@ class TestLargest:
         assert json.loads(out) == {
             "size": 4, "tdp": 0.5, "members": ["H1", "H2", "H3", "H4"]}
 
+    def test_truncated_prefixes_are_reduced(self, toy_csv, capsys, monkeypatch):
+        # under truncation each prefix query runs on its reduced problem,
+        # with the answer of the full one
+        restricted = []
+        real = sumtdp.SumTestProblem.restricted
+
+        def counting(prob, kept, merged):
+            restricted.append(kept)
+            return real(prob, kept, merged)
+
+        monkeypatch.setattr(sumtdp.SumTestProblem, "restricted", counting)
+        argv = ["largest", "--stats", toy_csv, "--alpha", "0.4", "--truncate", "2", "--gamma"]
+        code, out, _ = run(capsys, *argv, "0.5")
+        assert code == 0
+        assert json.loads(out) == {
+            "size": 4, "tdp": 0.5, "members": ["H1", "H2", "H3", "H4"]}
+        # prefixes of at most 3 columns leave H4 and H5, at the ground, to merge
+        code, out, _ = run(capsys, *argv, "0.99")
+        assert code == 0
+        assert json.loads(out) == {"size": 0, "tdp": 0.0, "members": []}
+        assert restricted
+
     def test_gamma_zero(self, toy_csv, capsys):
         code, out, _ = run(
             capsys, "largest", "--stats", toy_csv, "--alpha", "0.4",
@@ -436,6 +458,24 @@ class TestVerify:
         assert payload["subsets_checked"] == 31
         assert payload["mismatches"] == 0
         assert payload["details"] == []
+
+    def test_truncated_engine_matches_reference(self, toy_csv, capsys, monkeypatch):
+        # under truncation the engine's answers come from reduced problems;
+        # the reference enumerates the full one
+        restricted = []
+        real = sumtdp.SumTestProblem.restricted
+
+        def counting(prob, kept, merged):
+            restricted.append(kept)
+            return real(prob, kept, merged)
+
+        monkeypatch.setattr(sumtdp.SumTestProblem, "restricted", counting)
+        code, out, _ = run(
+            capsys, "verify", "--stats", toy_csv, "--alpha", "0.4", "--truncate", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["subsets_checked"], payload["mismatches"]) == (31, 0)
+        assert restricted
 
     @pytest.mark.parametrize("instance, shape, alpha", [
         (201, (11, 8), 0.2), (394, (6, 7), 0.4),
@@ -780,13 +820,21 @@ class TestErrors:
         assert code == 2
         assert "bad.csv:2" in err
 
-    @pytest.mark.parametrize("command", [["test"], ["tdp", "--sets", "[[1,2],[3]]"]],
-                             ids=["test", "tdp"])
-    def test_centering_overflow(self, tmp_path, capsys, command):
-        # finite statistics whose x0 - xr overflow: one usage error for the
-        # whole run, naming the cause, not an error copied into every set
+    HUGE = "a,b,c\n1e308,-1e308,1\n-1e308,1e308,0\n1e308,1e308,2\n"
+    # every x0 - xr finite, but row sums of the centered matrix overflow
+    ROW_SUMS = ("a,b,c,d,e,f\n1,1.3e308,1,2,2,2\n-6e307,2,6e307,-1.3e308,1.3e308,6e307\n"
+                "1,2,1,-6e307,-6e307,2\n1,2,0,2,2,0\n")
+
+    @pytest.mark.parametrize("command, text", [
+        (["test"], HUGE), (["tdp", "--sets", "[[1,2],[3]]"], HUGE),
+        (["tdp", "--sets", "[[1,2]]"], ROW_SUMS), (["verify"], ROW_SUMS),
+    ], ids=["test", "tdp", "tdp-row-sums", "verify-row-sums"])
+    def test_centering_overflow(self, tmp_path, capsys, command, text):
+        # finite statistics whose x0 - xr or row sums overflow: one usage
+        # error for the whole run, naming the cause, not an error copied
+        # into every set
         path = tmp_path / "huge.csv"
-        path.write_text("a,b,c\n1e308,-1e308,1\n-1e308,1e308,0\n1e308,1e308,2\n")
+        path.write_text(text)
         code, out, err = run(capsys, *command, "--stats", str(path), "--alpha", "0.4")
         assert code == 2
         assert out == ""

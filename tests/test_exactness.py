@@ -140,3 +140,29 @@ def test_one_huge_column_keeps_the_others_decided(kind):
         assert discoveries(prob, subset).discoveries == truth, subset
         assert len(subset) - table.max_nonrejected_overlap(subset) == truth, subset
     assert exact_discoveries(survivors, [1, 2, 3, 4]) == 4
+
+
+def test_row_sums_that_overflow_are_refused():
+    """Entries near the float range: each x0 - xr is finite, but a row's sums
+    may overflow.  Such a matrix is refused at build; every other one counts
+    no discovery above the exact count and raises no engine fault."""
+    rng = np.random.default_rng(1)
+    built = refused = 0
+    for _ in range(2000):
+        m, b = int(rng.integers(3, 7)), int(rng.integers(4, 12))
+        values = rng.choice((6e307, -6e307, 0.0, 1.0, 2.0, 3.0, 4.0), (b, m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # zero-power cells
+            cfg = TestConfig(float(rng.choice((0.2, 0.4, 0.5))), b)
+        try:
+            prob = SumTestProblem.from_matrix(StatisticMatrix(values), cfg)
+        except ValueError as exc:
+            assert "rescale the statistics" in str(exc)
+            refused += 1
+            continue
+        built += 1
+        survivors = exact_survivors(values, cfg.crit_rank)
+        for _ in range(3):
+            subset = sorted(rng.choice(m, int(rng.integers(1, m + 1)), replace=False).tolist())
+            assert discoveries(prob, subset).discoveries <= exact_discoveries(survivors, subset)
+    assert built > 300 and refused > 300

@@ -366,6 +366,44 @@ class TestReductionEquivalence:
                 "collapsed": len(red.collapsed),
             }
 
+    def test_problem_with_ground_reduces_every_query(self):
+        # discoveries and largest_subset on the problem built with the
+        # ground answer as on the one built without it
+        rng = np.random.default_rng(29)
+        reduced_queries = 0
+        for _ in range(15):
+            stats, cfg = random_instance(rng, max_hyps=9, max_transforms=24)
+            cut = float(np.quantile(stats.values, 0.7))
+            ground = float(stats.values.min()) - 1.0
+            trunc = truncate(stats, TruncationRule(threshold=cut, ground=ground))
+            plain = SumTestProblem.from_matrix(trunc, cfg)
+            grounded = SumTestProblem.from_matrix(trunc, cfg, ground=ground)
+            for _ in range(4):
+                sub = random_subset(rng, stats.n_hyps)
+                a, b = discoveries(plain, sub), discoveries(grounded, sub)
+                assert (b.subset, b.discoveries, b.converged) == (a.subset, a.discoveries, True)
+                reduced_queries += b.reduction["m_reduced"] < stats.n_hyps
+            order = tuple(rng.permutation(stats.n_hyps).tolist())
+            for gamma in (0.2, 0.5, 0.9):
+                a, b = (largest_subset(p, gamma, order=order) for p in (plain, grounded))
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert (b.subset, b.discoveries) == (a.subset, a.discoveries)
+        assert reduced_queries >= 10
+
+    def test_merged_observed_sum_overflows(self):
+        # three columns observed at a ground of -1e308 merge into one whose
+        # observed statistic sums past the float range
+        values = np.full((6, 4), -1e308)
+        values[:, 0] = [6, 2, 3, 2, 5, 2]
+        for j in (1, 2, 3):
+            values[j, j] = 8.0
+        stats, cfg = StatisticMatrix(values), TestConfig(0.5, 6)
+        plain = discoveries_matrix(stats, cfg, [0])
+        reduced = discoveries_matrix(stats, cfg, [0], reduction_ground=-1e308)
+        assert reduced.reduction == {"m_reduced": 2, "removed": 0, "collapsed": 3}
+        assert plain.discoveries == reduced.discoveries == 0
+
     @pytest.mark.parametrize("case", ["dropped", "merged"])
     def test_columns_that_set_the_step(self, case):
         # The dropped column holds the largest magnitude, or the merged

@@ -15,9 +15,11 @@ from sumtdp import (
     StatisticMatrix,
     SumTestProblem,
     TestConfig,
+    TruncationRule,
     Verdict,
     discoveries,
     subset_quantile,
+    truncate,
 )
 from sumtdp import shortcut
 from sumtdp.branchbound import evaluate_iterative
@@ -25,6 +27,7 @@ from sumtdp.shortcut import (
     Evaluation,
     QueryContext,
     Workspace,
+    _sums_finite,
     single_step,
 )
 from tests.util import POOL, grid_cases, random_instance, random_subset, reachable, subspace
@@ -76,6 +79,40 @@ class TestProblem:
             assert [getattr(cols, f.name) for f in fields(cols)] == \
                 [getattr(rows, f.name) for f in fields(rows)]
             assert traces[0] == traces[1]
+
+    def test_row_sums_must_not_overflow(self):
+        # each entry is finite, but a row's absolute sum is not
+        cen = np.array([[0.0, 0.0, 0.0], [1e308, -1e308, 1.0], [1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError, match="rescale the statistics"):
+            SumTestProblem(cen, np.zeros(3), 1)
+
+    def test_row_sum_check_makes_no_full_size_temporary(self):
+        # m times the largest entry overflows, so the rows are summed in blocks
+        cen = np.ones((400, 2000))
+        cen[:, 0] = 1e308
+        tracemalloc.start()
+        try:
+            assert _sums_finite(cen)
+            cen[-1, 1] = 1e308
+            assert not _sums_finite(cen)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cen.nbytes / 8
+
+    def test_ground_classes(self, toy_stats, toy_cfg, toy_problem):
+        trunc = truncate(toy_stats, TruncationRule(threshold=2.0, ground=0.0))
+        prob = SumTestProblem.from_matrix(trunc, toy_cfg, ground=0.0)
+        inert, low = prob.ground_classes
+        assert inert.tolist() == [False, False, True, False, False]
+        assert low.tolist() == [False, False, False, True, True]
+        assert not (inert.flags.writeable or low.flags.writeable)
+        # only from_matrix with a ground sets them
+        assert toy_problem.ground_classes is None
+        assert prob.restricted((0, 1), (3, 4)).ground_classes is None
+        assert SumTestProblem(prob.centered, prob.observed, 3).ground_classes is None
+        with pytest.raises(ValueError, match="fall below the ground value 1.0"):
+            SumTestProblem.from_matrix(trunc, toy_cfg, ground=1.0)
 
     def test_arrays_read_only(self, toy_problem):
         with pytest.raises(ValueError):

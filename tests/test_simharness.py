@@ -190,9 +190,9 @@ class TestReplication:
         built = []
         real = simharness.SumTestProblem.from_matrix
 
-        def counting(stats, cfg):
+        def counting(stats, cfg, ground=None):
             built.append(stats)
-            return real(stats, cfg)
+            return real(stats, cfg, ground=ground)
 
         monkeypatch.setattr(simharness.SumTestProblem, "from_matrix", counting)
         cfg = SimulationConfig(**FAST, **truncation)
@@ -285,7 +285,7 @@ class TestGrid:
         assert GRID_COLUMNS[:len(names)] == names
         for row in rows:
             assert set(row) == set(GRID_COLUMNS)
-            assert row["error"] == ""
+            assert row["error"] is None
             assert 0.0 <= row["mean_tdp_active"] <= 1.0
             assert 0.0 <= row["converged_frac"] <= 1.0
             assert row["mean_evals"] >= 1.0
@@ -295,8 +295,8 @@ class TestGrid:
         good = SimulationConfig(**FAST)
         bad = SimulationConfig(**dict(FAST, n_obs=2, power_target=0.999999))
         rows = run_grid([bad, good])
-        assert rows[0]["error"] != "" or rows[0]["mean_tdp_active"] != ""
-        assert rows[1]["error"] == ""
+        assert rows[0]["error"] is not None or rows[0]["mean_tdp_active"] is not None
+        assert rows[1]["error"] is None
 
     def test_engine_fault_propagates(self, monkeypatch):
         # only ValueError marks a bad cell; an engine invariant's
