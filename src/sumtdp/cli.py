@@ -35,7 +35,6 @@ import time
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .combiners import (
@@ -220,21 +219,25 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
 
 
 def _problem(args, inputs: dict):
-    """The loaded matrix and its sum-test problem, reducing each query under truncation."""
+    """The column names and the sum-test problem, reducing each query under truncation.
+
+    The matrix itself is not returned, so it is freed before the first query.
+    """
     stats = _load_matrix(args, inputs)
     truncated = args.truncate is not None or args.truncate_rank is not None
     cfg = TestConfig(_alpha(args), stats.n_transforms)
-    return stats, SumTestProblem.from_matrix(stats, cfg, ground=args.ground if truncated else None)
+    return stats.column_names(), SumTestProblem.from_matrix(
+        stats, cfg, ground=args.ground if truncated else None)
 
 
-def _column_indices(tokens, stats: StatisticMatrix) -> list:
+def _column_indices(tokens, names: tuple) -> list:
     """1-based indices or header names -> 0-based indices, in token order.
 
     Strings are names or integers; any other token must pass
     :func:`column_index` (integers and integral floats), so anything else
     JSON can hold (null, booleans, nested lists, objects) is an input error.
     """
-    index = {name: j for j, name in reversed(list(enumerate(stats.column_names())))}  # first wins
+    index = {name: j for j, name in reversed(list(enumerate(names)))}  # first wins
     out = []
     for tok in tokens:
         if isinstance(tok, str):
@@ -255,17 +258,17 @@ def _column_indices(tokens, stats: StatisticMatrix) -> list:
                 if isinstance(tok, float):
                     raise InputError(str(exc)) from None
                 raise InputError(f"bad column token {tok!r}") from None
-        if not 1 <= tok <= stats.n_hyps:
+        if not 1 <= tok <= len(names):
             raise InputError(
-                f"column index {tok} out of range 1..{stats.n_hyps} (indices are 1-based)"
+                f"column index {tok} out of range 1..{len(names)} (indices are 1-based)"
             )
         out.append(tok - 1)
     return out
 
 
-def _parse_tokens(tokens, stats: StatisticMatrix):
+def _parse_tokens(tokens, names: tuple):
     """1-based indices or header names -> sorted validated 0-based tuple."""
-    return validate_subset(_column_indices(tokens, stats), stats.n_hyps)
+    return validate_subset(_column_indices(tokens, names), len(names))
 
 
 def _parse_list(text: str, flag: str):
@@ -305,7 +308,7 @@ def _parse_set_lists(spec: str, inputs: dict):
     return loaded
 
 
-def _parse_order(spec, stats: StatisticMatrix, inputs: dict):
+def _parse_order(spec, names: tuple, inputs: dict):
     if spec is None:
         return None
     tokens, is_json = _read_list(spec, inputs, "--order")
@@ -313,8 +316,8 @@ def _parse_order(spec, stats: StatisticMatrix, inputs: dict):
         tokens = [tok for line in tokens for tok in line]
     elif not isinstance(tokens, list):
         tokens = [tokens]  # a lone JSON scalar, as in a one-column order file
-    order = _column_indices(tokens, stats)
-    if sorted(order) != list(range(stats.n_hyps)):
+    order = _column_indices(tokens, names)
+    if sorted(order) != list(range(len(names))):
         raise InputError("--order must list every column exactly once")
     return tuple(order)
 
@@ -382,6 +385,8 @@ def _emit(args, result: _Result):
 
 
 def _emit_manifest(args, inputs: dict, started: float, extra=None):
+    import scipy  # for its version only; importing the CLI loads no scipy
+
     config = {
         key: value
         for key, value in sorted(vars(args).items())
@@ -416,13 +421,13 @@ def _emit_manifest(args, inputs: dict, started: float, extra=None):
 
 
 def _cmd_test(args, inputs: dict) -> _Result:
-    stats, prob = _problem(args, inputs)
+    names, prob = _problem(args, inputs)
     if args.set is None:
-        subset = tuple(range(stats.n_hyps))
+        subset = tuple(range(prob.n_hyps))
     else:
         tokens = _parse_list(args.set, "--set")[0] if args.set.lstrip().startswith("[") \
             else args.set.replace(",", " ").split()
-        subset = _parse_tokens(tokens, stats)
+        subset = _parse_tokens(tokens, names)
     quantile = subset_quantile(prob, subset)
     payload = {
         "size": len(subset),
@@ -434,12 +439,12 @@ def _cmd_test(args, inputs: dict) -> _Result:
 
 
 def _cmd_tdp(args, inputs: dict) -> _Result:
-    stats, prob = _problem(args, inputs)
+    names, prob = _problem(args, inputs)
     entries, trace_rows = [], []
     for set_id, tokens in enumerate(_parse_set_lists(args.sets, inputs), start=1):
         trace = [] if args.trace is not None else None
         try:
-            subset = _parse_tokens(tokens, stats)
+            subset = _parse_tokens(tokens, names)
             res = discoveries(prob, subset, step_budget=args.max_iter, trace=trace)
         except ValueError as exc:
             entries.append({"set_id": set_id, "error": str(exc)})
@@ -466,10 +471,9 @@ def _cmd_tdp(args, inputs: dict) -> _Result:
 
 
 def _cmd_largest(args, inputs: dict) -> _Result:
-    stats, prob = _problem(args, inputs)
-    order = _parse_order(args.order, stats, inputs)
+    names, prob = _problem(args, inputs)
+    order = _parse_order(args.order, names, inputs)
     res = largest_subset(prob, args.gamma, order=order, step_budget=args.max_iter)
-    names = stats.column_names()
     subset = () if res is None else res.subset
     payload = {
         "size": len(subset),
@@ -480,9 +484,9 @@ def _cmd_largest(args, inputs: dict) -> _Result:
 
 
 def _cmd_verify(args, inputs: dict) -> _Result:
-    stats, prob = _problem(args, inputs)
+    _, prob = _problem(args, inputs)
     table = RejectionTable(prob)
-    m = stats.n_hyps
+    m = prob.n_hyps
     subsets = [tuple(i for i in range(m) if mask >> i & 1) for mask in range(1, 1 << m)]
     mismatches = []
     for subset in subsets:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statmatrix import StatisticMatrix, _is_count
+from .statmatrix import StatisticMatrix, _handed_over, _is_count
 
 __all__ = [
     "Combiner",
@@ -127,7 +127,7 @@ class Combiner:
 
 def apply_combiner(stats: StatisticMatrix, combiner: Combiner) -> StatisticMatrix:
     """Transform every entry of a statistic matrix onto the evidence scale."""
-    return StatisticMatrix(combiner.transform(stats.values), names=stats.names)
+    return StatisticMatrix(_handed_over(combiner.transform(stats.values)), names=stats.names)
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class TruncationRule:
 def truncate(stats: StatisticMatrix, rule: TruncationRule) -> StatisticMatrix:
     """Replace entries below the rule's threshold with its ground value."""
     values = np.where(stats.values >= rule.threshold, stats.values, rule.ground)
-    return StatisticMatrix(values, names=stats.names)
+    return StatisticMatrix(_handed_over(values), names=stats.names)
 
 
 def threshold_from_rank(stats: StatisticMatrix, rank: int) -> float:
@@ -251,7 +251,7 @@ def evidence_from_t(
         return combiner.transform(p)
 
     def convert_all():
-        stats = StatisticMatrix(evidence(t), names=names)
+        stats = StatisticMatrix(_handed_over(evidence(t)), names=names)
         cut = threshold if rank is None else threshold_from_rank(stats, rank)
         if cut is None:
             return stats
@@ -283,4 +283,4 @@ def evidence_from_t(
     rule = TruncationRule(threshold=cut, ground=ground)
     values = np.full(t.shape, rule.ground)
     values[keep] = np.where(kept >= rule.threshold, kept, rule.ground)
-    return StatisticMatrix(values, names=names)
+    return StatisticMatrix(_handed_over(values), names=names)

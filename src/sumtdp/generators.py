@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statmatrix import StatisticMatrix, _is_count
+from .statmatrix import StatisticMatrix, _handed_over, _is_count
 
 __all__ = ["TransformationScheme", "sign_flip_matrix"]
 
@@ -104,4 +104,4 @@ def sign_flip_matrix(data, scheme: TransformationScheme, two_sided: bool = True)
     signs = np.ones((scheme.n_transforms, arr.shape[0]))
     rng = np.random.default_rng(scheme.seed)
     signs[1:] = rng.integers(0, 2, size=signs[1:].shape) * 2 - 1
-    return StatisticMatrix(_flipped_t(arr, signs, two_sided))
+    return StatisticMatrix(_handed_over(_flipped_t(arr, signs, two_sided)))

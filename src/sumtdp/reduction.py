@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .shortcut import _ground_classes, _reduce
-from .statmatrix import StatisticMatrix, validate_subset
+from .statmatrix import StatisticMatrix, _handed_over, validate_subset
 
 __all__ = ["ReductionResult", "reduce_columns"]
 
@@ -67,4 +67,5 @@ def reduce_columns(stats: StatisticMatrix, subset, ground: float = 0.0) -> Reduc
             new_names.append(merged)
     reduced = np.concatenate(cols, axis=1)
     new_names = None if new_names is None else tuple(new_names)
-    return ReductionResult(StatisticMatrix(reduced, names=new_names), subset, kept, removed, collapsed)
+    return ReductionResult(StatisticMatrix(_handed_over(reduced), names=new_names),
+                           subset, kept, removed, collapsed)

@@ -254,6 +254,13 @@ class SumTestProblem:
         return table
 
     @cached_property
+    def row_totals(self) -> np.ndarray:
+        """Each row's sum of all centered columns, exact on the grid; read-only."""
+        totals = _row_sums(self.centered)
+        totals.setflags(write=False)
+        return totals
+
+    @cached_property
     def counts(self) -> tuple:
         """Each row's number of centered values at most 0, and below 0."""
         cen = self.centered
@@ -317,15 +324,27 @@ class SumTestProblem:
     def restricted(self, kept, merged) -> "SumTestProblem":
         """This problem on columns ``kept``, then one exact grid sum of ``merged`` if any.
 
-        The merged column's observed statistic sums its members', clipped to
-        the finite range.  Each sum of the new columns is one of this
-        problem's, so each verdict is too.
+        ``merged`` lists distinct columns.  The merged column's observed
+        statistic sums its members', clipped to the finite range.  Each sum
+        of the new columns is one of this problem's, so each verdict is too.
+        When ``merged`` holds more than half the columns, its sum is taken
+        as :attr:`row_totals` minus the sum of the other columns, which
+        gathers fewer of them.  The bits are the same: both terms sum
+        distinct columns, so they are exact, and their difference, the
+        merged sum, is exact on the grid too, so the subtraction rounds
+        nothing.
         """
         kept, merged = list(kept), list(merged)
         with np.errstate(over="ignore"):
             total = [np.nan_to_num(self.observed[merged].sum())] if merged else []
         obs = [self.observed[kept], *total]
-        merged = [self.centered[:, merged].sum(axis=1)] if merged else []
+        if 2 * len(merged) > self.n_hyps:
+            others = np.ones(self.n_hyps, dtype=bool)
+            others[merged] = False
+            others = np.take(self.centered, np.flatnonzero(others), axis=1)
+            merged = [self.row_totals - _row_sums(others)]
+        elif merged:
+            merged = [self.centered[:, merged].sum(axis=1)]
         cen = np.column_stack([np.take(self.centered, kept, axis=1), *merged])  # row-major
         return object.__new__(SumTestProblem)._keep(cen, np.hstack(obs), self.crit_rank)
 
@@ -469,6 +488,8 @@ class QueryContext:
                     if k0:
                         sums.sums = np.where(pos < k0, head + block[:, k0 - 1] - cut, head)
         if block is None:
+            # let the last buffer go before the new one is made: one is held at a time
+            self.sorted_block = slot = kept = carried = None
             block = np.take(self.prob.centered, np.flatnonzero(mask), axis=1)
             block.sort(axis=1)
             block = block.view()  # of the buffer, which later trims rewrite

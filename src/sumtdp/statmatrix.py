@@ -9,8 +9,13 @@ per matrix holds the centered form and the critical rank a
 :class:`TestConfig` fixes; :func:`subset_quantile` and :func:`reject` test
 one subset of it, and the engine and the exhaustive reference read it too.
 
-Matrices are immutable once constructed (the wrapped arrays are marked
-read-only), so they can be shared freely across threads.
+Matrices are immutable once constructed, so they can be shared freely
+across threads.  A read-only float64 ``numpy.ndarray`` that owns its memory
+is wrapped as it is: whoever made it read-only gives up writing to it, and
+every library function that builds a matrix hands over its fresh output that
+way, so no B x m result is held twice.  Any other input (a writable array, a
+view of another array's memory, another dtype, a list) is copied into a new
+read-only array, so later writes to the input never reach the matrix.
 """
 
 import csv
@@ -34,9 +39,19 @@ __all__ = [
 
 
 def _freeze(values) -> np.ndarray:
+    """``values`` itself if a read-only float64 ndarray owning its memory, else a read-only copy."""
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and values.flags.owndata and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+def _handed_over(values: np.ndarray) -> np.ndarray:
+    """A fresh array that nothing else holds, marked read-only so a matrix adopts it."""
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +230,7 @@ def read_statistic_csv(path) -> StatisticMatrix:
     observed row and every further row is one transformation.
     """
     names, values = _read_table(path)
-    return StatisticMatrix(values, names=names)
+    return StatisticMatrix(_handed_over(values), names=names)
 
 
 def read_data_csv(path):

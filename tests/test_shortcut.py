@@ -114,6 +114,24 @@ class TestProblem:
         with pytest.raises(ValueError, match="fall below the ground value 1.0"):
             SumTestProblem.from_matrix(trunc, toy_cfg, ground=1.0)
 
+    @pytest.mark.parametrize("n_merged", [4, 7, 8, 13])
+    def test_restricted_merged_column_equals_gathered_sum(self, n_merged):
+        # Above half of the 14 columns, the merged column is the row totals
+        # less the other columns; on the grid that gives the bits of summing
+        # its members, here with ties and a column stored at a cap.
+        rng = np.random.default_rng(30 + n_merged)
+        values = rng.choice(POOL, (9, 14))
+        values[0, 3] = 1e20
+        prob = SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.5, 9))
+        cap = np.abs(prob.centered[1:, 3])
+        assert (cap == cap[0]).all() and math.frexp(cap[0])[0] == 0.5
+        for _ in range(20):
+            cols = rng.permutation(14).tolist()
+            merged, kept = cols[:n_merged], sorted(cols[n_merged:n_merged + 3])
+            small = prob.restricted(kept, merged)
+            assert small.centered[:, -1].tobytes() == prob.centered[:, merged].sum(axis=1).tobytes()
+            assert small.centered[:, :-1].tobytes() == prob.centered[:, kept].tobytes()
+
     def test_arrays_read_only(self, toy_problem):
         with pytest.raises(ValueError):
             toy_problem.centered[0, 0] = 1.0
@@ -448,6 +466,26 @@ class TestInPlaceTrim:
             tracemalloc.stop()
         assert peak < root.nbytes
         assert np.shares_memory(block, root)
+
+    def test_fresh_sort_lets_the_last_block_go(self):
+        # A mask two columns off the slot's is sorted afresh; the slot's
+        # buffer goes first, so the two are never held at once.
+        rng = np.random.default_rng(21)
+        values = rng.standard_normal((200, 2000))
+        prob = SumTestProblem(values[0] - values, values[0], 10)
+        ctx = QueryContext(prob, range(2000))
+        mask = np.ones(2000, dtype=bool)
+        tracemalloc.start()
+        try:
+            ctx.sorted_rows(mask, 10)
+            mask[:2] = False
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            block, _ = ctx.sorted_rows(mask, 10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < block.nbytes / 2
 
 
 class TestCarriedSums:

@@ -45,6 +45,27 @@ class TestStatisticMatrix:
         raw[0, 0] = 42.0
         assert s.values[0, 0] == 1.0
 
+    def test_read_only_owned_float_array_adopted(self):
+        raw = np.ones((2, 3))
+        raw.setflags(write=False)
+        assert StatisticMatrix(raw).values is raw
+
+    def test_read_only_view_of_writable_base_copied(self):
+        base = np.ones((2, 3))
+        view = base[:]
+        view.setflags(write=False)
+        s = StatisticMatrix(view)
+        base[0, 0] = 42.0
+        assert s.values[0, 0] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_read_only_other_dtype_converted(self, dtype):
+        raw = np.arange(6, dtype=dtype).reshape(2, 3)
+        raw.setflags(write=False)
+        s = StatisticMatrix(raw)
+        assert s.values.dtype == np.float64 and not s.values.flags.writeable
+        assert s.values.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             StatisticMatrix(np.array([[1.0, np.nan], [0.0, 0.0]]))
