@@ -37,8 +37,8 @@ from .inference import (
     largest_subset,
 )
 from .oracle import RejectionTable
-from .reduction import ReductionResult, reduce_columns
-from .shortcut import SumTestProblem, Verdict
+from .problem import ReductionResult, SumTestProblem, reduce_columns, reject, subset_quantile
+from .shortcut import Verdict
 from .simharness import (
     GRID_COLUMNS,
     ReplicationOutcome,
@@ -55,8 +55,6 @@ from .statmatrix import (
     TestConfig,
     read_data_csv,
     read_statistic_csv,
-    reject,
-    subset_quantile,
     validate_subset,
     write_statistic_csv,
 )

@@ -16,7 +16,7 @@ versions, input checksums, wall time) next to ``--out``, or to stderr when
 results go to stdout, so any result file can be traced back to its exact
 inputs.  Every subcommand but ``simulate`` builds one sum-test problem from
 its matrix.  Whenever truncation is active, the problem reduces each query
-to its set (see :mod:`.reduction`), so ``tdp``, ``largest`` and ``verify``
+to its set (see :mod:`.problem`), so ``tdp``, ``largest`` and ``verify``
 all query the reduced problem; ``tdp`` is the only subcommand with
 ``--trace``.
 
@@ -49,14 +49,13 @@ from .combiners import (
 from .generators import TransformationScheme, sign_flip_matrix
 from .inference import discoveries, largest_subset
 from .oracle import RejectionTable
-from .shortcut import SumTestProblem
+from .problem import SumTestProblem, subset_quantile
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
     column_index,
     read_data_csv,
     read_statistic_csv,
-    subset_quantile,
     validate_subset,
 )
 

@@ -17,7 +17,7 @@ of every split span at most 2^(k-1) levels, so a query still needs at most
 ceil(log2(|S|+1)) levels, the same worst case as the midpoint.
 
 A survivor W found while no level has been refuted is lifted: the one set
-W ∪ S is tested exactly as :func:`~.statmatrix.reject` tests it.  If it
+W ∪ S is tested exactly as :func:`~.problem.reject` tests it.  If it
 survives it contains S, so the overlap maximum is |S| and d(S) = 0 at
 once; the step is recorded at |S|, the overlap it certifies.  When
 d(S) > 0 that set is always rejected, so levels, scans and trace are those
@@ -38,7 +38,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .branchbound import evaluate_iterative
-from .shortcut import QueryContext, SumTestProblem, Verdict, _rank_stat, _reduce
+from .problem import SumTestProblem, _rank_stat
+from .shortcut import QueryContext, Verdict
 from .statmatrix import (
     StatisticMatrix,
     TestConfig,
@@ -118,7 +119,7 @@ def _probe(lo: int, hi: int) -> int:
 def _lifts(prob, ctx, found, trace) -> bool:
     """Whether the survivor ``found`` joined with the query subset survives.
 
-    The set W ∪ S, W the witness, is tested exactly as :func:`~.statmatrix.reject`
+    The set W ∪ S, W the witness, is tested exactly as :func:`~.problem.reject`
     tests it, from W's row sums plus the columns of S outside W.  If it survives
     it contains S, so it certifies the overlap |S| (d = 0) and the trace gets one
     ``lift`` row.
@@ -151,9 +152,9 @@ def discoveries(
     :class:`~.shortcut.QueryContext` serves every scan of the query.
 
     A problem with ``ground_classes`` is first reduced to the subset on its
-    own grid (see :mod:`.reduction`), which changes no verdict; trace rows
-    then name original columns (a merged one as a tuple), while sizes and
-    windows count reduced ones.
+    own grid (see :meth:`SumTestProblem.reduced`), which changes no verdict;
+    trace rows then name original columns (a merged one as a tuple), while
+    sizes and windows count reduced ones.
 
     Bounds from any number of calls on one problem hold jointly at the
     configured confidence level, so a loop over many subsets needs no
@@ -162,21 +163,17 @@ def discoveries(
     if prob.ground_classes is None:
         return _bisect(QueryContext(prob, subset), step_budget, trace)
     subset = validate_subset(subset, prob.n_hyps)
-    inner, kept, removed, collapsed = _reduce(prob.ground_classes, subset)
-    reduced = prob if len(kept) == prob.n_hyps else prob.restricted(kept, collapsed)
+    reduced, inner, origin, counts = prob.reduced(subset)
     start = len(trace) if trace is not None else 0
     res = _bisect(QueryContext(reduced, inner), step_budget, trace)
     if trace is not None and reduced is not prob:
-        # reduced column index -> the original columns it stands for
-        user = [(j,) for j in kept] + [collapsed]
         for row in trace[start:]:
             for key in ("forced", "excluded", "witness"):
                 if row.get(key) is not None:
-                    row[key] = tuple(sorted(j for i in row[key] for j in user[i]))
+                    row[key] = tuple(sorted(j for i in row[key] for j in origin[i]))
             if row.get("pivot") is not None:
-                pivot = user[row["pivot"]]
+                pivot = origin[row["pivot"]]
                 row["pivot"] = pivot if len(pivot) > 1 else pivot[0]
-    counts = {"m_reduced": reduced.n_hyps, "removed": len(removed), "collapsed": len(collapsed)}
     return replace(res, subset=subset, reduction=counts)
 
 

@@ -1,18 +1,18 @@
 """Exhaustive closed-testing reference, tractable up to a dozen hypotheses.
 
 Builds the rejection status of all 2^m hypothesis sets of one
-:class:`~.shortcut.SumTestProblem` with incremental row sums (each set's
+:class:`~.problem.SumTestProblem` with incremental row sums (each set's
 sums extend the sums of the set without its lowest member), then answers
 overlap queries by scanning the surviving (non-rejected) masks.  Build one
 table per problem and query it as often as needed.  Used as the ground truth
 that the shortcut engine is checked against: the two share the problem, not
-the search, since the enumeration reads only its centered values and
-critical rank.
+the search.  The enumeration reads only the problem's centered values and
+critical rank, and this module imports no search code.
 """
 
 import numpy as np
 
-from .shortcut import SumTestProblem
+from .problem import SumTestProblem
 from .statmatrix import validate_subset
 
 __all__ = ["RejectionTable"]

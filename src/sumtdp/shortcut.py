@@ -28,8 +28,8 @@ bound read, and reads the path first at its first size, so a survivor
 there costs no sort; a constrained scan bisects its sorted remainder.
 
 One :class:`QueryContext` per query holds the validated subset, its mask,
-the problem's stable argsort of the observed row (ties in index order) and
-the subset's counts.  Every scan takes it as its only query argument.  A
+its columns in the problem's observed order (ties by index) and the
+subset's counts.  Every scan takes it as its only query argument.  A
 subspace is one ``int8`` state per column (0 free, +1 forced, -1 excluded;
 None: the root, all free), which the scan's :class:`Workspace` reads as
 masks.  The greedy path spends the subset's first ``needed`` columns in
@@ -37,12 +37,11 @@ observed order, which no branch marks (see :mod:`.branchbound`), on the
 overlap; an undecided scan names the path's last column as the pivot to
 split on, so no other code repeats that rule.
 
-Centered values lie on a power-of-two grid (see :class:`SumTestProblem`),
-so every sum below is exact in any order, and each running sum moves by the
-columns between the sizes read.  A greedy-path read starts instead from
-the problem's :attr:`~SumTestProblem.checkpoints`, the row sums of every
-``_STRIDE``-th prefix of the observed order, when that moves fewer columns:
-a post-hoc query's first read then adds at most ``_STRIDE - 1`` columns and
+On the problem's grid (see :mod:`.problem`) every sum below is exact in any
+order, so each running sum moves by the columns between the sizes read, or
+a greedy-path read starts from the problem's ``checkpoints`` (every
+``_STRIDE``-th prefix of the observed order) when that moves fewer: a
+post-hoc query's first read then adds at most ``_STRIDE - 1`` columns and
 takes off the columns the path skips, not the whole prefix.
 
 The context keeps one slot: the last scan's free subset columns, sorted
@@ -61,24 +60,18 @@ forces or excludes an overlap pick is an engine fault:
 :class:`RuntimeError`, never :class:`ValueError`, which means bad input.
 """
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from enum import Enum
 
 import numpy as np
 
-from .statmatrix import (
-    StatisticMatrix,
-    TestConfig,
-    validate_subset,
-)
+from .problem import _STRIDE, SumTestProblem, _rank_stat, _row_sums
+from .statmatrix import validate_subset
 
 __all__ = [
     "Verdict",
     "Evaluation",
-    "SumTestProblem",
     "QueryContext",
     "Workspace",
     "single_step",
@@ -113,256 +106,11 @@ class Evaluation:
     sums: np.ndarray = field(default=None, compare=False, repr=False)
 
 
-# Columns of the observed order between two checkpoints.  On post-hoc
-# queries of 2000 columns, first path reads took 5-34 % longer at 128 than
-# at 64; at 32 whole queries ran 0-6 % faster, inside their run-to-run
-# spread, for twice the table.
-_STRIDE = 64
-
-
-def _grid_step(n: int, bound: float) -> float:
-    """The least power of two s with s * (2**53 - 4 n) >= 2 n bound, and s >= 2**-1074.
-
-    Any n integer multiples of s, each at most 2 bound + 2 s in magnitude,
-    sum to less than 2**53 s, so floats add them exactly in any order.
-    """
-    num, den = bound.as_integer_ratio()  # integers: 2 n bound may overflow a float
-    num, den = 2 * n * num, den * (2**53 - 4 * n)
-    e = num.bit_length() - den.bit_length()  # 2**(e - 1) < num / den < 2**(e + 1)
-    if num << max(-e, 0) > den << max(e, 0):
-        e += 1
-    return math.ldexp(1.0, max(e, -1074))
-
-
-def _steps(x: np.ndarray, step: float, up: bool) -> np.ndarray:
-    """``x / step`` rounded up, or down, to integers, as a new row-major array."""
-    q = np.divide(x, step, out=np.empty(x.shape))  # exact, or an underflow in (-1, 1)
-    (np.ceil if up else np.floor)(q, out=q)
-    q[(q == 0) & ((x > 0) if up else (x < 0))] = 1.0 if up else -1.0  # underflowed to 0
-    return q
-
-
-# Entries per block of rows when summing absolute values (see _sums_finite).
-_BLOCK = 1 << 16
-
-
-def _sums_finite(cen: np.ndarray) -> bool:
-    """Whether every row of ``cen`` has a finite absolute sum, so no sum of its entries overflows.
-
-    m times the largest |entry| decides most matrices; the rest are summed
-    ``_BLOCK`` entries at a time, so no B x m temporary is made.
-    """
-    top = float(max(cen.max(initial=0.0), -cen.min(initial=0.0)))
-    if math.isfinite(cen.shape[1] * top):
-        return True
-    rows = max(_BLOCK // max(cen.shape[1], 1), 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return all(np.isfinite(np.abs(cen[i:i + rows]).sum(axis=1)).all()
-                   for i in range(0, cen.shape[0], rows))
-
-
-def _ground_classes(values: np.ndarray, ground) -> tuple:
-    """Read-only masks of the columns :mod:`.reduction` drops and merges at ``ground``:
-    transformed rows all at it, and the others' observed entries at it."""
-    ground = float(ground)
-    if values.min() < ground:
-        raise ValueError(f"matrix entries fall below the ground value {ground}; "
-                         "reduction applies to floor-truncated matrices only")
-    inert = (values[1:] == ground).all(axis=0)
-    low = ~inert & (values[0] == ground)
-    inert.setflags(write=False)
-    low.setflags(write=False)
-    return inert, low
-
-
-def _reduce(classes: tuple, subset: tuple) -> tuple:
-    """The validated ``subset`` re-indexed, and the columns kept, removed and collapsed
-    by ``classes`` outside it; a lone collapsible column is kept in place."""
-    outside = np.ones(classes[0].size, dtype=bool)
-    outside[list(subset)] = False
-    removed, merged = (np.flatnonzero(outside & mask) for mask in classes)
-    merged = merged if merged.size >= 2 else merged[:0]
-    keep = np.ones(outside.size, dtype=bool)
-    keep[removed] = keep[merged] = False
-    inner, kept = np.cumsum(keep)[list(subset)] - 1, np.flatnonzero(keep)
-    return tuple(inner.tolist()), *(tuple(c.tolist()) for c in (kept, removed, merged))
-
-
-@dataclass(frozen=True, eq=False)
-class SumTestProblem:
-    """Centered matrix, observed statistics and critical rank, bundled.
-
-    The observed row of the original statistic matrix is kept because the
-    greedy path and the branching pivot order columns by observed statistic,
-    which the centered matrix alone cannot recover.  The centered matrix is
-    stored row-major, every value an integer multiple of one power-of-two
-    step (see :meth:`from_matrix`) and every zero as 0.0, so each sum of
-    distinct columns of a row is exact in any order.  A centered matrix
-    given directly is rounded down onto the grid of its largest entry.
-    No row's absolute sum may overflow, so no sum of its entries does.
-    :attr:`ground_classes`, set only by :meth:`from_matrix` given a ground,
-    are the column masks :func:`~.inference.discoveries` reduces by.
-    """
-
-    centered: np.ndarray
-    observed: np.ndarray
-    crit_rank: int
-
-    def __post_init__(self):
-        cen = np.asarray(self.centered, dtype=float)
-        if cen.ndim != 2 or not np.isfinite(cen).all():
-            raise ValueError("centered must be a finite (B, m) matrix")
-        step = _grid_step(cen.shape[1], float(max(cen.max(initial=0.0), -cen.min(initial=0.0))))
-        self._keep(_steps(cen, step, up=False) * step + 0.0, self.observed, self.crit_rank)
-
-    def _keep(self, cen: np.ndarray, observed, crit_rank: int, classes=None) -> "SumTestProblem":
-        """Check the grid matrix ``cen`` against the next two fields; store all four."""
-        obs = np.array(observed, dtype=float)
-        if obs.shape != (cen.shape[1],) or not np.isfinite(obs).all():
-            raise ValueError("observed must be a finite (m,) vector")
-        if not _sums_finite(cen):
-            raise ValueError("centered values x0 - xr overflow; rescale the statistics")
-        if not 1 <= crit_rank <= cen.shape[0]:
-            raise ValueError(f"crit_rank {crit_rank} out of range for {cen.shape[0]} rows")
-        cen.setflags(write=False)
-        obs.setflags(write=False)
-        for name, value in (("centered", cen), ("observed", obs), ("crit_rank", crit_rank),
-                            ("ground_classes", classes)):
-            object.__setattr__(self, name, value)
-        return self
-
-    @cached_property
-    def order(self) -> np.ndarray:
-        """All columns by observed statistic, ties by index; read-only."""
-        order = np.argsort(self.observed, kind="stable")
-        order.setflags(write=False)
-        return order
-
-    @cached_property
-    def checkpoints(self) -> np.ndarray:
-        """Row j: the row sums of the first ``j * _STRIDE`` columns of ``order``; read-only.
-
-        Built ``_STRIDE`` columns at a time, so it needs no B x m temporary;
-        it holds B (m // _STRIDE + 1) values.
-        """
-        cen, order = self.centered, self.order
-        table = np.zeros((self.n_hyps // _STRIDE + 1, self.n_transforms))
-        for j in range(1, table.shape[0]):
-            cols = order[(j - 1) * _STRIDE: j * _STRIDE]
-            np.add(table[j - 1], _row_sums(np.take(cen, cols, axis=1)), out=table[j])
-        table.setflags(write=False)
-        return table
-
-    @cached_property
-    def row_totals(self) -> np.ndarray:
-        """Each row's sum of all centered columns, exact on the grid; read-only."""
-        totals = _row_sums(self.centered)
-        totals.setflags(write=False)
-        return totals
-
-    @cached_property
-    def counts(self) -> tuple:
-        """Each row's number of centered values at most 0, and below 0."""
-        cen = self.centered
-        return np.count_nonzero(cen <= 0.0, axis=1), np.count_nonzero(cen < 0.0, axis=1)
-
-    @property
-    def n_transforms(self) -> int:
-        return self.centered.shape[0]
-
-    @property
-    def n_hyps(self) -> int:
-        return self.centered.shape[1]
-
-    @classmethod
-    def from_matrix(cls, stats: StatisticMatrix, cfg: TestConfig, ground=None) -> "SumTestProblem":
-        """Subtract every row of ``stats`` from its observed row, on the grid.
-
-        Each observed entry x0 is rounded down and each transformed entry xr
-        up, so each stored x0 - xr is at most its real value, within two
-        steps of it, and 0 in row 0.  Dominant columns, whose every
-        |x0 - xr| of rows 1 on exceeds 4 L (L: the other columns' largest
-        |x0 - xr| summed) with one sign per row, hold +T or -T there, T the
-        power of two in (2 L, 4 L], and the step comes from T and the other
-        columns.  The caps turn no row sum's sign and +T is at most the real
-        value, so a set this problem rejects, the exact test rejects, and one
-        huge column (a p-value of 1e-20 under ``vw:-1``) rounds no other away.
-        With ``ground``, the floor a truncation left, no entry may lie below it.
-        """
-        if cfg.n_transforms != stats.n_transforms:
-            raise ValueError("config and matrix disagree on the number of rows")
-        classes = None if ground is None else _ground_classes(stats.values, ground)
-        values, x0, dominant = stats.values, stats.values[0], []
-        top = values[1:].max(axis=0, initial=-np.inf)
-        bottom = values[1:].min(axis=0, initial=np.inf)
-        with np.errstate(over="ignore", invalid="ignore"):  # dominant entries may overflow
-            lo, hi = x0 - top, x0 - bottom  # each column's least and largest x0 - xr
-            # the largest |x0 - xr|, and a bound at or above the least
-            size, gap = np.maximum(hi, -lo), np.maximum(np.maximum(lo, -hi), np.minimum(hi, -lo))
-            order = np.argsort(size, kind="stable")
-            light = np.cumsum(size[order])  # light[i]: the i + 1 smallest sizes summed
-            tail = np.minimum.accumulate(gap[order][::-1])[::-1]  # least gap from i on
-            raw = np.maximum(np.abs(x0), np.maximum(top, -bottom))
-            step = _grid_step(x0.size, float(raw.max()))
-            for i in np.flatnonzero((tail[1:] > 4 * light[:-1]) & (light[:-1] > 0)):
-                cut = x0[order[i + 1:]] - values[1:, order[i + 1:]]
-                cap = math.ldexp(1.0, math.frexp(2 * light[i])[1])
-                fine = _grid_step(x0.size, max(float(raw[order[: i + 1]].max()), cap))
-                # every |x0 - xr| above 4 L, each with the sign of its row's first
-                if fine <= cap and (cut * np.sign(cut[:, :1]) > 4 * light[i]).all():
-                    step, dominant = fine, order[i + 1:]
-                    break
-            cen = _steps(values, step, up=True)  # the one B x m buffer
-            np.subtract(_steps(x0, step, up=False) + 0.0, cen, out=cen)
-            cen *= step
-        if len(dominant):
-            cen[1:, dominant] = np.copysign(cap, cut)
-        cen[0] = 0.0
-        # already on the grid, so not through __post_init__, which would copy it
-        return object.__new__(cls)._keep(cen, stats.observed, cfg.crit_rank, classes)
-
-    def restricted(self, kept, merged) -> "SumTestProblem":
-        """This problem on columns ``kept``, then one exact grid sum of ``merged`` if any.
-
-        ``merged`` lists distinct columns.  The merged column's observed
-        statistic sums its members', clipped to the finite range.  Each sum
-        of the new columns is one of this problem's, so each verdict is too.
-        When ``merged`` holds more than half the columns, its sum is taken
-        as :attr:`row_totals` minus the sum of the other columns, which
-        gathers fewer of them.  The bits are the same: both terms sum
-        distinct columns, so they are exact, and their difference, the
-        merged sum, is exact on the grid too, so the subtraction rounds
-        nothing.
-        """
-        kept, merged = list(kept), list(merged)
-        with np.errstate(over="ignore"):
-            total = [np.nan_to_num(self.observed[merged].sum())] if merged else []
-        obs = [self.observed[kept], *total]
-        if 2 * len(merged) > self.n_hyps:
-            others = np.ones(self.n_hyps, dtype=bool)
-            others[merged] = False
-            others = np.take(self.centered, np.flatnonzero(others), axis=1)
-            merged = [self.row_totals - _row_sums(others)]
-        elif merged:
-            merged = [self.centered[:, merged].sum(axis=1)]
-        cen = np.column_stack([np.take(self.centered, kept, axis=1), *merged])  # row-major
-        return object.__new__(SumTestProblem)._keep(cen, np.hstack(obs), self.crit_rank)
-
-
 def _marked(state) -> dict:
     """Trace fields of a subspace (None: the root): its forced and excluded columns."""
     state = np.zeros(0) if state is None else state
     return dict(forced=tuple(np.flatnonzero(state > 0).tolist()),
                 excluded=tuple(np.flatnonzero(state < 0).tolist()))
-
-
-def _rank_stat(column: np.ndarray, rank: int) -> float:
-    return float(np.partition(column, rank - 1)[rank - 1])
-
-
-def _row_sums(cols: np.ndarray) -> np.ndarray:
-    """Row sums of a block of centered columns."""
-    return cols.sum(axis=1)
 
 
 def _cut_values(block: np.ndarray, values: np.ndarray):
@@ -428,11 +176,9 @@ class QueryContext:
         The validated subset, sorted.
     in_subset : ndarray of bool
         Mask of the subset's columns.
-    order : ndarray of int
-        The problem's ``order``, all columns by observed statistic, ties by
-        index: the order of ``sorted(range(m), key=lambda i: (observed[i], i))``.
     subset_order : ndarray of int
-        The subset's columns in that order.
+        The subset's columns in the problem's ``order``: by observed
+        statistic, ties by index.
     counts : tuple of ndarray
         Each row's number of subset values at most 0, and below 0.
     sorted_block : tuple or None
@@ -450,8 +196,7 @@ class QueryContext:
         self.subset = validate_subset(subset, prob.n_hyps)
         self.in_subset = np.zeros(prob.n_hyps, dtype=bool)
         self.in_subset[list(self.subset)] = True
-        self.order = prob.order
-        self.subset_order = order = self.order[self.in_subset[self.order]]
+        self.subset_order = order = prob.order[self.in_subset[prob.order]]
         inside = 2 * len(self.subset) <= prob.n_hyps
         side = self.subset if inside else np.flatnonzero(~self.in_subset)
         side = np.take(prob.centered, side, axis=1)
@@ -583,9 +328,9 @@ class Workspace:
             cen = prob.centered
             rest_mask = self._free.copy()
             rest_mask[reserved] = False
-            on_path = rest_mask[ctx.order]
+            on_path = rest_mask[prob.order]
             rest_at = np.flatnonzero(on_path)  # each rest column's place in the order
-            rest = ctx.order[rest_at]
+            rest = prob.order[rest_at]
             picked = ctx.order_sums.through(reserved.size)
 
             def restart(k, budget):
@@ -595,8 +340,8 @@ class Workspace:
                 q = p // _STRIDE
                 if p - q * _STRIDE + p - k >= budget:
                     return None
-                added = np.take(cen, ctx.order[q * _STRIDE: p], axis=1)
-                taken = np.take(cen, ctx.order[:p][~on_path[:p]], axis=1)
+                added = np.take(cen, prob.order[q * _STRIDE: p], axis=1)
+                taken = np.take(cen, prob.order[:p][~on_path[:p]], axis=1)
                 return prob.checkpoints[q] + _row_sums(added) - _row_sums(taken)
 
             prefix = _RunningSums(lambda lo, hi: np.take(cen, rest[lo:hi], axis=1), restart)

@@ -27,7 +27,7 @@ import numpy as np
 from .combiners import Combiner, evidence_from_t
 from .generators import TransformationScheme, sign_flip_matrix
 from .inference import discoveries
-from .shortcut import SumTestProblem
+from .problem import SumTestProblem
 from .statmatrix import TestConfig, _is_count
 
 __all__ = [

@@ -1,13 +1,9 @@
-"""Permutation statistic matrices and the centered sum test.
+"""Permutation statistic matrices, the test's configuration and CSV I/O.
 
 A statistic matrix holds one row per data transformation and one column per
-hypothesis; row 0 is always the observed (identity) row.  Centering subtracts
-every row from the observed row, so the identity row becomes all zeros.  A
-subset of hypotheses is rejected when a low order statistic of its centered
-row sums is strictly positive.  One :class:`~sumtdp.shortcut.SumTestProblem`
-per matrix holds the centered form and the critical rank a
-:class:`TestConfig` fixes; :func:`subset_quantile` and :func:`reject` test
-one subset of it, and the engine and the exhaustive reference read it too.
+hypothesis; row 0 is always the observed (identity) row.  A
+:class:`TestConfig` fixes the level and critical rank of the centered sum
+test, which one :class:`~sumtdp.problem.SumTestProblem` per matrix carries.
 
 Matrices are immutable once constructed, so they can be shared freely
 across threads.  A read-only float64 ``numpy.ndarray`` that owns its memory
@@ -29,8 +25,6 @@ import numpy as np
 __all__ = [
     "StatisticMatrix",
     "TestConfig",
-    "subset_quantile",
-    "reject",
     "read_statistic_csv",
     "read_data_csv",
     "write_statistic_csv",
@@ -180,21 +174,6 @@ def validate_subset(subset, n_hyps) -> tuple:
     if type(subset) is tuple and cols == subset and all(type(i) is int for i in subset):
         return subset
     return cols
-
-
-def subset_quantile(prob, subset) -> float:
-    """``crit_rank``-th smallest centered sum over the given columns.
-
-    ``prob`` is a :class:`~sumtdp.shortcut.SumTestProblem`, which holds the
-    centered matrix and the critical rank.
-    """
-    sums = prob.centered[:, list(validate_subset(subset, prob.n_hyps))].sum(axis=1)
-    return float(np.partition(sums, prob.crit_rank - 1)[prob.crit_rank - 1])
-
-
-def reject(prob, subset) -> bool:
-    """True when the subset's critical centered sum is strictly positive."""
-    return subset_quantile(prob, subset) > 0.0
 
 
 def _read_table(path):

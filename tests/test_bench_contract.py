@@ -82,5 +82,10 @@ def test_traced_pass_has_no_failed_request(bench, tmp_path, name):
         requests = workload.trace_pass()
     assert [r.error for r in requests if r.error is not None] == []
     calls = {span: row[0] for span, row in tracer.aggregate().items()}
-    for span in ("inference.discoveries", "branchbound.evaluate_iterative", "shortcut.single_step"):
+    spans = ["inference.discoveries", "branchbound.evaluate_iterative", "shortcut.single_step"]
+    if name in ("cli-tdp", "simulate"):
+        # these build their problem inside the pass; tracing.py finds the
+        # class through the scan module's import of it
+        spans.append("shortcut.SumTestProblem.from_matrix")
+    for span in spans:
         assert calls.get(span, 0) >= 1, span

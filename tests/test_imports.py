@@ -13,6 +13,11 @@ parameter default of a function or method outside the package's
 ``bench``, by keyword or by position: a default no caller sets is an
 option that changes nothing, and test calls do not count.
 
+Each module of ``src/sumtdp`` imports only the package modules that
+``LAYERS`` lists for it.  The sum-test problem imports nothing but the data
+model, and the exhaustive reference nothing but the two, so the reference
+that checks the scan loads no search code.
+
 The package imports ``scipy.stats`` and ``scipy.optimize`` only inside the
 functions that need them (the simulation harness's effect size), because
 importing them takes about a second.  The Liptak combiner and
@@ -251,6 +256,64 @@ def test_export_checker_flags_stale_and_repeated_names():
     module.__all__ = ["a", "gone", "a"]
     module.a = 1
     assert export_faults(module) == ["a listed twice", "gone not defined"]
+
+
+# Package modules each module may import; "__init__" is the package itself.
+LAYERS = {
+    "statmatrix": set(),
+    "problem": {"statmatrix"},
+    "oracle": {"problem", "statmatrix"},
+    "shortcut": {"problem", "statmatrix"},
+    "combiners": {"statmatrix"},
+    "generators": {"statmatrix"},
+    "branchbound": {"shortcut"},
+    "inference": {"branchbound", "problem", "shortcut", "statmatrix"},
+    "simharness": {"combiners", "generators", "inference", "problem", "statmatrix"},
+    "cli": {"__init__", "combiners", "generators", "inference", "oracle", "problem",
+            "simharness", "statmatrix"},
+    "__init__": {"combiners", "generators", "inference", "oracle", "problem", "shortcut",
+                 "simharness", "statmatrix"},
+}
+
+
+def package_imports(source: str, modules) -> set:
+    """The package modules ``source`` imports: ``from .x``, ``from . import x``,
+    ``from sumtdp.x`` and ``import sumtdp.x``; a name of ``modules`` imported
+    from the package is that module, any other name the package itself."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["sumtdp" if node.level else "", node.module]))
+            names = [f"sumtdp.{alias.name}" if module == "sumtdp" and alias.name in modules
+                     else module for alias in node.names]
+        else:
+            continue
+        found |= {name.partition(".")[2] or "__init__" for name in names
+                  if name.partition(".")[0] == "sumtdp"}
+    return found
+
+
+def test_modules_import_only_their_layers():
+    sources = {path.stem: path.read_text() for path in sorted((ROOT / "src" / "sumtdp").glob("*.py"))}
+    extra = {name: sorted(package_imports(text, LAYERS) - LAYERS.get(name, set()))
+             for name, text in sources.items()}
+    assert extra == {name: [] for name in sources}
+    assert sorted(sources) == sorted(LAYERS)
+
+
+def test_layer_checker_reads_every_import_form():
+    source = (
+        "import numpy\nimport sumtdp\nimport sumtdp.cli as c\n"
+        "from . import __version__, oracle\nfrom .shortcut import Workspace\n"
+        "from sumtdp.problem import reject\nfrom sumtdp import generators\n"
+        "from os import path\n"
+        "def late():\n    from .simharness import run_grid\n"
+    )
+    assert package_imports(source, ["oracle", "generators"]) == {
+        "__init__", "cli", "oracle", "shortcut", "problem", "generators", "simharness",
+    }
 
 
 def scipy_loaded_by(module: str) -> list:

@@ -6,8 +6,10 @@ import pytest
 from sumtdp import (
     StatisticMatrix,
     SumTestProblem,
+    TestConfig,
     TruncationRule,
     discoveries,
+    discoveries_matrix,
     reduce_columns,
     truncate,
 )
@@ -124,6 +126,22 @@ class TestStructuralRules:
         vals = np.array([[1.0, -2.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="ground"):
             reduce_columns(StatisticMatrix(vals), (0,), ground=0.0)
+
+    @pytest.mark.parametrize("ground", [np.nan, -np.inf, np.inf])
+    def test_non_finite_ground_rejected(self, ground):
+        # No entry lies below nan or -inf, so only the ground itself shows
+        # that no truncation left it; each entry point refuses it.
+        rng = np.random.default_rng(62)
+        stats = truncate(StatisticMatrix(rng.normal(size=(20, 6))), TruncationRule(0.5, 0.0))
+        cfg = TestConfig(0.25, 20)
+        calls = (
+            lambda: SumTestProblem.from_matrix(stats, cfg, ground=ground),
+            lambda: reduce_columns(stats, (0, 1), ground=ground),
+            lambda: discoveries_matrix(stats, cfg, (0, 1), reduction_ground=ground),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="ground must be finite"):
+                call()
 
     def test_identity_when_nothing_inert(self):
         rng = np.random.default_rng(60)

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumtdp import SumTestProblem, Verdict
-from sumtdp.shortcut import _STRIDE, QueryContext, Workspace, single_step
+from sumtdp.problem import _STRIDE
+from sumtdp.shortcut import QueryContext, Workspace, single_step
 from tests.test_shortcut import assert_walk
 from tests.util import POOL, reachable, subspace
 

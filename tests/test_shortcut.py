@@ -23,11 +23,11 @@ from sumtdp import (
 )
 from sumtdp import shortcut
 from sumtdp.branchbound import evaluate_iterative
+from sumtdp.problem import _sums_finite
 from sumtdp.shortcut import (
     Evaluation,
     QueryContext,
     Workspace,
-    _sums_finite,
     single_step,
 )
 from tests.util import POOL, grid_cases, random_instance, random_subset, reachable, subspace
