@@ -38,7 +38,7 @@ named to split on, breaks an engine invariant and raises
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,19 +50,7 @@ from .shortcut import (
     single_step,
 )
 
-__all__ = ["IterationResult", "evaluate_iterative"]
-
-
-@dataclass(frozen=True)
-class IterationResult:
-    """Final evaluation together with the number of budgeted steps spent."""
-
-    evaluation: Evaluation
-    iterations: int
-
-    @property
-    def verdict(self) -> Verdict:
-        return self.evaluation.verdict
+__all__ = ["evaluate_iterative"]
 
 
 def evaluate_iterative(
@@ -70,7 +58,7 @@ def evaluate_iterative(
     overlap: int,
     budget=None,
     trace: list = None,
-) -> IterationResult:
+) -> Evaluation:
     """Decide whether all sets overlapping the subset enough are rejected.
 
     Runs the single-step scan on the root subspace, then repeatedly splits
@@ -78,9 +66,10 @@ def evaluate_iterative(
     root scan is free).  ``budget=None`` means unlimited, which always
     terminates: subspaces shrink by one free column per split.
 
-    Returns the final evaluation and the number of budgeted scans performed.
-    An UNDECIDED result means the budget ran out; spending more can only
-    refine it (the explored tree is a prefix of the unlimited run's tree).
+    Returns the final evaluation, whose ``iterations`` counts the budgeted
+    scans performed.  An UNDECIDED result means the budget ran out; spending
+    more can only refine it (the explored tree is a prefix of the unlimited
+    run's tree).
     ``trace``, a list, gets the scans' rows (see :func:`~.shortcut.single_step`),
     one ``eval`` dict per scan and one ``branch`` dict per split.
     """
@@ -98,7 +87,7 @@ def evaluate_iterative(
     root = single_step(ctx, overlap, trace=trace)
     log(root, None, 0)
     if root.verdict is not Verdict.UNDECIDED:
-        return IterationResult(root, 0)
+        return root
 
     spent = 0
     stack = [(np.zeros(ctx.prob.n_hyps, dtype=np.int8), root.window, root.pivot)]
@@ -111,17 +100,17 @@ def evaluate_iterative(
         children = []
         for mark in (-1, 1):  # exclude, then force
             if spent >= limit:
-                return IterationResult(Evaluation(Verdict.UNDECIDED, window=window), spent)
+                return Evaluation(Verdict.UNDECIDED, window=window, iterations=spent)
             spent += 1
             child = state.copy()
             child[pivot] = mark
             ev = single_step(ctx, overlap, child, window=window, trace=trace)
             log(ev, child, spent)
             if ev.verdict is Verdict.SURVIVOR_FOUND:
-                return IterationResult(ev, spent)
+                return replace(ev, iterations=spent)
             if ev.verdict is Verdict.UNDECIDED:
                 children.append((child, ev.window, ev.pivot))
         # LIFO stack: push the force side first so the exclude side pops first.
         stack.extend(reversed(children))
 
-    return IterationResult(Evaluation(Verdict.ALL_REJECTED), spent)
+    return Evaluation(Verdict.ALL_REJECTED, iterations=spent)

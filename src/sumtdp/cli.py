@@ -40,11 +40,9 @@ from . import __version__
 from .combiners import (
     COMBINER_KINDS,
     Combiner,
-    TruncationRule,
+    _floor,
     apply_combiner,
     evidence_from_t,
-    threshold_from_rank,
-    truncate,
 )
 from .generators import TransformationScheme, sign_flip_matrix
 from .inference import discoveries, largest_subset
@@ -198,23 +196,17 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
         args.b = 200 if args.b is None else args.b
         scheme = TransformationScheme(kind="sign_flip", n_transforms=args.b, seed=args.seed)
         tstats = sign_flip_matrix(data, scheme, two_sided=not args.one_sided)
+        stats = StatisticMatrix(tstats.values, names=names)
         if comb is not None:
             # generated t statistics become two-sided (or one-sided) p-values
             return evidence_from_t(
-                tstats, data.shape[0] - 1, comb, two_sided=not args.one_sided,
-                names=names, threshold=args.truncate, rank=args.truncate_rank,
-                ground=args.ground,
+                stats, data.shape[0] - 1, comb, two_sided=not args.one_sided,
+                threshold=args.truncate, rank=args.truncate_rank, ground=args.ground,
             )
-        stats = StatisticMatrix(tstats.values, names=names)
 
     if comb is not None:
         stats = apply_combiner(stats, comb)
-    threshold = args.truncate
-    if args.truncate_rank is not None:
-        threshold = threshold_from_rank(stats, args.truncate_rank)
-    if threshold is not None:
-        stats = truncate(stats, TruncationRule(threshold=threshold, ground=args.ground))
-    return stats
+    return _floor(stats, args.truncate, args.truncate_rank, args.ground)
 
 
 def _problem(args, inputs: dict):
@@ -236,7 +228,7 @@ def _column_indices(tokens, names: tuple) -> list:
     :func:`column_index` (integers and integral floats), so anything else
     JSON can hold (null, booleans, nested lists, objects) is an input error.
     """
-    index = {name: j for j, name in reversed(list(enumerate(names)))}  # first wins
+    index = {name: j for j, name in enumerate(names)}
     out = []
     for tok in tokens:
         if isinstance(tok, str):

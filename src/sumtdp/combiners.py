@@ -11,7 +11,8 @@ leaving the rest untouched.  On the evidence scale this keeps the strongest
 signals; composing a combiner with an evidence-scale truncation rule is the
 same as truncating the p-values first (large p to a ground p) and then
 transforming.  ``evidence_from_t`` takes t statistics through p-values, a
-combiner and truncation, and converts only the entries truncation keeps.
+combiner and truncation to evidence with the same column names, converting
+only the entries truncation keeps.
 """
 
 from dataclasses import dataclass
@@ -165,6 +166,12 @@ def threshold_from_rank(stats: StatisticMatrix, rank: int) -> float:
     return float(np.partition(flat, flat.size - rank)[flat.size - rank])
 
 
+def _floor(stats: StatisticMatrix, threshold, rank, ground) -> StatisticMatrix:
+    """``truncate`` to ``ground`` at ``threshold`` or at ``threshold_from_rank``; else ``stats``."""
+    cut = threshold if rank is None else threshold_from_rank(stats, rank)
+    return stats if cut is None else truncate(stats, TruncationRule(cut, ground))
+
+
 # Relative step in t below a cut; the scale floor of 1 keeps the step
 # meaningful for statistics near zero.
 _T_MARGIN = 1e-6
@@ -206,7 +213,6 @@ def evidence_from_t(
     df: int,
     combiner: Combiner,
     two_sided: bool = True,
-    names=None,
     threshold: float = None,
     rank: int = None,
     ground: float = 0.0,
@@ -217,7 +223,7 @@ def evidence_from_t(
     ``ground`` of ``apply_combiner`` on the p-values ``2 * t.sf(t, df)`` of
     absolute statistics (``t.sf(t, df)`` of signed ones when not
     ``two_sided``), at ``threshold`` or at ``threshold_from_rank(.., rank)``;
-    with neither, the untruncated evidence.  ``names`` replaces the column
+    with neither, the untruncated evidence.  The result takes the column
     names of ``tstats``.
 
     Only the entries truncation can keep are converted.  Every combiner but
@@ -240,7 +246,6 @@ def evidence_from_t(
 
     if threshold is not None and rank is not None:
         raise ValueError("truncate at a threshold or at a rank, not both")
-    names = tstats.names if names is None else names
     t = tstats.values
 
     def evidence(values):
@@ -251,11 +256,8 @@ def evidence_from_t(
         return combiner.transform(p)
 
     def convert_all():
-        stats = StatisticMatrix(_handed_over(evidence(t)), names=names)
-        cut = threshold if rank is None else threshold_from_rank(stats, rank)
-        if cut is None:
-            return stats
-        return truncate(stats, TruncationRule(threshold=cut, ground=ground))
+        stats = StatisticMatrix(_handed_over(evidence(t)), names=tstats.names)
+        return _floor(stats, threshold, rank, ground)
 
     if combiner.kind == "identity" or (threshold is None and rank is None):
         return convert_all()
@@ -283,4 +285,4 @@ def evidence_from_t(
     rule = TruncationRule(threshold=cut, ground=ground)
     values = np.full(t.shape, rule.ground)
     values[keep] = np.where(kept >= rule.threshold, kept, rule.ground)
-    return StatisticMatrix(_handed_over(values), names=names)
+    return StatisticMatrix(_handed_over(values), names=tstats.names)

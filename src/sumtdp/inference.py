@@ -200,7 +200,7 @@ def _bisect(ctx: QueryContext, step_budget, trace) -> DiscoveryResult:
         if res.verdict is Verdict.ALL_REJECTED:
             hi = z
         elif res.verdict is Verdict.SURVIVOR_FOUND:
-            if hi == s + 1 and z < s and _lifts(prob, ctx, res.evaluation, trace):
+            if hi == s + 1 and z < s and _lifts(prob, ctx, res, trace):
                 z = s  # a survivor containing S: the overlap maximum is |S|
             lo = z
             lo_certified = True
@@ -227,12 +227,11 @@ def discoveries_matrix(
     subset,
     reduction_ground=None,
     step_budget=None,
-    trace: list = None,
 ) -> DiscoveryResult:
     """Discovery bound straight from a statistic matrix: :func:`discoveries` on
     ``SumTestProblem.from_matrix(stats, cfg, ground=reduction_ground)``."""
     prob = SumTestProblem.from_matrix(stats, cfg, ground=reduction_ground)
-    return discoveries(prob, subset, step_budget=step_budget, trace=trace)
+    return discoveries(prob, subset, step_budget=step_budget)
 
 
 def largest_subset(

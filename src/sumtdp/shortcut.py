@@ -96,7 +96,8 @@ class Evaluation:
     candidate.  ``pivot`` is the column to split an undecided subspace on
     (UNDECIDED from a scan only): the last column of the scan's greedy
     path, never an overlap pick, and None when every free column is one.
-    ``sums``, the witness's exact row sums, is not compared.
+    ``sums``, the witness's exact row sums, and ``iterations``, the budgeted
+    scans a branch-and-bound run spent (0 for a single scan), are not compared.
     """
 
     verdict: Verdict
@@ -104,6 +105,7 @@ class Evaluation:
     witness: tuple = None
     pivot: int = None
     sums: np.ndarray = field(default=None, compare=False, repr=False)
+    iterations: int = field(default=0, compare=False)
 
 
 def _marked(state) -> dict:

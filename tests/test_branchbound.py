@@ -81,7 +81,7 @@ class TestIterativeToy:
         res = evaluate_iterative(toy_ctx, 1)
         assert res.verdict is Verdict.SURVIVOR_FOUND
         assert res.iterations == 2
-        assert res.evaluation.witness == (0, 3)
+        assert res.witness == (0, 3)
 
     def test_level_two_root_only(self, toy_ctx):
         res = evaluate_iterative(toy_ctx, 2)
@@ -91,7 +91,7 @@ class TestIterativeToy:
     def test_budget_zero_returns_root_window(self, toy_ctx):
         res = evaluate_iterative(toy_ctx, 1, budget=0)
         assert res.verdict is Verdict.UNDECIDED
-        assert res.evaluation.window == (1, 3)
+        assert res.window == (1, 3)
         assert res.iterations == 0
 
     def test_budget_one_still_undecided(self, toy_ctx):
@@ -176,7 +176,7 @@ class TestAgainstOracle:
                     assert res.verdict is Verdict.UNDECIDED
                     assert res.iterations == budget
                 else:
-                    assert res.evaluation == full.evaluation
+                    assert res == full
 
     def test_monotone_in_budget(self):
         # once settled, stay settled with the same verdict as budget grows
@@ -288,7 +288,7 @@ class TestWitnesses:
             if res.verdict is not Verdict.SURVIVOR_FOUND:
                 continue
             found += 1
-            w = res.evaluation.witness
+            w = res.witness
             assert len(set(w) & set(subset)) >= z
             assert subset_quantile(prob, w) <= 0.0
         assert found >= 5

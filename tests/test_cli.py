@@ -5,7 +5,7 @@ import hashlib
 import json
 import re
 import shlex
-from dataclasses import fields
+from dataclasses import fields, replace
 from itertools import islice
 from pathlib import Path
 
@@ -70,6 +70,14 @@ class TestTdp:
         }]
         manifest = json.loads(err)
         assert manifest["subcommand"] == "tdp"
+
+    def test_max_iter(self, toy_csv, capsys):
+        argv = ("tdp", "--stats", toy_csv, "--alpha", "0.4", "--sets", "[[1,2]]")
+        for extra, converged, iterations in [((), True, 4), (("--max-iter", "0"), False, 2)]:
+            code, out, err = run(capsys, *argv, *extra)
+            entry = json.loads(out)[0]
+            assert (code, entry["converged"], entry["iterations"]) == (0, converged, iterations)
+        assert json.loads(err)["config"]["max_iter"] == 0
 
     def test_output_matches_schema(self, toy_csv, capsys):
         code, out, _ = run(
@@ -146,6 +154,16 @@ class TestTdp:
         assert "bad column token" in payload[0]["error"]
         assert payload[1]["d"] == 1
         jsonschema.validate(payload, json.load(open(SCHEMA_PATH)))
+
+    @pytest.mark.parametrize("spec, entry", [
+        ('[["nope"]]', {"set_id": 1, "error": "unknown column 'nope'"}),
+        ('[["1", " ", "2"]]', {"set_id": 1, "size": 2, "d": 1, "tdp": 0.5,
+                                "converged": True, "iterations": 4}),
+    ], ids=["unknown-name", "blank-token-skipped"])
+    def test_string_tokens(self, toy_csv, capsys, spec, entry):
+        code, out, _ = run(capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4", "--sets", spec)
+        assert code == 0
+        assert json.loads(out) == [entry]
 
     def test_boolean_is_not_a_column(self, toy_csv, capsys):
         code, out, _ = run(
@@ -477,6 +495,24 @@ class TestVerify:
         assert (payload["subsets_checked"], payload["mismatches"]) == (31, 0)
         assert restricted
 
+    def test_mismatch_exits_1(self, toy_csv, capsys, monkeypatch):
+        # an engine answer off by one is an internal fault, reported set by set
+        real = sumtdp.cli.discoveries
+
+        def off_by_one(prob, subset):
+            res = real(prob, subset)
+            return replace(res, discoveries=res.discoveries + 1)
+
+        monkeypatch.setattr(sumtdp.cli, "discoveries", off_by_one)
+        code, out, _ = run(capsys, "verify", "--stats", toy_csv, "--alpha", "0.4")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["mismatches"] == payload["subsets_checked"] == 31
+        details = payload["details"]
+        assert [row["set"] for row in details] == [
+            ";".join(str(i + 1) for i in range(5) if mask >> i & 1) for mask in range(1, 21)]
+        assert all(row["got"] == row["expected"] + 1 for row in details)
+
     @pytest.mark.parametrize("instance, shape, alpha", [
         (201, (11, 8), 0.2), (394, (6, 7), 0.4),
     ], ids=["fuzz-201", "fuzz-394"])
@@ -520,6 +556,39 @@ class TestDataRoute:
         entry = json.loads(out)[0]
         assert entry["size"] == 4
         assert "m_reduced" in entry
+
+    @pytest.mark.parametrize("truncation, threshold, rank, ground", [
+        (["--truncate-rank", "60"], None, 60, 0.0),
+        (["--truncate", "2.0", "--ground", "0.5"], 2.0, None, 0.5),
+    ], ids=["rank", "threshold"])
+    def test_stats_combiner_matches_library(self, tmp_path, capsys, truncation, threshold,
+                                            rank, ground):
+        rng = np.random.default_rng(82)
+        pvals = rng.uniform(size=(40, 12))
+        pvals[0, :5] *= 1e-3
+        path = tmp_path / "p.csv"
+        sumtdp.write_statistic_csv(sumtdp.StatisticMatrix(pvals), path)
+        sets = [[1, 2, 3, 4, 5], list(range(1, 13))]
+        code, out, _ = run(capsys, "tdp", "--stats", str(path), "--combiner", "fisher",
+                           "--sets", json.dumps(sets), *truncation)
+        assert code == 0
+        evidence = sumtdp.apply_combiner(
+            sumtdp.read_statistic_csv(path), sumtdp.Combiner.parse("fisher"))
+        if rank is not None:
+            threshold = sumtdp.threshold_from_rank(evidence, rank)
+        evidence = sumtdp.truncate(evidence, sumtdp.TruncationRule(threshold, ground))
+        prob = sumtdp.SumTestProblem.from_matrix(evidence, sumtdp.TestConfig(0.05, 40),
+                                                 ground=ground)
+        want = []
+        for set_id, cols in enumerate(sets, start=1):
+            res = sumtdp.discoveries(prob, [c - 1 for c in cols], step_budget=50)
+            want.append({
+                "set_id": set_id, "size": res.n_queried, "d": res.discoveries,
+                "tdp": res.tdp, "converged": res.converged, "iterations": res.evals,
+                **res.reduction,
+            })
+        assert json.loads(out) == want
+        assert want[0]["d"] > 0 and want[0]["m_reduced"] < 12
 
     def test_flip_made_column_constant(self, tmp_path, capsys):
         # both columns vary, but a drawn sign flip makes column 0 constant
@@ -592,13 +661,12 @@ class TestDataConversion:
         if rank is not None:
             threshold = sumtdp.threshold_from_rank(evidence, rank)
         evidence = sumtdp.truncate(evidence, sumtdp.TruncationRule(threshold, ground))
-        cfg = sumtdp.TestConfig(0.05, self.B)
+        prob = sumtdp.SumTestProblem.from_matrix(
+            evidence, sumtdp.TestConfig(0.05, self.B), ground=ground)
         entries, rows = [], []
         for set_id, cols in enumerate(self.SETS, start=1):
             trace = []
-            res = sumtdp.discoveries_matrix(
-                evidence, cfg, [c - 1 for c in cols], reduction_ground=ground, step_budget=50,
-                trace=trace)
+            res = sumtdp.discoveries(prob, [c - 1 for c in cols], step_budget=50, trace=trace)
             entries.append({
                 "set_id": set_id, "size": res.n_queried, "d": res.discoveries,
                 "tdp": res.tdp, "converged": res.converged, "iterations": res.evals,
@@ -780,6 +848,27 @@ class TestSimulate:
         assert out == ""
         assert f"bad simulation config: {key} must be an integer of at least" in err
 
+    @pytest.mark.parametrize("config, message", [
+        ([{"n_reps": 1}], "top level must be an object"),
+        ({"cells": [1]}, "config key 'cells' must be a list of objects"),
+        ({"cells": {"n_reps": 1}}, "config key 'cells' must be a list of objects"),
+    ], ids=["top-level-list", "cells-of-numbers", "cells-an-object"])
+    def test_config_shape_errors_are_usage_errors(self, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_alpha_flag_fills_cells_without_alpha(self, tmp_path, capsys):
+        cfg = {"n_obs": 15, "n_hyps": 6, "n_transforms": 20, "n_reps": 1,
+               "cells": [{}, {"alpha": 0.2}]}
+        cfg_path = tmp_path / "study.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, _ = run(capsys, "simulate", "--config", str(cfg_path), "--alpha", "0.1")
+        assert code == 0
+        assert [row["alpha"] for row in csv.DictReader(out.splitlines())] == ["0.1", "0.2"]
+
     def test_seed_override(self, tmp_path, capsys):
         cfg = {"n_obs": 15, "n_hyps": 6, "n_transforms": 20, "n_reps": 1,
                "seed": 1, "active_fraction": 0.5, "alpha": 0.1}
@@ -876,6 +965,18 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert f"{flag} is not valid JSON" in err
+
+    @pytest.mark.parametrize("command", [
+        ["test", "--stats"],
+        ["tdp", "--sets", "[[1,2]]", "--data"],
+        ["tdp", "--sets", "[[1,2]]", "--combiner", "fisher", "--truncate-rank", "4", "--data"],
+    ], ids=["test-stats", "tdp-data", "tdp-data-combiner"])
+    def test_duplicate_column_names(self, tmp_path, capsys, command):
+        path = tmp_path / "dup.csv"
+        path.write_text("g,g\n1,2\n-0.5,0.3\n2,1.1\n0.7,-1\n")
+        code, out, err = run(capsys, *command, str(path))
+        assert (code, out) == (2, "")
+        assert "column names must be unique" in err
 
     def test_one_sided_needs_data(self, toy_csv, capsys):
         # sign flips make the t statistics; a given matrix has no sides

@@ -1,6 +1,8 @@
 """P-value combining transforms, truncation, rank-based thresholds, and the
 t statistic to evidence conversion."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.special
@@ -49,6 +51,18 @@ class TestParse:
             Combiner.parse("vw:abc")
         with pytest.raises(ValueError, match="power"):
             Combiner.parse("vw:")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Combiner("generalized_mean"), "generalized_mean requires a power"),
+        (lambda: Combiner("fisher", 1.0), "fisher takes no power argument"),
+        (lambda: Combiner.parse("abc:1"), "unknown combiner 'abc:1'"),
+        (lambda: Combiner.parse("vw"), "'vw' needs a power, e.g. vw:-1"),
+        (lambda: Combiner("identity").transform([np.inf]), "identity combiner requires finite entries"),
+    ], ids=["no-power", "power-for-fisher", "unknown-with-power", "vw-without-power",
+            "identity-non-finite"])
+    def test_bad_arguments(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     @pytest.mark.parametrize("power", ["inf", "1e400", "-inf", "nan"])
     def test_power_must_be_finite(self, power):
@@ -140,6 +154,11 @@ class TestTruncation:
         with pytest.raises(ValueError, match="ground"):
             TruncationRule(threshold=1.0, ground=2.0)
 
+    @pytest.mark.parametrize("threshold, ground", [(np.inf, 0.0), (1.0, np.nan)])
+    def test_rule_must_be_finite(self, threshold, ground):
+        with pytest.raises(ValueError, match="^threshold and ground must be finite$"):
+            TruncationRule(threshold, ground)
+
     def test_basic(self):
         s = StatisticMatrix(np.array([[3.0, 0.5], [1.0, 2.0]]))
         out = truncate(s, TruncationRule(threshold=2.0, ground=0.0))
@@ -219,12 +238,12 @@ class TestThresholdFromRank:
         assert threshold_from_rank(toy_stats, np.int64(12)) == 2.0
 
 
-def full_conversion(tstats, df, comb, two_sided, names, threshold, rank, ground):
+def full_conversion(tstats, df, comb, two_sided, threshold, rank, ground):
     """Every entry through t.sf, the combiner and then truncation."""
     pvals = sps.t.sf(tstats.values, df)
     if two_sided:
         pvals = 2.0 * pvals
-    evidence = apply_combiner(StatisticMatrix(pvals, names=names), comb)
+    evidence = apply_combiner(StatisticMatrix(pvals, names=tstats.names), comb)
     if rank is not None:
         threshold = threshold_from_rank(evidence, rank)
     if threshold is None:
@@ -273,10 +292,10 @@ def conversion_cases(draw):
         + [Combiner("generalized_mean", power)]
     ))
     names = tuple(f"c{j}" for j in range(m)) if draw(st.booleans()) else None
-    tstats = StatisticMatrix(t)
+    tstats = StatisticMatrix(t, names=names)
 
     try:
-        values = full_conversion(tstats, df, comb, two_sided, None, None, None, 0.0).values
+        values = full_conversion(tstats, df, comb, two_sided, None, None, 0.0).values
     except ValueError:
         values = np.zeros(1)
     rule = draw(st.sampled_from(
@@ -309,7 +328,7 @@ def conversion_cases(draw):
         ground = cut
     else:
         ground = cut - float(rng.uniform(0.0, 3.0))
-    return tstats, df, comb, two_sided, names, threshold, rank, ground
+    return tstats, df, comb, two_sided, threshold, rank, ground
 
 
 @settings(derandomize=True, max_examples=600, deadline=None, database=None)
@@ -338,8 +357,7 @@ def test_evidence_from_t_matches_full_conversion(case):
     ([[1.0, 2.0, 3.0]], 5, "liptak", False, None, 0, 0.0),
 ])
 def test_edges_match_full_conversion(t, df, token, two_sided, threshold, rank, ground):
-    case = (StatisticMatrix(t), df, Combiner.parse(token), two_sided, None,
-            threshold, rank, ground)
+    case = (StatisticMatrix(t), df, Combiner.parse(token), two_sided, threshold, rank, ground)
     with np.errstate(all="ignore"):
         assert outcome(evidence_from_t, *case) == outcome(full_conversion, *case)
 

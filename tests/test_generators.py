@@ -152,6 +152,14 @@ class TestOneSampleT:
         with pytest.raises(ValueError, match="2 observations"):
             observed_t(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("data, message", [
+        (np.ones(5), r"^data must be 2-D \(observations x variables\), got \(5,\)$"),
+        (np.array([[1.0, np.nan], [2.0, 3.0]]), "^data contains non-finite entries$"),
+    ], ids=["one-dimensional", "non-finite"])
+    def test_refuses_bad_data(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            sign_flip_matrix(data, TransformationScheme("sign_flip", 5, seed=0))
+
     def test_needs_a_variable(self):
         scheme = TransformationScheme("sign_flip", 10, seed=1)
         with pytest.raises(ValueError, match=r"at least 1 variable, got \(5, 0\)"):

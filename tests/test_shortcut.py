@@ -58,6 +58,14 @@ class TestProblem:
         with pytest.raises(ValueError, match="crit_rank"):
             SumTestProblem(np.zeros((4, 2)), np.zeros(2), 5)
 
+    @pytest.mark.parametrize("centered, observed, message", [
+        ([[np.inf, 1.0]], [1.0, 1.0], r"^centered must be a finite \(B, m\) matrix$"),
+        ([[0.0, 1.0]], [np.nan, 1.0], r"^observed must be a finite \(m,\) vector$"),
+    ], ids=["centered", "observed"])
+    def test_arrays_must_be_finite(self, centered, observed, message):
+        with pytest.raises(ValueError, match=message):
+            SumTestProblem(np.array(centered), np.array(observed), 1)
+
     def test_fortran_input_stored_row_major(self):
         # Reduced matrices come out column-major; the problem stores every
         # input row-major, and the layout cannot change an answer.

@@ -89,6 +89,11 @@ class TestConfigObject:
         with pytest.raises(ValueError):
             SimulationConfig(truncate_p=0.6, ground_p=0.5)
 
+    @pytest.mark.parametrize("key", ["alpha", "power_target"])
+    def test_probabilities_lie_inside_the_unit_interval(self, key):
+        with pytest.raises(ValueError, match=rf"^{key} must lie in \(0, 1\)$"):
+            SimulationConfig(**{key: 1.0})
+
     @pytest.mark.parametrize("key, value", [
         ("n_obs", 50.5), ("n_obs", 1), ("n_hyps", 20.0), ("n_hyps", 0), ("n_transforms", 40.5),
         ("n_transforms", 1), ("n_reps", 1.5), ("n_reps", True), ("n_reps", 0), ("seed", -1),

@@ -1,6 +1,7 @@
 """Statistic matrices, centering, subset quantiles, and CSV round trips."""
 
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -73,6 +74,12 @@ class TestStatisticMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(ValueError, match="2-D"):
             StatisticMatrix(np.ones(4))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_rejects_empty(self, shape):
+        message = f"statistic matrix must be non-empty, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StatisticMatrix(np.zeros(shape))
 
     def test_rejects_name_count_mismatch(self):
         with pytest.raises(ValueError, match="names"):
@@ -381,6 +388,20 @@ class TestCsv:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(ValueError, match=r"ragged\.csv:3"):
             read_statistic_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"), ("a,b\n", "no data rows"),
+    ], ids=["empty", "header-only"])
+    def test_read_refuses_a_file_without_data(self, tmp_path, text, message):
+        path = tmp_path / "short.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"short\.csv: {message}$"):
+            read_statistic_csv(path)
+
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("a,b\n1,2\n\n , \n3,4\n")
+        assert read_statistic_csv(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_read_data_csv(self, tmp_path):
         path = tmp_path / "data.csv"
