@@ -84,15 +84,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p, with_input=True):
-        p.add_argument("--alpha", type=float, default=None,
-                       help="significance level (default 0.05)")
+        p.add_argument("--alpha", type=float, default=0.05 if with_input else None,
+                       help="significance level (default %(default)s)" if with_input
+                       else "significance level of the cells that set none")
         p.add_argument("--seed", type=int, default=None,
                        help="generator seed (used when --data is given)")
         p.add_argument("--out", default=None,
                        help="write results here (default stdout); the manifest "
                             "goes to <out>.manifest.json")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="output format (default json; simulate defaults to csv)")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="output format (default %(default)s)")
         if with_input:
             src = p.add_mutually_exclusive_group(required=True)
             src.add_argument("--stats", default=None,
@@ -149,6 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo study grid")
     add_common(p_sim, with_input=False)
+    p_sim.set_defaults(format="csv")
     p_sim.add_argument("--config", required=True,
                        help="JSON study configuration (see README for the schema)")
 
@@ -161,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------------------
 # input plumbing
-
-
-def _alpha(args) -> float:
-    return 0.05 if args.alpha is None else args.alpha
 
 
 def _sha256(path) -> str:
@@ -194,6 +192,10 @@ def _load_matrix(args, inputs: dict) -> StatisticMatrix:
         inputs[args.data] = _sha256(args.data)
         names, data = read_data_csv(args.data)
         args.b = 200 if args.b is None else args.b
+        if args.seed is None:  # draw one, so that the manifest reproduces the run
+            import secrets
+
+            args.seed = secrets.randbits(63)
         scheme = TransformationScheme(kind="sign_flip", n_transforms=args.b, seed=args.seed)
         tstats = sign_flip_matrix(data, scheme, two_sided=not args.one_sided)
         stats = StatisticMatrix(tstats.values, names=names)
@@ -216,7 +218,7 @@ def _problem(args, inputs: dict):
     """
     stats = _load_matrix(args, inputs)
     truncated = args.truncate is not None or args.truncate_rank is not None
-    cfg = TestConfig(_alpha(args), stats.n_transforms)
+    cfg = TestConfig(args.alpha, stats.n_transforms)
     return stats.column_names(), SumTestProblem.from_matrix(
         stats, cfg, ground=args.ground if truncated else None)
 
@@ -285,7 +287,7 @@ def _read_list(spec: str, inputs: dict, flag: str, inline=False):
     if inline and spec.lstrip().startswith("["):
         return _parse_list(spec, flag)
     inputs[spec] = _sha256(spec)
-    with open(spec) as fh:
+    with open(spec, encoding="utf-8-sig") as fh:
         return _parse_list(fh.read(), flag)
 
 
@@ -326,7 +328,7 @@ def _write_trace(rows, path):
         "set_id", "kind", "index", "overlap", "size", "value", "verdict",
         "window_lo", "window_hi", "forced", "excluded", "witness", "pivot",
     )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
         writer.writeheader()
         for row in rows:
@@ -351,14 +353,12 @@ class _Result(NamedTuple):
 
     payload: object
     columns: list
-    default_format: str = "json"
     extra: dict = None  # more manifest keys
     code: int = 0
 
 
 def _emit(args, result: _Result):
-    fmt = args.format or result.default_format
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(result.payload, indent=2) + "\n"
     else:
         buf = io.StringIO()
@@ -369,7 +369,7 @@ def _emit(args, result: _Result):
             writer.writerow([";".join(v) if isinstance(v, list) else v for v in cells])
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -401,7 +401,7 @@ def _emit_manifest(args, inputs: dict, started: float, extra=None):
         manifest.update(extra)
     text = json.dumps(manifest, indent=2, default=str) + "\n"
     if args.out:
-        with open(args.out + ".manifest.json", "w") as fh:
+        with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stderr.write(text)
@@ -514,10 +514,9 @@ def _build_cells(config: dict, args):
             merged["alpha"] = args.alpha
         if args.seed is not None:
             merged["seed"] = args.seed
-        tokens = combiners or [merged.get("combiner", "fisher")]
-        for token in tokens:
+        for variant in [{**merged, "combiner": c} for c in combiners] if combiners else [merged]:
             try:
-                cells.append(SimulationConfig.from_dict({**merged, "combiner": token}))
+                cells.append(SimulationConfig.from_dict(variant))
             except (TypeError, ValueError) as exc:
                 raise InputError(f"bad simulation config: {exc}") from None
     return cells
@@ -527,7 +526,7 @@ def _cmd_simulate(args, inputs: dict) -> _Result:
     from .simharness import GRID_COLUMNS, run_grid
 
     inputs[args.config] = _sha256(args.config)
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8-sig") as fh:
         try:
             config = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -535,8 +534,7 @@ def _cmd_simulate(args, inputs: dict) -> _Result:
     if not isinstance(config, dict):
         raise InputError(f"{args.config}: top level must be an object")
     cells = _build_cells(config, args)
-    return _Result(run_grid(cells), list(GRID_COLUMNS), default_format="csv",
-                   extra={"cells": len(cells)})
+    return _Result(run_grid(cells), list(GRID_COLUMNS), extra={"cells": len(cells)})
 
 
 def main(argv=None) -> int:

@@ -34,7 +34,6 @@ __all__ = [
 _P_HIGH = 1.0 - 2.0 ** -52
 
 COMBINER_KINDS = (
-    "identity",
     "fisher",
     "pearson",
     "liptak",
@@ -86,23 +85,19 @@ class Combiner:
         token = token.strip().lower()
         if ":" in token:
             head, _, tail = token.partition(":")
-            if head in ("vw", "generalized_mean"):
+            if head == "vw":
                 try:
                     return cls("generalized_mean", float(tail))
                 except ValueError:
                     raise ValueError(f"bad combiner power {tail!r}") from None
             raise ValueError(f"unknown combiner {token!r}")
-        if token in ("vw", "generalized_mean"):
-            raise ValueError(f"{token!r} needs a power, e.g. {token}:-1")
+        if token == "vw":
+            raise ValueError("'vw' needs a power, e.g. vw:-1")
         return cls(token)
 
     def transform(self, values) -> np.ndarray:
         """Apply the transform elementwise to an array of p-values."""
         p = np.asarray(values, dtype=float)
-        if self.kind == "identity":
-            if not np.isfinite(p).all():
-                raise ValueError("identity combiner requires finite entries")
-            return p.copy()
         _check_pvalues(p)
         if self.kind == "fisher":
             return -np.log(p)
@@ -226,21 +221,19 @@ def evidence_from_t(
     with neither, the untruncated evidence.  The result takes the column
     names of ``tstats``.
 
-    Only the entries truncation can keep are converted.  Every combiner but
-    ``identity`` decreases in p, and p decreases in t, so those entries lie
-    above a cut in t.  For a rank the cut steps down from the rank-th
-    greatest t; for a threshold it steps down from the greatest t that
-    grid evaluations of the same transform find below the threshold,
-    within one step of the boundary.
-    Each step is ``1e-6`` relative in t (absolute below 1), which assumes
-    that the rounding errors of ``stdtr`` and the combiners move the
+    Only the entries truncation can keep are converted.  Every combiner
+    decreases in p, and p decreases in t, so those entries lie above a cut
+    in t.  For a rank the cut steps down from the rank-th greatest t; for a
+    threshold it steps down from the greatest t that grid evaluations of
+    the same transform find below the threshold, within one step of the
+    boundary.  Each step is ``1e-6`` relative in t (absolute below 1), which
+    assumes that the rounding errors of ``stdtr`` and the combiners move the
     evidence far less than that.  The evidence where the step starts must
     lie below the threshold; where it does not (p rounds to 1 or a clamp
-    makes the transform flat there), for ``identity`` and without
-    truncation, every entry is converted.  Elementwise functions give the
-    same bits on the kept entries alone as on the whole matrix.  A p-value
-    that underflows to 0 belongs to the greatest t, so it is always
-    converted and raises as before.
+    makes the transform flat there), and without truncation, every entry is
+    converted.  Elementwise functions give the same bits on the kept entries
+    alone as on the whole matrix.  A p-value that underflows to 0 belongs to
+    the greatest t, so it is always converted and raises as before.
     """
     from scipy.special import stdtr
 
@@ -259,7 +252,7 @@ def evidence_from_t(
         stats = StatisticMatrix(_handed_over(evidence(t)), names=tstats.names)
         return _floor(stats, threshold, rank, ground)
 
-    if combiner.kind == "identity" or (threshold is None and rank is None):
+    if threshold is None and rank is None:
         return convert_all()
     lo = float(t.min())
     if two_sided and lo < 0.0:

@@ -50,8 +50,7 @@ class SimulationConfig:
     ``truncate_p`` and ``ground_p`` are on the p scale; entries with p-value
     above ``truncate_p`` are floored at the combiner's value of ``ground_p``
     (truncation happens after combining, which is the same thing because
-    combiners are decreasing; ``identity``, which is not, takes no
-    truncation).  ``ground_p`` also feeds the column reduction.
+    combiners are decreasing).  ``ground_p`` also feeds the column reduction.
     ``power_target`` is the marginal two-sided t-test power that calibrates
     the planted effect size.
     """
@@ -89,12 +88,7 @@ class SimulationConfig:
                 raise ValueError("truncate_p must lie in (0, 1]")
             if not self.truncate_p <= self.ground_p <= 1.0:
                 raise ValueError("ground_p must lie in [truncate_p, 1]")
-        comb = Combiner.parse(self.combiner)  # fail here, not mid-study
-        if comb.kind == "identity" and self.truncate_p is not None:
-            raise ValueError(
-                "truncate_p needs a combiner that decreases in p; identity "
-                "keeps the p-values, so their ground would exceed the threshold"
-            )
+        Combiner.parse(self.combiner)  # fail here, not mid-study
 
     @property
     def n_active(self) -> int:

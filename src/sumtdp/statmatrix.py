@@ -178,7 +178,7 @@ def validate_subset(subset, n_hyps) -> tuple:
 
 def _read_table(path):
     rows = []
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -223,7 +223,7 @@ def read_data_csv(path):
 
 def write_statistic_csv(stats: StatisticMatrix, path) -> None:
     """Write a statistic matrix as CSV (header row, observed row first)."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(stats.column_names())
         for row in stats.values:

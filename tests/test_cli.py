@@ -4,7 +4,10 @@ import csv
 import hashlib
 import json
 import re
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import fields, replace
 from itertools import islice
 from pathlib import Path
@@ -30,6 +33,7 @@ H1,H2,H3,H4,H5
 """
 
 SCHEMA_PATH = "docs/output-schema.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -206,6 +210,26 @@ class TestTdp:
         assert manifest["versions"]["sumtdp"]
         assert list(manifest["inputs"].values())[0].startswith("sha256:")
         assert manifest["wall_time_s"] >= 0
+
+    @pytest.mark.parametrize("argv, alpha, fmt, seed", [
+        (["test", "--data", "DATA", "--seed", "7"], 0.05, "json", 7),
+        (["tdp", "--stats", "STATS", "--sets", "[[1,2]]", "--alpha", "0.4", "--format", "csv"],
+         0.4, "csv", None),
+        (["simulate", "--config", "CONFIG"], None, "csv", None),
+    ], ids=["defaults", "given", "simulate"])
+    def test_manifest_records_settings_used(self, toy_csv, data_csv, tmp_path, capsys,
+                                            argv, alpha, fmt, seed):
+        # the parser holds every default, so the manifest records what ran;
+        # simulate's alpha stays None, which keeps each cell's own
+        config = tmp_path / "study.json"
+        config.write_text(json.dumps({"n_obs": 15, "n_hyps": 6, "n_transforms": 40,
+                                      "n_reps": 1}))
+        paths = {"DATA": data_csv, "STATS": toy_csv, "CONFIG": str(config)}
+        code, _, err = run(capsys, *[paths.get(a, a) for a in argv])
+        manifest = json.loads(err)
+        assert code == 0
+        assert (manifest["config"]["alpha"], manifest["config"]["format"]) == (alpha, fmt)
+        assert manifest["seed"] == seed
 
     def test_trace_csv(self, toy_csv, tmp_path, capsys):
         trace_path = tmp_path / "trace.csv"
@@ -547,6 +571,20 @@ class TestDataRoute:
         _, b, _ = run(capsys, *args)
         assert a == b
 
+    def test_unseeded_run_records_the_seed_it_drew(self, data_csv, tmp_path, capsys):
+        # each run draws its own seed, and the manifest's seed reruns it exactly
+        args = ("test", "--data", data_csv, "--b", "64", "--set", "1,2,3")
+        seeds = []
+        for name in ("a", "b"):
+            out = tmp_path / f"{name}.json"
+            assert run(capsys, *args, "--out", str(out))[0] == 0
+            seed = json.loads(Path(f"{out}.manifest.json").read_text())["seed"]
+            assert isinstance(seed, int) and 0 <= seed < 2 ** 63
+            code, again, _ = run(capsys, *args, "--seed", str(seed))
+            assert (code, again) == (0, out.read_text())
+            seeds.append(seed)
+        assert seeds[0] != seeds[1]
+
     def test_combiner_with_truncation(self, data_csv, capsys):
         code, out, _ = run(
             capsys, "tdp", "--data", data_csv, "--b", "64", "--seed", "7",
@@ -619,6 +657,19 @@ class TestDataRoute:
             "--sets", "[[1]]")
         assert code == 2
         assert "unknown combiner" in err
+
+    @pytest.mark.parametrize("token, message", [
+        ("identity", "unknown combiner kind 'identity'"),
+        ("generalized_mean:-1", "unknown combiner 'generalized_mean:-1'"),
+    ])
+    @pytest.mark.parametrize("source", ["--stats", "--data"])
+    def test_refused_combiner_tokens(self, toy_csv, data_csv, capsys, source, token, message):
+        # every combiner decreases in p, and the power family is spelled vw:<r>
+        path = toy_csv if source == "--stats" else data_csv
+        code, out, err = run(capsys, "tdp", source, path, "--combiner", token,
+                             "--sets", "[[1]]")
+        assert (code, out) == (2, "")
+        assert err == f"sumtdp: error: {message}\n"
 
     @pytest.mark.parametrize("power", ["inf", "1e400", "nan", "-inf"])
     def test_power_must_be_finite(self, tmp_path, capsys, power):
@@ -811,7 +862,7 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--config", str(cfg_path))
         assert code == 2
         assert out == ""
-        assert "bad simulation config" in err and "identity" in err
+        assert "bad simulation config: unknown combiner kind 'identity'" in err
 
     @pytest.mark.parametrize("config, key", [
         ({"combiner": 1}, "combiner"),
@@ -1043,6 +1094,12 @@ class TestErrors:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_budget_must_be_an_integer(self, toy_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tdp", "--stats", toy_csv, "--sets", "[[1,2]]", "--max-iter", "abc"])
+        assert exc.value.code == 2
+        assert "expected a nonnegative integer, got 'abc'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, flag", [
         (["test"], "--trace"),
         (["largest", "--gamma", "0.5"], "--trace"),
@@ -1073,6 +1130,50 @@ class TestErrors:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "sumtdp" in out
+
+
+class TestEncoding:
+    """Input files are UTF-8, a byte-order mark allowed; outputs are UTF-8."""
+
+    @pytest.mark.parametrize("source", ["--stats", "--data"])
+    def test_byte_order_mark_is_not_part_of_a_name(self, tmp_path, capsys, source):
+        path = tmp_path / "bom.csv"
+        rows = ["a,b,c", "1.5,0.25,2", "0.5,1,0.75", "-1,0.5,0.25", "0.25,-0.5,1"]
+        path.write_text("\ufeff" + "\n".join(rows) + "\n", encoding="utf-8")
+        read = sumtdp.read_statistic_csv if source == "--stats" else sumtdp.read_data_csv
+        names = read(str(path)).column_names() if source == "--stats" else read(str(path))[0]
+        assert names == ("a", "b", "c")
+        seed = ["--seed", "1", "--b", "8"] if source == "--data" else []
+        code, out, err = run(capsys, "test", source, str(path), "--set", "a", "--alpha", "0.4",
+                             *seed)
+        assert code == 0, err
+        assert json.loads(out)["size"] == 1
+
+    def test_byte_order_mark_in_sets_and_config(self, toy_csv, tmp_path, capsys):
+        sets = tmp_path / "sets.txt"
+        sets.write_text("\ufeffH1,H2\n", encoding="utf-8")
+        code, out, _ = run(capsys, "tdp", "--stats", toy_csv, "--alpha", "0.4",
+                           "--sets", str(sets))
+        assert (code, json.loads(out)[0]["d"]) == (0, 1)
+        config = tmp_path / "study.json"
+        config.write_text("\ufeff" + json.dumps({"n_obs": 15, "n_hyps": 6,
+                                                  "n_transforms": 40, "n_reps": 1}),
+                          encoding="utf-8")
+        assert run(capsys, "simulate", "--config", str(config))[0] == 0
+
+    def test_reading_and_writing_ignore_the_locale(self, tmp_path):
+        # an ASCII locale with UTF-8 mode off once failed to decode the header
+        path = tmp_path / "cafe.csv"
+        path.write_text("café,b\n3,2\n1,0\n0,1\n2,1\n", encoding="utf-8")
+        out = tmp_path / "largest.csv"
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "sumtdp.cli", "largest", "--stats", str(path),
+             "--gamma", "0", "--format", "csv", "--out", str(out)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "2,0.0,café;b"
 
 
 class TestReadme:

@@ -26,7 +26,7 @@ from sumtdp import (
 P_GRID = np.array([1e-12, 1e-6, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1.0])
 
 ALL_TOKENS = [
-    "identity", "fisher", "pearson", "liptak", "edgington", "cauchy",
+    "fisher", "pearson", "liptak", "edgington", "cauchy",
     "vw:-2", "vw:-1", "vw:-0.5", "vw:0", "vw:0.5", "vw:1", "vw:2",
 ]
 
@@ -57,9 +57,11 @@ class TestParse:
         (lambda: Combiner("fisher", 1.0), "fisher takes no power argument"),
         (lambda: Combiner.parse("abc:1"), "unknown combiner 'abc:1'"),
         (lambda: Combiner.parse("vw"), "'vw' needs a power, e.g. vw:-1"),
-        (lambda: Combiner("identity").transform([np.inf]), "identity combiner requires finite entries"),
+        (lambda: Combiner.parse("generalized_mean:-1"), "unknown combiner 'generalized_mean:-1'"),
+        (lambda: Combiner("identity"), "unknown combiner kind 'identity'"),
+        (lambda: Combiner.parse("identity"), "unknown combiner kind 'identity'"),
     ], ids=["no-power", "power-for-fisher", "unknown-with-power", "vw-without-power",
-            "identity-non-finite"])
+            "generalized-mean-token", "identity", "identity-token"])
     def test_bad_arguments(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
@@ -112,15 +114,9 @@ class TestTransforms:
         b = Combiner.parse("fisher").transform(P_GRID)
         assert np.allclose(a, b)
 
-    def test_identity_passthrough(self):
-        vals = np.array([-2.0, 0.0, 3.5])
-        assert np.array_equal(Combiner.parse("identity").transform(vals), vals)
-
     def test_all_strictly_decreasing(self):
         # larger p must always map to a smaller statistic
         for tok in ALL_TOKENS:
-            if tok == "identity":
-                continue
             out = Combiner.parse(tok).transform(P_GRID)
             assert np.all(np.diff(out) < 0), tok
 
@@ -142,11 +138,6 @@ class TestApplyCombiner:
         out = apply_combiner(s, Combiner.parse("fisher"))
         assert np.allclose(out.values, -np.log(s.values))
         assert out.column_names() == ("a", "b")
-
-    def test_identity_returns_equal_values(self):
-        s = StatisticMatrix(np.array([[0.1, 0.5], [0.9, 0.2]]))
-        out = apply_combiner(s, Combiner.parse("identity"))
-        assert np.array_equal(out.values, s.values)
 
 
 class TestTruncation:

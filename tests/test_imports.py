@@ -11,7 +11,9 @@ in the package: code that only tests reach does not belong there.  A
 parameter default of a function or method outside the package's
 ``__all__`` must be overridden by some call in ``src/sumtdp`` or
 ``bench``, by keyword or by position: a default no caller sets is an
-option that changes nothing, and test calls do not count.
+option that changes nothing, and test calls do not count.  Every
+text-mode ``open`` in ``src/sumtdp`` names its encoding, so that reading a
+file does not depend on the locale.
 
 Each module of ``src/sumtdp`` imports only the package modules that
 ``LAYERS`` lists for it.  The sum-test problem imports nothing but the data
@@ -233,6 +235,38 @@ def test_unset_default_checker_flags_defaults_no_caller_sets():
         "a.py:1: scan(trace)", "a.py:1: scan(fast)", "a.py:3: grid(points)",
         "a.py:10: Box.__init__(fill)",
     ]
+
+
+def unnamed_encodings(source: str) -> list:
+    """Lines of ``source`` that call ``open`` in text mode without ``encoding=``.
+
+    The mode is the second positional argument or ``mode=``; one that is not
+    a string literal counts as text.
+    """
+    faults = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+            continue
+        keywords = {k.arg: k.value for k in node.keywords}
+        mode = node.args[1] if len(node.args) > 1 else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and "b" in str(mode.value)
+        if not binary and "encoding" not in keywords:
+            faults.append(f"line {node.lineno}")
+    return faults
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sumtdp").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_text_files_name_their_encoding(path):
+    assert unnamed_encodings(path.read_text(encoding="utf-8")) == []
+
+
+def test_encoding_checker_flags_text_mode_opens_only():
+    source = (
+        "open(a)\nopen(a, 'rb')\nopen(a, mode='w')\nopen(a, 'w', encoding='utf-8')\n"
+        "open(a, newline='')\nopen(a, mode)\nopen(a, encoding=enc)\nfh.open(a)\n"
+    )
+    assert unnamed_encodings(source) == ["line 1", "line 3", "line 5", "line 6"]
 
 
 def export_faults(module) -> list:

@@ -115,10 +115,10 @@ class TestConfigObject:
         SimulationConfig(truncate_p=0.05)  # fine
 
     def test_identity_takes_no_truncation(self):
-        # identity increases in p: every replication would fail on ground > threshold
-        with pytest.raises(ValueError, match="identity"):
-            SimulationConfig(combiner="identity", truncate_p=0.05)
-        SimulationConfig(combiner="identity")  # fine untruncated
+        # identity increases in p, so it is no combiner, truncated or not
+        for truncate_p in (0.05, None):
+            with pytest.raises(ValueError, match="^unknown combiner kind 'identity'$"):
+                SimulationConfig(combiner="identity", truncate_p=truncate_p)
 
 
 class TestSimulateData:
@@ -271,6 +271,16 @@ class TestStudy:
         none = run_study(SimulationConfig(**dict(cell, step_budget=0)))
         assert none.converged_frac() < full.converged_frac() == 1.0
         assert none.mean_evals() < full.mean_evals()
+
+    def test_no_active_columns(self):
+        # nothing to plant, so no effect to calibrate and no active query
+        cfg = SimulationConfig(**dict(FAST, active_fraction=0.0, n_reps=2))
+        study = run_study(cfg)
+        assert study.effect == 0.0
+        assert all(set(o.results) == {"inactive"} for o in study.outcomes)
+        (row,) = run_grid([cfg])
+        assert (row["error"], row["mean_tdp_active"]) == (None, None)
+        assert 0.0 <= row["fwer"] <= 1.0
 
     def test_reproducible(self):
         cfg = SimulationConfig(**FAST)
