@@ -87,8 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=0.05 if with_input else None,
                        help="significance level (default %(default)s)" if with_input
                        else "significance level of the cells that set none")
-        p.add_argument("--seed", type=int, default=None,
-                       help="generator seed (used when --data is given)")
+        p.add_argument("--seed", type=int, default=None, help=(
+            "seed of the sign flips drawn from --data (default: drawn and recorded in the "
+            "manifest)" if with_input else "seed that replaces every cell's seed"))
         p.add_argument("--out", default=None,
                        help="write results here (default stdout); the manifest "
                             "goes to <out>.manifest.json")
@@ -371,7 +372,10 @@ def _emit(args, result: _Result):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+    elif hasattr(sys.stdout, "buffer"):  # UTF-8 whatever the locale
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    else:  # a text stream such as io.StringIO
         sys.stdout.write(text)
 
 

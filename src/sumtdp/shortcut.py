@@ -51,6 +51,8 @@ parent by at most the pivot, so a child scan reuses the block or trims it
 in place, moving each row's entries after the pivot's value left by one and
 patching each row's sum in O(1).  The pivot has the greatest observed
 statistic, so its values mostly sort late and a trim moves few entries.
+A level's root asks again for the columns its branches trimmed: they come
+back into the buffer's spare columns, and a stable sort merges them in place.
 
 Matrices are never mutated; besides the running sums, the slot is the only
 state that changes, and a context serves one scan at a time (a trim
@@ -188,7 +190,7 @@ class QueryContext:
         the mask of its free subset columns, the B x n block of their
         centered values, each row sorted ascending, and the running sums of
         ``block``'s columns, replaced whole (see :meth:`sorted_rows`);
-        ``block`` is a read-only view of a buffer that trims rewrite in place.
+        ``block`` is a read-only view of a buffer that trims and merges rewrite.
     order_sums : _RunningSums
         The running sums of the centered columns in ``subset_order``.
     """
@@ -214,10 +216,11 @@ class QueryContext:
 
         Reuses :attr:`sorted_block` when its mask equals ``mask``, trims
         one value per row in place when ``mask`` lacks exactly one of its
-        columns, and sorts into a new buffer otherwise; the result takes
-        the slot.  A trim keeps the running sums of the first k columns: a
-        row cut before column k gains the value that slides into column
-        k - 1 and loses the cut one.
+        columns, merges the columns coming back in place when ``mask`` holds
+        all of them and the buffer has room, and sorts into a new buffer
+        otherwise; the result takes the slot.  A trim keeps the running sums
+        of the first k columns (a row cut before column k gains the value
+        sliding into column k - 1, less the cut one); a merge restarts them.
         """
         slot = self.sorted_block
         block, sums = None, _RunningSums(None)
@@ -234,6 +237,10 @@ class QueryContext:
                     sums, head = carried, carried.sums
                     if k0:
                         sums.sums = np.where(pos < k0, head + block[:, k0 - 1] - cut, head)
+            elif not held[gone].any() and kept.base.shape[1] >= kept.shape[1] + gone.size:
+                block = kept.base[:, :kept.shape[1] + gone.size]
+                block[:, kept.shape[1]:] = np.take(self.prob.centered, gone, axis=1)
+                block.sort(axis=1, kind="stable")  # a merge; no -0.0, so a fresh sort's values
         if block is None:
             # let the last buffer go before the new one is made: one is held at a time
             self.sorted_block = slot = kept = carried = None

@@ -110,32 +110,66 @@ class SimulationConfig:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
+def _brentq(f, xpre, xcur, no_bracket: str) -> float:
+    """Root of ``f`` between two ends by scipy's C ``brentq`` (Brent 1973), step for
+    step at xtol 1e-12, rtol 4 eps and 100 iterations.  A NaN value or ends of one
+    sign (``no_bracket`` is the message) raise ValueError; no convergence, RuntimeError.
+    """
+    def value(x):
+        if math.isnan(fx := float(f(x))):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError(no_bracket)
+    for _ in range(100):
+        if (fpre < 0) != (fcur < 0):  # fpre is never 0; at fcur == 0 this returns below
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta, sbis = (1e-12 + 4 * 2.0**-52 * abs(xcur)) / 2, (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        good = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if good else (sbis, sbis)  # else bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
+
+
 def effect_size(n_obs: int, alpha: float, power: float) -> float:
     """Mean shift giving a two-sided one-sample t-test the requested power.
 
-    Solves the noncentral-t power equation numerically (unit variance; the
-    noncentrality is mean * sqrt(n)).
+    Solves the noncentral-t power equation (unit variance; noncentrality
+    mean * sqrt(n)) on the ``scipy.special`` functions behind ``t.isf`` and
+    ``nct.cdf``, the upper tail as P(T_nc > t) = P(T_-nc < -t).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     if not alpha < power < 1.0:
         raise ValueError("power must lie strictly between alpha and 1")
-    from scipy import optimize
-    from scipy import stats as scipy_stats
+    from scipy.special import nctdtr, stdtrit
 
-    df = n_obs - 1
-    tcrit = scipy_stats.t.isf(alpha / 2.0, df)
+    df, tcrit = n_obs - 1, -stdtrit(n_obs - 1, alpha / 2.0)
 
     def attained(mu):
         nc = mu * math.sqrt(n_obs)
-        upper = scipy_stats.nct.sf(tcrit, df, nc)
-        lower = scipy_stats.nct.cdf(-tcrit, df, nc)
-        # far in the right tail the lower-tail mass underflows to NaN
-        if math.isnan(lower):
-            lower = 0.0
-        return upper + lower - power
+        lower = nctdtr(df, nc, -tcrit)  # NaN where it underflows, far in the right tail
+        return nctdtr(df, -nc, -tcrit) + (0.0 if math.isnan(lower) else lower) - power
 
-    return float(optimize.brentq(attained, 0.0, 20.0, xtol=1e-12))
+    return _brentq(attained, 0.0, 20.0, f"no mean shift up to 20 gives power {power} "
+                   f"to a t-test of n_obs={n_obs} at alpha={alpha}")
 
 
 def simulate_data(cfg: SimulationConfig, rep: int, effect: float) -> np.ndarray:

@@ -1175,6 +1175,28 @@ class TestEncoding:
         assert done.returncode == 0, done.stderr
         assert out.read_text(encoding="utf-8").splitlines()[1] == "2,0.0,café;b"
 
+    def test_stdout_is_utf8_whatever_the_locale(self, tmp_path):
+        # under an ASCII locale a finished run once exited 2 writing its result
+        path = tmp_path / "cafe.csv"
+        path.write_text("café,b\n3,2\n1,0\n0,1\n2,1\n", encoding="utf-8")
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "sumtdp.cli", "largest", "--stats", str(path),
+             "--gamma", "0", "--format", "csv"],
+            env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.decode("utf-8").splitlines() == ["size,tdp,members", "2,0.0,café;b"]
+
+
+def test_seed_help_fits_each_subcommand():
+    helps = {}
+    for action in build_parser()._subparsers._group_actions:
+        for name, sub in action.choices.items():
+            helps[name] = sub._option_string_actions["--seed"].help
+    assert "--data" in helps["tdp"] and "manifest" in helps["tdp"]
+    assert "--data" not in helps["simulate"] and "every cell" in helps["simulate"]
+
 
 class TestReadme:
     """The README documents only options and names that exist."""

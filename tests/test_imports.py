@@ -20,13 +20,15 @@ Each module of ``src/sumtdp`` imports only the package modules that
 model, and the exhaustive reference nothing but the two, so the reference
 that checks the scan loads no search code.
 
-The package imports ``scipy.stats`` and ``scipy.optimize`` only inside the
-functions that need them (the simulation harness's effect size), because
-importing them takes about a second.  The Liptak combiner and
-``evidence_from_t``, the one t to p conversion that ``tdp --data`` and the
-simulation harness share, use the ``scipy.special`` functions behind
-``norm.isf`` and ``t.sf`` instead, imported where they are called, and
-must give the same bits.  Importing the CLI loads no scipy at all: its
+The package never imports ``scipy.stats`` or ``scipy.optimize``: after
+``scipy.special``, they cost about half a second and 45 MB of a process.
+The Liptak combiner, ``evidence_from_t`` (the one t to p conversion that
+``tdp --data`` and the simulation harness share) and the simulation
+harness's effect size use the ``scipy.special`` functions behind
+``norm.isf``, ``t.sf``, ``t.isf`` and ``nct.cdf`` instead, imported where
+they are called, and give the same bits; the effect size solves by a port
+of scipy's ``brentq`` (see ``tests/test_simharness.py``).  Running a study
+cell loads neither module.  Importing the CLI loads no scipy at all: its
 manifest imports scipy for the version when it is written.
 """
 
@@ -350,12 +352,12 @@ def test_layer_checker_reads_every_import_form():
     }
 
 
-def scipy_loaded_by(module: str) -> list:
-    """The scipy modules a fresh interpreter holds after ``import module``."""
+def scipy_loaded_by(module: str, run: str = "") -> list:
+    """The scipy modules a fresh interpreter holds after ``import module`` and ``run``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     code = (
-        f"import sys, {module}\n"
+        f"import sys, {module}\n{run}\n"
         "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     out = subprocess.run(
@@ -367,6 +369,14 @@ def scipy_loaded_by(module: str) -> list:
 @pytest.mark.parametrize("module", ["sumtdp", "sumtdp.cli"])
 def test_import_leaves_scipy_stats_and_optimize_unloaded(module):
     assert not {"scipy.stats", "scipy.optimize"} & set(scipy_loaded_by(module))
+
+
+def test_study_leaves_scipy_stats_and_optimize_unloaded():
+    run = ("sumtdp.run_study(sumtdp.SimulationConfig(n_obs=12, n_hyps=8, n_transforms=20, "
+           "n_reps=2, truncate_p=0.05))")
+    loaded = scipy_loaded_by("sumtdp", run)
+    assert "scipy.special" in loaded
+    assert not [m for m in loaded if m.partition(".")[2].startswith(("stats", "optimize"))]
 
 
 def test_cli_import_leaves_scipy_unloaded():

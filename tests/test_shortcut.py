@@ -495,6 +495,49 @@ class TestInPlaceTrim:
             tracemalloc.stop()
         assert peak < block.nbytes / 2
 
+    def test_columns_coming_back_merge_in_the_root_buffer(self):
+        # A level's root asks for every column after the last level's
+        # branches trimmed some: they return to the buffer's spare columns
+        # and merge with the sorted run there, one column back, then two.
+        rng = np.random.default_rng(22)
+        cen = rng.choice(POOL, size=(200, 400))
+        cen[0, :3] = (-0.0, 0.0, -0.0)
+        prob = SumTestProblem(cen, rng.standard_normal(400), 10)
+        ctx = QueryContext(prob, range(400))
+        mask = np.ones(400, dtype=bool)
+        needed = 30
+        root, _ = ctx.sorted_rows(mask, needed)
+        for col in (5, 17, 250):
+            mask[col] = False
+            ctx.sorted_rows(mask, needed)
+        for back in ([17], [5, 250]):
+            mask[back] = True
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                block, sums = ctx.sorted_rows(mask, needed)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < block.nbytes / 2
+            assert np.shares_memory(block, root)
+            self._assert_fresh(prob, block, sums, mask, needed)
+            assert_carried_sums_exact(ctx)
+
+    def test_no_room_to_merge_sorts_afresh(self):
+        # a slot sorted for fewer columns has no spare ones to merge into
+        rng = np.random.default_rng(23)
+        prob = SumTestProblem(rng.choice(POOL, size=(6, 30)), rng.standard_normal(30), 2)
+        ctx = QueryContext(prob, range(30))
+        mask = np.ones(30, dtype=bool)
+        mask[[3, 9]] = False
+        first, _ = ctx.sorted_rows(mask, 5)
+        mask[:] = True
+        block, sums = ctx.sorted_rows(mask, 5)
+        assert not np.shares_memory(block, first)
+        self._assert_fresh(prob, block, sums, mask, 5)
+
 
 class TestCarriedSums:
     """Row sums carried through the context equal fresh sums in any order."""

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy import stats as sps
 
 from sumtdp import (
@@ -22,7 +23,76 @@ FAST = dict(n_obs=20, n_hyps=10, active_fraction=0.3, n_transforms=40,
             n_reps=4, seed=123)
 
 
+def effect_size_oracle(n_obs, alpha, power):
+    """The effect size as ``scipy.stats`` and ``scipy.optimize`` give it."""
+    if not 0.0 < alpha < 1.0 or not alpha < power < 1.0:
+        raise ValueError("out of range")
+    df = n_obs - 1
+    tcrit = sps.t.isf(alpha / 2.0, df)
+
+    def attained(mu):
+        nc = mu * math.sqrt(n_obs)
+        upper = sps.nct.sf(tcrit, df, nc)
+        lower = sps.nct.cdf(-tcrit, df, nc)
+        if math.isnan(lower):
+            lower = 0.0
+        return upper + lower - power
+
+    return float(optimize.brentq(attained, 0.0, 20.0, xtol=1e-12))
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as a hex float, or the type of what it raised."""
+    try:
+        return fn(*args).hex()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def random_triples(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        alpha = float(rng.uniform(0.0005, 0.3))
+        yield int(rng.integers(2, 600)), alpha, float(rng.uniform(alpha + 0.01, 0.99999))
+
+
 class TestEffectSize:
+    @pytest.mark.parametrize("n_obs", [2, 3, 10, 25, 50, 500])
+    def test_same_bits_as_scipy_stats_and_optimize(self, n_obs):
+        # at n_obs 2 and 3 some powers are out of reach: both raise ValueError
+        for alpha in (0.001, 0.05, 0.2):
+            for power in (0.3, 0.8, 0.95, 0.99):
+                args = (n_obs, alpha, power)
+                assert outcome(effect_size, *args) == outcome(effect_size_oracle, *args), args
+
+    def test_same_bits_on_random_triples(self):
+        for args in random_triples(100, 34):
+            assert outcome(effect_size, *args) == outcome(effect_size_oracle, *args), args
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: x * x - 2.0, 0.0, 2.0),
+        (lambda x: math.cos(x) - x, 0.0, 1.0),
+        (lambda x: x ** 3 - x - 1.0, 1.0, 2.0),
+        (lambda x: math.exp(x) - 5.0, 0.0, 3.0),
+        (lambda x: math.atan(x - 0.3), -5.0, 10.0),
+        (lambda x: x - 1.0, 1.0, 4.0),  # a root at an end
+    ])
+    def test_port_equals_brentq(self, f, lo, hi):
+        want = optimize.brentq(f, lo, hi, xtol=1e-12)
+        assert simharness._brentq(f, lo, hi, "unused").hex() == want.hex()
+
+    def test_port_refuses_nan_and_one_signed_ends(self):
+        with pytest.raises(ValueError, match="NaN"):
+            simharness._brentq(lambda x: math.nan if x > 0.5 else x - 0.75, 0.0, 1.0, "unused")
+        with pytest.raises(ValueError, match="^no root here$"):
+            simharness._brentq(lambda x: x * x + 1.0, -1.0, 1.0, "no root here")
+
+    def test_power_out_of_reach_names_the_inputs(self):
+        with pytest.raises(ValueError) as info:
+            effect_size(2, 0.001, 0.99999)
+        assert str(info.value) == (
+            "no mean shift up to 20 gives power 0.99999 to a t-test of n_obs=2 at alpha=0.001")
+
     def test_solves_power_equation(self):
         for n, alpha, power in [(50, 0.05, 0.95), (20, 0.1, 0.8), (10, 0.05, 0.5)]:
             mu = effect_size(n, alpha, power)
@@ -310,7 +380,9 @@ class TestGrid:
         good = SimulationConfig(**FAST)
         bad = SimulationConfig(**dict(FAST, n_obs=2, power_target=0.999999))
         rows = run_grid([bad, good])
-        assert rows[0]["error"] is not None or rows[0]["mean_tdp_active"] is not None
+        assert rows[0]["error"] == (
+            "no mean shift up to 20 gives power 0.999999 to a t-test of n_obs=2 at alpha=0.05")
+        assert rows[0]["mean_tdp_active"] is None
         assert rows[1]["error"] is None
 
     def test_engine_fault_propagates(self, monkeypatch):
