@@ -35,8 +35,6 @@ correction for asking about many subsets is needed.
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .branchbound import evaluate_iterative
 from .problem import SumTestProblem, _rank_stat
 from .shortcut import QueryContext, Verdict
@@ -120,19 +118,15 @@ def _lifts(prob, ctx, found, trace) -> bool:
     """Whether the survivor ``found`` joined with the query subset survives.
 
     The set W ∪ S, W the witness, is tested exactly as :func:`~.problem.reject`
-    tests it, from W's row sums plus the columns of S outside W.  If it survives
-    it contains S, so it certifies the overlap |S| (d = 0) and the trace gets one
-    ``lift`` row.
+    tests it, from W's row sums plus the columns of S outside W
+    (:meth:`~.shortcut.QueryContext.union_sums`).  If it survives it contains S,
+    so it certifies the overlap |S| (d = 0) and the trace gets one ``lift`` row.
     """
-    witness = np.zeros_like(ctx.in_subset)
-    witness[list(found.witness)] = True
-    rest = np.flatnonzero(ctx.in_subset & ~witness)  # S outside W
-    sums = found.sums + np.take(prob.centered, rest, axis=1).sum(axis=1)
-    value = _rank_stat(sums, prob.crit_rank)
+    value = _rank_stat(ctx.union_sums(found.witness, found.sums), prob.crit_rank)
     if value > 0.0:
         return False
     if trace is not None:
-        members = tuple(np.flatnonzero(witness | ctx.in_subset).tolist())
+        members = tuple(sorted(set(found.witness) | set(ctx.subset)))
         trace.append(dict(kind="lift", overlap=len(ctx.subset), witness=members, value=value))
     return True
 

@@ -33,10 +33,12 @@ from .statmatrix import StatisticMatrix, TestConfig, _handed_over, validate_subs
 __all__ = ["SumTestProblem", "subset_quantile", "reject", "ReductionResult", "reduce_columns"]
 
 
-# Columns of the observed order between two checkpoints.  On post-hoc
-# queries of 2000 columns, first path reads took 5-34 % longer at 128 than
-# at 64; at 32 whole queries ran 0-6 % faster, inside their run-to-run
-# spread, for twice the table.
+# Columns of the observed order between two checkpoints; a post-hoc query's
+# first path read gathers at most _STRIDE - 1 of them.  Against 64 on the
+# engine-sets benchmark (8 s runs, 2-core host), requests per second went
+# 2192 -> 2201 at 32 (10 alternating pairs, 5 wins) and 2243 -> 2257 at 128
+# (6 rounds, 2 wins): no stride is faster beyond run-to-run spread, and 32
+# doubles the table.
 _STRIDE = 64
 
 

@@ -40,9 +40,12 @@ split on, so no other code repeats that rule.
 On the problem's grid (see :mod:`.problem`) every sum below is exact in any
 order, so each running sum moves by the columns between the sizes read, or
 a greedy-path read starts from the problem's ``checkpoints`` (every
-``_STRIDE``-th prefix of the observed order) when that moves fewer: a
-post-hoc query's first read then adds at most ``_STRIDE - 1`` columns and
-takes off the columns the path skips, not the whole prefix.
+``_STRIDE``-th prefix of the observed order) when that moves fewer.  A
+context whose subset holds at most half the columns gathers them once, in
+observed order, as its ``subset_block``; the overlap picks' sums, the lift
+and a root path's restart slice it.  A post-hoc query's first read then
+gathers at most ``_STRIDE - 1`` columns, and the picks its path skips come
+off as a slice of the block, not as a second gather.
 
 The context keeps one slot: the last scan's free subset columns, sorted
 within each row as the leading columns of a writable row-major buffer, with
@@ -185,6 +188,10 @@ class QueryContext:
         statistic, ties by index.
     counts : tuple of ndarray
         Each row's number of subset values at most 0, and below 0.
+    subset_block : ndarray or None
+        The subset's B x |S| centered columns in ``subset_order``, read-only,
+        gathered once when |S| <= m/2; later reads of subset columns slice it.
+        None for a larger subset, so no B x |S| copy is held.
     sorted_block : tuple or None
         ``(mask, block, sums)`` of the last scan, or None before the first:
         the mask of its free subset columns, the B x n block of their
@@ -202,13 +209,28 @@ class QueryContext:
         self.in_subset[list(self.subset)] = True
         self.subset_order = order = prob.order[self.in_subset[prob.order]]
         inside = 2 * len(self.subset) <= prob.n_hyps
-        side = self.subset if inside else np.flatnonzero(~self.in_subset)
-        side = np.take(prob.centered, side, axis=1)
+        side = np.take(prob.centered, order if inside else np.flatnonzero(~self.in_subset), axis=1)
         le, lt = np.count_nonzero(side <= 0.0, axis=1), np.count_nonzero(side < 0.0, axis=1)
         self.counts = (le, lt) if inside else (prob.counts[0] - le, prob.counts[1] - lt)
+        self.subset_block = block = side if inside else None
+        if inside:
+            block.setflags(write=False)
         self.sorted_block = None
         # not through self: a cycle would hold the context until a collection
-        self.order_sums = _RunningSums(lambda lo, hi: np.take(prob.centered, order[lo:hi], axis=1))
+        self.order_sums = _RunningSums(
+            (lambda lo, hi: block[:, lo:hi]) if inside
+            else (lambda lo, hi: np.take(prob.centered, order[lo:hi], axis=1)))
+
+    def union_sums(self, witness, sums) -> np.ndarray:
+        """Row sums of ``witness`` ∪ S, from the witness's row ``sums``;
+        S \\ W is read from :attr:`subset_block` when there is one."""
+        out, block = np.ones(self.prob.n_hyps, dtype=bool), self.subset_block
+        out[list(witness)] = False
+        if block is None:
+            cols = np.take(self.prob.centered, np.flatnonzero(out & self.in_subset), axis=1)
+        else:
+            cols = block[:, out[self.subset_order]]  # S \ W, in the block's order
+        return sums + _row_sums(cols)
 
     def sorted_rows(self, mask: np.ndarray, needed: int):
         """Row-sorted, read-only block of the centered columns in ``mask``,
@@ -289,7 +311,7 @@ class Workspace:
         reserved = ctx.subset_order[:needed]
         if not free[reserved].all():
             raise RuntimeError("the subspace forces or excludes one of its overlap picks")
-        self.prob, self._ctx = ctx.prob, ctx
+        self.prob, self._ctx, self._root = ctx.prob, ctx, root
         self._forced, self._free, self._needed, self._reserved = forced, free, needed, reserved
 
         forced_cols = np.flatnonzero(forced)
@@ -341,6 +363,7 @@ class Workspace:
             rest_at = np.flatnonzero(on_path)  # each rest column's place in the order
             rest = prob.order[rest_at]
             picked = ctx.order_sums.through(reserved.size)
+            block = ctx.subset_block if self._root else None
 
             def restart(k, budget):
                 # order[:p] holds rest[:k] and p - k columns off the path:
@@ -350,8 +373,10 @@ class Workspace:
                 if p - q * _STRIDE + p - k >= budget:
                     return None
                 added = np.take(cen, prob.order[q * _STRIDE: p], axis=1)
-                taken = np.take(cen, prob.order[:p][~on_path[:p]], axis=1)
-                return prob.checkpoints[q] + _row_sums(added) - _row_sums(taken)
+                sums = prob.checkpoints[q] + _row_sums(added)
+                if block is None:
+                    return sums - _row_sums(np.take(cen, prob.order[:p][~on_path[:p]], axis=1))
+                return sums - _row_sums(block[:, :p - k])  # a root path skips only picks
 
             prefix = _RunningSums(lambda lo, hi: np.take(cen, rest[lo:hi], axis=1), restart)
             self._path_tables = (rest, self._forced_sum + picked, prefix)

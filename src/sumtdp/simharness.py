@@ -148,12 +148,21 @@ def _brentq(f, xpre, xcur, no_bracket: str) -> float:
     raise RuntimeError(f"Failed to converge after 100 iterations, value is {xcur}")
 
 
+# The largest mean shift effect_size tries: 20 doubled ten times.  At n_obs = 2,
+# one degree of freedom, where a shift buys the least power, every power up to
+# 1 - 1e-12 lies below it for alpha >= 5e-4, and 0.99 for alpha >= 1e-4; a shift
+# of 2e4 noise standard deviations is past any study worth simulating.
+_MAX_SHIFT = 20.0 * 2**10
+
+
 def effect_size(n_obs: int, alpha: float, power: float) -> float:
     """Mean shift giving a two-sided one-sample t-test the requested power.
 
     Solves the noncentral-t power equation (unit variance; noncentrality
     mean * sqrt(n)) on the ``scipy.special`` functions behind ``t.isf`` and
-    ``nct.cdf``, the upper tail as P(T_nc > t) = P(T_-nc < -t).
+    ``nct.cdf``, the upper tail as P(T_nc > t) = P(T_-nc < -t).  The root is
+    sought on [0, 20], or, where power at 20 falls short, on [h / 2, h] for
+    the least h = 20 * 2**k that reaches it, up to ``_MAX_SHIFT``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
@@ -168,8 +177,11 @@ def effect_size(n_obs: int, alpha: float, power: float) -> float:
         lower = nctdtr(df, nc, -tcrit)  # NaN where it underflows, far in the right tail
         return nctdtr(df, -nc, -tcrit) + (0.0 if math.isnan(lower) else lower) - power
 
-    return _brentq(attained, 0.0, 20.0, f"no mean shift up to 20 gives power {power} "
-                   f"to a t-test of n_obs={n_obs} at alpha={alpha}")
+    lo, hi = 0.0, 20.0
+    while attained(hi) < 0.0 and hi < _MAX_SHIFT:
+        lo, hi = hi, 2.0 * hi
+    return _brentq(attained, lo, hi, f"no mean shift up to {_MAX_SHIFT:g} gives power "
+                   f"{power} to a t-test of n_obs={n_obs} at alpha={alpha}")
 
 
 def simulate_data(cfg: SimulationConfig, rep: int, effect: float) -> np.ndarray:

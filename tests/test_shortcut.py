@@ -23,7 +23,7 @@ from sumtdp import (
 )
 from sumtdp import shortcut
 from sumtdp.branchbound import evaluate_iterative
-from sumtdp.problem import _sums_finite
+from sumtdp.problem import _STRIDE, _sums_finite
 from sumtdp.shortcut import (
     Evaluation,
     QueryContext,
@@ -340,16 +340,20 @@ class TestSortedBlockReuse:
             ctx.sorted_rows(smaller, 3)
 
 
+def _post_hoc_problem():
+    """The shape of a many-query post-hoc matrix: 200 rows, 2000 columns,
+    100 of them shifted on the observed row."""
+    rng = np.random.default_rng(2000)
+    values = rng.standard_normal((200, 2000))
+    values[0, rng.permutation(2000)[:100]] += 3.0
+    return SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.05, 200))
+
+
 class TestRootScanSortsNothing:
     """A root scan whose greedy path survives at its first size sorts nothing."""
 
     def test_post_hoc_query_on_a_large_matrix(self, monkeypatch):
-        # The shape of a many-query post-hoc matrix: 200 rows, 2000 columns,
-        # 100 of them shifted on the observed row, one query of 45 columns.
-        rng = np.random.default_rng(2000)
-        values = rng.standard_normal((200, 2000))
-        values[0, rng.permutation(2000)[:100]] += 3.0
-        prob = SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.05, 200))
+        prob = _post_hoc_problem()
         subset = np.random.default_rng(45).choice(2000, 45, replace=False)
 
         def no_sort(*args):
@@ -368,6 +372,88 @@ class TestRootScanSortsNothing:
         # The whole query settles on that survivor, lifted to d = 0.
         res = discoveries(prob, subset, step_budget=50)
         assert res.discoveries == 0 and res.evals == 1
+
+
+class TestSubsetBlock:
+    """A subset of at most half the columns is gathered once, and every
+    read of its columns, from that block or gathered, has the exact bits."""
+
+    def test_post_hoc_query_gathers_each_column_once(self, monkeypatch):
+        prob = _post_hoc_problem()
+        prob.checkpoints  # built once per problem, for all its queries
+        subset = np.random.default_rng(90).choice(2000, 90, replace=False)
+        gathered = []
+
+        def take(a, indices, axis=None, _real=np.take, **kwargs):
+            if a is prob.centered:
+                gathered.append(np.size(indices))
+            return _real(a, indices, axis=axis, **kwargs)
+
+        monkeypatch.setattr(np, "take", take)
+        res = discoveries(prob, subset, step_budget=50)
+        assert res.evals == 1  # it settles at its root scan
+        # the counts gather the subset; the first path read adds at most
+        # _STRIDE - 1 columns past its checkpoint; the picks and the lift
+        # slice the block
+        assert len(subset) <= sum(gathered) <= len(subset) + _STRIDE - 1
+
+    def test_large_subset_holds_no_block(self):
+        prob = _post_hoc_problem()
+        assert QueryContext(prob, range(1000)).subset_block.shape == (200, 1000)
+        assert QueryContext(prob, range(1001)).subset_block is None
+
+    def test_every_route_exact(self, monkeypatch):
+        # Each route is told apart by the gathers it makes: a restart gathers
+        # the columns past its checkpoint, and off the block also the columns
+        # it takes off; a lift gathers S \\ W only off the block.
+        takes, restarts, lifts = [0], set(), set()
+
+        def take(*args, _real=np.take, **kwargs):
+            takes[0] += 1
+            return _real(*args, **kwargs)
+
+        class Counting(shortcut._RunningSums):
+            def __init__(self, columns, restart=None):
+                def counted(k, n, _real=restart):
+                    before = takes[0]
+                    out = _real(k, n)
+                    if out is not None:
+                        restarts.add({1: "block", 2: "gathered"}[takes[0] - before])
+                    return out
+                super().__init__(columns, restart and counted)
+
+        monkeypatch.setattr(np, "take", take)
+        monkeypatch.setattr(shortcut, "_RunningSums", Counting)
+        rng = np.random.default_rng(35)
+        for i in range(24):
+            if i % 2:
+                stats, cfg = random_instance(rng, min_hyps=70, max_hyps=200, max_transforms=16)
+                prob = SumTestProblem.from_matrix(stats, cfg)
+            else:
+                m, b = int(rng.integers(70, 200)), int(rng.integers(2, 16))
+                prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m),
+                                      int(rng.integers(1, b + 1)))
+            m = prob.n_hyps
+            prob.checkpoints  # built here, so a restart's gathers are its own
+            for size in (int(rng.integers(1, m // 2 + 1)), int(rng.integers(m // 2 + 1, m + 1))):
+                subset = tuple(sorted(rng.choice(m, size, replace=False).tolist()))
+                ctx = QueryContext(prob, subset)
+                for root in (True, False):
+                    z = int(rng.integers(1, size + 1))
+                    state = None
+                    if not root:
+                        role = rng.choice(np.array([1, -1, 0, 0, 0, 0], dtype=np.int8), m)
+                        state = reachable(prob, subset, z, role)
+                    ws = Workspace(ctx, z, state)
+                    for v in rng.permutation(np.arange(ws.size_min, ws.size_max + 1)):
+                        sums, members = ws.path_sums(int(v)), ws.path_set(int(v))
+                        want = prob.centered[:, list(members)].sum(axis=1)
+                        assert sums.tobytes() == want.tobytes()
+                        want = prob.centered[:, sorted(set(members) | set(subset))].sum(axis=1)
+                        before = takes[0]
+                        assert ctx.union_sums(members, sums).tobytes() == want.tobytes()
+                        lifts.add({0: "block", 1: "gathered"}[takes[0] - before])
+        assert restarts == lifts == {"block", "gathered"}
 
 
 class TestInPlaceTrim:

@@ -24,7 +24,9 @@ FAST = dict(n_obs=20, n_hyps=10, active_fraction=0.3, n_transforms=40,
 
 
 def effect_size_oracle(n_obs, alpha, power):
-    """The effect size as ``scipy.stats`` and ``scipy.optimize`` give it."""
+    """The effect size as ``scipy.stats`` and ``scipy.optimize`` give it, on
+    [0, 20] or, where power at 20 falls short, the first doubled bracket that
+    reaches it, up to ``simharness._MAX_SHIFT``."""
     if not 0.0 < alpha < 1.0 or not alpha < power < 1.0:
         raise ValueError("out of range")
     df = n_obs - 1
@@ -38,7 +40,10 @@ def effect_size_oracle(n_obs, alpha, power):
             lower = 0.0
         return upper + lower - power
 
-    return float(optimize.brentq(attained, 0.0, 20.0, xtol=1e-12))
+    lo, hi = 0.0, 20.0
+    while attained(hi) < 0.0 and hi < simharness._MAX_SHIFT:
+        lo, hi = hi, 2.0 * hi
+    return float(optimize.brentq(attained, lo, hi, xtol=1e-12))
 
 
 def outcome(fn, *args):
@@ -89,12 +94,14 @@ class TestEffectSize:
 
     def test_power_out_of_reach_names_the_inputs(self):
         with pytest.raises(ValueError) as info:
-            effect_size(2, 0.001, 0.99999)
+            effect_size(2, 1e-05, 0.5)
         assert str(info.value) == (
-            "no mean shift up to 20 gives power 0.99999 to a t-test of n_obs=2 at alpha=0.001")
+            "no mean shift up to 20480 gives power 0.5 to a t-test of n_obs=2 at alpha=1e-05")
 
     def test_solves_power_equation(self):
-        for n, alpha, power in [(50, 0.05, 0.95), (20, 0.1, 0.8), (10, 0.05, 0.5)]:
+        # the last three have no root on [0, 20]: shifts 173.46, 23.21 and 23.16
+        for n, alpha, power in [(50, 0.05, 0.95), (20, 0.1, 0.8), (10, 0.05, 0.5),
+                                (2, 0.001, 0.3), (2, 0.05, 0.99), (3, 0.001, 0.8)]:
             mu = effect_size(n, alpha, power)
             df = n - 1
             tcrit = sps.t.isf(alpha / 2, df)
@@ -378,10 +385,10 @@ class TestGrid:
 
     def test_bad_cell_isolated(self):
         good = SimulationConfig(**FAST)
-        bad = SimulationConfig(**dict(FAST, n_obs=2, power_target=0.999999))
+        bad = SimulationConfig(**dict(FAST, n_obs=2, alpha=1e-05, power_target=0.5))
         rows = run_grid([bad, good])
         assert rows[0]["error"] == (
-            "no mean shift up to 20 gives power 0.999999 to a t-test of n_obs=2 at alpha=0.05")
+            "no mean shift up to 20480 gives power 0.5 to a t-test of n_obs=2 at alpha=1e-05")
         assert rows[0]["mean_tdp_active"] is None
         assert rows[1]["error"] is None
 
