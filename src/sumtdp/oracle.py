@@ -47,11 +47,11 @@ class RejectionTable:
             )
         self.n_hyps = m
         n_sets = 1 << m
-        values = prob.centered
+        values = prob.centered.T  # one row per column, contiguous
         sums = np.zeros((n_sets, prob.n_transforms))
         for mask in range(1, n_sets):
             low = mask & -mask
-            sums[mask] = sums[mask ^ low] + values[:, low.bit_length() - 1]
+            sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
         rank = prob.crit_rank
         quantiles = np.partition(sums, rank - 1, axis=1)[:, rank - 1]
         self.quantiles = quantiles

@@ -57,10 +57,11 @@ def _grid_step(n: int, bound: float) -> float:
 
 
 def _steps(x: np.ndarray, step: float, up: bool) -> np.ndarray:
-    """``x / step`` rounded up, or down, to integers, as a new row-major array."""
-    q = np.divide(x, step, out=np.empty(x.shape))  # exact, or an underflow in (-1, 1)
+    """``x / step`` rounded up, or down, to integers, as a new hypothesis-major array."""
+    q = np.divide(x.T, step, out=np.empty(x.shape[::-1])).T  # exact, or an underflow in (-1, 1)
     (np.ceil if up else np.floor)(q, out=q)
-    q[(q == 0) & ((x > 0) if up else (x < 0))] = 1.0 if up else -1.0  # underflowed to 0
+    if step > 1.0:  # else no x / step underflows to 0
+        q[(q == 0) & ((x > 0) if up else (x < 0))] = 1.0 if up else -1.0
     return q
 
 
@@ -88,9 +89,14 @@ def _rank_stat(column: np.ndarray, rank: int) -> float:
     return float(np.partition(column, rank - 1)[rank - 1])
 
 
+def _columns(cen: np.ndarray, cols) -> np.ndarray:
+    """Columns ``cols`` of a hypothesis-major ``cen`` as one contiguous k x B copy."""
+    return np.take(cen.T, cols, axis=0)
+
+
 def _row_sums(cols: np.ndarray) -> np.ndarray:
-    """Row sums of a block of centered columns."""
-    return cols.sum(axis=1)
+    """Row sums of a k x B block of centered columns (see :func:`_columns`): one B vector."""
+    return cols.sum(axis=0)
 
 
 def _ground_classes(values: np.ndarray, ground) -> tuple:
@@ -128,11 +134,12 @@ class SumTestProblem:
     The observed row of the original statistic matrix is kept because the
     greedy path and the branching pivot order columns by observed statistic,
     which the centered matrix alone cannot recover.  The centered matrix is
-    stored row-major, every value an integer multiple of one power-of-two
-    step (see :meth:`from_matrix`) and every zero as 0.0, so each sum of
-    distinct columns of a row is exact in any order.  A centered matrix
-    given directly is rounded down onto the grid of its largest entry.
-    No row's absolute sum may overflow, so no sum of its entries does.
+    read as (B, m) but stored hypothesis-major, as the engine reads it by
+    columns (see :func:`_columns`), every value an integer multiple of one
+    power-of-two step (see :meth:`from_matrix`) and every zero as 0.0, so each
+    sum of distinct columns of a row is exact in any order.  A centered matrix
+    given directly is rounded down onto the grid of its largest entry.  No
+    row's absolute sum may overflow, so no sum of its entries does.
     :attr:`ground_classes`, set only by :meth:`from_matrix` given a ground,
     are the column masks the reduction drops and merges (see :meth:`reduced`).
     """
@@ -181,22 +188,22 @@ class SumTestProblem:
         table = np.zeros((self.n_hyps // _STRIDE + 1, self.n_transforms))
         for j in range(1, table.shape[0]):
             cols = order[(j - 1) * _STRIDE: j * _STRIDE]
-            np.add(table[j - 1], _row_sums(np.take(cen, cols, axis=1)), out=table[j])
+            np.add(table[j - 1], _row_sums(_columns(cen, cols)), out=table[j])
         table.setflags(write=False)
         return table
 
     @cached_property
     def row_totals(self) -> np.ndarray:
         """Each row's sum of all centered columns, exact on the grid; read-only."""
-        totals = _row_sums(self.centered)
+        totals = _row_sums(self.centered.T)
         totals.setflags(write=False)
         return totals
 
     @cached_property
     def counts(self) -> tuple:
         """Each row's number of centered values at most 0, and below 0."""
-        cen = self.centered
-        return np.count_nonzero(cen <= 0.0, axis=1), np.count_nonzero(cen < 0.0, axis=1)
+        cen = self.centered.T
+        return np.count_nonzero(cen <= 0.0, axis=0), np.count_nonzero(cen < 0.0, axis=0)
 
     @property
     def n_transforms(self) -> int:
@@ -244,7 +251,7 @@ class SumTestProblem:
                 if fine <= cap and (cut * np.sign(cut[:, :1]) > 4 * light[i]).all():
                     step, dominant = fine, order[i + 1:]
                     break
-            cen = _steps(values, step, up=True)  # the one B x m buffer
+            cen = _steps(values, step, up=True)  # the one B x m buffer, hypothesis-major
             np.subtract(_steps(x0, step, up=False) + 0.0, cen, out=cen)
             cen *= step
         if len(dominant):
@@ -267,14 +274,14 @@ class SumTestProblem:
         with np.errstate(over="ignore"):
             total = [np.nan_to_num(self.observed[merged].sum())] if merged else []
         obs = [self.observed[kept], *total]
+        cen = self.centered
         if 2 * len(merged) > self.n_hyps:
             others = np.ones(self.n_hyps, dtype=bool)
             others[merged] = False
-            others = np.take(self.centered, np.flatnonzero(others), axis=1)
-            merged = [self.row_totals - _row_sums(others)]
+            merged = [self.row_totals - _row_sums(_columns(cen, np.flatnonzero(others)))]
         elif merged:
-            merged = [self.centered[:, merged].sum(axis=1)]
-        cen = np.column_stack([np.take(self.centered, kept, axis=1), *merged])  # row-major
+            merged = [_row_sums(_columns(cen, merged))]
+        cen = np.vstack([_columns(cen, kept), *merged]).T  # hypothesis-major
         return object.__new__(SumTestProblem)._keep(cen, np.hstack(obs), self.crit_rank)
 
     def reduced(self, subset: tuple) -> tuple:
@@ -293,7 +300,7 @@ class SumTestProblem:
 
 def subset_quantile(prob: SumTestProblem, subset) -> float:
     """``crit_rank``-th smallest centered sum over the given columns."""
-    sums = _row_sums(prob.centered[:, list(validate_subset(subset, prob.n_hyps))])
+    sums = _row_sums(_columns(prob.centered, list(validate_subset(subset, prob.n_hyps))))
     return _rank_stat(sums, prob.crit_rank)
 
 

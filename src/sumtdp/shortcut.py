@@ -41,11 +41,14 @@ On the problem's grid (see :mod:`.problem`) every sum below is exact in any
 order, so each running sum moves by the columns between the sizes read, or
 a greedy-path read starts from the problem's ``checkpoints`` (every
 ``_STRIDE``-th prefix of the observed order) when that moves fewer.  A
+gather of centered columns is one contiguous k x B copy of the problem's
+hypothesis-major matrix; only the sorted buffers below are row-major.  A
 context whose subset holds at most half the columns gathers them once, in
 observed order, as its ``subset_block``; the overlap picks' sums, the lift
 and a root path's restart slice it.  A post-hoc query's first read then
 gathers at most ``_STRIDE - 1`` columns, and the picks its path skips come
-off as a slice of the block, not as a second gather.
+off as a slice of the block, not as a second gather.  A larger subset's lift
+is the row totals less the columns outside W ∪ S.
 
 The context keeps one slot: the last scan's free subset columns, sorted
 within each row as the leading columns of a writable row-major buffer, with
@@ -71,7 +74,7 @@ from enum import Enum
 
 import numpy as np
 
-from .problem import _STRIDE, SumTestProblem, _rank_stat, _row_sums
+from .problem import _STRIDE, SumTestProblem, _columns, _rank_stat, _row_sums
 from .statmatrix import validate_subset
 
 __all__ = [
@@ -147,15 +150,23 @@ def _cut_values(block: np.ndarray, values: np.ndarray):
     return buf[:, :n - 1], pos
 
 
+def _fill(out: np.ndarray, cen: np.ndarray, cols) -> np.ndarray:
+    """Copy centered columns ``cols`` into the first columns of the row-major ``out``,
+    ``_STRIDE`` at a time so no k x B block is held beside it; return ``out``."""
+    for i in range(0, len(cols), _STRIDE):
+        out[:, i:min(i + _STRIDE, len(cols))] = _columns(cen, cols[i:i + _STRIDE]).T
+    return out
+
+
 class _RunningSums:
     """Row sums of the first k columns of a source, each read carried on from the last.
 
     ``columns(lo, hi)`` returns source columns ``lo`` to ``hi - 1`` as a
-    B x (hi - lo) array.  ``sums`` holds the last read, of the first ``k``,
+    (hi - lo) x B array.  ``sums`` holds the last read, of the first ``k``,
     and the next adds or subtracts the columns in between: a scan reads
-    sizes near each other, so it sums few columns.  ``restart(k, n)``, if
-    given, returns the first ``k``'s sums computed afresh from fewer than
-    ``n`` columns, or None when that takes ``n`` or more.
+    sizes near each other, so it sums few columns (none if ``k`` is held).
+    ``restart(k, n)``, if given, returns the first ``k``'s sums computed
+    afresh from fewer than ``n`` columns, or None when that takes ``n`` or more.
     """
 
     def __init__(self, columns, restart=None):
@@ -163,6 +174,8 @@ class _RunningSums:
 
     def through(self, k: int) -> np.ndarray:
         """The row sums of the first ``k`` source columns."""
+        if k == self.k and k:
+            return self.sums
         fresh = self.restart(k, abs(k - self.k)) if self.restart else None
         if fresh is not None:
             self.sums = fresh
@@ -189,9 +202,9 @@ class QueryContext:
     counts : tuple of ndarray
         Each row's number of subset values at most 0, and below 0.
     subset_block : ndarray or None
-        The subset's B x |S| centered columns in ``subset_order``, read-only,
+        The subset's |S| x B centered columns in ``subset_order``, read-only,
         gathered once when |S| <= m/2; later reads of subset columns slice it.
-        None for a larger subset, so no B x |S| copy is held.
+        None for a larger subset, so no |S| x B copy is held.
     sorted_block : tuple or None
         ``(mask, block, sums)`` of the last scan, or None before the first:
         the mask of its free subset columns, the B x n block of their
@@ -209,8 +222,9 @@ class QueryContext:
         self.in_subset[list(self.subset)] = True
         self.subset_order = order = prob.order[self.in_subset[prob.order]]
         inside = 2 * len(self.subset) <= prob.n_hyps
-        side = np.take(prob.centered, order if inside else np.flatnonzero(~self.in_subset), axis=1)
-        le, lt = np.count_nonzero(side <= 0.0, axis=1), np.count_nonzero(side < 0.0, axis=1)
+        cen = prob.centered
+        side = _columns(cen, order if inside else np.flatnonzero(~self.in_subset))
+        le, lt = np.count_nonzero(side <= 0.0, axis=0), np.count_nonzero(side < 0.0, axis=0)
         self.counts = (le, lt) if inside else (prob.counts[0] - le, prob.counts[1] - lt)
         self.subset_block = block = side if inside else None
         if inside:
@@ -218,19 +232,17 @@ class QueryContext:
         self.sorted_block = None
         # not through self: a cycle would hold the context until a collection
         self.order_sums = _RunningSums(
-            (lambda lo, hi: block[:, lo:hi]) if inside
-            else (lambda lo, hi: np.take(prob.centered, order[lo:hi], axis=1)))
+            (lambda lo, hi: block[lo:hi]) if inside else (lambda lo, hi: _columns(cen, order[lo:hi])))
 
     def union_sums(self, witness, sums) -> np.ndarray:
-        """Row sums of ``witness`` ∪ S, from the witness's row ``sums``;
-        S \\ W is read from :attr:`subset_block` when there is one."""
+        """Row sums of ``witness`` ∪ S: its row ``sums`` plus S \\ W from the
+        :attr:`subset_block`, else the row totals less the columns outside W ∪ S."""
         out, block = np.ones(self.prob.n_hyps, dtype=bool), self.subset_block
         out[list(witness)] = False
         if block is None:
-            cols = np.take(self.prob.centered, np.flatnonzero(out & self.in_subset), axis=1)
-        else:
-            cols = block[:, out[self.subset_order]]  # S \ W, in the block's order
-        return sums + _row_sums(cols)
+            outside = _columns(self.prob.centered, np.flatnonzero(out & ~self.in_subset))
+            return self.prob.row_totals - _row_sums(outside)
+        return sums + _row_sums(block[out[self.subset_order]])  # S \ W, in the block's order
 
     def sorted_rows(self, mask: np.ndarray, needed: int):
         """Row-sorted, read-only block of the centered columns in ``mask``,
@@ -252,7 +264,7 @@ class QueryContext:
             if not gone.size:
                 block, sums = kept, carried
             elif gone.size == 1 and held[gone[0]]:
-                cut = self.prob.centered[:, gone[0]]
+                cut = _columns(self.prob.centered, gone[0])
                 block, pos = _cut_values(kept, cut)
                 k0 = carried.k
                 if k0 <= block.shape[1]:
@@ -261,16 +273,17 @@ class QueryContext:
                         sums.sums = np.where(pos < k0, head + block[:, k0 - 1] - cut, head)
             elif not held[gone].any() and kept.base.shape[1] >= kept.shape[1] + gone.size:
                 block = kept.base[:, :kept.shape[1] + gone.size]
-                block[:, kept.shape[1]:] = np.take(self.prob.centered, gone, axis=1)
+                _fill(block[:, kept.shape[1]:], self.prob.centered, gone)
                 block.sort(axis=1, kind="stable")  # a merge; no -0.0, so a fresh sort's values
         if block is None:
             # let the last buffer go before the new one is made: one is held at a time
             self.sorted_block = slot = kept = carried = None
-            block = np.take(self.prob.centered, np.flatnonzero(mask), axis=1)
+            cols = np.flatnonzero(mask)
+            block = _fill(np.empty((self.prob.n_transforms, cols.size)), self.prob.centered, cols)
             block.sort(axis=1)
             block = block.view()  # of the buffer, which later trims rewrite
         block.setflags(write=False)
-        sums.columns = lambda lo, hi: block[:, lo:hi]
+        sums.columns = lambda lo, hi: block[:, lo:hi].T
         mask = mask.copy()
         mask.setflags(write=False)
         self.sorted_block = (mask, block, sums)
@@ -317,7 +330,7 @@ class Workspace:
         forced_cols = np.flatnonzero(forced)
         self.size_min = forced_cols.size + needed
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
-        self._forced_sum = _row_sums(ctx.prob.centered[:, forced_cols])
+        self._forced_sum = _row_sums(_columns(ctx.prob.centered, forced_cols))
         self._rem_prefix = self._path_tables = None
         if not root:
             rem = self._remainder()
@@ -338,12 +351,13 @@ class Workspace:
         in_s, picked = ctx.sorted_rows(self._free & ctx.in_subset, needed)
         o_free = np.flatnonzero(self._free & ~ctx.in_subset)
         if o_free.size:
-            rem = np.concatenate([in_s[:, needed:], np.take(cen, o_free, axis=1)], axis=1)
-            rem.sort(axis=1)
+            rem = np.empty((in_s.shape[0], in_s.shape[1] - needed + o_free.size))
+            rem[:, o_free.size:] = in_s[:, needed:]
+            _fill(rem, cen, o_free).sort(axis=1)
         else:
             rem = in_s[:, needed:]
         self._base = self._forced_sum + picked
-        self._rem_prefix = _RunningSums(lambda lo, hi: rem[:, lo:hi])
+        self._rem_prefix = _RunningSums(lambda lo, hi: rem[:, lo:hi].T)
         return rem
 
     def bound_value(self, v: int) -> float:
@@ -372,13 +386,12 @@ class Workspace:
                 q = p // _STRIDE
                 if p - q * _STRIDE + p - k >= budget:
                     return None
-                added = np.take(cen, prob.order[q * _STRIDE: p], axis=1)
-                sums = prob.checkpoints[q] + _row_sums(added)
+                sums = prob.checkpoints[q] + _row_sums(_columns(cen, prob.order[q * _STRIDE: p]))
                 if block is None:
-                    return sums - _row_sums(np.take(cen, prob.order[:p][~on_path[:p]], axis=1))
-                return sums - _row_sums(block[:, :p - k])  # a root path skips only picks
+                    return sums - _row_sums(_columns(cen, prob.order[:p][~on_path[:p]]))
+                return sums - _row_sums(block[:p - k])  # a root path skips only picks
 
-            prefix = _RunningSums(lambda lo, hi: np.take(cen, rest[lo:hi], axis=1), restart)
+            prefix = _RunningSums(lambda lo, hi: _columns(cen, rest[lo:hi]), restart)
             self._path_tables = (rest, self._forced_sum + picked, prefix)
         return self._path_tables
 

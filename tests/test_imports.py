@@ -15,6 +15,13 @@ option that changes nothing, and test calls do not count.  Every
 text-mode ``open`` in ``src/sumtdp`` names its encoding, so that reading a
 file does not depend on the locale.
 
+A problem's centered matrix is stored hypothesis-major, so a gather of its
+columns is one contiguous copy only through ``problem._columns``:
+``np.take`` along axis 1 first copies the whole matrix, and ``[:, cols]``
+reads one value per row.  No module of ``src/sumtdp`` calls ``np.take`` on
+``centered`` or indexes its columns with ``[:, ...]``, directly or through a
+name bound to it.
+
 Each module of ``src/sumtdp`` imports only the package modules that
 ``LAYERS`` lists for it.  The sum-test problem imports nothing but the data
 model, and the exhaustive reference nothing but the two, so the reference
@@ -399,3 +406,73 @@ def test_stdtr_form_equals_t_sf_bit_for_bit(df):
         5.0 * np.random.default_rng(df).standard_normal(500),
     ]).reshape(-1, 10)
     assert stdtr(df, -t).tobytes() == stats.t.sf(t, df).tobytes()
+
+
+def centered_column_reads(source: str) -> list:
+    """Lines of ``source`` that call ``take`` on ``centered`` or index it ``[:, ...]``.
+
+    ``centered`` is an attribute of that name, or a name that the function
+    reading it, or one it is nested in, assigns one, alone or in a tuple
+    assignment, and that no parameter of a function in between shadows.
+    """
+    def scope(node):
+        """``node``'s descendants, less the bodies of functions defined in it."""
+        todo = list(ast.iter_child_nodes(node))
+        while todo:
+            child = todo.pop()
+            yield child
+            if not isinstance(child, ast.FunctionDef):
+                todo.extend(ast.iter_child_nodes(child))
+
+    def centered(node, aliases):
+        return (isinstance(node, ast.Attribute) and node.attr == "centered") or (
+            isinstance(node, ast.Name) and node.id in aliases)
+
+    def check(node, aliases):
+        nodes = sorted(scope(node), key=lambda n: getattr(n, "lineno", 0))
+        for assign in (n for n in nodes if isinstance(n, ast.Assign)):
+            for target in assign.targets:
+                pairs = [(target, assign.value)]
+                if isinstance(target, ast.Tuple) and isinstance(assign.value, ast.Tuple):
+                    pairs = zip(target.elts, assign.value.elts)
+                aliases = aliases | {t.id for t, v in pairs if isinstance(t, ast.Name)
+                                     and centered(v, ())}
+        faults = []
+        for n in nodes:
+            if isinstance(n, ast.FunctionDef):
+                faults += check(n, aliases - {a.arg for a in ast.walk(n.args)
+                                              if isinstance(a, ast.arg)})
+            elif isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None)) \
+                    == "take" and n.args and centered(n.args[0], aliases):
+                faults.append((n.lineno, "take"))
+            elif isinstance(n, ast.Subscript) and centered(n.value, aliases) \
+                    and isinstance(n.slice, ast.Tuple) and isinstance(n.slice.elts[0], ast.Slice):
+                faults.append((n.lineno, "[:, ...]"))
+        return faults
+
+    return [f"line {line}: {kind}" for line, kind in sorted(check(ast.parse(source), set()))]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "sumtdp").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_centered_columns_read_through_one_helper(path):
+    assert centered_column_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_column_read_checker_flags_takes_and_column_slices():
+    source = (
+        "a = np.take(prob.centered, cols, axis=1)\n"
+        "cen, order = self.centered, self.order\n"
+        "b = cen[:, cols]\n"
+        "c = take(cen, [1])\n"
+        "d = order[:, 1] + cen[0] + _columns(cen, cols) + prob.centered.T[3]\n"
+        "e = prob.centered[:3, 2:]\n"
+        "def f(cen):\n    return cen[1:, 2]\n"
+        "def g(prob):\n    cen = prob.centered\n"
+        "    def h():\n        return cen[:, 2]\n"
+        "    return lambda: np.take(cen, 1, axis=1)\n"
+    )
+    assert centered_column_reads(source) == [
+        "line 1: take", "line 3: [:, ...]", "line 4: take", "line 6: [:, ...]",
+        "line 12: [:, ...]", "line 13: take",
+    ]

@@ -422,7 +422,7 @@ class TestReductionEquivalence:
         red = reduce_columns(stats, (0, 1, 2, 3), ground=0.0)
         assert (red.removed, red.collapsed) == ((4,), (5, 6, 7))
         small = full.restricted(red.kept, red.collapsed)
-        assert small.centered.flags.c_contiguous
+        assert small.centered.T.flags.c_contiguous
         members = [(0,), (1,), (2,), (3,), red.collapsed]  # of each reduced column
         for mask in range(1, 1 << 5):
             own = [i for i in range(5) if mask >> i & 1]

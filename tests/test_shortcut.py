@@ -21,7 +21,7 @@ from sumtdp import (
     subset_quantile,
     truncate,
 )
-from sumtdp import shortcut
+from sumtdp import problem, shortcut
 from sumtdp.branchbound import evaluate_iterative
 from sumtdp.problem import _STRIDE, _sums_finite
 from sumtdp.shortcut import (
@@ -66,9 +66,9 @@ class TestProblem:
         with pytest.raises(ValueError, match=message):
             SumTestProblem(np.array(centered), np.array(observed), 1)
 
-    def test_fortran_input_stored_row_major(self):
-        # Reduced matrices come out column-major; the problem stores every
-        # input row-major, and the layout cannot change an answer.
+    def test_either_input_layout_stored_hypothesis_major(self):
+        # The problem stores every input hypothesis-major, whatever its
+        # layout, and the layout cannot change an answer.
         rng = np.random.default_rng(12)
         values = rng.standard_normal((30, 80))
         values[0, :20] += 3.0
@@ -77,7 +77,7 @@ class TestProblem:
             for layout in (np.ascontiguousarray, np.asfortranarray)
         ]
         for prob in twins:
-            assert prob.centered.flags.c_contiguous
+            assert prob.centered.T.flags.c_contiguous
         for subset in (range(80), range(25), range(10, 60, 3)):
             traces = [[], []]
             rows, cols = (
@@ -331,7 +331,7 @@ class TestSortedBlockReuse:
         ctx = QueryContext(prob, self.SUBSET)
         held = ctx.in_subset.copy()
         block = np.sort(prob.centered[:, :9], axis=1) + 10.0  # no column's values
-        sums = shortcut._RunningSums(lambda lo, hi: block[:, lo:hi])
+        sums = shortcut._RunningSums(lambda lo, hi: block[:, lo:hi].T)
         sums.through(3)
         ctx.sorted_block = (held, block, sums)
         smaller = held.copy()
@@ -374,6 +374,18 @@ class TestRootScanSortsNothing:
         assert res.discoveries == 0 and res.evals == 1
 
 
+def _count_gathers(monkeypatch, gathered):
+    """Append the indices of each centered-column gather, in the engine and the problem."""
+    real = problem._columns
+
+    def columns(cen, cols):
+        gathered.append(np.atleast_1d(cols))
+        return real(cen, cols)
+
+    monkeypatch.setattr(problem, "_columns", columns)
+    monkeypatch.setattr(shortcut, "_columns", columns)
+
+
 class TestSubsetBlock:
     """A subset of at most half the columns is gathered once, and every
     read of its columns, from that block or gathered, has the exact bits."""
@@ -383,46 +395,37 @@ class TestSubsetBlock:
         prob.checkpoints  # built once per problem, for all its queries
         subset = np.random.default_rng(90).choice(2000, 90, replace=False)
         gathered = []
-
-        def take(a, indices, axis=None, _real=np.take, **kwargs):
-            if a is prob.centered:
-                gathered.append(np.size(indices))
-            return _real(a, indices, axis=axis, **kwargs)
-
-        monkeypatch.setattr(np, "take", take)
+        _count_gathers(monkeypatch, gathered)
         res = discoveries(prob, subset, step_budget=50)
         assert res.evals == 1  # it settles at its root scan
         # the counts gather the subset; the first path read adds at most
         # _STRIDE - 1 columns past its checkpoint; the picks and the lift
         # slice the block
-        assert len(subset) <= sum(gathered) <= len(subset) + _STRIDE - 1
+        assert len(subset) <= sum(cols.size for cols in gathered) <= len(subset) + _STRIDE - 1
 
     def test_large_subset_holds_no_block(self):
         prob = _post_hoc_problem()
-        assert QueryContext(prob, range(1000)).subset_block.shape == (200, 1000)
+        assert QueryContext(prob, range(1000)).subset_block.shape == (1000, 200)
         assert QueryContext(prob, range(1001)).subset_block is None
 
     def test_every_route_exact(self, monkeypatch):
         # Each route is told apart by the gathers it makes: a restart gathers
         # the columns past its checkpoint, and off the block also the columns
-        # it takes off; a lift gathers S \\ W only off the block.
-        takes, restarts, lifts = [0], set(), set()
-
-        def take(*args, _real=np.take, **kwargs):
-            takes[0] += 1
-            return _real(*args, **kwargs)
+        # it takes off; a lift off the block gathers the columns outside
+        # W ∪ S, and on it none.
+        gathered, restarts, lifts = [], set(), set()
+        _count_gathers(monkeypatch, gathered)
 
         class Counting(shortcut._RunningSums):
             def __init__(self, columns, restart=None):
                 def counted(k, n, _real=restart):
-                    before = takes[0]
+                    before = len(gathered)
                     out = _real(k, n)
                     if out is not None:
-                        restarts.add({1: "block", 2: "gathered"}[takes[0] - before])
+                        restarts.add({1: "block", 2: "gathered"}[len(gathered) - before])
                     return out
                 super().__init__(columns, restart and counted)
 
-        monkeypatch.setattr(np, "take", take)
         monkeypatch.setattr(shortcut, "_RunningSums", Counting)
         rng = np.random.default_rng(35)
         for i in range(24):
@@ -433,8 +436,8 @@ class TestSubsetBlock:
                 m, b = int(rng.integers(70, 200)), int(rng.integers(2, 16))
                 prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m),
                                       int(rng.integers(1, b + 1)))
-            m = prob.n_hyps
-            prob.checkpoints  # built here, so a restart's gathers are its own
+            m, cen = prob.n_hyps, prob.centered
+            prob.checkpoints, prob.row_totals  # built here, so a read's gathers are its own
             for size in (int(rng.integers(1, m // 2 + 1)), int(rng.integers(m // 2 + 1, m + 1))):
                 subset = tuple(sorted(rng.choice(m, size, replace=False).tolist()))
                 ctx = QueryContext(prob, subset)
@@ -447,13 +450,31 @@ class TestSubsetBlock:
                     ws = Workspace(ctx, z, state)
                     for v in rng.permutation(np.arange(ws.size_min, ws.size_max + 1)):
                         sums, members = ws.path_sums(int(v)), ws.path_set(int(v))
-                        want = prob.centered[:, list(members)].sum(axis=1)
+                        want = cen[:, list(members)].sum(axis=1)
                         assert sums.tobytes() == want.tobytes()
-                        want = prob.centered[:, sorted(set(members) | set(subset))].sum(axis=1)
-                        before = takes[0]
+                        union = sorted(set(members) | set(subset))
+                        want = cen[:, union].sum(axis=1)
+                        # W's sums plus S \ W, as the block route adds them
+                        added = sorted(set(subset) - set(members))
+                        assert (sums + cen[:, added].sum(axis=1)).tobytes() == want.tobytes()
+                        before = len(gathered)
                         assert ctx.union_sums(members, sums).tobytes() == want.tobytes()
-                        lifts.add({0: "block", 1: "gathered"}[takes[0] - before])
-        assert restarts == lifts == {"block", "gathered"}
+                        lift = gathered[before:]
+                        lifts.add({0: "block", 1: "totals"}[len(lift)])
+                        if lift:  # the columns outside W ∪ S, and only those
+                            assert sorted(lift[0].tolist()) == sorted(set(range(m)) - set(union))
+        assert restarts == {"block", "gathered"} and lifts == {"block", "totals"}
+
+    def test_all_column_lift_gathers_nothing(self, monkeypatch):
+        prob = _post_hoc_problem()
+        prob.row_totals
+        ctx = QueryContext(prob, range(prob.n_hyps))
+        ws = Workspace(ctx, 1000)
+        witness, sums = ws.path_set(1500), ws.path_sums(1500)
+        gathered = []
+        _count_gathers(monkeypatch, gathered)
+        assert ctx.union_sums(witness, sums).tobytes() == prob.row_totals.tobytes()
+        assert [cols.size for cols in gathered] == [0]
 
 
 class TestInPlaceTrim:
@@ -656,6 +677,23 @@ class TestCarriedSums:
         assert block.tolist() == fresh_block.tolist()
         assert sums.tolist() == fresh_sums.tolist()
         assert_sums_exact(sums, block[:, :needed])
+
+    def test_survivor_sums_are_its_path_read(self, monkeypatch):
+        # A survivor's sums are read at the size its path value was: the
+        # running sums have not moved, so they are returned as held.
+        prob = _post_hoc_problem()
+        subset = np.random.default_rng(45).choice(2000, 45, replace=False)
+        ws = Workspace(QueryContext(prob, subset), 32)
+        v = ws.drop_end
+        ws.path_value(v)
+        summed = []
+        def counting(cols, _real=shortcut._row_sums):
+            summed.append(cols.size)
+            return _real(cols)
+        monkeypatch.setattr(shortcut, "_row_sums", counting)
+        sums = ws.path_sums(v)
+        assert summed == []
+        assert sums.tobytes() == prob.centered[:, list(ws.path_set(v))].sum(axis=1).tobytes()
 
     @pytest.mark.parametrize("case", sorted(grid_cases()))
     def test_reads_and_trims_exact_in_any_order(self, case):
