@@ -99,7 +99,7 @@ class Combiner:
         """Apply the transform elementwise to an array of p-values."""
         p = np.asarray(values, dtype=float)
         _check_pvalues(p)
-        if self.kind == "fisher":
+        if self.kind == "fisher" or self.power == 0.0:
             return -np.log(p)
         if self.kind == "pearson":
             return np.log1p(-np.minimum(p, _P_HIGH))
@@ -114,8 +114,6 @@ class Combiner:
         if self.kind == "cauchy":
             return np.tan((0.5 - np.minimum(p, _P_HIGH)) * np.pi)
         r = self.power
-        if r == 0.0:
-            return -np.log(p)
         if r < 0.0:
             return p ** r
         return -(p ** r)

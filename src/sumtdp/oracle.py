@@ -1,12 +1,13 @@
 """Exhaustive closed-testing reference, tractable up to a dozen hypotheses.
 
 Builds the rejection status of all 2^m hypothesis sets of one
-:class:`~.problem.SumTestProblem` with incremental row sums (each set's
-sums extend the sums of the set without its lowest member), then answers
-overlap queries by scanning the surviving (non-rejected) masks.  Build one
-table per problem and query it as often as needed.  Used as the ground truth
-that the shortcut engine is checked against: the two share the problem, not
-the search.  The enumeration reads only the problem's centered values and
+:class:`~.problem.SumTestProblem` by columns (the sets whose highest member
+is column b are the sets below 2^b, each plus column b, so one vector add
+per column fills their row sums), then answers overlap queries from one
+count of every set's overlap with the queried subset.  Build one table per
+problem and query it as often as needed.  Used as the ground truth that the
+shortcut engine is checked against: the two share the problem, not the
+search.  The enumeration reads only the problem's centered values and
 critical rank, and this module imports no search code.
 """
 
@@ -46,52 +47,37 @@ class RejectionTable:
                 f"got {prob.n_transforms}"
             )
         self.n_hyps = m
-        n_sets = 1 << m
         values = prob.centered.T  # one row per column, contiguous
-        sums = np.zeros((n_sets, prob.n_transforms))
-        for mask in range(1, n_sets):
-            low = mask & -mask
-            sums[mask] = sums[mask ^ low] + values[low.bit_length() - 1]
+        # Row sums on the problem's grid are exact, so the order of adds is free.
+        sums = np.zeros((1 << m, prob.n_transforms))
+        for b in range(m):
+            np.add(sums[:1 << b], values[b], out=sums[1 << b:2 << b])
         rank = prob.crit_rank
-        quantiles = np.partition(sums, rank - 1, axis=1)[:, rank - 1]
-        self.quantiles = quantiles
+        self.quantiles = np.partition(sums, rank - 1, axis=1)[:, rank - 1]
         # The empty set is never rejected; its all-zero sums give quantile 0.
-        self.rejected = quantiles > 0.0
-        self._masks = np.arange(n_sets, dtype=np.uint32)
+        self.rejected = self.quantiles > 0.0
+        self._masks = np.arange(1 << m, dtype=np.uint32)
+        self._sizes = _popcount(self._masks)
 
-    def _subset_mask(self, subset) -> int:
-        cols = validate_subset(subset, self.n_hyps)
-        mask = 0
-        for i in cols:
-            mask |= 1 << i
-        return mask
+    def _overlaps(self, subset) -> np.ndarray:
+        """Every set's overlap with ``subset``, indexed by the set's bit mask."""
+        smask = sum(1 << i for i in validate_subset(subset, self.n_hyps))
+        return _popcount(self._masks & np.uint32(smask))
 
     def max_nonrejected_overlap(self, subset) -> int:
         """Largest overlap with ``subset`` among surviving sets (0 via the empty set)."""
-        smask = self._subset_mask(subset)
-        surviving = self._masks[~self.rejected]
-        return int(_popcount(surviving & np.uint32(smask)).max())
+        return int(self._overlaps(subset)[~self.rejected].max())
 
     def all_overlapping_rejected(self, subset, min_overlap: int) -> bool:
         """Whether every set sharing at least ``min_overlap`` members with
-        ``subset`` is rejected.  The empty set makes this False for
-        ``min_overlap <= 0``."""
-        smask = self._subset_mask(subset)
-        size = int(_popcount(np.uint32(smask)))
-        if min_overlap <= 0:
-            return False
-        if min_overlap > size:
-            return True
-        overlap = _popcount(self._masks & np.uint32(smask))
-        candidates = overlap >= min_overlap
-        return bool(np.all(self.rejected[candidates]))
+        ``subset`` is rejected: whether no surviving set overlaps it that
+        much.  The empty set makes this False for ``min_overlap <= 0``."""
+        return bool(self.max_nonrejected_overlap(subset) < min_overlap)
 
     def min_quantile(self, subset, min_overlap: int, size: int) -> float:
         """Smallest subset quantile among sets of ``size`` members overlapping
         ``subset`` by at least ``min_overlap``; NaN when no such set exists."""
-        smask = self._subset_mask(subset)
-        overlap = _popcount(self._masks & np.uint32(smask))
-        pick = (overlap >= min_overlap) & (_popcount(self._masks) == size)
+        pick = (self._overlaps(subset) >= min_overlap) & (self._sizes == size)
         if not pick.any():
             return float("nan")
         return float(self.quantiles[pick].min())

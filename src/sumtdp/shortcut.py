@@ -330,7 +330,7 @@ class Workspace:
         forced_cols = np.flatnonzero(forced)
         self.size_min = forced_cols.size + needed
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
-        self._forced_sum = _row_sums(_columns(ctx.prob.centered, forced_cols))
+        self._forced_sum = _row_sums(_columns(ctx.prob.centered, forced_cols)) if forced_cols.size else 0.0
         self._rem_prefix = self._path_tables = None
         if not root:
             rem = self._remainder()

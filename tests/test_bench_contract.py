@@ -6,9 +6,10 @@ Running those checks here, on a few of the same queries, makes a change that
 breaks the answer contract (say, a level recorded at the probed overlap
 rather than the one it certifies) fail in the test suite, not only in a
 benchmark run.  The ``cli-tdp`` check runs one in-process ``tdp`` call and
-compares its JSON with the same pipeline rebuilt through the library.  The
-benchmark files are imported and read, never written; the ``cli-tdp``
-inputs and output go to a temporary directory.
+compares its JSON with the same pipeline rebuilt through the library; the
+``simulate`` check runs one pass of replications and compares them with
+``run_study``.  The benchmark files are imported and read, never written;
+the ``cli-tdp`` inputs and output go to a temporary directory.
 """
 
 import importlib.util
@@ -69,6 +70,14 @@ def test_cli_tdp_answers_match_the_library(bench, tmp_path):
     workload.build()
     check, _ = workload.check([workload.trace_pass()])
     assert (check.attempted, check.failed) == (4, 0), check.messages
+
+
+def test_simulate_pass_matches_run_study(bench):
+    # each replication's invariants, and the first ones against run_study
+    workload = bench.WORKLOADS["simulate"](sumtdp, bench.DEFAULT_SEED, None, bench.HostProbe(share=0.0))
+    workload.build()
+    check, _ = workload.check([workload.run_pass()])
+    assert (check.attempted, check.failed) == (40, 0), check.messages
 
 
 @pytest.mark.parametrize("name", ["cli-tdp", "engine-sets", "engine-deep", "simulate"])

@@ -14,7 +14,7 @@ from sumtdp import (
     subset_quantile,
 )
 from sumtdp.oracle import _popcount
-from tests.util import random_instance, random_subset
+from tests.util import POOL, random_instance, random_subset
 
 
 class TestToyTable:
@@ -63,10 +63,38 @@ class TestAgainstEnumeration:
         for _ in range(15):
             stats, cfg = random_instance(rng, max_hyps=7, max_transforms=24)
             table = RejectionTable(SumTestProblem.from_matrix(stats, cfg))
-            sub = random_subset(rng, stats.n_hyps)
-            q = table.max_nonrejected_overlap(sub)
-            for z in range(0, len(sub) + 2):
-                assert table.all_overlapping_rejected(sub, z) == (z > q)
+            m = stats.n_hyps
+            sub = random_subset(rng, m)
+            smask = sum(1 << i for i in sub)
+            for z in range(-1, len(sub) + 2):
+                want = all(
+                    table.rejected[mask]
+                    for mask in range(1 << m)
+                    if bin(mask & smask).count("1") >= z
+                )
+                assert table.all_overlapping_rejected(sub, z) is want
+
+    def test_quantiles_exact_on_tie_heavy_problems(self):
+        # from_matrix problems, problems built directly from a pool holding
+        # both signed zeros, and restricted problems: every set's quantile
+        # has the bits of its direct sum
+        rng = np.random.default_rng(23)
+        for i in range(60):
+            if i % 3 == 0:
+                prob = SumTestProblem.from_matrix(*random_instance(rng, max_hyps=10))
+            else:
+                m, b = int(rng.integers(2, 11)), int(rng.integers(1, 33))
+                prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m),
+                                      int(rng.integers(1, b + 1)))
+                if i % 3 == 2:
+                    perm = rng.permutation(m)
+                    prob = prob.restricted(perm[:m // 2], perm[m // 2:])
+            table = RejectionTable(prob)
+            m = prob.n_hyps
+            for mask in range(1, 1 << m):
+                members = [j for j in range(m) if mask >> j & 1]
+                assert table.quantiles[mask] == subset_quantile(prob, members)
+                assert table.rejected[mask] == reject(prob, members)
 
     def test_min_quantile_brute_force(self):
         rng = np.random.default_rng(22)
@@ -113,10 +141,7 @@ def test_popcount_fallback_matches_bitwise_count(monkeypatch):
     masks = np.random.default_rng(5).integers(0, 2**32, size=500, dtype=np.uint32)
     masks[:2] = 0, 2**32 - 1
     want = np.bitwise_count(masks)
-    scalar = np.uint32(2**32 - 3)
     monkeypatch.delattr(np, "bitwise_count")
     got = _popcount(masks)
     assert got.tolist() == want.tolist()
     assert got[:2].tolist() == [0, 32]
-    # all_overlapping_rejected counts the bits of one scalar mask
-    assert int(_popcount(scalar)) == 31

@@ -476,6 +476,14 @@ class TestSubsetBlock:
         assert ctx.union_sums(witness, sums).tobytes() == prob.row_totals.tobytes()
         assert [cols.size for cols in gathered] == [0]
 
+    def test_root_scan_build_gathers_nothing(self, monkeypatch):
+        # a root scan forces no column, so its build sums none
+        ctx = QueryContext(_post_hoc_problem(), range(0, 2000, 20))
+        gathered = []
+        _count_gathers(monkeypatch, gathered)
+        Workspace(ctx, 50)
+        assert gathered == []
+
 
 class TestInPlaceTrim:
     """A trim cuts one value per row inside the context's buffer, bit for bit."""
