@@ -11,10 +11,12 @@ The pivot is the last column of the scan's greedy path, the free column
 with the greatest observed statistic among those the path does not reserve
 for the overlap requirement.  Forcing it in drags the force-child's
 candidates toward large observed sums, pushing that side to reject quickly.
-Excluding it leaves every shorter path candidate as it was, so at the
-inherited sizes the exclude-child's path values are ones an ancestor
-already read as positive, and its scan finds no survivor.  The scan is the
-only place that knows the rule, so this holds by construction.
+Excluding it leaves every shorter path candidate as it was, and the
+exclude-child's bound is never below the parent's, so each inherited size
+it leaves in doubt has a path value the parent read as positive.  The
+child takes these from the parent's evaluation, which the loop passes on
+unread, and finds no survivor.  The scan alone knows the rule, so this
+holds by construction.
 
 A subspace is one ``int8`` state per column (0 free, +1 forced, -1
 excluded): a child copies its parent and marks the pivot; a root scan
@@ -26,8 +28,8 @@ ones, and every subspace holds a candidate.
 
 Both children of a node are evaluated as soon as the node is split, and each
 evaluation counts one unit of budget.  Still-undecided children go on a
-stack with their windows and pivots, exclude side on top, giving a
-depth-first run through the exclude spine first.  The root evaluation is
+stack with their evaluations, exclude side on top, giving a depth-first
+run through the exclude spine first.  The root evaluation is
 free of charge; callers that count scans add it themselves.
 
 A run takes the query's :class:`~.shortcut.QueryContext` and hands it to
@@ -90,9 +92,10 @@ def evaluate_iterative(
         return root
 
     spent = 0
-    stack = [(np.zeros(ctx.prob.n_hyps, dtype=np.int8), root.window, root.pivot)]
+    stack = [(np.zeros(ctx.prob.n_hyps, dtype=np.int8), root)]
     while stack:
-        state, window, pivot = stack.pop()
+        state, node = stack.pop()
+        window, pivot = node.window, node.pivot
         if pivot is None or state[pivot]:
             raise RuntimeError(f"no free column to branch on: the scan named pivot {pivot}")
         if trace is not None:
@@ -104,12 +107,12 @@ def evaluate_iterative(
             spent += 1
             child = state.copy()
             child[pivot] = mark
-            ev = single_step(ctx, overlap, child, window=window, trace=trace)
+            ev = single_step(ctx, overlap, child, window=window, trace=trace, parent=node)
             log(ev, child, spent)
             if ev.verdict is Verdict.SURVIVOR_FOUND:
                 return replace(ev, iterations=spent)
             if ev.verdict is Verdict.UNDECIDED:
-                children.append((child, ev.window, ev.pivot))
+                children.append((child, ev))
         # LIFO stack: push the force side first so the exclude side pops first.
         stack.extend(reversed(children))
 

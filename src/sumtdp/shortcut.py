@@ -25,7 +25,7 @@ and "some row is below 0" each hold on a leading run of columns.  A root
 scan (nothing forced or excluded) finds both run lengths from per-row
 counts of values at most 0 and below 0, sorts nothing before its first
 bound read, and reads the path first at its first size, so a survivor
-there costs no sort; a constrained scan bisects its sorted remainder.
+there costs no sort; a constrained scan bisects them inside its window.
 
 One :class:`QueryContext` per query holds the validated subset, its mask,
 its columns in the problem's observed order (ties by index) and the
@@ -35,7 +35,9 @@ None: the root, all free), which the scan's :class:`Workspace` reads as
 masks.  The greedy path spends the subset's first ``needed`` columns in
 observed order, which no branch marks (see :mod:`.branchbound`), on the
 overlap; an undecided scan names the path's last column as the pivot to
-split on, so no other code repeats that rule.
+split on, so no other code repeats that rule.  Its :class:`Evaluation`
+carries its path values, order and forced sum on to the children (see
+:func:`single_step`): an exclude child reads no path, and computes no sum.
 
 On the problem's grid (see :mod:`.problem`) every sum below is exact in any
 order, so each running sum moves by the columns between the sizes read, or
@@ -104,8 +106,11 @@ class Evaluation:
     candidate.  ``pivot`` is the column to split an undecided subspace on
     (UNDECIDED from a scan only): the last column of the scan's greedy
     path, never an overlap pick, and None when every free column is one.
-    ``sums``, the witness's exact row sums, and ``iterations``, the budgeted
-    scans a branch-and-bound run spent (0 for a single scan), are not compared.
+    Not compared: ``sums``, the witness's exact row sums; ``iterations``,
+    the budgeted scans a branch-and-bound run spent (0 for a single scan);
+    and an undecided scan's carry to its children (see :func:`single_step`):
+    ``paths``, its path values by size, ``order``, its path after the
+    overlap picks (pivot last), and ``forced_sum``, its forced columns' sums.
     """
 
     verdict: Verdict
@@ -114,6 +119,9 @@ class Evaluation:
     pivot: int = None
     sums: np.ndarray = field(default=None, compare=False, repr=False)
     iterations: int = field(default=0, compare=False)
+    paths: dict = field(default=None, compare=False, repr=False)
+    order: np.ndarray = field(default=None, compare=False, repr=False)
+    forced_sum: object = field(default=None, compare=False, repr=False)
 
 
 def _marked(state) -> dict:
@@ -127,25 +135,26 @@ def _cut_values(block: np.ndarray, values: np.ndarray):
     """Cut one entry equal to ``values[r]`` from each sorted row r of ``block``, in place.
 
     ``block`` is the first n columns of its ``base``, a writable row-major
-    buffer.  Also returns the cut positions, bisected in all rows at once:
-    the first entry not below the value, which equals it when the row holds
-    it; a row that does not is an engine fault, raised before anything
-    moves.  Each row's entries after its cut move left by one, so the first
-    n - 1 columns of the buffer are the block a fresh sort of the remaining
-    columns gives.
+    buffer.  Also returns the cut positions, searched in all rows in
+    lockstep, one flat gather per step (Khuong & Morin 2017): each row's
+    last entry not above the value, so of equal entries the one moving
+    fewest, and equal to it when the row holds it; a row that does not is an
+    engine fault, raised before anything moves.  Each row's entries after
+    its cut move left by one, so the first n - 1 columns of the buffer are
+    the block a fresh sort of the remaining columns gives.
     """
     n_rows, n = block.shape
-    rows = np.arange(n_rows)
-    pos = np.zeros(n_rows, dtype=np.intp)
-    for shift in range(n.bit_length() - 1, -1, -1):
-        probe = np.minimum(pos + (1 << shift), n)
-        pos = np.where(block[rows, probe - 1] < values, probe, pos)
-    if not (block[rows, np.minimum(pos, n - 1)] == values).all():
+    buf = block if block.base is None else block.base
+    flat, start = buf.reshape(-1), np.arange(n_rows) * buf.shape[1]
+    at, span = start.copy(), n
+    while span > 1:  # a row's last entry not above its value, if any, is in at .. at + span - 1
+        half, span = span // 2, span - span // 2
+        np.add(at, half, out=at, where=flat.take(at + half) <= values)
+    if not (flat.take(at) == values).all():
         raise RuntimeError("the query context's sorted block lacks a column it should hold")
-    buf, moved = block.base, n - 1 - pos
+    pos, moved = at - start, start + n - 1 - at
     # src: the flat buffer index of every entry after a cut, row by row
-    start = rows * buf.shape[1] + pos + 1 - (np.cumsum(moved) - moved)
-    flat, src = buf.reshape(-1), np.repeat(start, moved) + np.arange(moved.sum())
+    src = np.repeat(at + 1 - (np.cumsum(moved) - moved), moved) + np.arange(moved.sum())
     flat[src - 1] = flat[src]
     return buf[:, :n - 1], pos
 
@@ -304,15 +313,18 @@ class Workspace:
     ----------
     size_min, size_max : int
         Inclusive range of candidate set sizes in this subspace.
+    window : (int, int)
+        The part of ``window`` (default: all) in that range, ends included.
     drop_end, rise_start : int
         The bound is nonincreasing on sizes up to ``drop_end`` and
         nondecreasing from ``rise_start`` on: ``size_min`` plus the least
         number, over rows, of remainder values at most 0, and plus the
         greatest number below 0.  A root scan counts them from ``counts``;
-        a constrained scan bisects its sorted remainder.
+        a constrained scan bisects its sorted remainder, clamped to what a
+        scan of the window (v1, v2) compares: [v1 - 1, v2] and [v1, v2 + 1].
     """
 
-    def __init__(self, ctx: QueryContext, overlap: int, state=None):
+    def __init__(self, ctx: QueryContext, overlap: int, state=None, window=None, parent=None):
         if not 1 <= overlap <= len(ctx.subset):
             raise RuntimeError(f"overlap must lie in 1..{len(ctx.subset)}, got {overlap}")
         root = state is None
@@ -330,13 +342,19 @@ class Workspace:
         forced_cols = np.flatnonzero(forced)
         self.size_min = forced_cols.size + needed
         self.size_max = forced_cols.size + int(np.count_nonzero(free))
-        self._forced_sum = _row_sums(_columns(ctx.prob.centered, forced_cols)) if forced_cols.size else 0.0
+        lo, hi = window if window is not None else (self.size_min, self.size_max)
+        self.window = (max(int(lo), self.size_min), min(int(hi), self.size_max))
+        base, fresh = 0.0, forced_cols
+        if parent is not None:  # its sum, plus the pivot if forced: exact on the grid
+            base, fresh = parent.forced_sum, forced_cols[forced_cols == parent.pivot]
+        self._forced_sum = base + _row_sums(_columns(ctx.prob.centered, fresh)) if fresh.size else base
         self._rem_prefix = self._path_tables = None
         if not root:
             rem = self._remainder()
-            cols = range(rem.shape[1])
-            nonpos_run = bisect_left(cols, True, key=lambda j: (rem[:, j] > 0.0).any())
-            negsome_run = bisect_left(cols, True, key=lambda j: (rem[:, j] >= 0.0).all())
+            v1, v2 = (v - self.size_min for v in self.window)
+            above, nonneg = (lambda j: (rem[:, j] > 0.0).any()), (lambda j: (rem[:, j] >= 0.0).all())
+            nonpos_run = bisect_left(range(v2), True, max(v1 - 1, 0), key=above)
+            negsome_run = bisect_left(range(min(v2 + 1, rem.shape[1])), True, v1, key=nonneg)
         else:
             # A row's remainder: its S values less the `needed` smallest, and the rest.
             (le_in, lt_in), (le, lt) = ctx.counts, ctx.prob.counts
@@ -419,6 +437,7 @@ def single_step(
     state=None,
     window=None,
     trace: list = None,
+    parent: Evaluation = None,
 ) -> Evaluation:
     """One scan over candidate sizes at a given overlap level.
 
@@ -438,17 +457,20 @@ def single_step(
     trace : list, optional
         Gets one dict per bound or path read: ``kind``, ``overlap``,
         ``forced``, ``excluded``, ``size`` and ``value``.
+    parent : Evaluation, optional
+        The undecided scan, in ``window``, that ``state`` splits by its mark
+        on the pivot.  A child excluding it reads no path: it takes the
+        values from ``parent.paths``, and one missing is an engine fault.
     """
-    ws = Workspace(ctx, overlap, state)
-    v1, v2 = window if window is not None else (ws.size_min, ws.size_max)
-    v1 = max(int(v1), ws.size_min)
-    v2 = min(int(v2), ws.size_max)
+    ws = Workspace(ctx, overlap, state, window, parent)
+    v1, v2 = ws.window
     if v1 > v2:
         return Evaluation(Verdict.ALL_REJECTED)
 
     if trace is not None:
         where = dict(overlap=overlap, **_marked(state))
-    undecided = []
+    undecided, paths = [], {}
+    carried = parent.paths if parent is not None and state[parent.pivot] < 0 else None
 
     def certified(v: int) -> bool:
         value = ws.bound_value(v)
@@ -458,7 +480,11 @@ def single_step(
 
     def survivor(v: int):
         """Size ``v``'s path candidate if that survives."""
-        value = ws.path_value(v)
+        if carried is None:
+            value = ws.path_value(v)
+        elif (value := carried.get(v)) is None:
+            raise RuntimeError(f"the parent scan carries no path value at size {v}")
+        paths[v] = value
         if trace is not None:
             trace.append(dict(kind="path", **where, size=v, value=value))
         if value > 0.0:
@@ -495,8 +521,9 @@ def single_step(
 
     if not undecided:
         return Evaluation(Verdict.ALL_REJECTED)
-    rest, _, _ = ws._paths()
+    order = ws._paths()[0] if carried is None else parent.order[:-1]
     return Evaluation(
         Verdict.UNDECIDED, window=(min(undecided), max(undecided)),
-        pivot=int(rest[-1]) if rest.size else None,
+        pivot=int(order[-1]) if order.size else None,
+        paths=paths, order=order, forced_sum=ws._forced_sum,
     )

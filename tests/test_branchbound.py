@@ -1,5 +1,8 @@
 """Branching on pivots: exactness, budget metering, path inheritance."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -292,3 +295,88 @@ class TestWitnesses:
             assert len(set(w) & set(subset)) >= z
             assert subset_quantile(prob, w) <= 0.0
         assert found >= 5
+
+
+def _branching_runs(rng, n_problems):
+    """(prob, subset, overlap) of tie-heavy runs to completion, every overlap."""
+    for _ in range(n_problems):
+        m, b = int(rng.integers(5, 11)), int(rng.integers(2, 12))
+        prob = SumTestProblem(rng.choice(POOL, (b, m)), rng.choice(POOL, m),
+                              int(rng.integers(1, b + 1)))
+        subset = random_subset(rng, m)
+        for z in range(1, len(subset) + 1):
+            yield prob, subset, z
+
+
+def _excludes(state, parent):
+    return parent is not None and bool(state[parent.pivot] < 0)
+
+
+class TestCarriedReads:
+    """A child scan takes its parent's forced sum, path values and order."""
+
+    def test_children_scan_as_without_a_parent(self, monkeypatch):
+        # Each child scan, rerun on a fresh context with no parent, gives
+        # the same evaluation and the same trace rows.
+        real, kinds = branchbound.single_step, Counter()
+
+        def twice(ctx, overlap, state=None, window=None, trace=None, parent=None):
+            got, want = [], []
+            ev = real(ctx, overlap, state, window=window, trace=got, parent=parent)
+            alone = real(QueryContext(ctx.prob, ctx.subset), overlap, state, window=window, trace=want)
+            assert (ev, got) == (alone, want)
+            if parent is not None:
+                kinds[_excludes(state, parent)] += 1
+            return ev
+
+        monkeypatch.setattr(branchbound, "single_step", twice)
+        for prob, subset, z in _branching_runs(np.random.default_rng(47), 40):
+            evaluate_iterative(QueryContext(prob, subset), z)
+        assert min(kinds[True], kinds[False]) > 50, kinds
+
+    def test_exclude_children_read_no_path(self, monkeypatch):
+        # No path table is built or read in an exclude child's scan, yet
+        # its trace keeps a path row for every size its bound leaves open.
+        real, scan, calls, rows = branchbound.single_step, [], Counter(), Counter()
+
+        def step(ctx, overlap, state=None, window=None, trace=None, parent=None):
+            scan.append(_excludes(state, parent))
+            start = len(trace)
+            try:
+                return real(ctx, overlap, state, window=window, trace=trace, parent=parent)
+            finally:
+                rows[scan.pop()] += sum(r["kind"] == "path" for r in trace[start:])
+
+        def counted(name):
+            method = getattr(Workspace, name)
+
+            def hooked(self, *args):
+                calls[scan[-1] if scan else False, name] += 1
+                return method(self, *args)
+            return hooked
+
+        monkeypatch.setattr(branchbound, "single_step", step)
+        for name in ("path_value", "path_sums", "_paths"):
+            monkeypatch.setattr(Workspace, name, counted(name))
+        for prob, subset, z in _branching_runs(np.random.default_rng(48), 40):
+            evaluate_iterative(QueryContext(prob, subset), z, trace=[])
+        assert not [key for key in calls if key[0]], calls
+        assert calls[False, "path_value"] > 100 and rows[True] > 50, (calls, rows)
+
+    def test_missing_carried_size_is_engine_fault(self):
+        # An exclude child whose bound leaves a size open, handed a parent
+        # that carries no path value there.
+        faults = 0
+        for prob, subset, z in _branching_runs(np.random.default_rng(49), 40):
+            ctx = QueryContext(prob, subset)
+            root = single_step(ctx, z)
+            if root.verdict is not Verdict.UNDECIDED:
+                continue
+            child = subspace(prob.n_hyps, excluded=(root.pivot,))
+            trace = []
+            single_step(ctx, z, child, window=root.window, trace=trace, parent=root)
+            if any(r["kind"] == "path" for r in trace):
+                with pytest.raises(RuntimeError, match="carries no path value"):
+                    single_step(ctx, z, child, window=root.window, parent=replace(root, paths={}))
+                faults += 1
+        assert faults >= 10

@@ -1,6 +1,8 @@
 """Discovery bounds: bisection, budgets, prefix search."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -223,6 +225,43 @@ class TestSearchOrderGolden:
         )
         # survivors certified up to overlap 268 of 300
         assert res.d_upper == 32
+
+    @staticmethod
+    def _digest(res, trace):
+        """sha256 of every trace row, the levels and the scan count, as JSON."""
+        rows = json.dumps([trace, res.levels, res.evals], default=lambda v: v.value)
+        return hashlib.sha256(rows.encode()).hexdigest()
+
+    def test_budgeted_full_set_trace(self):
+        # Every eval, branch, bound and path row of the query above, pinned
+        # by digest: a scan that reads a value from another route must
+        # still emit the same rows in the same order.
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(100, 300))
+        values[0, :60] += 3.0
+        prob = SumTestProblem.from_matrix(StatisticMatrix(values), TestConfig(0.05, 100))
+        trace = []
+        res = discoveries(prob, range(300), step_budget=20, trace=trace)
+        assert self._digest(res, trace) == (
+            "f2854a03d563900bafbeb4f6ab3308e9bf9d592ef47cb6b235d3dc0d927036cf")
+
+    def test_branching_post_hoc_trace(self):
+        # A post-hoc query on a truncated, reduced problem whose third level
+        # settles after 45 scans, so its trace holds exclude and force
+        # children.  The evidence is Fisher's -2 log p under the null on a
+        # 1/8 grid, with 20 shifted columns, made without scipy so that its
+        # bits do not depend on a library version.
+        rng = np.random.default_rng([168, 38])
+        values = np.round(rng.standard_exponential((200, 100)) * 16) / 8
+        values[0, :20] += np.round(rng.uniform(2, 14, size=20) * 8) / 8
+        trunc = truncate(StatisticMatrix(values), TruncationRule(threshold=6.0, ground=1.375))
+        prob = SumTestProblem.from_matrix(trunc, TestConfig(0.05, 200), ground=1.375)
+        trace = []
+        res = discoveries(prob, range(20), step_budget=50, trace=trace)
+        assert res.reduction["collapsed"] > 0
+        assert (res.discoveries, res.converged, res.evals, res.levels[2][2]) == (9, True, 55, 45)
+        assert self._digest(res, trace) == (
+            "29b91d0743f80ee9f62990b851e3a05f533632eb745ad1b1d58147d4157c1815")
 
 
 def _mixed_queries(seed, n_instances):

@@ -293,6 +293,33 @@ def test_scan_order_matches_bound_first_reference():
     assert min(seen.values()) > 50, seen
 
 
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(scan_cases())
+def test_windows_past_the_size_range(case):
+    """Windows that start below ``size_min`` or end above ``size_max``.
+
+    A constrained scan (every drawn state is one) bisects its runs only
+    inside the window: ``drop_end`` is the full run's clamped to one size
+    below the window up to its top, ``rise_start`` to the window's bottom up
+    to one size above it, and the scan reads and decides as the bound-first
+    reference does.
+    """
+    prob, subset, overlap, state, start = case
+    full = Workspace(QueryContext(prob, subset), overlap, state)
+    lo, hi = full.size_min, full.size_max
+    for window in ((lo - 2, start), (start, hi + 2), (lo - 1, hi + 1), (start, start)):
+        ws = Workspace(QueryContext(prob, subset), overlap, state, window)
+        v1, v2 = max(window[0], lo), min(window[1], hi)
+        assert ws.window == (v1, v2)
+        if v1 <= v2:
+            assert ws.drop_end == min(max(full.drop_end, v1 - 1), v2)
+            assert ws.rise_start == min(max(full.rise_start, v1), v2 + 1)
+        ev = single_step(QueryContext(prob, subset), overlap, state, window)
+        want = bound_first_scan(prob, subset, overlap, state, window)
+        assert (ev.verdict, ev.window, ev.witness, ev.pivot) == want
+        assert_walk(prob, subset, overlap, state, window)
+
+
 @st.composite
 def checkpoint_cases(draw):
     """A scan whose path reads can start from the problem's checkpoints.

@@ -515,6 +515,23 @@ class TestInPlaceTrim:
         self._assert_fresh(prob, block, sums, mask, needed)
         assert_carried_sums_exact(ctx)
 
+    def test_cut_takes_the_last_tie(self):
+        # Row 0 is all zeros, as the identity row of a centered matrix is,
+        # and the others hold runs of equal entries: each cut is its run's
+        # last entry, so a zero row moves nothing.  Spare columns, as a
+        # merge leaves them, are never read.
+        rows = [[0.0] * 6, [-1.0, 2.0, 2.0, 2.0, 3.0, 4.0], [1.0] * 5 + [2.0],
+                [-3.0, -3.0, 0.0, 0.0, 0.0, 0.0], [5.0] * 6]
+        values = [0.0, 2.0, 1.0, -3.0, 5.0]
+        buf = np.full((5, 8), 9.0)
+        buf[:, :6] = rows
+        block, pos = shortcut._cut_values(buf[:, :6], np.array(values))
+        assert pos.tolist() == [5, 3, 4, 1, 5]
+        for row, value in zip(rows, values):
+            row.remove(value)
+        assert block.tolist() == rows
+        assert np.shares_memory(block, buf) and (buf[:, 6:] == 9.0).all()
+
     def test_three_trims_stay_in_the_root_buffer(self):
         rng = np.random.default_rng(17)
         prob = SumTestProblem(rng.choice(POOL, size=(6, 30)), rng.standard_normal(30), 2)
